@@ -9,41 +9,27 @@ import platform
 import re
 from typing import Dict, List, Sequence
 
-from repro.analysis import (
-    ExperimentRunner,
-    ExperimentSettings,
-    MethodSummary,
-    format_comparison_table,
-)
-from repro.core.config import VerificationMethod
+from repro import api
+from repro.analysis import MethodSummary, format_comparison_table
 
 #: Regenerated table text is also written here so the rows survive pytest's
 #: stdout capture and can be inspected after a benchmark run.
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-SCENARIOS = {
-    "C": VerificationMethod.CORNER,
-    "C-MCL": VerificationMethod.CORNER_LOCAL_MC,
-    "C-MCG-L": VerificationMethod.CORNER_GLOBAL_LOCAL_MC,
-}
 
-
-def build_runner(
-    circuit_name: str,
-    verification: VerificationMethod,
-    scale: dict,
-) -> ExperimentRunner:
-    """An :class:`ExperimentRunner` configured for the chosen scale."""
-    settings = ExperimentSettings(
-        circuit_name=circuit_name,
-        verification=verification,
+def experiment_config(
+    circuit_name: str, scenario: str, scale: dict
+) -> api.ExperimentConfig:
+    """The GLOVA :class:`~repro.api.ExperimentConfig` for the chosen scale."""
+    return api.ExperimentConfig(
+        circuit=circuit_name,
+        method=scenario,
         seeds=scale["seeds"],
         max_iterations=scale["max_iterations"],
         initial_samples=scale["initial_samples"],
         verification_samples=scale["verification_samples"],
         paper_scale=scale["paper_scale"],
     )
-    return ExperimentRunner(settings)
 
 
 def run_table2_block(
@@ -55,8 +41,8 @@ def run_table2_block(
     """Run one circuit's Table-II columns and return per-scenario summaries."""
     block: Dict[str, List[MethodSummary]] = {}
     for scenario in scenarios:
-        runner = build_runner(circuit_name, SCENARIOS[scenario], scale)
-        block[scenario] = runner.compare_methods(methods)
+        config = experiment_config(circuit_name, scenario, scale)
+        block[scenario] = api.run_comparison(config, methods)
     return block
 
 

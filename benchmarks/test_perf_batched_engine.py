@@ -2,9 +2,8 @@
 
 Each optimizer iteration fans one design out over an N'-sample mismatch set
 (and, during verification, over the corner set).  This benchmark times that
-exact sweep both ways on all three testcases plus the raw batched MNA
-engine, asserts the batched path reproduces the scalar metrics within 1e-9,
-and records the wall-clock trajectory to
+exact sweep both ways on all three testcases, asserts the batched path
+reproduces the scalar metrics within 1e-9, and records the wall-clock trajectory to
 ``benchmarks/results/BENCH_batched_engine.json`` so the speedup is tracked
 across PRs.
 """
@@ -18,8 +17,6 @@ import pytest
 
 from harness import write_bench_json
 from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
-from repro.spice import solve_dc, solve_dc_batched
-from repro.spice.examples import common_source_amplifier
 from repro.variation.corners import typical_corner
 from repro.variation.mismatch import MismatchSampler
 
@@ -82,40 +79,6 @@ def _sweep_timings(circuit) -> dict:
     }
 
 
-def _mna_timings() -> dict:
-    """Time the raw MNA engine: B scalar Newton solves vs one stacked solve."""
-
-    common_source = common_source_amplifier
-
-    shifts = np.random.default_rng(0).normal(0.0, 0.03, BATCH)
-
-    def scalar_sweep():
-        return [
-            solve_dc(common_source(shift), damping=0.5) for shift in shifts
-        ]
-
-    def batched_sweep():
-        return solve_dc_batched(
-            common_source(), mismatch={"M1": {"vth": shifts}}, damping=0.5
-        )
-
-    scalar_solutions = scalar_sweep()
-    batched_solution = batched_sweep()
-    deviation = max(
-        abs(scalar_solutions[i]["drain"] - batched_solution.voltage("drain")[i])
-        for i in range(BATCH)
-    )
-    scalar_s = _best_of(scalar_sweep)
-    batched_s = _best_of(batched_sweep)
-    return {
-        "batch": BATCH,
-        "scalar_seconds": scalar_s,
-        "batched_seconds": batched_s,
-        "speedup": scalar_s / batched_s,
-        "max_abs_deviation": deviation,
-    }
-
-
 @pytest.mark.perf
 def test_batched_engine_speedup_and_equivalence():
     report = {
@@ -131,9 +94,6 @@ def test_batched_engine_speedup_and_equivalence():
         report["circuits"][circuit_cls.name] = timings
         assert timings["max_abs_deviation"] <= TOLERANCE, circuit_cls.name
 
-    report["mna_dc"] = _mna_timings()
-    assert report["mna_dc"]["max_abs_deviation"] <= TOLERANCE
-
     speedups = [entry["speedup"] for entry in report["circuits"].values()]
     report["min_circuit_speedup"] = min(speedups)
     report["geomean_circuit_speedup"] = float(
@@ -147,6 +107,5 @@ def test_batched_engine_speedup_and_equivalence():
             f"  {name}: {entry['speedup']:.1f}x "
             f"(dev {entry['max_abs_deviation']:.2e})"
         )
-    print(f"  mna_dc: {report['mna_dc']['speedup']:.1f}x")
 
     assert report["min_circuit_speedup"] >= MIN_SPEEDUP, report

@@ -1,23 +1,15 @@
-"""Perf benchmark: the batched control loop end-to-end + the LU kernel.
+"""Perf benchmark: the batched control loop end-to-end.
 
-Two claims are measured and recorded to
-``benchmarks/results/BENCH_loop_batching.json``:
-
-1. **End-to-end evaluation path** — a verification-heavy workflow (TuRBO
-   initial sampling at typical, the seed-phase corner sweep, optimization
-   iterations at the worst corner, then one full Algorithm-2 verification)
-   timed twice over identical work: the *PR-1 schedule* (scalar TuRBO
-   objective, per-corner seed loop, one-at-a-time full-MC verification =
-   ``verification_chunk=1``) against the *batched loop* (design-batched
-   TuRBO objective, corners × N' seed mega-batch, chunk-8 verification).
-   Only the simulation side is timed — agent updates are unchanged by this
-   PR and identical in both schedules.
-
-2. **Repeated-Newton DC solves** — the LU-cached SMW kernel against the
-   dense stacked solve on the ladder netlist, shared stamper, so Newton
-   iterations after the first reuse cached factors.
-
-Both comparisons assert value equivalence before timing anything.
+Measured and recorded to ``benchmarks/results/BENCH_loop_batching.json``:
+a verification-heavy workflow (TuRBO initial sampling at typical, the
+seed-phase corner sweep, optimization iterations at the worst corner,
+then one full Algorithm-2 verification) timed twice over identical work:
+the *legacy scalar schedule* (scalar TuRBO objective, per-corner seed
+loop, one-at-a-time full-MC verification = ``verification_chunk=1``)
+against the *batched loop* (design-batched TuRBO objective, corners × N' seed
+mega-batch, chunk-8 verification).  Only the simulation side is timed —
+agent updates are identical in both schedules.  The comparison asserts
+value equivalence before timing anything.
 """
 
 from __future__ import annotations
@@ -36,16 +28,12 @@ from repro.core.spec import DesignSpec
 from repro.core.turbo import TurboSampler
 from repro.core.verification import Verifier
 from repro.simulation import CircuitSimulator, SimulationPhase
-from repro.spice import solve_dc_batched
-from repro.spice.batched import BatchedMNAStamper
-from repro.spice.examples import common_source_ladder
 from repro.variation.mismatch import MismatchSampler
 
 REPEATS = 3
 
-#: Acceptance floors for the recorded speedups.
+#: Acceptance floor for the recorded speedup.
 MIN_END_TO_END_SPEEDUP = 3.0
-MIN_KERNEL_SPEEDUP = 2.0
 
 #: Verification budget: 30 corners x (3 screening + 21 extras) = 720 sims.
 VERIFICATION_SAMPLES = 24
@@ -224,43 +212,6 @@ class _WorkflowDriver:
         return outcome, simulator.budget.total
 
 
-def _kernel_timings() -> dict:
-    """Repeated batched Newton DC solves: dense stack vs LU/SMW kernel."""
-    circuit = common_source_ladder(stages=16, filter_nodes=4)
-    batch = 64
-    shifts = np.random.default_rng(5).normal(0.0, 0.02, batch)
-    mismatch = {f"M{stage}": {"vth": shifts} for stage in range(16)}
-
-    stampers = {name: BatchedMNAStamper(circuit) for name in ("dense", "lu")}
-
-    def run(solver):
-        return solve_dc_batched(
-            circuit,
-            mismatch=mismatch,
-            damping=0.7,
-            solver=solver,
-            stamper=stampers[solver],
-        )
-
-    dense = run("dense")
-    cached = run("lu")
-    deviation = float(np.max(np.abs(dense.voltages - cached.voltages)))
-    dense_s = _best_of(lambda: run("dense"))
-    cached_s = _best_of(lambda: run("lu"))
-    stamper = stampers["lu"]
-    return {
-        "circuit": circuit.name,
-        "system_size": stampers["lu"].size,
-        "mosfets": len(stamper._mosfets),
-        "batch": batch,
-        "newton_iterations": int(dense.iterations.max()),
-        "dense_seconds": dense_s,
-        "lu_smw_seconds": cached_s,
-        "speedup": dense_s / cached_s,
-        "max_abs_deviation": deviation,
-    }
-
-
 @pytest.mark.perf
 def test_loop_batching_speedup_and_equivalence():
     circuit = StrongArmLatch()
@@ -290,9 +241,8 @@ def test_loop_batching_speedup_and_equivalence():
         "description": (
             "Verification-heavy end-to-end evaluation pass (TuRBO initial "
             "sampling -> corner seed sweep -> optimization iterations -> "
-            "full Algorithm-2 verification) under the PR-1 scalar schedule "
-            "vs the batched control loop, plus the LU/SMW solver kernel vs "
-            "the dense stacked solve on repeated batched Newton DC solves."
+            "full Algorithm-2 verification) under the legacy scalar "
+            "schedule vs the batched control loop."
         ),
         "end_to_end": {
             "circuit": circuit.name,
@@ -303,7 +253,6 @@ def test_loop_batching_speedup_and_equivalence():
             "batched_seconds": batched_s,
             "speedup": legacy_s / batched_s,
         },
-        "lu_kernel": _kernel_timings(),
     }
     path = write_bench_json("loop_batching", report)
     print(f"\nloop-batching benchmark -> {path}")
@@ -311,11 +260,5 @@ def test_loop_batching_speedup_and_equivalence():
         f"  end-to-end: {report['end_to_end']['speedup']:.1f}x "
         f"({legacy_sims} sims/pass)"
     )
-    print(
-        f"  lu kernel:  {report['lu_kernel']['speedup']:.1f}x "
-        f"(dev {report['lu_kernel']['max_abs_deviation']:.2e})"
-    )
 
-    assert report["lu_kernel"]["max_abs_deviation"] <= 1e-9
     assert report["end_to_end"]["speedup"] >= MIN_END_TO_END_SPEEDUP, report
-    assert report["lu_kernel"]["speedup"] >= MIN_KERNEL_SPEEDUP, report

@@ -8,14 +8,37 @@ needs at least as many simulations as the full framework.
 
 import pytest
 
-from benchmarks.harness import SCENARIOS, build_runner, print_table
+from benchmarks.harness import experiment_config, print_table
+from repro import api
+from repro.analysis import aggregate_results, normalize_runtimes
+
+#: The Table-III variants: full GLOVA and the three ablations, as
+#: ``GlovaConfig`` overrides.
+VARIANTS = {
+    "glova": {},
+    "glova_no_ensemble": {"use_ensemble_critic": False},
+    "glova_no_mu_sigma": {"use_mu_sigma": False},
+    "glova_no_reordering": {"use_reordering": False},
+}
 
 
 def run_ablation(scale, scenarios):
     block = {}
     for scenario in scenarios:
-        runner = build_runner("dram", SCENARIOS[scenario], scale)
-        block[scenario] = runner.ablation()
+        config = experiment_config("dram", scenario, scale)
+        summaries = [
+            aggregate_results(
+                name,
+                scenario,
+                api.run_experiment(
+                    config.with_overrides(overrides=overrides)
+                ).results,
+            )
+            for name, overrides in VARIANTS.items()
+        ]
+        block[scenario] = normalize_runtimes(
+            summaries, reference_method="glova"
+        )
     return block
 
 

@@ -42,7 +42,7 @@ Subpackages
 ``repro.baselines``
     PVTSizing- and RobustAnalog-style baselines used in Table II.
 ``repro.analysis``
-    Experiment orchestration and table formatting for the paper's evaluation.
+    Result aggregation and table formatting for the paper's evaluation.
 ``repro.api``
     The top-level experiment facade (declarative configs, serializable
     reports, the ``python -m repro`` CLI).
@@ -126,41 +126,26 @@ probed cone of influence before the engine ever sees it.
 
 Performance
 -----------
-The Monte-Carlo/corner hot path is **batched end to end**.  MNA assembly is
-split into a *static* linear stamp (resistors, capacitor companion
-patterns, sources, VCCS — built once per circuit/corner and cached) plus an
-*incremental* nonlinear MOSFET restamp evaluated through the ufunc-style
-device model (:meth:`repro.spice.MosfetModel.batch_operating_point`) over a
-leading batch axis; all B Newton systems are solved in one stacked
-``np.linalg.solve`` on ``(B, n, n)`` arrays with per-sample convergence
-masks (``repro.spice.solve_dc_batched`` / ``solve_transient_batched``).
-The behavioural testbenches expose the same shape through
-``AnalogCircuit.evaluate_batch``, which ``CircuitSimulator`` uses to run a
-whole N'-sample mismatch set or 30-corner sweep in a single vectorized
-pass (budget accounting still charges B simulations).
+The Monte-Carlo/corner hot path is **batched end to end**.  The three
+paper testcases are closed-form behavioural models built on the
+ufunc-style device model
+(:meth:`repro.spice.MosfetModel.batch_operating_point`):
+``AnalogCircuit.evaluate_batch`` evaluates a whole N'-sample mismatch set
+or 30-corner sweep in one vectorized pass, and ``CircuitSimulator`` routes
+every batch through it (budget accounting still charges B simulations).
+No sizing run solves an MNA system; the scalar ``solve_dc`` /
+``solve_transient`` serve netlist work (the trimming checks and the
+waveform benchmark).
 
-Choosing scalar vs batched: the scalar entry points (``evaluate``,
-``solve_dc``, ``solve_transient``) remain the reference path for one-off
-conditions and debugging — they produce identical numbers, since scalar
-evaluation routes through the batch-of-one code.  Use the batched entry
-points whenever more than one mismatch sample or corner is evaluated for
-the same design; at the paper's N' = 16 this is a ~15x wall-clock win
-(see ``benchmarks/results/BENCH_batched_engine.json``).
+Choosing scalar vs batched: the scalar ``evaluate`` remains the reference
+path for one-off conditions and debugging — it produces identical numbers,
+since scalar evaluation routes through the batch-of-one code.  Use the
+batched entry points whenever more than one mismatch sample or corner is
+evaluated for the same design; at the paper's N' = 16 this is a ~15x
+wall-clock win (see ``benchmarks/results/BENCH_batched_engine.json``).
 
-The **control loop is batched too** — not just the kernel:
+The **control loop is batched too**:
 
-* *LU-cached solver kernel* — every MOSFET companion stamp is a rank-one
-  update of the sample-invariant static stamp, so ``solve_dc_batched`` /
-  ``solve_transient_batched`` factor the static matrix once
-  (``scipy.linalg.lu_factor``, or ``scipy.sparse`` above the *measured*
-  dense-vs-splu crossover — a one-shot per-process micro-calibration,
-  ``$REPRO_SPARSE_AUTO_SIZE`` to pin; see
-  :func:`repro.spice.batched.sparse_auto_size`) and drive every Newton
-  iteration through a Sherman–Morrison–Woodbury correction instead of
-  re-solving dense ``(B, n, n)`` stacks.  ``solver="auto"`` falls back to
-  the dense path whenever the update rank (the MOSFET count) exceeds
-  ``SMW_RANK_LIMIT_FRACTION`` of the system size — beyond that the
-  "low-rank" correction costs more than it saves.
 * *Chunked verification* — pass 2 of Algorithm 2 evaluates h-SCORE-ordered
   chunks (``OperationalConfig.verification_chunk``, default 8) and scans
   each chunk for the first infeasible reward: same pass/fail outcome,
@@ -183,8 +168,7 @@ The **control loop is batched too** — not just the kernel:
   to disk for cross-process replay (``cache_dir``).
 
 End-to-end this makes a verification-heavy seed → optimize → verify pass
-~5x faster and repeated batched Newton DC solves 2-3x faster on ladder-size
-netlists (``benchmarks/results/BENCH_loop_batching.json``), with the async
+~5x faster (``benchmarks/results/BENCH_loop_batching.json``), with the async
 pipelined service adding a further ~1.5x at ``workers=4`` on
 simulation-bound workloads plus ~2.7x faster first-job latency from warm
 pools (``benchmarks/results/BENCH_async_service.json``).

@@ -1,10 +1,10 @@
-"""Experiment orchestration and reporting for the paper's evaluation.
+"""Reporting for the paper's evaluation.
 
 :mod:`repro.analysis.metrics` aggregates repeated optimization runs into the
 quantities Table II and Table III report (RL iterations, simulation counts,
 normalized runtime, success rate); :mod:`repro.analysis.tables` renders them
-as text tables; :mod:`repro.analysis.experiments` runs the method x
-verification-scenario sweeps the benchmarks are built on.
+as text tables.  The runs themselves go through :mod:`repro.api`
+(``run_experiment`` / ``run_comparison``).
 
 :mod:`repro.analysis.waveform` is the engine-neutral waveform metric
 library: vectorized crossing/delay/slew/settling/average measurements
@@ -20,7 +20,6 @@ from repro.analysis.metrics import (
     straggler_idle_fraction,
 )
 from repro.analysis.tables import format_comparison_table, format_ablation_table
-from repro.analysis.experiments import ExperimentRunner, ExperimentSettings
 from repro.analysis.waveform import (
     TraceMissingError,
     WaveformError,
@@ -42,8 +41,6 @@ __all__ = [
     "straggler_idle_fraction",
     "format_comparison_table",
     "format_ablation_table",
-    "ExperimentRunner",
-    "ExperimentSettings",
     "TraceMissingError",
     "WaveformError",
     "WaveformSpec",

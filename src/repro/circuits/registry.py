@@ -12,7 +12,7 @@ Two registration styles:
           name = "strongarm_latch"
 
 * :func:`register_circuit_factory` — for *parameterized* builders (e.g. the
-  ``common_source_ladder`` SPICE netlist used by the solver benchmarks),
+  ``common_source_ladder`` SPICE netlist used by the trimming tests),
   where the registry stores a callable instead of a class and
   :func:`get_circuit` forwards keyword arguments to it::
 

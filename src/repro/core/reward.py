@@ -7,12 +7,14 @@ constraint violations::
     r' = sum_i min(f_i, 0)        r = 0.2 if r' >= 0 else r'
 
 The worst-case reward over a set of simulations is simply the minimum, which
-is what the risk-sensitive agent stores in its replay buffer.
+is what the risk-sensitive agent stores in its replay buffer.  A non-finite
+metric counts as the maximal violation (see :mod:`repro.core.spec`), so
+every reward is finite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping
 
 import numpy as np
 
@@ -43,26 +45,6 @@ def rewards_from_matrix(spec: DesignSpec, metric_matrix: np.ndarray) -> np.ndarr
     normalized = spec.normalized_matrix(metric_matrix)
     shortfall = np.sum(np.minimum(normalized, 0.0), axis=1)
     return np.where(shortfall >= 0.0, FEASIBLE_REWARD, shortfall)
-
-
-def worst_case_reward(
-    spec: DesignSpec, metric_dicts: Iterable[Mapping[str, float]]
-) -> float:
-    """Minimum reward across a set of simulation outcomes."""
-    rewards = [reward_from_metrics(spec, metrics) for metrics in metric_dicts]
-    if not rewards:
-        raise ValueError("worst_case_reward needs at least one outcome")
-    return min(rewards)
-
-
-def rewards_and_worst(
-    spec: DesignSpec, metric_dicts: Sequence[Mapping[str, float]]
-) -> Tuple[np.ndarray, float]:
-    """All rewards plus the worst one, in a single pass."""
-    rewards = np.array(
-        [reward_from_metrics(spec, metrics) for metrics in metric_dicts]
-    )
-    return rewards, float(rewards.min())
 
 
 def is_feasible_reward(reward: float) -> bool:

@@ -16,6 +16,9 @@ robust form::
 which preserves the sign and the [-1, 1] range of the paper's normalisation
 for positive metrics and extends it safely to sign-flipped ones (documented
 substitution, see DESIGN.md).
+
+A non-finite metric (NaN from a failed measurement, ±inf from a model
+blowing up) is the maximal violation, ``f_i = -1``, on every path.
 """
 
 from __future__ import annotations
@@ -31,6 +34,19 @@ from repro.circuits.base import AnalogCircuit
 _EPSILON = 1e-12
 
 
+def _normalize(bounds, values) -> np.ndarray:
+    """Elementwise ``f_i``; a non-finite metric maps to ``-1``.
+
+    Without that rule a NaN metric would become a NaN reward (NaN never
+    compares ``>= 0``) and an infinite one a NaN ``f_i``.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    values = np.where(finite, values, 0.0)
+    normalized = (bounds - values) / (np.abs(bounds) + np.abs(values) + _EPSILON)
+    return np.where(finite, normalized, -1.0)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """A single design target: ``metric <= bound``."""
@@ -44,7 +60,7 @@ class Constraint:
 
     def normalized(self, value: float) -> float:
         """The paper's normalised metric ``f_i`` (robust form, see module doc)."""
-        return (self.bound - value) / (abs(self.bound) + abs(value) + _EPSILON)
+        return float(_normalize(self.bound, value))
 
     def satisfied(self, value: float) -> bool:
         return value <= self.bound
@@ -90,7 +106,7 @@ class DesignSpec:
 
     def normalized_metrics(self, metrics: Mapping[str, float]) -> np.ndarray:
         """Vector of ``f_i`` values (positive = satisfied)."""
-        return np.array([c.normalized(metrics[c.metric]) for c in self._constraints])
+        return _normalize(self.bounds, self.metric_vector(metrics))
 
     def normalized_matrix(self, metric_matrix: np.ndarray) -> np.ndarray:
         """Vectorized ``f_i`` for an ``(N, n_metrics)`` raw-metric matrix.
@@ -98,11 +114,7 @@ class DesignSpec:
         Columns must be ordered like :attr:`metric_names` (the layout
         produced by ``CircuitSimulator.metrics_matrix``).
         """
-        metric_matrix = np.asarray(metric_matrix, dtype=float)
-        bounds = self.bounds
-        return (bounds - metric_matrix) / (
-            np.abs(bounds) + np.abs(metric_matrix) + _EPSILON
-        )
+        return _normalize(self.bounds, metric_matrix)
 
     def margins(self, metrics: Mapping[str, float]) -> Dict[str, float]:
         """Per-metric slack ``c_i - F_i``."""

@@ -17,10 +17,10 @@ corner block × mismatch block + phase tag) evaluated by a
   corner *and* design rows) across a persistent warm
   :class:`~repro.simulation.sharding.WorkerPool` owned by the service,
   with bit-identical results (:mod:`repro.simulation.sharding`).  The
-  default scheduler is *work-stealing*: cost-balanced chunks pulled from
-  the pool's shared queue, with per-row wall-clock learned by a
+  scheduler is *work-stealing*: cost-balanced chunks pulled from the
+  pool's shared queue, with per-row wall-clock learned by a
   :class:`RowCostModel` (:mod:`repro.simulation.costs`) and persisted as
-  cache sidecars; ``scheduler="uniform"`` pins the legacy slicer;
+  cache sidecars;
 * :class:`FaultInjectingBackend` — the chaos harness: wraps any terminal
   backend with seeded, scriptable fault schedules (raise / hang /
   kill-own-worker / FAILURE_NAN) so the fault-tolerance paths are
@@ -98,14 +98,10 @@ from repro.simulation.service import (
     spill_store_stats,
 )
 from repro.simulation.sharding import (
-    SCHEDULER_STEALING,
-    SCHEDULER_UNIFORM,
-    SCHEDULERS,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
     plan_chunk_bounds,
-    resolve_scheduler,
 )
 from repro.simulation.ngspice import (  # registers the "ngspice" backend
     NgspiceBackend,
@@ -152,15 +148,11 @@ __all__ = [
     "ShardHandle",
     "ShardWatchdog",
     "WorkerPool",
-    "SCHEDULER_STEALING",
-    "SCHEDULER_UNIFORM",
-    "SCHEDULERS",
     "ROW_SECONDS_KEY",
     "RowCostModel",
     "is_reserved_metric",
     "strip_reserved_metrics",
     "plan_chunk_bounds",
-    "resolve_scheduler",
     "CACHE_FORMAT_VERSION",
     "SimulationBackend",
     "SimulationService",

@@ -74,12 +74,7 @@ from repro.simulation.service import (
     SimulationBackend,
     resolve_backend,
 )
-from repro.simulation.sharding import (
-    SCHEDULER_STEALING,
-    SCHEDULERS,
-    WorkerPool,
-    resolve_scheduler,
-)
+from repro.simulation.sharding import WorkerPool
 
 logger = logging.getLogger(__name__)
 
@@ -118,13 +113,10 @@ class SimulationServer:
         port; read :attr:`address` after :meth:`start`.
     workers:
         ``> 1`` stands up a warm :class:`WorkerPool` and shards big
-        batches across it, exactly like the in-process service would.
-    scheduler:
-        Shard scheduler for the daemon-side pool: the work-stealing
-        default (cost-balanced chunks, per-row costs learned in-memory
-        across the daemon's lifetime — a fleet daemon serving repeated
-        sweeps plans ever-better chunks) or ``"uniform"`` to pin the
-        legacy slicer.  ``None`` honours ``REPRO_SHARD_SCHEDULER``.
+        batches across it, exactly like the in-process service would,
+        in work-stealing chunks balanced by per-row costs learned
+        in-memory across the daemon's lifetime (a fleet daemon serving
+        repeated sweeps plans ever-better chunks).
     lease_seconds / retention_seconds / heartbeat_interval:
         The liveness model described in the module docstring.
     retention_max_entries:
@@ -144,7 +136,6 @@ class SimulationServer:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         retention_seconds: float = DEFAULT_RETENTION_SECONDS,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        scheduler: Optional[str] = None,
         retention_max_entries: Optional[int] = None,
     ):
         self._terminal = resolve_backend(backend)
@@ -159,13 +150,10 @@ class SimulationServer:
         )
         if self.retention_max_entries is not None and self.retention_max_entries < 1:
             raise ValueError("retention_max_entries must be at least 1")
-        self.scheduler = resolve_scheduler(scheduler)
 
         self._pool: Optional[WorkerPool] = None
         self._engine: SimulationBackend = self._terminal
-        self.cost_model: Optional[RowCostModel] = (
-            RowCostModel() if self.scheduler == SCHEDULER_STEALING else None
-        )
+        self.cost_model = RowCostModel()
         if self.workers > 1 and self._terminal.worker_reconstructible:
             self._pool = WorkerPool(
                 self.workers, backend_names=(self._terminal.name,)
@@ -174,7 +162,6 @@ class SimulationServer:
                 self._terminal,
                 self.workers,
                 pool=self._pool,
-                scheduler=self.scheduler,
                 cost_model=self.cost_model,
             )
 
@@ -679,17 +666,6 @@ def serve_main(argv=None) -> int:
         help="worker processes for sharding big batches (default: 1)",
     )
     parser.add_argument(
-        "--scheduler",
-        default=None,
-        choices=sorted(SCHEDULERS),
-        help=(
-            "shard scheduler for the daemon pool: 'stealing' "
-            "(cost-balanced work-stealing chunks, the default) or "
-            "'uniform' (legacy one-slice-per-worker); unset honours "
-            "REPRO_SHARD_SCHEDULER"
-        ),
-    )
-    parser.add_argument(
         "--lease-seconds", type=float, default=DEFAULT_LEASE_SECONDS
     )
     parser.add_argument(
@@ -781,7 +757,6 @@ def serve_main(argv=None) -> int:
         host=arguments.host,
         port=arguments.port,
         workers=arguments.workers,
-        scheduler=arguments.scheduler,
         lease_seconds=arguments.lease_seconds,
         retention_seconds=arguments.retention_seconds,
         heartbeat_interval=arguments.heartbeat_interval,

@@ -131,12 +131,10 @@ from repro.simulation.costs import (
     strip_reserved_metrics,
 )
 from repro.simulation.sharding import (
-    SCHEDULER_STEALING,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
     dispatch_job_sharded,
-    resolve_scheduler,
 )
 from repro.variation.corners import CornerBatch, PVTCorner
 
@@ -1094,7 +1092,6 @@ class ShardedDispatcher(SimulationBackend):
         workers: int,
         pool: Optional[WorkerPool] = None,
         watchdog: Optional[ShardWatchdog] = None,
-        scheduler: Optional[str] = None,
         cost_model: Optional[RowCostModel] = None,
     ):
         self.inner = inner
@@ -1103,10 +1100,6 @@ class ShardedDispatcher(SimulationBackend):
         self._owns_pool = pool is None
         self._released = False
         self.watchdog = watchdog
-        #: Shard scheduler: work-stealing by default, ``"uniform"`` pins
-        #: the legacy one-slice-per-worker plan (see
-        #: :func:`~repro.simulation.sharding.resolve_scheduler`).
-        self.scheduler = resolve_scheduler(scheduler)
         #: Learned per-row cost estimates feeding (and fed by) the
         #: work-stealing planner; ``None`` runs cost-agnostic.
         self.cost_model = cost_model
@@ -1140,7 +1133,6 @@ class ShardedDispatcher(SimulationBackend):
             job,
             self.pool,
             watchdog=self.watchdog,
-            scheduler=self.scheduler,
             cost_model=self.cost_model,
         )
 
@@ -1441,28 +1433,23 @@ class SimulationService:
         cache_dir: Optional[str] = None,
         warm_pool: bool = True,
         retry: Union[None, RetryPolicy, Dict[str, object]] = None,
-        scheduler: Optional[str] = None,
     ):
         self._circuit = circuit
         self._budget = budget if budget is not None else SimulationBudget()
         self._workers = max(1, int(workers))
         self._terminal = resolve_backend(backend)
         self._retry = resolve_retry(retry)
-        self._scheduler = resolve_scheduler(scheduler)
-        # The cost model exists whenever the stealing scheduler is
-        # active — even single-process runs observe their row timings, so
-        # a later (or concurrent) sharded run plans informed chunks.  With
-        # a cache_dir the observations persist as sidecars in the same
+        # Even single-process runs observe their row timings, so a later
+        # (or concurrent) sharded run plans informed chunks.  With a
+        # cache_dir the observations persist as sidecars in the same
         # keyspace as the result spill.
-        self._cost_model: Optional[RowCostModel] = None
-        if self._scheduler == SCHEDULER_STEALING:
-            self._cost_model = RowCostModel(
-                sidecar_dir=(
-                    os.path.join(os.fspath(cache_dir), "costs")
-                    if cache_dir is not None
-                    else None
-                )
+        self._cost_model = RowCostModel(
+            sidecar_dir=(
+                os.path.join(os.fspath(cache_dir), "costs")
+                if cache_dir is not None
+                else None
             )
+        )
         self._dispatch: SimulationBackend = self._terminal
         self._pool: Optional[WorkerPool] = None
         if self._workers > 1:
@@ -1479,7 +1466,6 @@ class SimulationService:
                 watchdog=(
                     self._retry.watchdog() if self._retry is not None else None
                 ),
-                scheduler=self._scheduler,
                 cost_model=self._cost_model,
             )
         self._cache: Optional[CachingBackend] = (
@@ -1529,14 +1515,8 @@ class SimulationService:
         return self._retry
 
     @property
-    def scheduler(self) -> str:
-        """The shard scheduler name (``"stealing"`` or ``"uniform"``)."""
-        return self._scheduler
-
-    @property
-    def cost_model(self) -> Optional[RowCostModel]:
-        """Learned per-row cost estimates (``None`` under the legacy
-        uniform scheduler)."""
+    def cost_model(self) -> RowCostModel:
+        """Learned per-row cost estimates feeding the shard planner."""
         return self._cost_model
 
     @property
@@ -1607,10 +1587,9 @@ class SimulationService:
         metrics[ROW_SECONDS_KEY] = np.full(
             rows, (time.perf_counter() - started) / rows
         )
-        if self._cost_model is not None:
-            self._cost_model.observe(
-                job, metrics[ROW_SECONDS_KEY], self._terminal.name
-            )
+        self._cost_model.observe(
+            job, metrics[ROW_SECONDS_KEY], self._terminal.name
+        )
         return metrics
 
     def _evaluate_accounted(

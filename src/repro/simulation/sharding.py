@@ -26,7 +26,7 @@ Two things changed with the async service redesign:
   assembles the concatenated metrics block later (or cancels the handle to
   abandon speculative work).  :func:`run_job_sharded` remains the blocking
   convenience wrapper.
-* **Scheduling is work-stealing by default.**  Instead of one uniform
+* **Scheduling is work-stealing.**  Instead of one uniform
   slice per worker, a job is cut into more, smaller chunks than workers
   (:func:`plan_chunk_bounds`) and the executor's shared queue does the
   stealing: whichever worker finishes its chunk pulls the next, so a
@@ -36,8 +36,7 @@ Two things changed with the async service redesign:
   costs when available — every shard stamps its wall clock into the
   result block and a :class:`~repro.simulation.costs.RowCostModel`
   accumulates them (persistently, via cache-sidecar JSON) — and
-  known-expensive chunks are submitted first.  ``scheduler="uniform"``
-  (or ``REPRO_SHARD_SCHEDULER=uniform``) pins the legacy slicer.
+  known-expensive chunks are submitted first.
 
 Fault tolerance (the simulation-fabric layer):
 
@@ -112,18 +111,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: across the pool rather than running them serially in one process.
 MIN_ROWS_PER_WORKER = 2
 
-#: Work-stealing scheduler: cost-balanced contiguous chunks pulled from
-#: the executor's shared queue by whichever worker frees up first (the
-#: default).
-SCHEDULER_STEALING = "stealing"
-#: Legacy scheduler: one uniform slice per worker, all submitted up
-#: front.  Optimal only when every row costs the same.
-SCHEDULER_UNIFORM = "uniform"
-SCHEDULERS = (SCHEDULER_STEALING, SCHEDULER_UNIFORM)
-#: Environment override for the default scheduler (service/daemon
-#: constructor arguments win over it).
-SCHEDULER_ENV_VAR = "REPRO_SHARD_SCHEDULER"
-
 #: Work-stealing oversubscription: target chunk count per worker.  More
 #: chunks mean finer-grained stealing (a straggler chunk strands less
 #: sibling work behind it) at the price of more serialization round
@@ -138,22 +125,6 @@ STEAL_CHUNKS_PER_WORKER = 4
 #: subprocess per row) chunk down to single rows instead.
 MIN_STEAL_ROWS = 2
 
-
-def resolve_scheduler(scheduler: Optional[str] = None) -> str:
-    """The effective shard scheduler name.
-
-    ``None`` falls back to :data:`SCHEDULER_ENV_VAR`, then to the
-    work-stealing default; anything not in :data:`SCHEDULERS` raises.
-    """
-    if scheduler is None:
-        scheduler = os.environ.get(SCHEDULER_ENV_VAR) or SCHEDULER_STEALING
-    scheduler = str(scheduler).strip().lower()
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"unknown shard scheduler {scheduler!r}; "
-            f"available: {list(SCHEDULERS)}"
-        )
-    return scheduler
 
 #: Environment variables pinned to ``1`` inside every pool worker so a
 #: B-axis shard never spawns a BLAS thread team of its own — ``workers``
@@ -321,7 +292,6 @@ def _ctypes_pin_blas_threads(count: int) -> List[str]:
 def _warm_worker(
     circuit_names: Tuple[str, ...],
     backend_names: Tuple[str, ...],
-    sparse_threshold: Optional[int],
     barrier,
 ) -> None:
     """Worker initializer: pin BLAS, pre-import, pre-build, then rendezvous.
@@ -330,22 +300,12 @@ def _warm_worker(
     every terminal backend (``repro.simulation`` imports the ngspice and
     chaos modules for the side effect) and the circuit/backend pre-builds
     populate the process-level caches, so the first real shard pays no
-    construction cost.  The parent's resolved dense→sparse factorization
-    threshold is pinned here too: the crossover is *measured* per process
-    (:func:`repro.spice.batched.sparse_auto_size`), and a worker measuring
-    a different value than the parent — BLAS pinned vs not, different
-    load — would pick a different solver path for borderline system sizes
-    and break the bit-identical sharding contract.  The optional barrier
-    forces the executor to actually spawn all of its workers during
-    :class:`WorkerPool` construction instead of lazily on first submit.
+    construction cost.  The optional barrier forces the executor to
+    actually spawn all of its workers during :class:`WorkerPool`
+    construction instead of lazily on first submit.
     """
     _pin_blas_threads()
     import repro.simulation  # noqa: F401  (registers every terminal backend)
-
-    if sparse_threshold is not None:
-        from repro.spice import batched
-
-        batched._SPARSE_AUTO_SIZE_MEASURED = int(sparse_threshold)
 
     for name in backend_names:
         try:
@@ -488,12 +448,6 @@ class WorkerPool:
         #: pass it to :meth:`heal_broken` so several handles discovering the
         #: same dead executor trigger exactly one rebuild.
         self.generation = 0
-        # Resolve the dense→sparse crossover in the parent (one-shot,
-        # env-overridable) and ship it to every worker: parent and shards
-        # must agree on the solver path bit for bit.
-        from repro.spice.batched import sparse_auto_size
-
-        self._sparse_threshold = sparse_auto_size()
         self._executor = self._spawn_executor()
         # Register for the interpreter-exit sweep *before* the warm-up:
         # a warm-up failure (worker died, timeout on a loaded machine)
@@ -517,12 +471,7 @@ class WorkerPool:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_warm_worker,
-            initargs=(
-                self._circuit_names,
-                self._backend_names,
-                self._sparse_threshold,
-                barrier,
-            ),
+            initargs=(self._circuit_names, self._backend_names, barrier),
         )
 
     def _warm_up(self, executor: ProcessPoolExecutor) -> None:
@@ -915,8 +864,8 @@ def plan_chunk_bounds(
     which is exactly the wanted behaviour for stragglers.
 
     Row order is preserved (chunks tile ``[0, batch)`` in order), which
-    is what keeps concatenated results bit-identical to the uniform
-    slicer regardless of chunking.
+    is what keeps concatenated results bit-identical to the in-process
+    evaluation regardless of chunking.
     """
     batch = int(batch)
     workers = max(1, int(workers))
@@ -959,24 +908,12 @@ def plan_chunk_bounds(
     ]
 
 
-def _uniform_bounds(batch: int, workers: int) -> List[Tuple[int, int]]:
-    """The legacy slicer: one uniform slice per worker."""
-    shards = min(workers, batch)
-    edges = np.linspace(0, batch, shards + 1).astype(int)
-    return [
-        (int(edges[i]), int(edges[i + 1]))
-        for i in range(shards)
-        if edges[i] != edges[i + 1]
-    ]
-
-
 def dispatch_job_sharded(
     circuit: AnalogCircuit,
     backend: "SimulationBackend",
     job: "SimJob",
     pool: Optional[WorkerPool],
     watchdog: Optional[ShardWatchdog] = None,
-    scheduler: Optional[str] = None,
     cost_model: Optional[RowCostModel] = None,
 ) -> Optional[ShardHandle]:
     """Submit one job's row shards to ``pool`` without blocking.
@@ -986,37 +923,31 @@ def dispatch_job_sharded(
     circuit, non-terminal backend) so the caller evaluates in-process
     instead.
 
-    With the default :data:`SCHEDULER_STEALING` scheduler the batch is
-    cut into more chunks than workers (:func:`plan_chunk_bounds`,
-    balanced by the cost model's prediction when one is wired in) and
-    the executor's shared queue does the stealing: whichever worker
-    finishes pulls the next chunk, so a straggler row idles at most one
-    worker for one chunk.  Known-expensive chunks are submitted first
-    (longest-predicted-first) so a learned straggler starts immediately
-    instead of queueing behind cheap work.  :data:`SCHEDULER_UNIFORM`
-    pins the legacy one-slice-per-worker plan.  Either way shard results
-    assemble in row order — bit-identical metrics and, because the
-    service accounts at resolution time, bit-identical budget
-    trajectories.
+    The batch is cut into more chunks than workers
+    (:func:`plan_chunk_bounds`, balanced by the cost model's prediction
+    when one is wired in) and the executor's shared queue does the
+    stealing: whichever worker finishes pulls the next chunk, so a
+    straggler row idles at most one worker for one chunk.
+    Known-expensive chunks are submitted first (longest-predicted-first)
+    so a learned straggler starts immediately instead of queueing behind
+    cheap work.  Shard results assemble in row order — bit-identical
+    metrics and, because the service accounts at resolution time,
+    bit-identical budget trajectories.
     """
     if pool is None or pool.closed or pool.poisoned:
         return None
     batch = job.batch
     if not shardable(circuit, backend, pool.workers, batch):
         return None
-    scheduler = resolve_scheduler(scheduler)
     predicted: Optional[np.ndarray] = None
-    if scheduler == SCHEDULER_UNIFORM:
-        bounds = _uniform_bounds(batch, pool.workers)
-    else:
-        if cost_model is not None:
-            predicted = cost_model.predict(job, backend.name)
-        bounds = plan_chunk_bounds(
-            batch,
-            pool.workers,
-            costs=predicted,
-            row_parallel=bool(getattr(backend, "row_parallel", False)),
-        )
+    if cost_model is not None:
+        predicted = cost_model.predict(job, backend.name)
+    bounds = plan_chunk_bounds(
+        batch,
+        pool.workers,
+        costs=predicted,
+        row_parallel=bool(getattr(backend, "row_parallel", False)),
+    )
     shard_jobs = [job.shard(lo, hi) for lo, hi in bounds]
     # Submission order: longest-predicted-first when costs are known (a
     # learned straggler starts on the first free worker), else row
@@ -1070,18 +1001,11 @@ def run_job_sharded(
     job: "SimJob",
     pool: Optional[WorkerPool],
     watchdog: Optional[ShardWatchdog] = None,
-    scheduler: Optional[str] = None,
     cost_model: Optional[RowCostModel] = None,
 ) -> Optional[Dict[str, np.ndarray]]:
     """Blocking convenience wrapper around :func:`dispatch_job_sharded`."""
     handle = dispatch_job_sharded(
-        circuit,
-        backend,
-        job,
-        pool,
-        watchdog,
-        scheduler=scheduler,
-        cost_model=cost_model,
+        circuit, backend, job, pool, watchdog, cost_model=cost_model
     )
     if handle is None:
         return None

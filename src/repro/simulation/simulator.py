@@ -117,7 +117,6 @@ class CircuitSimulator:
         cache_dir: Optional[str] = None,
         service: Optional[SimulationService] = None,
         retry=None,
-        scheduler: Optional[str] = None,
     ):
         if service is None:
             service = SimulationService(
@@ -128,7 +127,6 @@ class CircuitSimulator:
                 cache=cache,
                 cache_dir=cache_dir,
                 retry=retry,
-                scheduler=scheduler,
             )
         self._service = service
 

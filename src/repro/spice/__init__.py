@@ -37,14 +37,6 @@ from repro.spice.netlist import (
 )
 from repro.spice.dc import DCSolution, solve_dc
 from repro.spice.transient import TransientResult, solve_transient
-from repro.spice.batched import (
-    BatchedDCSolution,
-    BatchedMNAStamper,
-    BatchedTransientResult,
-    SMWKernel,
-    solve_dc_batched,
-    solve_transient_batched,
-)
 from repro.spice.noise import thermal_noise_voltage, ktc_noise, mosfet_thermal_noise_current
 from repro.spice.deck import (
     Deck,
@@ -78,12 +70,6 @@ __all__ = [
     "TrimResult",
     "describe_trim",
     "trim_circuit",
-    "BatchedDCSolution",
-    "BatchedMNAStamper",
-    "BatchedTransientResult",
-    "SMWKernel",
-    "solve_dc_batched",
-    "solve_transient_batched",
     "MosfetModel",
     "MosfetParameters",
     "nmos_28nm",

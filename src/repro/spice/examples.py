@@ -23,8 +23,7 @@ from repro.spice.netlist import (
 def common_source_amplifier(vth_shift: float = 0.0) -> Circuit:
     """Resistor-loaded NMOS common-source stage (one nonlinear device).
 
-    The workhorse for scalar-vs-batched DC comparisons: the drain voltage
-    is strongly sensitive to ``vth_shift``, so per-sample threshold
+    The drain voltage is strongly sensitive to ``vth_shift``, so threshold
     mismatch moves the operating point visibly.
     """
     circuit = Circuit("common_source")
@@ -71,15 +70,6 @@ def loaded_cmos_inverter(vth_shift: float = 0.0) -> Circuit:
     return circuit
 
 
-def rc_lowpass(resistance: float = 1e3, capacitance: float = 1e-9) -> Circuit:
-    """Driven RC low-pass: the linear transient reference (tau = R*C)."""
-    circuit = Circuit("rc_lowpass")
-    circuit.add(VoltageSource("VIN", "in", GROUND, 1.0))
-    circuit.add(Resistor("R1", "in", "out", resistance))
-    circuit.add(Capacitor("C1", "out", GROUND, capacitance))
-    return circuit
-
-
 def common_source_ladder(
     stages: int = 16, filter_nodes: int = 4, coupling: str = "resistive"
 ) -> Circuit:
@@ -89,10 +79,8 @@ def common_source_ladder(
     with its own gate-bias tap on a resistive divider ladder, a resistive
     output filter chain of ``filter_nodes`` extra nodes, and neighbouring
     drains weakly coupled through bridge resistors so the MNA matrix is not
-    block-diagonal.  With ``(2 + filter_nodes) * stages + 2`` nodes but only
-    ``stages`` nonlinear devices it is exactly the shape where the LU-cached
-    Sherman–Morrison–Woodbury kernel (and, larger still, the sparse static
-    stamp) pays off over the dense stacked solve.
+    block-diagonal: ``(2 + filter_nodes) * stages + 2`` nodes but only
+    ``stages`` nonlinear devices.
 
     ``coupling="isolated"`` builds the sense-amp-array variant instead:
     every gate ties directly to the shared ``bias`` rail and the divider
@@ -147,9 +135,9 @@ def common_source_ladder(
     return circuit
 
 
-# The solver benchmarks' workhorse netlist is nameable through the circuit
-# registry (`get_circuit("common_source_ladder", stages=8)`), so the CLI and
-# the benchmark harness can refer to it without importing this module.
+# The ladder netlist is nameable through the circuit registry
+# (`get_circuit("common_source_ladder", stages=8)`), so the CLI and the
+# benchmark harness can refer to it without importing this module.
 register_circuit_factory(
     "common_source_ladder", common_source_ladder, aliases=("cs_ladder",)
 )

@@ -94,8 +94,7 @@ class MNAStamper:
         """Stamp a source's +/-1 row/column pattern; returns its MNA row.
 
         The source *value* goes into the RHS separately (it may be a
-        time-varying override), so both the scalar and the batched engines
-        share this matrix-side stamp.
+        time-varying override).
         """
         row = self.num_nodes + self.source_index[element.name]
         plus = self._idx(element.node_plus)

@@ -52,9 +52,15 @@ class TransientResult:
         return float(self.voltage(node)[-1])
 
     def crossing_time(self, node: str, threshold: float, rising: bool = True) -> Optional[float]:
-        """First time the node waveform crosses ``threshold`` (linear interp)."""
+        """First time the node waveform crosses ``threshold`` (linear interp).
+
+        Measured by :func:`repro.analysis.waveform.first_crossing`, so
+        analytic and external-engine waveforms share one implementation.
+        """
+        from repro.analysis.waveform import first_crossing
+
         wave = self.voltage(node)
-        crossing = _first_crossing(self.times, wave[None, :], threshold, rising)[0]
+        crossing = first_crossing(self.times, wave[None, :], threshold, rising)[0]
         return None if np.isnan(crossing) else float(crossing)
 
 
@@ -66,18 +72,6 @@ def sample_source_waveforms(
         name: float(waveform(time_now))
         for name, waveform in source_waveforms.items()
     }
-
-
-def _first_crossing(
-    times: np.ndarray, waves: np.ndarray, threshold: float, rising: bool
-) -> np.ndarray:
-    """Vectorized first-crossing; the implementation now lives in
-    :func:`repro.analysis.waveform.first_crossing` so analytic and
-    external-engine waveforms are measured by literally the same code.
-    """
-    from repro.analysis.waveform import first_crossing
-
-    return first_crossing(times, waves, threshold, rising)
 
 
 def solve_transient(

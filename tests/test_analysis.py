@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    ExperimentRunner,
-    ExperimentSettings,
     MethodSummary,
     aggregate_results,
     format_ablation_table,
@@ -13,7 +11,6 @@ from repro.analysis import (
     normalize_runtimes,
 )
 from repro.analysis.metrics import sample_efficiency_gain
-from repro.core.config import VerificationMethod
 from repro.core.result import OptimizationResult
 
 
@@ -119,37 +116,3 @@ class TestTableFormatting:
     def test_ablation_table_uses_same_layout(self):
         text = format_ablation_table(self._summaries(), title="Table III")
         assert "Table III" in text
-
-
-class TestExperimentRunner:
-    def test_settings_build_config(self):
-        settings = ExperimentSettings(
-            circuit_name="sal",
-            verification=VerificationMethod.CORNER,
-            seeds=(0,),
-            max_iterations=5,
-            initial_samples=10,
-        )
-        config = settings.build_config(seed=0)
-        assert config.max_iterations == 5
-        assert config.verification is VerificationMethod.CORNER
-
-    def test_unknown_method_rejected(self):
-        settings = ExperimentSettings(
-            circuit_name="sal", verification=VerificationMethod.CORNER, seeds=(0,)
-        )
-        runner = ExperimentRunner(settings)
-        with pytest.raises(KeyError):
-            runner.run_method("simulated_annealing")
-
-    def test_run_glova_single_seed(self):
-        settings = ExperimentSettings(
-            circuit_name="sal",
-            verification=VerificationMethod.CORNER,
-            seeds=(0,),
-            max_iterations=40,
-            initial_samples=30,
-        )
-        runner = ExperimentRunner(settings)
-        result = runner.run_glova(seed=0)
-        assert result.circuit == "strongarm_latch"

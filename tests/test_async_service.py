@@ -20,9 +20,7 @@ contract down:
   the ngspice per-row fan-out (``row_parallel``);
 * the cross-run disk cache: atomic spill, version stamping, corruption
   and failure-block refusal, and a full ``run_experiment`` replay with
-  zero backend invocations and zero budget charged;
-* the measured ``sparse_auto_size`` crossover replacing the hardcoded
-  threshold.
+  zero backend invocations and zero budget charged.
 """
 
 from __future__ import annotations
@@ -677,59 +675,3 @@ class TestDiskCache:
         assert second.runs[0].success == first.runs[0].success
         assert second.runs[0].iterations == first.runs[0].iterations
 
-
-# ----------------------------------------------------------------------
-# Sparse threshold auto-tune
-# ----------------------------------------------------------------------
-class TestSparseAutoSize:
-    def test_measured_value_cached_and_clamped(self, monkeypatch):
-        from repro.spice import batched
-
-        monkeypatch.delenv(batched.SPARSE_AUTO_SIZE_ENV, raising=False)
-        batched._reset_sparse_auto_size()
-        try:
-            value = batched.sparse_auto_size()
-            assert batched._SPARSE_AUTO_MIN <= value <= batched._SPARSE_AUTO_MAX
-            assert batched.sparse_auto_size() is not None
-            assert batched._SPARSE_AUTO_SIZE_MEASURED == value  # cached
-        finally:
-            batched._reset_sparse_auto_size()
-
-    def test_env_override_pins_threshold(self, monkeypatch):
-        from repro.spice import batched
-
-        monkeypatch.setenv(batched.SPARSE_AUTO_SIZE_ENV, "123")
-        batched._reset_sparse_auto_size()
-        try:
-            assert batched.sparse_auto_size() == 123
-        finally:
-            batched._reset_sparse_auto_size()
-
-    def test_malformed_env_override_falls_back(self, monkeypatch):
-        from repro.spice import batched
-
-        monkeypatch.setenv(batched.SPARSE_AUTO_SIZE_ENV, "not-a-number")
-        batched._reset_sparse_auto_size()
-        try:
-            with pytest.warns(RuntimeWarning, match="malformed"):
-                value = batched.sparse_auto_size()
-            assert batched._SPARSE_AUTO_MIN <= value <= batched._SPARSE_AUTO_MAX
-        finally:
-            batched._reset_sparse_auto_size()
-
-    def test_kernel_uses_measured_threshold(self, monkeypatch):
-        from repro.spice.batched import BatchedMNAStamper, SMWKernel
-        from repro.spice import batched
-        from repro.spice.examples import common_source_ladder
-
-        circuit = common_source_ladder(stages=4)
-        stamper = BatchedMNAStamper(circuit)
-        monkeypatch.setenv(batched.SPARSE_AUTO_SIZE_ENV, "1")
-        batched._reset_sparse_auto_size()
-        try:
-            assert SMWKernel(stamper).sparse  # every system is "large" now
-            monkeypatch.setenv(batched.SPARSE_AUTO_SIZE_ENV, "100000")
-            batched._reset_sparse_auto_size()
-            assert not SMWKernel(stamper).sparse
-        finally:
-            batched._reset_sparse_auto_size()

@@ -1,9 +1,9 @@
 """Equivalence suite for the batched simulation engine.
 
-The batched paths (circuit ``evaluate_batch``, ``solve_dc_batched``,
-``solve_transient_batched``, simulator fast paths) must reproduce the scalar
-paths within 1e-9 — in practice they are bit-identical, since the scalar
-evaluation routes through the same vectorized code with a batch of one.
+The batched paths (circuit ``evaluate_batch``, simulator fast paths) must
+reproduce the scalar paths within 1e-9 — in practice they are bit-identical,
+since the scalar evaluation routes through the same vectorized code with a
+batch of one.
 """
 
 import numpy as np
@@ -11,21 +11,8 @@ import pytest
 
 from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
 from repro.simulation import CircuitSimulator, SimulationPhase
-from repro.spice import (
-    Circuit,
-    GROUND,
-    Resistor,
-    VoltageSource,
-    solve_dc,
-    solve_dc_batched,
-    solve_transient,
-    solve_transient_batched,
-)
-from repro.spice.examples import (
-    common_source_amplifier,
-    loaded_cmos_inverter,
-    rc_lowpass,
-)
+from repro.spice import solve_dc, solve_transient
+from repro.spice.examples import loaded_cmos_inverter
 from repro.variation.corners import (
     CornerBatch,
     ProcessCorner,
@@ -146,153 +133,11 @@ class TestSimulatorFastPaths:
         assert simulator.budget.snapshot()["verification"] == 5
 
 
-common_source = common_source_amplifier
-loaded_inverter = loaded_cmos_inverter
-
-
-class TestBatchedDC:
-    def test_matches_scalar_per_sample(self):
-        shifts = np.random.default_rng(0).normal(0.0, 0.03, BATCH)
-        corner = PVTCorner(ProcessCorner.SS, 0.8, 80.0)
-        batched = solve_dc_batched(
-            common_source(),
-            corner,
-            mismatch={"M1": {"vth": shifts}},
-            damping=0.5,
-        )
-        assert np.all(batched.converged)
-        for index, shift in enumerate(shifts):
-            scalar = solve_dc(common_source(shift), corner, damping=0.5)
-            assert batched.voltage("drain")[index] == pytest.approx(
-                scalar["drain"], abs=TOLERANCE
-            )
-            assert batched.iterations[index] == scalar.iterations
-
-    def test_convergence_mask_handles_slow_sample(self):
-        # A wide vth spread makes some samples need more Newton iterations
-        # than others; the mask must keep iterating the laggards without
-        # disturbing already-converged samples.
-        shifts = np.array([-0.12, -0.02, 0.0, 0.02, 0.12, 0.25])
-        batched = solve_dc_batched(
-            common_source(),
-            mismatch={"M1": {"vth": shifts}},
-            damping=0.5,
-        )
-        assert np.all(batched.converged)
-        iteration_counts = batched.iterations
-        assert iteration_counts.min() < iteration_counts.max()
-        for index, shift in enumerate(shifts):
-            scalar = solve_dc(common_source(shift), damping=0.5)
-            assert batched.voltage("drain")[index] == pytest.approx(
-                scalar["drain"], abs=TOLERANCE
-            )
-            assert iteration_counts[index] == scalar.iterations
-
-    def test_linear_circuit_single_step(self):
-        circuit = Circuit("divider")
-        circuit.add(VoltageSource("VIN", "in", GROUND, 1.0))
-        circuit.add(Resistor("R1", "in", "out", 1e3))
-        circuit.add(Resistor("R2", "out", GROUND, 1e3))
-        batched = solve_dc_batched(circuit, batch_size=3)
-        assert batched.voltages.shape[0] == 3
-        assert np.allclose(batched.voltage("out"), 0.5)
-        assert np.all(batched.iterations == 1)
-
-    def test_source_currents_match(self):
-        batched = solve_dc_batched(
-            common_source(), mismatch={"M1": {"vth": np.array([0.0, 0.05])}},
-            damping=0.5,
-        )
-        for index, shift in enumerate((0.0, 0.05)):
-            scalar = solve_dc(common_source(shift), damping=0.5)
-            for name in ("VDD", "VG"):
-                assert batched.solution_for(index).source_currents[
-                    name
-                ] == pytest.approx(scalar.source_currents[name], abs=TOLERANCE)
-
-    def test_inconsistent_batch_rejected(self):
-        with pytest.raises(ValueError):
-            solve_dc_batched(
-                common_source(),
-                mismatch={"M1": {"vth": np.zeros(4), "beta": np.zeros(5)}},
-            )
-
-    def test_unknown_device_rejected(self):
-        with pytest.raises(ValueError, match="unknown MOSFET"):
-            solve_dc_batched(
-                common_source(), mismatch={"M_typo": {"vth": np.zeros(3)}}
-            )
-
-
-class TestBatchedTransient:
-    WAVE = {"VIN": lambda t: 0.0 if t < 1e-9 else 0.9}
-
-    def test_matches_scalar_waveforms(self):
-        shifts = np.random.default_rng(1).normal(0.0, 0.03, 8)
-        batched = solve_transient_batched(
-            loaded_inverter(),
-            stop_time=4e-9,
-            time_step=0.02e-9,
-            mismatch={"MN": {"vth": shifts}},
-            source_waveforms=self.WAVE,
-        )
-        for index, shift in enumerate(shifts):
-            scalar = solve_transient(
-                loaded_inverter(shift),
-                stop_time=4e-9,
-                time_step=0.02e-9,
-                source_waveforms=self.WAVE,
-            )
-            assert np.max(
-                np.abs(scalar.voltage("out") - batched.voltage("out")[index])
-            ) < TOLERANCE
-
-    def test_crossing_times_match_scalar(self):
-        shifts = np.array([0.0, 0.04])
-        batched = solve_transient_batched(
-            loaded_inverter(),
-            stop_time=4e-9,
-            time_step=0.02e-9,
-            mismatch={"MN": {"vth": shifts}},
-            source_waveforms=self.WAVE,
-        )
-        crossings = batched.crossing_time("out", 0.45, rising=False)
-        for index, shift in enumerate(shifts):
-            scalar = solve_transient(
-                loaded_inverter(shift),
-                stop_time=4e-9,
-                time_step=0.02e-9,
-                source_waveforms=self.WAVE,
-            ).crossing_time("out", 0.45, rising=False)
-            assert crossings[index] == pytest.approx(scalar, abs=1e-15)
-
-    def test_rc_batch_matches_scalar(self):
-        rc = rc_lowpass
-
-        batched = solve_transient_batched(
-            rc(),
-            stop_time=5e-6,
-            time_step=5e-9,
-            batch_size=2,
-            initial_conditions={"out": 0.0, "in": 1.0},
-        )
-        scalar = solve_transient(
-            rc(),
-            stop_time=5e-6,
-            time_step=5e-9,
-            initial_conditions={"out": 0.0, "in": 1.0},
-        )
-        assert np.max(np.abs(batched.voltage("out") - scalar.voltage("out"))) < TOLERANCE
-        assert batched.result_for(0).crossing_time(
-            "out", 1.0 - np.exp(-1.0)
-        ) == pytest.approx(scalar.crossing_time("out", 1.0 - np.exp(-1.0)))
-
-
 class TestSourceRestoration:
     """Transient analysis must not corrupt circuit state (satellite fix)."""
 
     def test_scalar_transient_leaves_sources_untouched(self):
-        circuit = loaded_inverter()
+        circuit = loaded_cmos_inverter()
         solve_transient(
             circuit,
             stop_time=1e-9,
@@ -302,7 +147,7 @@ class TestSourceRestoration:
         assert circuit.element("VIN").voltage == 0.0
 
     def test_dc_after_transient_sees_original_sources(self):
-        circuit = loaded_inverter()
+        circuit = loaded_cmos_inverter()
         before = solve_dc(circuit, damping=0.5)["out"]
         solve_transient(
             circuit,
@@ -312,17 +157,6 @@ class TestSourceRestoration:
         )
         after = solve_dc(circuit, damping=0.5)["out"]
         assert after == pytest.approx(before, abs=1e-12)
-
-    def test_batched_transient_leaves_sources_untouched(self):
-        circuit = loaded_inverter()
-        solve_transient_batched(
-            circuit,
-            stop_time=1e-9,
-            time_step=0.02e-9,
-            batch_size=2,
-            source_waveforms={"VIN": lambda t: 0.9},
-        )
-        assert circuit.element("VIN").voltage == 0.0
 
 
 class TestCrossingTimeVectorized:

@@ -472,13 +472,18 @@ class TestExperimentConfig:
         from repro.api import ExperimentConfig
 
         config = ExperimentConfig(
-            circuit="sal", workers=3, backend="scalar", cache_simulations=True
+            circuit="sal",
+            workers=3,
+            backend="scalar",
+            cache_simulations=True,
+            overrides={"use_mu_sigma": False},  # a Table-III ablation
         )
         glova = config.glova_config(seed=0)
         operational = glova.operational()
         assert operational.workers == 3
         assert operational.backend == "scalar"
         assert operational.cache_simulations
+        assert glova.use_mu_sigma is False
 
     def test_run_baseline_requires_baseline(self):
         from repro.api import ExperimentConfig, run_baseline

@@ -4,27 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.reward import (
     FEASIBLE_REWARD,
     is_feasible_reward,
     reward_from_metrics,
     reward_from_normalized,
-    rewards_and_worst,
-    worst_case_reward,
+    rewards_from_matrix,
 )
 from repro.core.spec import Constraint, DesignSpec
+
+SPEC = DesignSpec(
+    [
+        Constraint("power", 40e-6),
+        Constraint("delay", 4e-9),
+        Constraint("neg_swing", -85e-3),
+    ]
+)
 
 
 @pytest.fixture
 def spec():
-    return DesignSpec(
-        [
-            Constraint("power", 40e-6),
-            Constraint("delay", 4e-9),
-            Constraint("neg_swing", -85e-3),
-        ]
-    )
+    return SPEC
 
 
 class TestConstraint:
@@ -48,6 +50,11 @@ class TestConstraint:
         constraint = Constraint("power", 1.0)
         assert -1.0 <= constraint.normalized(1e9) <= 1.0
         assert -1.0 <= constraint.normalized(0.0) <= 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_maximal_violation(self, value):
+        assert Constraint("power", 1.0).normalized(value) == -1.0
+        assert Constraint("neg_swing", -85e-3).normalized(value) == -1.0
 
     def test_satisfied(self):
         constraint = Constraint("power", 10.0)
@@ -82,6 +89,14 @@ class TestDesignSpec:
         bad = {"power": 80e-6, "delay": 8e-9, "neg_swing": -10e-3}
         assert spec.violation(bad) > 0.0
 
+    def test_non_finite_metric_is_one_full_violation(self, spec):
+        failed = {"power": np.nan, "delay": 3e-9, "neg_swing": -100e-3}
+        assert spec.violation(failed) == 1.0
+        np.testing.assert_array_equal(
+            spec.normalized_matrix([[np.nan, np.inf, -np.inf]]),
+            [[-1.0, -1.0, -1.0]],
+        )
+
     def test_metric_vector_order(self, spec):
         metrics = {"delay": 2.0, "power": 1.0, "neg_swing": 3.0}
         assert np.allclose(spec.metric_vector(metrics), [1.0, 2.0, 3.0])
@@ -111,25 +126,9 @@ class TestReward:
         assert reward_from_normalized(np.array([0.5, -0.3])) == pytest.approx(-0.3)
         assert reward_from_normalized(np.array([-0.1, -0.3])) == pytest.approx(-0.4)
 
-    def test_worst_case_reward(self, spec):
-        outcomes = [
-            {"power": 30e-6, "delay": 3e-9, "neg_swing": -100e-3},
-            {"power": 80e-6, "delay": 3e-9, "neg_swing": -100e-3},
-        ]
-        assert worst_case_reward(spec, outcomes) < 0
-
-    def test_worst_case_reward_empty_rejected(self, spec):
-        with pytest.raises(ValueError):
-            worst_case_reward(spec, [])
-
-    def test_rewards_and_worst(self, spec):
-        outcomes = [
-            {"power": 30e-6, "delay": 3e-9, "neg_swing": -100e-3},
-            {"power": 80e-6, "delay": 3e-9, "neg_swing": -100e-3},
-        ]
-        rewards, worst = rewards_and_worst(spec, outcomes)
-        assert len(rewards) == 2
-        assert worst == rewards.min()
+    def test_nan_metric_gives_violation_reward(self, spec):
+        failed = {"power": np.nan, "delay": 3e-9, "neg_swing": -100e-3}
+        assert reward_from_metrics(spec, failed) == -1.0
 
     def test_is_feasible_reward(self):
         assert is_feasible_reward(0.2)
@@ -164,3 +163,34 @@ def test_reward_bounds_property(normalized):
     assert reward >= -len(normalized)
     if all(f >= 0 for f in normalized):
         assert reward == FEASIBLE_REWARD
+
+
+#: Metric values as an engine can return them: ordinary numbers plus the
+#: non-finite failures (NaN from a failed measure, ±inf from a blow-up).
+_metric_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matrix=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 8), st.just(len(SPEC))),
+        elements=_metric_values,
+    ),
+    data=st.data(),
+)
+def test_reward_boundary_property(matrix, data):
+    rewards = rewards_from_matrix(SPEC, matrix)
+    assert np.all(np.isfinite(rewards))
+    assert np.all(rewards <= FEASIBLE_REWARD)
+    # The scalar path agrees with the matrix row, bit for bit.
+    for row, reward in zip(matrix, rewards):
+        metrics = dict(zip(SPEC.metric_names, row))
+        assert reward_from_metrics(SPEC, metrics) == reward
+    # Rewards do not depend on row order, so neither does their minimum.
+    order = data.draw(st.permutations(range(len(matrix))))
+    permuted = rewards_from_matrix(SPEC, matrix[list(order)])
+    np.testing.assert_array_equal(permuted, rewards[list(order)])
