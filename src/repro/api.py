@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,6 +59,7 @@ from repro.circuits.registry import (
 from repro.core.config import GlovaConfig, VerificationMethod
 from repro.core.optimizer import GlovaOptimizer
 from repro.core.result import OptimizationResult
+from repro.simulation.atomic import atomic_write
 from repro.simulation.service import (
     RetryPolicy,
     available_backends,
@@ -477,25 +477,13 @@ def write_checkpoint(
     assert config.checkpoint_dir is not None
     fingerprint = _config_fingerprint(config)
     path = _checkpoint_path(config.checkpoint_dir, fingerprint, seed)
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
     payload = {
         "version": CHECKPOINT_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "config": config.to_dict(),
         "run": run.to_dict(),
     }
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
     return path
 
 

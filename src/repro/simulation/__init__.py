@@ -38,6 +38,13 @@ corner block × mismatch block + phase tag) evaluated by a
   load-shedding via BUSY frames when the run queue fills, and draining
   gracefully on SIGTERM (:mod:`repro.simulation.frontend`).
 
+Both daemons are subclasses of one daemon core,
+:class:`~repro.simulation.daemon.Daemon`, which owns the listener, the
+per-connection frame loop, the counters, drain and signal handling; each
+adds a frame-handler table (REQUEST, or SUBMIT/STATUS/CANCEL).  The
+durable stores (spill cache, cost sidecars, journal, checkpoints) all
+write through :func:`~repro.simulation.atomic.atomic_write`.
+
 Fault tolerance: a :class:`RetryPolicy` on the service re-simulates
 classified-transient failures (worker death, timeouts, engine errors,
 ``FAILURE_NAN`` blocks) with budget-safe accounting — every failed

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.simulation.atomic import atomic_write
 
 #: Prefix marking reserved (non-metric) keys inside a metrics block.
 RESERVED_METRIC_PREFIX = "__"
@@ -197,22 +198,6 @@ class RowCostModel:
         assert self.sidecar_dir is not None
         return os.path.join(self.sidecar_dir, "summary.json")
 
-    @staticmethod
-    def _write_json(path: str, payload: dict) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
     def _write_job_sidecar(
         self,
         job_id: str,
@@ -233,7 +218,7 @@ class RowCostModel:
             ],
         }
         try:
-            self._write_json(self._job_sidecar_path(job_id), payload)
+            atomic_write(self._job_sidecar_path(job_id), json.dumps(payload))
         except OSError:
             pass
 
@@ -245,7 +230,7 @@ class RowCostModel:
             "seconds_per_row": rates,
         }
         try:
-            self._write_json(self._summary_path(), payload)
+            atomic_write(self._summary_path(), json.dumps(payload))
         except OSError:
             pass
 

@@ -34,7 +34,10 @@ only when retries are exhausted.
 **Graceful drain.**  SIGTERM/SIGINT (via
 :meth:`ExperimentFrontend.request_drain`) stops accepting, lets
 executing runs finish (journaled ``done``), leaves queued runs journaled
-``queued`` for the successor daemon, and exits 0.
+``queued`` for the successor daemon, and exits 0.  Draining connections
+keep getting STATUS answers, so clients collect their RESULT.  It runs
+on the shared :class:`~repro.simulation.daemon.Daemon` core with
+SUBMIT/STATUS/CANCEL handlers.
 
 The run identity is the **run key** — a content hash over the config
 fingerprint, the seed tuple and the tenant — used as the frame request
@@ -54,18 +57,18 @@ import logging
 import os
 import queue
 import socket
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
+from repro.simulation.atomic import atomic_write
 from repro.simulation.budget import TenantBudgetLedger
+from repro.simulation.daemon import Daemon
 from repro.simulation.protocol import (
-    ConnectionClosed,
     FrameType,
     ProtocolError,
-    RemoteError,
     dumps_payload,
+    loads_error,
     loads_payload,
     recv_frame,
     request_id_bytes,
@@ -219,18 +222,9 @@ class ExperimentJournal:
     def record(self, run: _Run) -> str:
         """Atomically persist the run's current state; returns the path."""
         path = self.path_for(run.run_id)
-        payload = run.journal_payload()
-        fd, tmp_path = tempfile.mkstemp(dir=self.runs_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            path, json.dumps(run.journal_payload(), indent=2, sort_keys=True)
+        )
         return path
 
     def load_all(self) -> List[Dict[str, Any]]:
@@ -261,7 +255,7 @@ class ExperimentJournal:
         return records
 
 
-class ExperimentFrontend:
+class ExperimentFrontend(Daemon):
     """A socket front end that owns whole sizing runs.
 
     Parameters
@@ -284,6 +278,9 @@ class ExperimentFrontend:
         Hint carried by BUSY frames.
     """
 
+    #: A SIGTERM lets executing runs finish: sizing runs take minutes.
+    drain_timeout = 600.0
+
     def __init__(
         self,
         journal_dir: str,
@@ -294,38 +291,36 @@ class ExperimentFrontend:
         tenant_quota: Optional[int] = None,
         retry_after_seconds: float = DEFAULT_RETRY_AFTER,
     ):
+        super().__init__(
+            host,
+            port,
+            counters=(
+                "submissions",
+                "accepted",
+                "resubmissions",
+                "busy_rejections",
+                "quota_rejections",
+                "completed",
+                "failed",
+                "cancelled",
+                "replayed_runs",
+            ),
+        )
         self.journal = ExperimentJournal(journal_dir)
         self.ledger = TenantBudgetLedger(quota=tenant_quota)
-        self.host = host
-        self._requested_port = int(port)
         self.run_workers = max(1, int(run_workers))
         self.max_queue = max(0, int(max_queue))
         self.retry_after_seconds = float(retry_after_seconds)
 
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._worker_threads: List[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._draining = threading.Event()
-        self._drain_requested = threading.Event()
-        self._connections: set = set()
-
-        self._lock = threading.Lock()
         self._runs: Dict[str, _Run] = {}
         self._queue: "queue.Queue[str]" = queue.Queue()
         #: Run ids currently executing (drain waits on these).
         self._active: set = set()
-        self.stats: Dict[str, int] = {
-            "submissions": 0,
-            "accepted": 0,
-            "resubmissions": 0,
-            "busy_rejections": 0,
-            "quota_rejections": 0,
-            "completed": 0,
-            "failed": 0,
-            "cancelled": 0,
-            "replayed_runs": 0,
-            "protocol_errors": 0,
+        self.handlers = {
+            FrameType.SUBMIT: self._handle_submit,
+            FrameType.STATUS: self._handle_status,
+            FrameType.CANCEL: self._handle_cancel,
         }
         self._replay_journal()
 
@@ -363,27 +358,9 @@ class ExperimentFrontend:
                 )
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Daemon hooks
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        if self._listener is None:
-            raise RuntimeError("frontend is not started")
-        return self._listener.getsockname()[:2]
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "ExperimentFrontend":
-        if self._listener is not None:
-            return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(32)
-        self._listener = listener
+    def _on_start(self) -> None:
         for index in range(self.run_workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -392,10 +369,6 @@ class ExperimentFrontend:
             )
             thread.start()
             self._worker_threads.append(thread)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-frontend-accept", daemon=True
-        )
-        self._accept_thread.start()
         logger.info(
             "experiment frontend listening on %s (journal=%s, workers=%d, "
             "max_queue=%d)",
@@ -404,89 +377,14 @@ class ExperimentFrontend:
             self.run_workers,
             self.max_queue,
         )
-        return self
 
-    def _close_listener(self) -> None:
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-
-    def stop(self) -> None:
-        """Idempotent hard shutdown (no drain: use :meth:`drain` for that)."""
-        self._stopping.set()
-        self._close_listener()
-        with self._lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+    def _on_stop(self) -> None:
         for thread in self._worker_threads:
             thread.join(timeout=5.0)
         self._worker_threads = []
 
-    def drain(self, timeout: float = 600.0) -> None:
-        """Graceful shutdown: stop accepting, finish executing runs, stop.
-
-        Queued-but-unstarted runs stay journaled ``queued`` — the
-        successor daemon's replay re-enqueues them; nothing accepted is
-        ever lost.  Executing runs complete and journal ``done`` (their
-        per-seed checkpoints bound how much work a slow drain repeats if
-        the timeout expires anyway).
-        """
-        self._draining.set()
-        self._close_listener()
-        deadline = time.monotonic() + float(timeout)
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._active:
-                    break
-            time.sleep(0.05)
-        # Short grace for handler threads to flush final RESULT frames to
-        # clients that are mid-poll before the sockets are torn down.
-        grace = min(deadline, time.monotonic() + 3.0)
-        while time.monotonic() < grace:
-            with self._lock:
-                if not self._connections:
-                    break
-            time.sleep(0.05)
-        self.stop()
-
-    def request_drain(self) -> None:
-        """Signal-handler-safe drain trigger (consumed by serve_forever)."""
-        self._drain_requested.set()
-
-    def serve_forever(self) -> None:
-        """Block until stopped or a requested drain completes."""
-        self.start()
-        try:
-            while not self._stopping.is_set():
-                if self._drain_requested.is_set():
-                    self.drain()
-                    break
-                time.sleep(0.2)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            self.drain()
-        finally:
-            self.stop()
-
-    def __enter__(self) -> "ExperimentFrontend":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def _in_flight(self) -> bool:
+        return bool(self._active)
 
     # ------------------------------------------------------------------
     # Run execution
@@ -554,79 +452,8 @@ class ExperimentFrontend:
         )
 
     # ------------------------------------------------------------------
-    # Accept / connection handling
+    # Frame handlers
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while not self._stopping.is_set() and listener is not None:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed — shutdown or drain
-            with self._lock:
-                if self._stopping.is_set():
-                    conn.close()
-                    return
-                self._connections.add(conn)
-            thread = threading.Thread(
-                target=self._handle_connection,
-                args=(conn,),
-                name="repro-frontend-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _handle_connection(self, sock: socket.socket) -> None:
-        try:
-            sock.settimeout(30.0)
-            while not self._stopping.is_set():
-                try:
-                    kind, request_id, payload = recv_frame(sock)
-                except ConnectionClosed:
-                    return
-                except ProtocolError as error:
-                    self._count("protocol_errors")
-                    logger.warning("protocol error from client: %s", error)
-                    self._try_send_error(sock, b"\x00" * 32, "protocol", error)
-                    return
-                except (TimeoutError, socket.timeout):
-                    return  # idle client gone silent
-                if kind == FrameType.PING:
-                    send_frame(sock, FrameType.PONG)
-                    continue
-                if kind == FrameType.SUBMIT:
-                    if not self._handle_submit(sock, request_id, payload):
-                        return
-                    continue
-                if kind == FrameType.STATUS:
-                    if not self._handle_status(sock, request_id):
-                        return
-                    continue
-                if kind == FrameType.CANCEL:
-                    if not self._handle_cancel(sock, request_id):
-                        return
-                    continue
-                self._count("protocol_errors")
-                self._try_send_error(
-                    sock,
-                    request_id,
-                    "protocol",
-                    ProtocolError(
-                        f"unexpected {kind.name} frame on an experiment "
-                        f"endpoint (job frames go to --mode job daemons)"
-                    ),
-                )
-                return
-        except (OSError, ProtocolError):
-            return  # client vanished mid-reply; the journal owns the run
-        finally:
-            with self._lock:
-                self._connections.discard(sock)
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
     def _handle_submit(
         self, sock: socket.socket, request_id: bytes, payload: bytes
     ) -> bool:
@@ -639,13 +466,11 @@ class ExperimentFrontend:
             decoded.get("config"), dict
         ):
             self._count("protocol_errors")
-            self._try_send_error(
+            self._reply_error(
                 sock,
                 request_id,
                 "protocol",
-                ProtocolError(
-                    "SUBMIT payload must be {'config': dict, 'tenant': str}"
-                ),
+                "SUBMIT payload must be {'config': dict, 'tenant': str}",
             )
             return False
         tenant = str(decoded.get("tenant") or "default")
@@ -654,19 +479,16 @@ class ExperimentFrontend:
         except (ValueError, TypeError) as error:
             # A malformed config is *this client's* problem, and the
             # stream still has integrity — answer and keep serving.
-            self._try_send_error(sock, request_id, "config", error)
-            return True
+            return self._reply_error(sock, request_id, "config", error)
         run_id = request_id.hex()
         if run_key(config, tenant) != run_id:
             self._count("protocol_errors")
-            self._try_send_error(
+            self._reply_error(
                 sock,
                 request_id,
                 "protocol",
-                ProtocolError(
-                    f"request id {run_id[:12]} does not match the "
-                    f"submission's run key"
-                ),
+                f"request id {run_id[:12]} does not match the "
+                f"submission's run key",
             )
             return False
 
@@ -682,11 +504,11 @@ class ExperimentFrontend:
             elif self._draining.is_set() or self._stopping.is_set():
                 self._count_locked("busy_rejections")
                 verdict, run = "busy", None
-                busy_reason = "draining"
+                reason = "draining"
             elif self._queued_count_locked() >= self.max_queue:
                 self._count_locked("busy_rejections")
                 verdict, run = "busy", None
-                busy_reason = "run queue full"
+                reason = "run queue full"
             elif not self.ledger.admits(tenant):
                 self._count_locked("quota_rejections")
                 verdict, run = "quota", None
@@ -698,18 +520,18 @@ class ExperimentFrontend:
         if verdict == "attach":
             return self._send_status_for(sock, request_id, run)
         if verdict == "busy":
-            return self._send_busy(sock, request_id, busy_reason)
+            busy = dumps_payload(
+                {"retry_after": self.retry_after_seconds, "reason": reason}
+            )
+            return self._reply(sock, FrameType.BUSY, request_id, busy)
         if verdict == "quota":
-            self._try_send_error(
+            return self._reply_error(
                 sock,
                 request_id,
                 "quota",
-                RuntimeError(
-                    f"tenant {tenant!r} has exhausted its simulation "
-                    f"quota ({self.ledger.quota})"
-                ),
+                f"tenant {tenant!r} has exhausted its simulation "
+                f"quota ({self.ledger.quota})",
             )
-            return True
         # Write-ahead discipline: the journal record lands *before* the
         # acceptance frame — a daemon that dies in between owes nothing
         # (the client retries the idempotent SUBMIT), and one that dies
@@ -718,20 +540,23 @@ class ExperimentFrontend:
         self._queue.put(run_id)
         return self._send_status_for(sock, request_id, run)
 
-    def _handle_status(self, sock: socket.socket, request_id: bytes) -> bool:
+    def _handle_status(
+        self, sock: socket.socket, request_id: bytes, _payload: bytes = b""
+    ) -> bool:
         with self._lock:
             run = self._runs.get(request_id.hex())
         if run is None:
-            self._try_send_error(
+            return self._reply_error(
                 sock,
                 request_id,
                 "unknown-run",
-                RuntimeError("no such run (never submitted, or journal lost)"),
+                "no such run (never submitted, or journal lost)",
             )
-            return True
         return self._send_status_for(sock, request_id, run)
 
-    def _handle_cancel(self, sock: socket.socket, request_id: bytes) -> bool:
+    def _handle_cancel(
+        self, sock: socket.socket, request_id: bytes, _payload: bytes = b""
+    ) -> bool:
         with self._lock:
             run = self._runs.get(request_id.hex())
             # Only queued runs cancel; executing runs complete (their
@@ -742,109 +567,48 @@ class ExperimentFrontend:
                 run.done.set()
                 self._count_locked("cancelled")
         if run is None:
-            self._try_send_error(
-                sock,
-                request_id,
-                "unknown-run",
-                RuntimeError("no such run"),
+            return self._reply_error(
+                sock, request_id, "unknown-run", "no such run"
             )
-            return True
         if run.state == RUN_CANCELLED:
             self.journal.record(run)
         return self._send_status_for(sock, request_id, run)
 
-    # ------------------------------------------------------------------
-    # Replies
-    # ------------------------------------------------------------------
     def _send_status_for(
         self, sock: socket.socket, request_id: bytes, run: _Run
     ) -> bool:
-        """The state-appropriate reply for one run: RESULT / ERROR / STATUS."""
-        try:
-            if run.state == RUN_DONE:
-                send_frame(
-                    sock,
-                    FrameType.RESULT,
-                    dumps_payload(
-                        {
-                            "report": run.report,
-                            "replayed_seeds": list(run.replayed_seeds),
-                        }
-                    ),
-                    request_id=request_id,
-                )
-            elif run.state == RUN_FAILED:
-                error = run.error or {}
-                self._try_send_error(
-                    sock,
-                    request_id,
-                    str(error.get("kind", "experiment")),
-                    RuntimeError(str(error.get("message", "run failed"))),
-                )
-            elif run.state == RUN_CANCELLED:
-                self._try_send_error(
-                    sock,
-                    request_id,
-                    "cancelled",
-                    RuntimeError("run was cancelled"),
-                )
-            else:
-                with self._lock:
-                    queued = self._queued_count_locked()
-                send_frame(
-                    sock,
-                    FrameType.STATUS,
-                    dumps_payload(
-                        {"state": run.state, "queue_depth": queued}
-                    ),
-                    request_id=request_id,
-                )
-            return True
-        except (OSError, ProtocolError):
-            return False  # client gone; the journal still owns the run
+        """The state-appropriate reply for one run: RESULT / ERROR / STATUS.
 
-    def _send_busy(
-        self, sock: socket.socket, request_id: bytes, reason: str
-    ) -> bool:
-        try:
-            send_frame(
-                sock,
-                FrameType.BUSY,
-                dumps_payload(
-                    {
-                        "retry_after": self.retry_after_seconds,
-                        "reason": reason,
-                    }
-                ),
-                request_id=request_id,
+        False means the client is gone; the journal still owns the run.
+        """
+        if run.state == RUN_DONE:
+            reply = {
+                "report": run.report,
+                "replayed_seeds": list(run.replayed_seeds),
+            }
+            return self._reply(
+                sock, FrameType.RESULT, request_id, dumps_payload(reply)
             )
-            return True
-        except (OSError, ProtocolError):
-            return False
-
-    def _try_send_error(
-        self,
-        sock: socket.socket,
-        request_id: bytes,
-        kind: str,
-        error: BaseException,
-    ) -> None:
-        try:
-            send_frame(
+        if run.state == RUN_FAILED:
+            error = run.error or {}
+            return self._reply_error(
                 sock,
-                FrameType.ERROR,
-                dumps_payload({"kind": kind, "message": str(error)}),
-                request_id=request_id,
+                request_id,
+                str(error.get("kind", "experiment")),
+                str(error.get("message", "run failed")),
             )
-        except (OSError, ProtocolError):  # pragma: no cover - peer gone
-            pass
-
-    def _count(self, key: str) -> None:
+        if run.state == RUN_CANCELLED:
+            return self._reply_error(
+                sock, request_id, "cancelled", "run was cancelled"
+            )
         with self._lock:
-            self._count_locked(key)
-
-    def _count_locked(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
+            queued = self._queued_count_locked()
+        return self._reply(
+            sock,
+            FrameType.STATUS,
+            request_id,
+            dumps_payload({"state": run.state, "queue_depth": queued}),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -979,7 +743,7 @@ class ExperimentClient:
                 if kind == FrameType.BUSY:
                     raise self._decode_busy(payload)
                 if kind == FrameType.ERROR:
-                    raise RemoteError(*self._decode_error(payload))
+                    raise loads_error(payload)
                 if kind == FrameType.RESULT:
                     return self._decode_report(config, payload)
                 if kind != FrameType.STATUS:
@@ -1011,16 +775,6 @@ class ExperimentClient:
         return FrontendBusy(
             f"front end shed the submission ({reason})",
             retry_after=retry_after,
-        )
-
-    @staticmethod
-    def _decode_error(payload: bytes) -> Tuple[str, str]:
-        decoded = loads_payload(payload)
-        if not isinstance(decoded, dict):
-            raise ProtocolError("malformed ERROR payload")
-        return (
-            str(decoded.get("kind", "error")),
-            str(decoded.get("message", "")),
         )
 
     @staticmethod

@@ -4,7 +4,8 @@ One frame format carries every message between a :class:`~repro.simulation
 .remote.RemoteBackend` client and a ``repro serve`` daemon
 (:mod:`repro.simulation.server`), and between an experiment client and the
 ``repro serve --mode experiment`` front end
-(:mod:`repro.simulation.frontend`).  The format is deliberately boring —
+(:mod:`repro.simulation.frontend`); both daemons run on one core,
+:mod:`repro.simulation.daemon`.  The format is deliberately boring —
 length-prefixed binary frames over a plain TCP stream — because boring is
 what survives the failure modes a network transport must stay correct
 under: connections dropping mid-frame, peers vanishing, bytes arriving
@@ -323,6 +324,21 @@ def loads_payload(payload: bytes) -> Any:
         raise ProtocolError(f"undecodable frame payload: {error}") from None
 
 
+def dumps_error(kind: str, message: str) -> bytes:
+    """The payload of an ERROR frame: a typed ``{kind, message}`` dict."""
+    return dumps_payload({"kind": kind, "message": message})
+
+
+def loads_error(payload: bytes) -> RemoteError:
+    """Decode an ERROR frame payload into the :class:`RemoteError` sent."""
+    decoded = loads_payload(payload)
+    if not isinstance(decoded, dict):
+        raise ProtocolError("malformed ERROR payload")
+    return RemoteError(
+        str(decoded.get("kind", "error")), str(decoded.get("message", ""))
+    )
+
+
 def loads_metrics(payload: bytes, batch: int, metric_names) -> dict:
     """Decode and *validate* a RESULT payload into a metrics block.
 
@@ -399,8 +415,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RemoteError",
+    "dumps_error",
     "dumps_payload",
     "encode_frame",
+    "loads_error",
     "loads_metrics",
     "loads_payload",
     "read_frame_from_bytes",

@@ -62,6 +62,7 @@ from repro.simulation.protocol import (
     ProtocolError,
     RemoteError,
     dumps_payload,
+    loads_error,
     loads_metrics,
     recv_frame,
     request_id_bytes,
@@ -401,21 +402,8 @@ class RemoteBackend(SimulationBackend):
                         payload, job.batch, circuit.metric_names
                     )
                 if kind == FrameType.ERROR:
-                    detail = self._decode_error(payload)
-                    raise RemoteError(*detail)
+                    raise loads_error(payload)
                 raise ProtocolError(f"unexpected {kind.name} frame")
-
-    @staticmethod
-    def _decode_error(payload: bytes) -> Tuple[str, str]:
-        from repro.simulation.protocol import loads_payload
-
-        decoded = loads_payload(payload)
-        if not isinstance(decoded, dict):
-            raise ProtocolError("malformed ERROR payload")
-        return (
-            str(decoded.get("kind", "error")),
-            str(decoded.get("message", "")),
-        )
 
     # ------------------------------------------------------------------
     def ping(self, endpoint: Tuple[str, int]) -> bool:

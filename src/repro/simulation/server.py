@@ -10,7 +10,8 @@ protocol of :mod:`repro.simulation.protocol` and get *exactly* the metric
 blocks the same backend would produce in-process — the server never
 touches budgets, caches or retries; all accounting stays client-side,
 which is what keeps budget trajectories bit-identical no matter which
-side of the wire a job ran on.
+side of the wire a job ran on.  It runs on the shared
+:class:`~repro.simulation.daemon.Daemon` core with a REQUEST handler.
 
 Robustness model, in the order things go wrong:
 
@@ -29,11 +30,9 @@ completion* and the result is **retained** for ``retention_seconds``
 keyed by job hash.  The reconnecting client's retry of the same job is
 then a cheap dictionary lookup, not a re-simulation.
 
-**Malformed input never kills the daemon.**  Every protocol violation on
-a connection — bad magic, truncated frame, garbage payload, a request id
-that does not match the job it carries — is answered with a typed ERROR
-frame when the stream still has integrity, or ends that one connection
-otherwise.  The listener and the other connections keep serving.
+**Malformed input never kills the daemon.**  A request id that does not
+match the job it carries is a typed ERROR, like every protocol violation
+the daemon core answers; the other connections keep serving.
 
 The daemon is **trusted-perimeter** infrastructure (payloads are pickled,
 exactly like the process-pool boundary it generalizes): bind it to
@@ -56,9 +55,9 @@ import numpy as np
 
 from repro.circuits.base import AnalogCircuit
 from repro.circuits.registry import get_circuit
+from repro.simulation.daemon import Daemon, serve
 from repro.simulation.ngspice import NgspiceError
 from repro.simulation.protocol import (
-    ConnectionClosed,
     FrameType,
     ProtocolError,
     dumps_payload,
@@ -99,7 +98,7 @@ class _Execution:
         self.error: Optional[BaseException] = None
 
 
-class SimulationServer:
+class SimulationServer(Daemon):
     """A socket front end executing :class:`SimJob` s on a local backend.
 
     Parameters
@@ -138,11 +137,22 @@ class SimulationServer:
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         retention_max_entries: Optional[int] = None,
     ):
+        super().__init__(
+            host,
+            port,
+            counters=(
+                "executions",
+                "coalesced",
+                "retention_hits",
+                "lease_expiries",
+                "requests",
+                "retention_evictions",
+            ),
+        )
         self._terminal = resolve_backend(backend)
         self.workers = max(1, int(workers))
-        self.host = host
-        self._requested_port = int(port)
         self.lease_seconds = float(lease_seconds)
+        self.connection_timeout = max(self.lease_seconds * 2.0, 5.0)
         self.retention_seconds = float(retention_seconds)
         self.heartbeat_interval = float(heartbeat_interval)
         self.retention_max_entries = (
@@ -165,20 +175,7 @@ class SimulationServer:
                 cost_model=self.cost_model,
             )
 
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._stopping = threading.Event()
-        self._draining = threading.Event()
-        self._drain_requested = threading.Event()
-        #: Live accepted sockets. stop() must close these too: a handler
-        #: thread blocked in recv keeps an ESTABLISHED socket on our port,
-        #: which blocks a successor daemon's bind (SO_REUSEADDR only
-        #: clears TIME_WAIT) — a restart would fail for up to the idle
-        #: timeout.
-        self._connections: set = set()
-
-        self._lock = threading.Lock()
         self._circuits: Dict[str, AnalogCircuit] = {}
         self._inflight: Dict[str, _Execution] = {}
         #: hash -> (metrics, expiry deadline); insertion-ordered so the
@@ -186,88 +183,28 @@ class SimulationServer:
         self._retained: "collections.OrderedDict[str, Tuple[Dict[str, np.ndarray], float]]" = (
             collections.OrderedDict()
         )
-        self.stats: Dict[str, int] = {
-            "executions": 0,
-            "coalesced": 0,
-            "retention_hits": 0,
-            "lease_expiries": 0,
-            "protocol_errors": 0,
-            "requests": 0,
-            "retention_evictions": 0,
+        self.handlers = {
+            FrameType.REQUEST: self._handle_request,
+            # A stray heartbeat echo between requests is harmless.
+            FrameType.HEARTBEAT: lambda sock, request_id, payload: True,
         }
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Daemon hooks
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> Tuple[str, int]:
-        """``(host, port)`` actually bound (resolves ``port=0``)."""
-        if self._listener is None:
-            raise RuntimeError("server is not started")
-        return self._listener.getsockname()[:2]
-
-    @property
-    def endpoint(self) -> str:
-        host, port = self.address
-        return f"{host}:{port}"
-
-    def start(self) -> "SimulationServer":
-        """Bind, listen, and serve connections on background threads."""
-        if self._listener is not None:
-            return self
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(32)
-        self._listener = listener
+    def _on_start(self) -> None:
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-serve-exec",
         )
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-serve-accept", daemon=True
-        )
-        self._accept_thread.start()
         logger.info(
             "repro serve listening on %s (backend=%s, workers=%d)",
             self.endpoint,
             self._terminal.name,
             self.workers,
         )
-        return self
 
-    def _close_listener(self) -> None:
-        """Stop accepting: close the listening socket, join its thread."""
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            # shutdown() before close(): a close alone does not wake a
-            # thread blocked in accept() — the in-progress syscall keeps
-            # the kernel file referenced, leaving the port in LISTEN and
-            # failing a successor's bind until the thread dies.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                listener.close()
-            except OSError:  # pragma: no cover
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-
-    def stop(self) -> None:
-        """Idempotent shutdown of listener, executor and pool."""
-        self._stopping.set()
-        self._close_listener()
-        with self._lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+    def _on_stop(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -277,144 +214,23 @@ class SimulationServer:
             self._pool.shutdown()
             self._pool = None
 
-    def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, finish leased work, stop.
-
-        New connections are refused the moment the listener closes;
-        connections already mid-request run their execution to completion
-        and get their RESULT frame (or their deposit into retention)
-        before the sockets are torn down.  Nothing a client was promised
-        is dropped — the historical behaviour (the accept loop simply
-        dying on SIGTERM, abandoning in-flight executions) lost leased
-        work on every deploy.
-        """
-        self._draining.set()
-        self._close_listener()
-        deadline = time.monotonic() + float(timeout)
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._inflight:
-                    break
-            time.sleep(0.05)
-        # Short grace for handler threads to flush final frames to
-        # clients whose execution just finished.
-        grace = min(deadline, time.monotonic() + 5.0)
-        while time.monotonic() < grace:
-            with self._lock:
-                if not self._connections:
-                    break
-            time.sleep(0.05)
-        self.stop()
-
-    def request_drain(self) -> None:
-        """Signal-handler-safe drain trigger (consumed by serve_forever).
-
-        Handlers must not block; the actual drain — joins, sleeps, socket
-        teardown — runs on the main loop's thread.
-        """
-        self._drain_requested.set()
-
-    def __enter__(self) -> "SimulationServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def serve_forever(self) -> None:
-        """Block until stopped or a requested drain completes."""
-        self.start()
-        try:
-            while not self._stopping.is_set():
-                if self._drain_requested.is_set():
-                    self.drain()
-                    break
-                time.sleep(0.2)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.stop()
+    def _in_flight(self) -> bool:
+        return bool(self._inflight)
 
     # ------------------------------------------------------------------
-    # Accept / connection handling
+    # Requests
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while not self._stopping.is_set() and listener is not None:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed — shutdown
-            with self._lock:
-                if self._stopping.is_set():
-                    conn.close()
-                    return
-                self._connections.add(conn)
-            thread = threading.Thread(
-                target=self._handle_connection,
-                args=(conn,),
-                name="repro-serve-conn",
-                daemon=True,
-            )
-            thread.start()
-
-    def _handle_connection(self, sock: socket.socket) -> None:
-        """Serve one client connection until it closes or misbehaves."""
-        try:
-            sock.settimeout(max(self.lease_seconds * 2.0, 5.0))
-            # A draining daemon finishes the request it is inside but
-            # accepts no further ones on this connection.
-            while not self._stopping.is_set() and not self._draining.is_set():
-                try:
-                    kind, request_id, payload = recv_frame(sock)
-                except ConnectionClosed:
-                    return  # clean goodbye
-                except ProtocolError as error:
-                    self._count("protocol_errors")
-                    logger.warning("protocol error from client: %s", error)
-                    self._try_send_error(sock, b"\x00" * 32, "protocol", error)
-                    return  # framing lost — the stream is unusable
-                except (TimeoutError, socket.timeout):
-                    return  # idle client gone silent; reclaim the thread
-                if kind == FrameType.PING:
-                    send_frame(sock, FrameType.PONG)
-                    continue
-                if kind == FrameType.HEARTBEAT:
-                    continue  # stray echo between requests; harmless
-                if kind != FrameType.REQUEST:
-                    self._count("protocol_errors")
-                    self._try_send_error(
-                        sock,
-                        request_id,
-                        "protocol",
-                        ProtocolError(f"unexpected {kind.name} frame"),
-                    )
-                    return
-                if not self._handle_request(sock, request_id, payload):
-                    return
-        except (OSError, ProtocolError):
-            # The client vanished mid-reply (or chaos aborted the socket):
-            # nothing left to say to it; executions deposit into retention
-            # on completion regardless.
-            return
-        finally:
-            with self._lock:
-                self._connections.discard(sock)
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
     def _handle_request(
         self, sock: socket.socket, request_id: bytes, payload: bytes
     ) -> bool:
         """Serve one REQUEST frame.  Returns False when the connection
-        should not be reused (error sent or lease expired)."""
+        should not be reused (error sent, lease expired, or draining)."""
         self._count("requests")
         try:
             job = self._decode_job(request_id, payload)
         except ProtocolError as error:
             self._count("protocol_errors")
-            self._try_send_error(sock, request_id, "protocol", error)
+            self._reply_error(sock, request_id, "protocol", error)
             return False
 
         job_hash = request_id.hex()
@@ -453,10 +269,24 @@ class SimulationServer:
                 if isinstance(execution.error, NgspiceError)
                 else "deployment"
             )
-            self._try_send_error(sock, request_id, kind, execution.error)
+            self._reply_error(sock, request_id, kind, execution.error)
             return False
         assert execution.metrics is not None
         return self._send_result(sock, request_id, execution.metrics)
+
+    def _send_result(
+        self,
+        sock: socket.socket,
+        request_id: bytes,
+        metrics: Dict[str, np.ndarray],
+    ) -> bool:
+        """Send the RESULT.  False ends the connection: the client is gone
+        (retention already has the result), or the daemon is draining and
+        answers the request a connection is inside but no further ones."""
+        sent = self._reply(
+            sock, FrameType.RESULT, request_id, dumps_payload(metrics)
+        )
+        return sent and not self._draining.is_set()
 
     # ------------------------------------------------------------------
     # Execution, coalescing, retention
@@ -528,7 +358,7 @@ class SimulationServer:
                         and len(self._retained) > self.retention_max_entries
                     ):
                         self._retained.popitem(last=False)
-                        self.stats["retention_evictions"] += 1
+                        self._count_locked("retention_evictions")
             execution.done.set()
 
     def _circuit(self, name: str) -> AnalogCircuit:
@@ -578,47 +408,6 @@ class SimulationServer:
             if time.monotonic() > lease_deadline:
                 raise _LeaseExpired()
             send_frame(sock, FrameType.HEARTBEAT, request_id=request_id)
-
-    # ------------------------------------------------------------------
-    # Replies
-    # ------------------------------------------------------------------
-    def _send_result(
-        self,
-        sock: socket.socket,
-        request_id: bytes,
-        metrics: Dict[str, np.ndarray],
-    ) -> bool:
-        try:
-            send_frame(
-                sock,
-                FrameType.RESULT,
-                dumps_payload(metrics),
-                request_id=request_id,
-            )
-            return True
-        except (OSError, ProtocolError):
-            return False  # client gone; retention already has the result
-
-    def _try_send_error(
-        self,
-        sock: socket.socket,
-        request_id: bytes,
-        kind: str,
-        error: BaseException,
-    ) -> None:
-        try:
-            send_frame(
-                sock,
-                FrameType.ERROR,
-                dumps_payload({"kind": kind, "message": str(error)}),
-                request_id=request_id,
-            )
-        except (OSError, ProtocolError):  # pragma: no cover - peer gone
-            pass
-
-    def _count(self, key: str) -> None:
-        with self._lock:
-            self.stats[key] = self.stats.get(key, 0) + 1
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +474,7 @@ def serve_main(argv=None) -> int:
             "(default: unbounded; expiry is then purely time-based)"
         ),
     )
-    # Experiment-mode flags (ignored under --mode job).
+    # Experiment-mode flags (rejected under --mode job).
     parser.add_argument(
         "--journal-dir",
         default=None,
@@ -698,7 +487,7 @@ def serve_main(argv=None) -> int:
     parser.add_argument(
         "--run-workers",
         type=int,
-        default=1,
+        default=None,
         help="experiment runs executed concurrently (default: 1)",
     )
     parser.add_argument(
@@ -720,78 +509,42 @@ def serve_main(argv=None) -> int:
         ),
     )
     arguments = parser.parse_args(argv)
+    experiment_options = {
+        name: getattr(arguments, name)
+        for name in ("journal_dir", "run_workers", "max_queue", "tenant_quota")
+        if getattr(arguments, name) is not None
+    }
+    if arguments.mode == "job" and experiment_options:
+        flags = ", ".join(
+            "--" + name.replace("_", "-") for name in experiment_options
+        )
+        parser.error(f"{flags}: only valid with --mode experiment")
+    if arguments.mode == "experiment" and arguments.journal_dir is None:
+        parser.error("--mode experiment requires --journal-dir")
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s"
     )
     if arguments.mode == "experiment":
-        if arguments.journal_dir is None:
-            parser.error("--mode experiment requires --journal-dir")
-        from repro.simulation.frontend import (
-            DEFAULT_MAX_QUEUE,
-            ExperimentFrontend,
-        )
+        from repro.simulation.frontend import ExperimentFrontend
 
-        frontend = ExperimentFrontend(
-            journal_dir=arguments.journal_dir,
+        return serve(
+            ExperimentFrontend(
+                host=arguments.host, port=arguments.port, **experiment_options
+            )
+        )
+    return serve(
+        SimulationServer(
+            backend=arguments.backend,
             host=arguments.host,
             port=arguments.port,
-            run_workers=arguments.run_workers,
-            max_queue=(
-                DEFAULT_MAX_QUEUE
-                if arguments.max_queue is None
-                else arguments.max_queue
-            ),
-            tenant_quota=arguments.tenant_quota,
+            workers=arguments.workers,
+            lease_seconds=arguments.lease_seconds,
+            retention_seconds=arguments.retention_seconds,
+            heartbeat_interval=arguments.heartbeat_interval,
+            retention_max_entries=arguments.retention_max_entries,
         )
-        _install_drain_handlers(frontend)
-        frontend.start()
-        # Same stdout contract as job mode: scripts discover an
-        # ephemeral port from this line (tests run --port 0).
-        print(f"repro serve listening on {frontend.endpoint}", flush=True)
-        frontend.serve_forever()
-        return 0
-
-    server = SimulationServer(
-        backend=arguments.backend,
-        host=arguments.host,
-        port=arguments.port,
-        workers=arguments.workers,
-        lease_seconds=arguments.lease_seconds,
-        retention_seconds=arguments.retention_seconds,
-        heartbeat_interval=arguments.heartbeat_interval,
-        retention_max_entries=arguments.retention_max_entries,
     )
-    _install_drain_handlers(server)
-    server.start()
-    # The bound endpoint on stdout is the contract scripts rely on to
-    # discover an ephemeral port (tests run --port 0).
-    print(f"repro serve listening on {server.endpoint}", flush=True)
-    server.serve_forever()
-    return 0
-
-
-def _install_drain_handlers(daemon) -> None:
-    """SIGTERM/SIGINT → graceful drain, exit 0.
-
-    The handler only sets an event (request_drain is async-signal-safe by
-    construction); serve_forever notices it, drains, and returns —
-    in-flight work completes, nothing accepted is lost, the process exits
-    cleanly.  Installation is best-effort: signals only work on the main
-    thread, and embedding callers (tests driving serve_main directly from
-    a worker thread) still get drain via request_drain().
-    """
-    import signal
-
-    def _handle(signum, _frame):  # pragma: no cover - exercised in subprocess
-        logger.info("received signal %d; draining", signum)
-        daemon.request_drain()
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, _handle)
-        except ValueError:  # not the main thread
-            return
 
 
 __all__ = [

@@ -105,8 +105,8 @@ external-process example.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
-import tempfile
 import threading
 import time
 import warnings
@@ -123,6 +123,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
+from repro.simulation.atomic import atomic_write
 from repro.simulation.budget import SimulationBudget, SimulationPhase
 from repro.simulation.costs import (
     ROW_SECONDS_KEY,
@@ -829,28 +830,14 @@ class CachingBackend(SimulationBackend):
 
     def _spill(self, job_id: str, metrics: Dict[str, np.ndarray]) -> None:
         """Atomically persist one admitted block to the on-disk store."""
-        path = self._spill_path(job_id)
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
         payload = {
             name: np.asarray(values, dtype=float)
             for name, values in metrics.items()
         }
         payload[_CACHE_VERSION_KEY] = np.array(CACHE_FORMAT_VERSION)
-        # Same-directory temp file + os.replace: a concurrent reader only
-        # ever sees a complete record, and a crash leaves no partial file
-        # under the final name.
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **payload)
+        atomic_write(self._spill_path(job_id), buffer.getvalue())
 
     def _load_spilled(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
         """One block from the disk store, or ``None`` (miss / stale /

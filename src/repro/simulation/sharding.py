@@ -24,8 +24,7 @@ Two things changed with the async service redesign:
 * **Dispatch can be non-blocking.**  :func:`dispatch_job_sharded` submits a
   job's shards and returns a :class:`ShardHandle` immediately; the caller
   assembles the concatenated metrics block later (or cancels the handle to
-  abandon speculative work).  :func:`run_job_sharded` remains the blocking
-  convenience wrapper.
+  abandon speculative work).
 * **Scheduling is work-stealing.**  Instead of one uniform
   slice per worker, a job is cut into more, smaller chunks than workers
   (:func:`plan_chunk_bounds`) and the executor's shared queue does the
@@ -649,21 +648,18 @@ class ShardHandle:
 
     def __init__(
         self,
+        job: "SimJob",
+        jobs: List["SimJob"],
         futures: List[Future],
-        jobs: Optional[List["SimJob"]] = None,
-        pool: Optional[WorkerPool] = None,
-        backend_name: str = "",
-        metric_names: Sequence[str] = (),
+        pool: WorkerPool,
+        backend_name: str,
+        metric_names: Sequence[str],
         watchdog: Optional[ShardWatchdog] = None,
-        job: Optional["SimJob"] = None,
         cost_model: Optional[RowCostModel] = None,
     ):
-        generation = pool.generation if pool is not None else 0
-        if jobs is None:
-            jobs = [None] * len(futures)  # legacy construction (tests)
         self._shards = [
-            _Shard(job, future, generation)
-            for job, future in zip(jobs, futures)
+            _Shard(shard_job, future, pool.generation)
+            for shard_job, future in zip(jobs, futures)
         ]
         self._pool = pool
         self._backend_name = backend_name
@@ -701,12 +697,7 @@ class ShardHandle:
         when the pool cannot heal."""
         self.redispatched_shards.append(index)
         pool = self._pool
-        healthy = (
-            pool is not None
-            and shard.job is not None
-            and pool.heal_broken(shard.generation)
-        )
-        if healthy:
+        if pool.heal_broken(shard.generation):
             shard.generation = pool.generation
             shard.future = pool.submit(
                 _evaluate_job_shard, self._backend_name, shard.job
@@ -715,26 +706,21 @@ class ShardHandle:
         # Last resort: evaluate the lost shard in this process.  A future
         # is still used so the assembly loop below stays uniform.
         fallback: Future = Future()
-        if shard.job is None:
-            fallback.set_exception(
-                BrokenProcessPool("worker died and no shard job was recorded")
+        try:
+            fallback.set_result(
+                _evaluate_job_shard(self._backend_name, shard.job)
             )
-        else:
-            try:
-                fallback.set_result(
-                    _evaluate_job_shard(self._backend_name, shard.job)
-                )
-            except BaseException as error:  # pragma: no cover - engine bug
-                fallback.set_exception(error)
+        except BaseException as error:  # pragma: no cover - engine bug
+            fallback.set_exception(error)
         shard.future = fallback
 
-    def result(self, timeout: Optional[float] = None) -> Dict[str, np.ndarray]:
+    def result(self) -> Dict[str, np.ndarray]:
         blocks: List[Optional[Dict[str, np.ndarray]]] = [None] * len(
             self._shards
         )
         for index, shard in enumerate(self._shards):
-            deadline = timeout
-            if self._watchdog is not None and shard.job is not None:
+            deadline = None
+            if self._watchdog is not None:
                 deadline = self._watchdog.deadline(shard.job.batch)
             attempts = 0
             while blocks[index] is None:
@@ -759,14 +745,10 @@ class ShardHandle:
                     # inside _recover_lost_shard is terminal, so this loop
                     # can only spin while the pool keeps healing — which
                     # max_heals bounds.
-                    if attempts > (
-                        (self._pool.max_heals if self._pool else 0) + 1
-                    ):
+                    if attempts > self._pool.max_heals + 1:
                         raise
                     self._recover_lost_shard(index, shard)
                 except FuturesTimeoutError:
-                    if self._watchdog is None or shard.job is None:
-                        raise  # caller-supplied timeout: legacy behaviour
                     # Watchdog expiry: degrade to never-produced rows and
                     # reclaim the hung worker.  The FAILURE_NAN signature
                     # keeps the block uncacheable and lets a retrying
@@ -782,11 +764,8 @@ class ShardHandle:
                     blocks[index] = _failure_block(
                         shard.job, self._metric_names
                     )
-                    if self._pool is not None:
-                        self._pool.heal(reason="hung shard")
+                    self._pool.heal(reason="hung shard")
         results = [block for block in blocks if block is not None]
-        # Reserved timing keys are only assembled when *every* block has
-        # one (legacy futures constructed without timing mix freely).
         merged = {
             metric: np.concatenate([result[metric] for result in results])
             for metric in results[0]
@@ -795,11 +774,7 @@ class ShardHandle:
         row_seconds = merged.get(ROW_SECONDS_KEY)
         if row_seconds is not None:
             self.row_seconds = row_seconds
-            if (
-                not self._observed
-                and self._cost_model is not None
-                and self._job is not None
-            ):
+            if not self._observed and self._cost_model is not None:
                 self._observed = True
                 self._cost_model.observe(
                     self._job, row_seconds, self._backend_name
@@ -984,29 +959,12 @@ def dispatch_job_sharded(
         except (BrokenProcessPool, RuntimeError):
             return None  # freshly healed pool broke again: give up
     return ShardHandle(
+        job,
+        shard_jobs,
         futures,
-        jobs=shard_jobs,
-        pool=pool,
-        backend_name=backend.name,
-        metric_names=circuit.metric_names,
+        pool,
+        backend.name,
+        circuit.metric_names,
         watchdog=watchdog,
-        job=job,
         cost_model=cost_model,
     )
-
-
-def run_job_sharded(
-    circuit: AnalogCircuit,
-    backend: "SimulationBackend",
-    job: "SimJob",
-    pool: Optional[WorkerPool],
-    watchdog: Optional[ShardWatchdog] = None,
-    cost_model: Optional[RowCostModel] = None,
-) -> Optional[Dict[str, np.ndarray]]:
-    """Blocking convenience wrapper around :func:`dispatch_job_sharded`."""
-    handle = dispatch_job_sharded(
-        circuit, backend, job, pool, watchdog, cost_model=cost_model
-    )
-    if handle is None:
-        return None
-    return handle.result()

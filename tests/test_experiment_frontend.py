@@ -991,3 +991,82 @@ class TestFrontendSoak:
             assert _comparable_report(reports[index]) == _comparable_report(
                 reference
             )
+
+
+# ----------------------------------------------------------------------
+# The experiment daemon on the shared daemon core
+# ----------------------------------------------------------------------
+class TestExperimentDaemonCore:
+    def test_garbage_is_counted_and_ping_still_answers(self, frontend):
+        with socket.create_connection(frontend.address, timeout=5.0) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\n" + b"X" * 64)
+            kind, _rid, payload = recv_frame(sock)
+        assert kind == FrameType.ERROR
+        assert loads_payload(payload)["kind"] == "protocol"
+        assert frontend.stats["protocol_errors"] == 1
+        with socket.create_connection(frontend.address, timeout=5.0) as sock:
+            send_frame(sock, FrameType.PING)
+            kind, _rid, _payload = recv_frame(sock)
+        assert kind == FrameType.PONG
+
+    def test_successor_binds_the_port_right_after_stop(self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        first = ExperimentFrontend(journal_dir).start()
+        host, port = first.address
+        # A live client connection across the stop must not hold the port.
+        idle = socket.create_connection((host, port), timeout=5.0)
+        try:
+            send_frame(idle, FrameType.PING)
+            assert recv_frame(idle)[0] == FrameType.PONG
+            first.stop()
+            successor = ExperimentFrontend(journal_dir, port=port).start()
+            try:
+                probe = socket.create_connection((host, port), timeout=5.0)
+                with probe:
+                    send_frame(probe, FrameType.PING)
+                    assert recv_frame(probe)[0] == FrameType.PONG
+            finally:
+                successor.stop()
+        finally:
+            idle.close()
+
+
+class TestServeFlagValidation:
+    def test_job_mode_rejects_experiment_flags(self, tmp_path):
+        journal_dir = tmp_path / "jx"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--port",
+                "0",
+                "--journal-dir",
+                str(journal_dir),
+                "--run-workers",
+                "2",
+                "--max-queue",
+                "2",
+                "--tenant-quota",
+                "10",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert completed.returncode != 0
+        for flag in (
+            "--journal-dir",
+            "--run-workers",
+            "--max-queue",
+            "--tenant-quota",
+        ):
+            assert flag in completed.stderr
+        assert "--mode experiment" in completed.stderr
+        assert not journal_dir.exists()
