@@ -8,7 +8,9 @@ Modules
 ``spec`` / ``reward``
     Constraint normalisation (Eq. 5) and the consolidated reward (Eq. 4).
 ``nn``
-    Minimal feed-forward neural networks with Adam, used by the agent.
+    One stacked feed-forward network: K same-shape MLPs with backprop,
+    input gradients and in-place Adam over flat buffers (the critic
+    ensemble is K members, the actor one).
 ``replay``
     Worst-case replay buffer and last-worst-case corner buffer.
 ``actor_critic``

@@ -11,16 +11,18 @@ aggregate output is the risk-sensitive bound of Eq. (6)::
 
 Each base model is trained on its *own* batch drawn from the worst-case
 replay buffer, so ensemble spread reflects epistemic uncertainty from the
-limited number of sampled variations.
+limited number of sampled variations.  The base models are the members of
+one :class:`~repro.core.nn.StackedMLP`, so the ensemble trains and
+predicts in one pass; the actor is the same network with one member.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.nn import AdamOptimizer, MultiLayerPerceptron
+from repro.core.nn import StackedMLP
 from repro.core.replay import WorstCaseReplayBuffer
 from repro.core.reward import FEASIBLE_REWARD
 
@@ -36,18 +38,17 @@ class Actor:
         rng: Optional[np.random.Generator] = None,
     ):
         self.design_dimension = design_dimension
-        self.network = MultiLayerPerceptron(
+        self.network = StackedMLP(
+            1,
             [design_dimension, hidden_size, hidden_size, design_dimension],
-            hidden_activation="relu",
             output_activation="sigmoid",
+            learning_rate=learning_rate,
             rng=rng,
         )
-        self.optimizer = AdamOptimizer(self.network, learning_rate=learning_rate)
 
     def act(self, design: np.ndarray) -> np.ndarray:
         """Deterministic policy output for a single design vector."""
-        output = self.network.forward(design.reshape(1, -1), cache=False)
-        return output[0]
+        return self.network.forward(design.reshape(1, -1), cache=False)[0, 0]
 
     def propose(
         self,
@@ -62,13 +63,13 @@ class Actor:
 
     def forward_batch(self, designs: np.ndarray) -> np.ndarray:
         """Cached forward pass used during the policy-gradient step."""
-        return self.network.forward(designs, cache=True)
+        return self.network.forward(designs, cache=True)[0]
 
     def apply_gradient(self, grad_output: np.ndarray) -> None:
         """Backprop ``dLoss/dAction`` through the actor and take an Adam step."""
-        self.optimizer.zero_grad()
+        self.network.zero_grad()
         self.network.backward(grad_output)
-        self.optimizer.step()
+        self.network.step()
 
     def pretrain_towards(
         self,
@@ -88,48 +89,7 @@ class Actor:
         target = np.tile(np.asarray(target_design, dtype=float), (inputs.shape[0], 1))
         loss = float("inf")
         for _ in range(steps):
-            outputs = self.network.forward(inputs, cache=True)
-            error = outputs - target
-            loss = float(np.mean(error**2))
-            grad = 2.0 * error / error.shape[0]
-            self.optimizer.zero_grad()
-            self.network.backward(grad)
-            self.optimizer.step()
-        return loss
-
-
-class CriticBaseModel:
-    """One base model of the ensemble: design -> predicted worst-case reward."""
-
-    def __init__(
-        self,
-        design_dimension: int,
-        hidden_size: int = 64,
-        learning_rate: float = 2e-3,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        self.network = MultiLayerPerceptron(
-            [design_dimension, hidden_size, hidden_size, 1],
-            hidden_activation="relu",
-            output_activation="linear",
-            rng=rng,
-        )
-        self.optimizer = AdamOptimizer(self.network, learning_rate=learning_rate)
-
-    def predict(self, designs: np.ndarray) -> np.ndarray:
-        return self.network.forward(np.atleast_2d(designs), cache=False)[:, 0]
-
-    def train_batch(self, designs: np.ndarray, rewards: np.ndarray) -> float:
-        """One MSE regression step; returns the batch loss."""
-        designs = np.atleast_2d(designs)
-        rewards = np.asarray(rewards, dtype=float).reshape(-1, 1)
-        predictions = self.network.forward(designs, cache=True)
-        error = predictions - rewards
-        loss = float(np.mean(error**2))
-        grad = 2.0 * error / error.shape[0]
-        self.optimizer.zero_grad()
-        self.network.backward(grad)
-        self.optimizer.step()
+            loss = float(self.network.fit_step(inputs, target)[0])
         return loss
 
 
@@ -145,25 +105,24 @@ class EnsembleCritic:
         learning_rate: float = 2e-3,
         rng: Optional[np.random.Generator] = None,
     ):
-        if ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
-        rng = rng if rng is not None else np.random.default_rng()
         self.design_dimension = design_dimension
         self.beta1 = float(beta1)
-        self.base_models: List[CriticBaseModel] = [
-            CriticBaseModel(design_dimension, hidden_size, learning_rate, rng)
-            for _ in range(ensemble_size)
-        ]
+        self.network = StackedMLP(
+            ensemble_size,
+            [design_dimension, hidden_size, hidden_size, 1],
+            output_activation="linear",
+            learning_rate=learning_rate,
+            rng=rng,
+        )
 
     @property
     def ensemble_size(self) -> int:
-        return len(self.base_models)
+        return self.network.members
 
     # ------------------------------------------------------------------
     def base_predictions(self, designs: np.ndarray) -> np.ndarray:
         """Predictions of every base model: shape ``(ensemble, batch)``."""
-        designs = np.atleast_2d(designs)
-        return np.stack([model.predict(designs) for model in self.base_models])
+        return self.network.forward(np.atleast_2d(designs), cache=False)[:, :, 0]
 
     def predict(self, designs: np.ndarray) -> np.ndarray:
         """Risk-sensitive bound ``E[Q_i] + beta1 * sigma[Q_i]`` per design."""
@@ -187,11 +146,10 @@ class EnsembleCritic:
         rng: np.random.Generator,
     ) -> float:
         """Train every base model on its own batch; returns the mean loss."""
-        losses = []
-        for model in self.base_models:
-            designs, rewards = buffer.sample(batch_size, rng)
-            losses.append(model.train_batch(designs, rewards))
-        return float(np.mean(losses))
+        batches = [buffer.sample(batch_size, rng) for _ in range(self.ensemble_size)]
+        designs = np.stack([designs for designs, _ in batches])
+        rewards = np.stack([rewards for _, rewards in batches])[:, :, None]
+        return float(np.mean(self.network.fit_step(designs, rewards)))
 
     # ------------------------------------------------------------------
     def bound_gradient(self, designs: np.ndarray) -> np.ndarray:
@@ -202,25 +160,21 @@ class EnsembleCritic:
         ``beta1 * sum_i (Q_i - mean) * dQ_i/dx / (ensemble * sigma)``.
         """
         designs = np.atleast_2d(designs)
-        batch = designs.shape[0]
-        predictions = self.base_predictions(designs)  # (ensemble, batch)
-        mean = predictions.mean(axis=0)
-        std = predictions.std(axis=0)
         ensemble = self.ensemble_size
-
+        predictions = self.network.forward(designs, cache=True)[:, :, 0]
+        base_grads = self.network.input_gradient(np.ones((designs.shape[0], 1)))
+        weights = np.full(predictions.shape, 1.0 / ensemble)
+        if ensemble > 1 and self.beta1 != 0.0:
+            mean = predictions.mean(axis=0)
+            std = predictions.std(axis=0)
+            safe_std = np.where(std > 1e-12, std, np.inf)
+            weights = weights + self.beta1 * (
+                (predictions - mean) / (ensemble * safe_std)
+            )
+        # Accumulate from zero in member order, as a per-model loop would.
         gradient = np.zeros_like(designs, dtype=float)
-        ones = np.ones((batch, 1))
-        for index, model in enumerate(self.base_models):
-            # Re-run a cached forward pass so input_gradient has activations.
-            model.network.forward(designs, cache=True)
-            base_grad = model.network.input_gradient(ones)
-            weight = np.full(batch, 1.0 / ensemble)
-            if ensemble > 1 and self.beta1 != 0.0:
-                safe_std = np.where(std > 1e-12, std, np.inf)
-                weight = weight + self.beta1 * (
-                    (predictions[index] - mean) / (ensemble * safe_std)
-                )
-            gradient += base_grad * weight[:, None]
+        for member_gradient in base_grads * weights[:, :, None]:
+            gradient += member_gradient
         return gradient
 
     def actor_loss_gradient(

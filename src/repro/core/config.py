@@ -259,6 +259,18 @@ class GlovaConfig:
     optimization_parallelism: int = 3
     verification_parallelism: int = 30
 
+    def __post_init__(self) -> None:
+        # The agent sizes its networks and batches from these; a zero
+        # would otherwise surface only after initial sampling has run.
+        for name in (
+            "ensemble_size",
+            "batch_size",
+            "hidden_size",
+            "gradient_steps_per_iteration",
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def operational(self) -> OperationalConfig:
         """The Table-I row implied by this configuration."""
         return operational_config(

@@ -1,23 +1,36 @@
-"""Minimal feed-forward neural networks with Adam, in pure numpy.
+"""One stacked feed-forward network with Adam, in pure numpy.
 
 The paper's actor and critic are small 4-layer perceptrons trained with a
-DDPG-style procedure.  This module provides exactly what that needs:
+DDPG-style procedure; the critic is an ensemble of K such base models
+(Eq. 6).  :class:`StackedMLP` holds K same-shape MLPs as one network, so
+the critic uses K = ensemble size and the actor K = 1:
 
-* :class:`DenseLayer` — affine layer with cached forward pass,
-* :class:`MultiLayerPerceptron` — a stack of dense layers and activations
-  with full backpropagation, *including gradients with respect to the
-  input* (needed to push actor outputs through the critic), and
-* :class:`AdamOptimizer` — per-network Adam state.
+* layer ``l`` keeps ``(K, in, out)`` weights and ``(K, 1, out)`` biases,
+  so a layer is one batched ``matmul`` over all K members;
+* parameters, gradients and both Adam moments each live in one flat
+  buffer with per-layer views, and the Adam step is a few in-place
+  ufuncs over the whole buffer;
+* backpropagation gives parameter gradients and, separately, gradients
+  with respect to the input (to push actor outputs through the critic).
 
-Everything operates on 2-D arrays of shape ``(batch, features)``.
+Inputs are ``(K, batch, in)`` (a batch per member) or ``(batch, in)``
+(shared); outputs are ``(K, batch, out)``.  Each member computes bit for
+bit what a standalone 2-D MLP with textbook Adam computes: a member's
+slice of a stacked ``matmul`` makes the same BLAS call as the 2-D
+product, initial weights are drawn member-major and layer-minor, and
+Adam keeps the textbook operation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+#: Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -26,14 +39,6 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 def _relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(x.dtype)
-
-
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_grad(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(x) ** 2
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -55,173 +60,140 @@ def _identity_grad(x: np.ndarray) -> np.ndarray:
 
 _ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
     "relu": (_relu, _relu_grad),
-    "tanh": (_tanh, _tanh_grad),
     "sigmoid": (_sigmoid, _sigmoid_grad),
     "linear": (_identity, _identity_grad),
 }
 
 
-class DenseLayer:
-    """A fully connected layer ``y = x @ W + b`` with an activation."""
+def _layer_views(
+    buffer: np.ndarray, members: int, shapes: Sequence[Tuple[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per-layer ``(K, in, out)`` weight and ``(K, 1, out)`` bias views."""
+    views, offset = [], 0
+    for fan_in, fan_out in shapes:
+        for rows in (fan_in, 1):
+            size = members * rows * fan_out
+            views.append(buffer[offset : offset + size].reshape(members, rows, fan_out))
+            offset += size
+    return views[0::2], views[1::2]
+
+
+class StackedMLP:
+    """K same-shape ReLU MLPs with backprop, input gradients and in-place Adam."""
 
     def __init__(
         self,
-        input_size: int,
-        output_size: int,
-        activation: str = "relu",
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        rng = rng if rng is not None else np.random.default_rng()
-        scale = np.sqrt(2.0 / (input_size + output_size))
-        self.weights = rng.normal(0.0, scale, size=(input_size, output_size))
-        self.bias = np.zeros(output_size)
-        self.activation = activation
-        self._act, self._act_grad = _ACTIVATIONS[activation]
-        # Caches populated during forward passes.
-        self._last_input: Optional[np.ndarray] = None
-        self._last_preactivation: Optional[np.ndarray] = None
-        # Gradient accumulators.
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
-
-    def forward(self, inputs: np.ndarray, cache: bool = True) -> np.ndarray:
-        preactivation = inputs @ self.weights + self.bias
-        if cache:
-            self._last_input = inputs
-            self._last_preactivation = preactivation
-        return self._act(preactivation)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backprop through the layer, accumulating parameter gradients."""
-        if self._last_input is None or self._last_preactivation is None:
-            raise RuntimeError("backward called before forward")
-        grad_pre = grad_output * self._act_grad(self._last_preactivation)
-        self.grad_weights += self._last_input.T @ grad_pre
-        self.grad_bias += grad_pre.sum(axis=0)
-        return grad_pre @ self.weights.T
-
-    def input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the input only (no parameter-gradient update)."""
-        if self._last_preactivation is None:
-            raise RuntimeError("input_gradient called before forward")
-        grad_pre = grad_output * self._act_grad(self._last_preactivation)
-        return grad_pre @ self.weights.T
-
-    def zero_grad(self) -> None:
-        self.grad_weights.fill(0.0)
-        self.grad_bias.fill(0.0)
-
-    def parameters(self) -> List[np.ndarray]:
-        return [self.weights, self.bias]
-
-    def gradients(self) -> List[np.ndarray]:
-        return [self.grad_weights, self.grad_bias]
-
-
-class MultiLayerPerceptron:
-    """A plain MLP with backprop and input-gradient support."""
-
-    def __init__(
-        self,
+        members: int,
         layer_sizes: Sequence[int],
-        hidden_activation: str = "relu",
         output_activation: str = "linear",
+        learning_rate: float = 1e-3,
         rng: Optional[np.random.Generator] = None,
     ):
+        if members < 1:
+            raise ValueError(f"members must be >= 1, got {members}")
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
+        if min(layer_sizes) < 1:
+            raise ValueError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
+        if output_activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {output_activation!r}")
         rng = rng if rng is not None else np.random.default_rng()
-        self.layers: List[DenseLayer] = []
-        for index in range(len(layer_sizes) - 1):
-            is_last = index == len(layer_sizes) - 2
-            activation = output_activation if is_last else hidden_activation
-            self.layers.append(
-                DenseLayer(
-                    layer_sizes[index],
-                    layer_sizes[index + 1],
-                    activation=activation,
-                    rng=rng,
-                )
-            )
-        self.input_size = layer_sizes[0]
-        self.output_size = layer_sizes[-1]
+        self.members = members
+        self.learning_rate = learning_rate
 
-    def forward(self, inputs: np.ndarray, cache: bool = True) -> np.ndarray:
-        outputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        for layer in self.layers:
-            outputs = layer.forward(outputs, cache=cache)
-        return outputs
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backprop a loss gradient; returns the gradient w.r.t. the input."""
-        grad = np.atleast_2d(np.asarray(grad_output, dtype=float))
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
-        """Input gradient without touching parameter-gradient accumulators."""
-        grad = np.atleast_2d(np.asarray(grad_output, dtype=float))
-        for layer in reversed(self.layers):
-            grad = layer.input_gradient(grad)
-        return grad
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def parameters(self) -> List[np.ndarray]:
-        params: List[np.ndarray] = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
-
-    def gradients(self) -> List[np.ndarray]:
-        grads: List[np.ndarray] = []
-        for layer in self.layers:
-            grads.extend(layer.gradients())
-        return grads
-
-    def copy_weights_from(self, other: "MultiLayerPerceptron") -> None:
-        """Hard-copy another network's parameters (target-network style)."""
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine[...] = theirs
-
-
-@dataclass
-class AdamOptimizer:
-    """Adam optimiser bound to one network's parameter list."""
-
-    network: MultiLayerPerceptron
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        parameters = self.network.parameters()
-        self._first_moment = [np.zeros_like(p) for p in parameters]
-        self._second_moment = [np.zeros_like(p) for p in parameters]
+        shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        total = members * sum(fan_out * (fan_in + 1) for fan_in, fan_out in shapes)
+        self.parameters = np.zeros(total)
+        self.gradients = np.zeros(total)
+        self._first_moment = np.zeros(total)
+        self._second_moment = np.zeros(total)
+        self._temporaries = (np.empty(total), np.empty(total))
+        self.weights, self.biases = _layer_views(self.parameters, members, shapes)
+        self.grad_weights, self.grad_biases = _layer_views(
+            self.gradients, members, shapes
+        )
+        self._activations = [_ACTIVATIONS["relu"]] * (len(shapes) - 1)
+        self._activations.append(_ACTIVATIONS[output_activation])
+        # Member-major, layer-minor: the draws K separate networks make.
+        for member in range(members):
+            for weight, (fan_in, fan_out) in zip(self.weights, shapes):
+                scale = np.sqrt(2.0 / (fan_in + fan_out))
+                weight[member] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+        # Per-layer inputs and pre-activations of the last cached forward.
+        self._inputs: Optional[List[np.ndarray]] = None
+        self._preactivations: Optional[List[np.ndarray]] = None
         self._step_count = 0
 
-    def step(self) -> None:
-        """Apply one Adam update from the accumulated gradients."""
-        self._step_count += 1
-        parameters = self.network.parameters()
-        gradients = self.network.gradients()
-        for index, (param, grad) in enumerate(zip(parameters, gradients)):
-            m = self._first_moment[index]
-            v = self._second_moment[index]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * grad
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * grad**2
-            m_hat = m / (1.0 - self.beta1**self._step_count)
-            v_hat = v / (1.0 - self.beta2**self._step_count)
-            param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+    def forward(self, inputs: np.ndarray, cache: bool = True) -> np.ndarray:
+        """``(K, batch, out)`` outputs for ``(K, batch, in)`` or ``(batch, in)``."""
+        outputs = np.asarray(inputs, dtype=float)
+        layer_inputs, preactivations = [], []
+        for weight, bias, (activation, _) in zip(
+            self.weights, self.biases, self._activations
+        ):
+            layer_inputs.append(outputs)
+            preactivations.append(outputs @ weight + bias)
+            outputs = activation(preactivations[-1])
+        if cache:
+            self._inputs, self._preactivations = layer_inputs, preactivations
+        return outputs
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        """Backprop a loss gradient, accumulating parameter gradients.
+
+        Returns the gradient with respect to the cached forward's input.
+        """
+        return self._backpropagate(grad_output, accumulate=True)
+
+    def input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the input only (parameter gradients untouched)."""
+        return self._backpropagate(grad_output, accumulate=False)
+
+    def _backpropagate(self, grad: np.ndarray, accumulate: bool) -> np.ndarray:
+        if self._preactivations is None:
+            raise RuntimeError("backward called before a cached forward pass")
+        for index in reversed(range(len(self.weights))):
+            _, activation_grad = self._activations[index]
+            grad_pre = grad * activation_grad(self._preactivations[index])
+            if accumulate:
+                layer_input = np.swapaxes(self._inputs[index], -1, -2)
+                self.grad_weights[index] += layer_input @ grad_pre
+                self.grad_biases[index] += grad_pre.sum(axis=-2, keepdims=True)
+            grad = grad_pre @ np.swapaxes(self.weights[index], -1, -2)
+        return grad
 
     def zero_grad(self) -> None:
-        self.network.zero_grad()
+        self.gradients.fill(0.0)
+
+    def step(self) -> None:
+        """One Adam update of every member from the accumulated gradients.
+
+        In place, in the textbook order: ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g**2``, ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
+        """
+        self._step_count += 1
+        m, v, grad = self._first_moment, self._second_moment, self.gradients
+        update, denominator = self._temporaries
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+        m += update
+        v *= ADAM_BETA2
+        np.multiply(grad, grad, out=update)
+        update *= 1.0 - ADAM_BETA2
+        v += update
+        np.divide(m, 1.0 - ADAM_BETA1**self._step_count, out=update)
+        update *= self.learning_rate
+        np.divide(v, 1.0 - ADAM_BETA2**self._step_count, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        denominator += ADAM_EPSILON
+        update /= denominator
+        self.parameters -= update
+
+    def fit_step(self, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """One MSE regression step of every member; returns ``(K,)`` losses."""
+        error = self.forward(inputs, cache=True) - targets
+        losses = np.mean(error**2, axis=(-2, -1))
+        self.zero_grad()
+        self.backward(2.0 * error / error.shape[-2])
+        self.step()
+        return losses

@@ -13,8 +13,9 @@ Two buffers appear in Fig. 2 of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,54 +31,66 @@ class Transition:
 
 
 class WorstCaseReplayBuffer:
-    """Fixed-capacity FIFO buffer of ``(design, worst reward)`` pairs."""
+    """Fixed-capacity FIFO ring of ``(design, worst reward)`` pairs.
+
+    Rejects non-finite input: one NaN in the ring would reach every
+    critic member on its next training step.
+    """
 
     def __init__(self, capacity: int = 2048):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
-        self._storage: List[Transition] = []
+        self._designs = np.empty((capacity, 0))
+        self._rewards = np.empty(capacity)
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     @property
     def capacity(self) -> int:
         return self._capacity
 
     def add(self, design: np.ndarray, reward: float) -> None:
-        transition = Transition(np.array(design, dtype=float, copy=True), float(reward))
-        if len(self._storage) < self._capacity:
-            self._storage.append(transition)
-        else:
-            self._storage[self._cursor] = transition
-            self._cursor = (self._cursor + 1) % self._capacity
+        design = np.asarray(design, dtype=float)
+        reward = float(reward)
+        if not (math.isfinite(reward) and np.isfinite(design).all()):
+            raise ValueError(
+                f"replay entries must be finite: reward {reward}, design {design}"
+            )
+        if not self._size:
+            self._designs = np.empty((self._capacity,) + design.shape)
+        self._designs[self._cursor] = design
+        self._rewards[self._cursor] = reward
+        self._cursor = (self._cursor + 1) % self._capacity
+        self._size = min(self._size + 1, self._capacity)
 
     def sample(
         self, batch_size: int, rng: Optional[np.random.Generator] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """A random batch (with replacement when the buffer is small)."""
-        if not self._storage:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         rng = rng if rng is not None else np.random.default_rng()
-        replace = len(self._storage) < batch_size
-        indices = rng.choice(len(self._storage), size=batch_size, replace=replace)
-        designs = np.stack([self._storage[i].design for i in indices])
-        rewards = np.array([self._storage[i].reward for i in indices])
-        return designs, rewards
+        replace = self._size < batch_size
+        indices = rng.choice(self._size, size=batch_size, replace=replace)
+        return self._designs[indices], self._rewards[indices]
 
     def best(self) -> Transition:
-        """The stored transition with the highest worst-case reward."""
-        if not self._storage:
+        """The stored transition with the highest worst-case reward (the
+        first such in storage order, as ``max`` picks)."""
+        if not self._size:
             raise ValueError("buffer is empty")
-        return max(self._storage, key=lambda t: t.reward)
+        index = int(np.argmax(self._rewards[: self._size]))
+        return Transition(self._designs[index].copy(), float(self._rewards[index]))
 
     def all_designs(self) -> np.ndarray:
-        return np.stack([t.design for t in self._storage])
+        return self._designs[: self._size].copy()
 
     def all_rewards(self) -> np.ndarray:
-        return np.array([t.reward for t in self._storage])
+        return self._rewards[: self._size].copy()
 
 
 class LastWorstCaseBuffer:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.actor_critic import Actor, CriticBaseModel, EnsembleCritic
+from repro.core.actor_critic import Actor, EnsembleCritic
 from repro.core.replay import WorstCaseReplayBuffer
 from repro.core.reward import FEASIBLE_REWARD
 
@@ -29,21 +29,6 @@ class TestActor:
         loss = actor.pretrain_towards(inputs, target, steps=400)
         assert loss < 1e-2
         assert np.allclose(actor.act(inputs[0]), target, atol=0.15)
-
-
-class TestCriticBaseModel:
-    def test_training_reduces_loss(self, rng):
-        model = CriticBaseModel(3, rng=rng)
-        designs = rng.uniform(size=(64, 3))
-        rewards = designs.sum(axis=1) / 10.0
-        first = model.train_batch(designs, rewards)
-        for _ in range(200):
-            last = model.train_batch(designs, rewards)
-        assert last < first * 0.5
-
-    def test_predict_shape(self, rng):
-        model = CriticBaseModel(3, rng=rng)
-        assert model.predict(rng.uniform(size=(7, 3))).shape == (7,)
 
 
 class TestEnsembleCritic:

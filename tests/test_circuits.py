@@ -187,6 +187,18 @@ class TestFiaBehaviour:
         h[model.index_of("M_nmos_b", "vth")] = -0.02
         assert circuit.evaluate(x, mismatch=h)["noise"] > circuit.evaluate(x)["noise"]
 
+    def test_out_of_model_cap_mismatch_stays_finite(self, rng):
+        """A standard-normal cap delta must not drive a capacitance negative."""
+        circuit = FloatingInverterAmplifier()
+        with np.errstate(invalid="raise"):
+            for _ in range(20):
+                metrics = circuit.evaluate_batch(
+                    rng.uniform(size=circuit.dimension),
+                    mismatch=rng.normal(size=(160, circuit.mismatch_dimension)),
+                )
+                for values in metrics.values():
+                    assert np.all(np.isfinite(values))
+
     def test_common_mode_shift_does_not_offset(self):
         """A die-level shift common to both pair halves adds no offset."""
         circuit = FloatingInverterAmplifier()

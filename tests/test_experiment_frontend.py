@@ -443,6 +443,32 @@ class TestAdmissionControl:
         finally:
             harness.close()
 
+    def test_bad_override_is_config_error_and_journals_nothing(
+        self, unstarted_frontend
+    ):
+        harness = _HandlerHarness(unstarted_frontend)
+        try:
+            payload = dumps_payload(
+                {
+                    "config": dict(
+                        _config().to_dict(), overrides={"batch_size": 0}
+                    ),
+                    "tenant": "t",
+                }
+            )
+            assert unstarted_frontend._handle_submit(
+                harness.server_sock, b"\x12" * 32, payload
+            )
+            kind, _rid, body = harness.reply()
+            assert kind == FrameType.ERROR
+            decoded = loads_payload(body)
+            assert decoded["kind"] == "config"
+            assert "batch_size" in decoded["message"]
+            assert unstarted_frontend.stats["accepted"] == 0
+            assert unstarted_frontend.journal.load_all() == []
+        finally:
+            harness.close()
+
     def test_unknown_run_status_is_typed_error(self, unstarted_frontend):
         harness = _HandlerHarness(unstarted_frontend)
         try:

@@ -29,6 +29,7 @@ import pytest
 
 import repro.api as api
 from repro.api import ExperimentConfig, run_experiment
+from repro.core.optimizer import GlovaOptimizer
 from repro.simulation import (
     BatchedMNABackend,
     ChaosFault,
@@ -489,6 +490,30 @@ class TestChaosEquivalence:
             )
         )
         assert _comparable(chaotic) == _comparable(baseline)
+
+    def test_nan_block_without_retry_keeps_replay_buffer_finite(
+        self, strongarm, monkeypatch
+    ):
+        """Unretried NaN blocks reach the reward boundary as the maximal
+        violation, and the GLOVA run still finishes on a finite buffer."""
+        chaos_env(
+            monkeypatch, FaultSchedule(mode="nan", faults=6, probability=0.5)
+        )
+        config = ExperimentConfig(
+            circuit="sal",
+            method="C-MCL",
+            max_iterations=8,
+            initial_samples=6,
+            verification_samples=4,
+            backend="chaos",
+        ).glova_config(seed=0)
+        optimizer = GlovaOptimizer(strongarm, config)
+        optimizer.run()
+        rewards = optimizer.agent.buffer.all_rewards()
+        assert np.isfinite(rewards).all()
+        assert np.isfinite(optimizer.agent.buffer.all_designs()).all()
+        # The schedule fired: a NaN block stored the maximal violation.
+        assert -float(len(strongarm.metric_names)) in rewards
 
     def test_worker_kill_equivalence(self, monkeypatch, tmp_path):
         """Sharded fault-free vs sharded chaos-kill: same report."""

@@ -1,121 +1,230 @@
-"""Tests for the numpy neural-network building blocks (repro.core.nn)."""
+"""Tests for the stacked numpy network (repro.core.nn)."""
 
 import numpy as np
 import pytest
 
-from repro.core.nn import AdamOptimizer, DenseLayer, MultiLayerPerceptron
+from repro.core.actor_critic import EnsembleCritic
+from repro.core.nn import StackedMLP
+from repro.core.replay import WorstCaseReplayBuffer
 
 
-class TestDenseLayer:
+class TestStackedMLP:
     def test_forward_shape(self, rng):
-        layer = DenseLayer(4, 3, rng=rng)
-        outputs = layer.forward(np.zeros((5, 4)))
-        assert outputs.shape == (5, 3)
+        network = StackedMLP(3, [4, 3], rng=rng)
+        assert network.forward(np.zeros((5, 4))).shape == (3, 5, 3)
+        assert network.forward(np.zeros((3, 5, 4))).shape == (3, 5, 3)
 
     def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="softplus"):
+            StackedMLP(1, [2, 2], output_activation="softplus")
+
+    def test_minimum_two_layer_sizes(self):
         with pytest.raises(ValueError):
-            DenseLayer(2, 2, activation="softplus")
+            StackedMLP(2, [4])
 
     def test_backward_before_forward_rejected(self, rng):
-        layer = DenseLayer(2, 2, rng=rng)
+        network = StackedMLP(2, [2, 2], rng=rng)
+        network.forward(np.ones((1, 2)), cache=False)
         with pytest.raises(RuntimeError):
-            layer.backward(np.zeros((1, 2)))
+            network.backward(np.zeros((2, 1, 2)))
 
     def test_zero_grad(self, rng):
-        layer = DenseLayer(2, 2, rng=rng)
-        layer.forward(np.ones((1, 2)))
-        layer.backward(np.ones((1, 2)))
-        assert np.any(layer.grad_weights != 0)
-        layer.zero_grad()
-        assert np.all(layer.grad_weights == 0)
+        network = StackedMLP(2, [2, 2], rng=rng)
+        network.forward(np.ones((1, 2)))
+        network.backward(np.ones((2, 1, 2)))
+        assert np.any(network.grad_weights[0] != 0)
+        network.zero_grad()
+        assert np.all(network.gradients == 0)
 
 
-class TestMlpGradients:
+class TestStackedGradients:
     def test_parameter_gradient_matches_finite_difference(self, rng):
-        network = MultiLayerPerceptron([3, 8, 1], rng=rng)
-        inputs = rng.normal(size=(4, 3))
-        targets = rng.normal(size=(4, 1))
+        network = StackedMLP(3, [3, 8, 1], rng=rng)
+        inputs = rng.normal(size=(3, 4, 3))
+        targets = rng.normal(size=(3, 4, 1))
 
-        def loss_value():
+        def member_losses():
             predictions = network.forward(inputs, cache=False)
-            return float(np.mean((predictions - targets) ** 2))
+            return np.mean((predictions - targets) ** 2, axis=(1, 2))
 
         predictions = network.forward(inputs, cache=True)
-        grad = 2.0 * (predictions - targets) / predictions.shape[0]
         network.zero_grad()
-        network.backward(grad)
+        network.backward(2.0 * (predictions - targets) / predictions.shape[1])
 
-        weight = network.layers[0].weights
-        analytic = network.layers[0].grad_weights[0, 0]
         epsilon = 1e-6
-        weight[0, 0] += epsilon
-        loss_plus = loss_value()
-        weight[0, 0] -= 2 * epsilon
-        loss_minus = loss_value()
-        weight[0, 0] += epsilon
-        numeric = (loss_plus - loss_minus) / (2 * epsilon)
-        assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-8)
+        for member in range(3):
+            weight = network.weights[0][member]
+            analytic = network.grad_weights[0][member, 0, 0]
+            weight[0, 0] += epsilon
+            loss_plus = member_losses()[member]
+            weight[0, 0] -= 2 * epsilon
+            loss_minus = member_losses()[member]
+            weight[0, 0] += epsilon
+            numeric = (loss_plus - loss_minus) / (2 * epsilon)
+            assert analytic == pytest.approx(numeric, rel=1e-4, abs=1e-8)
 
     def test_input_gradient_matches_finite_difference(self, rng):
-        network = MultiLayerPerceptron([3, 8, 1], rng=rng)
+        network = StackedMLP(3, [3, 8, 1], rng=rng)
         x = rng.normal(size=(1, 3))
         network.forward(x, cache=True)
-        analytic = network.input_gradient(np.ones((1, 1)))[0]
+        analytic = network.input_gradient(np.ones((1, 1)))[:, 0]
 
         epsilon = 1e-6
-        numeric = np.zeros(3)
+        numeric = np.zeros((3, 3))
         for index in range(3):
             x_plus, x_minus = x.copy(), x.copy()
             x_plus[0, index] += epsilon
             x_minus[0, index] -= epsilon
-            numeric[index] = (
-                network.forward(x_plus, cache=False)[0, 0]
-                - network.forward(x_minus, cache=False)[0, 0]
+            numeric[:, index] = (
+                network.forward(x_plus, cache=False)[:, 0, 0]
+                - network.forward(x_minus, cache=False)[:, 0, 0]
             ) / (2 * epsilon)
         assert np.allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
     def test_input_gradient_does_not_touch_parameter_grads(self, rng):
-        network = MultiLayerPerceptron([3, 4, 1], rng=rng)
+        network = StackedMLP(2, [3, 4, 1], rng=rng)
         network.zero_grad()
         network.forward(np.ones((2, 3)), cache=True)
         network.input_gradient(np.ones((2, 1)))
-        assert all(np.all(g == 0) for g in network.gradients())
+        assert np.all(network.gradients == 0)
 
 
-class TestMlpTraining:
+class TestStackedTraining:
     def test_regression_converges(self, rng):
-        network = MultiLayerPerceptron([1, 16, 16, 1], rng=rng)
-        optimizer = AdamOptimizer(network, learning_rate=5e-3)
+        network = StackedMLP(2, [1, 16, 16, 1], learning_rate=5e-3, rng=rng)
         inputs = np.linspace(-1, 1, 64).reshape(-1, 1)
         targets = np.sin(2.0 * inputs)
-
-        first_loss = None
+        first_losses = network.fit_step(inputs, targets)
         for _ in range(400):
-            predictions = network.forward(inputs, cache=True)
-            error = predictions - targets
-            loss = float(np.mean(error**2))
-            if first_loss is None:
-                first_loss = loss
-            optimizer.zero_grad()
-            network.backward(2.0 * error / error.shape[0])
-            optimizer.step()
-        assert loss < first_loss * 0.1
+            losses = network.fit_step(inputs, targets)
+        assert np.all(losses < first_losses * 0.1)
 
     def test_sigmoid_output_bounded(self, rng):
-        network = MultiLayerPerceptron(
-            [4, 8, 4], output_activation="sigmoid", rng=rng
-        )
+        network = StackedMLP(2, [4, 8, 4], output_activation="sigmoid", rng=rng)
         outputs = network.forward(rng.normal(size=(10, 4)) * 5)
         assert np.all(outputs >= 0.0)
         assert np.all(outputs <= 1.0)
 
-    def test_copy_weights_from(self, rng):
-        a = MultiLayerPerceptron([2, 4, 1], rng=rng)
-        b = MultiLayerPerceptron([2, 4, 1], rng=rng)
-        b.copy_weights_from(a)
-        x = rng.normal(size=(3, 2))
-        assert np.allclose(a.forward(x, cache=False), b.forward(x, cache=False))
+    def test_critic_members_reduce_loss(self, rng):
+        network = StackedMLP(2, [3, 64, 64, 1], learning_rate=2e-3, rng=rng)
+        designs = rng.uniform(size=(64, 3))
+        rewards = (designs.sum(axis=1) / 10.0)[:, None]
+        first_losses = network.fit_step(designs, rewards)
+        for _ in range(200):
+            losses = network.fit_step(designs, rewards)
+        assert np.all(losses < first_losses * 0.5)
 
-    def test_minimum_two_layer_sizes(self):
-        with pytest.raises(ValueError):
-            MultiLayerPerceptron([4])
+    def test_critic_member_prediction_shape(self, rng):
+        network = StackedMLP(5, [3, 64, 64, 1], rng=rng)
+        predictions = network.forward(rng.uniform(size=(7, 3)), cache=False)
+        assert predictions.shape == (5, 7, 1)
+
+
+# ----------------------------------------------------------------------
+# Loop reference: K separate 2-D MLPs with textbook Adam.
+
+
+class LoopMLP:
+    """One relu MLP with a linear output, trained layer by layer."""
+
+    def __init__(self, layer_sizes, learning_rate, rng):
+        self.weights, self.biases = [], []
+        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+            scale = np.sqrt(2.0 / (fan_in + fan_out))
+            self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+            self.biases.append(np.zeros(fan_out))
+        self.learning_rate = learning_rate
+        self.params = [p for pair in zip(self.weights, self.biases) for p in pair]
+        self.first = [np.zeros_like(p) for p in self.params]
+        self.second = [np.zeros_like(p) for p in self.params]
+        self.steps = 0
+
+    def forward(self, x):
+        self.cache = []
+        last = len(self.weights) - 1
+        for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
+            pre = x @ weight + bias
+            self.cache.append((x, pre))
+            x = pre if index == last else np.maximum(pre, 0.0)
+        return x
+
+    def backward(self, grad, grads=None):
+        last = len(self.weights) - 1
+        for index in reversed(range(len(self.weights))):
+            x, pre = self.cache[index]
+            slope = np.ones_like(pre) if index == last else (pre > 0.0).astype(float)
+            grad_pre = grad * slope
+            if grads is not None:
+                grads[2 * index] += x.T @ grad_pre
+                grads[2 * index + 1] += grad_pre.sum(axis=0)
+            grad = grad_pre @ self.weights[index].T
+        return grad
+
+    def fit(self, x, y):
+        error = self.forward(x) - y
+        grads = [np.zeros_like(p) for p in self.params]
+        self.backward(2.0 * error / error.shape[0], grads)
+        self.steps += 1
+        for p, g, m, v in zip(self.params, grads, self.first, self.second):
+            m[...] = 0.9 * m + (1.0 - 0.9) * g
+            v[...] = 0.999 * v + (1.0 - 0.999) * g**2
+            m_hat = m / (1.0 - 0.9**self.steps)
+            v_hat = v / (1.0 - 0.999**self.steps)
+            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def loop_bound(models, x, beta1):
+    predictions = np.stack([model.forward(x)[:, 0] for model in models])
+    mean = predictions.mean(axis=0)
+    if len(models) == 1:
+        return mean
+    return mean + beta1 * predictions.std(axis=0)
+
+
+def loop_bound_gradient(models, x, beta1):
+    ensemble = len(models)
+    predictions = np.stack([model.forward(x)[:, 0] for model in models])
+    mean, std = predictions.mean(axis=0), predictions.std(axis=0)
+    gradient = np.zeros_like(x)
+    for index, model in enumerate(models):
+        model.forward(x)
+        base_grad = model.backward(np.ones((x.shape[0], 1)))
+        weight = np.full(x.shape[0], 1.0 / ensemble)
+        if ensemble > 1:
+            safe_std = np.where(std > 1e-12, std, np.inf)
+            weight = weight + beta1 * ((predictions[index] - mean) / (ensemble * safe_std))
+        gradient += base_grad * weight[:, None]
+    return gradient
+
+
+@pytest.mark.parametrize("members", [1, 3, 5])
+def test_critic_matches_loop_reference_bit_for_bit(members):
+    """Stacked training equals K separate textbook-Adam MLPs exactly."""
+    critic = EnsembleCritic(
+        4, members, beta1=-3.0, hidden_size=16, rng=np.random.default_rng(11)
+    )
+    init_rng = np.random.default_rng(11)
+    models = [LoopMLP([4, 16, 16, 1], 2e-3, init_rng) for _ in range(members)]
+
+    data = np.random.default_rng(3)
+    buffer = WorstCaseReplayBuffer()
+    for _ in range(40):
+        design = data.uniform(size=4)
+        buffer.add(design, float(np.sin(design.sum()) - 0.5))
+    stacked_batches, loop_batches = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(50):
+        critic.train(buffer, 10, stacked_batches)
+        for model in models:
+            designs, rewards = buffer.sample(10, loop_batches)
+            model.fit(designs, rewards[:, None])
+
+    network = critic.network
+    for member, model in enumerate(models):
+        for layer, (weight, bias) in enumerate(zip(model.weights, model.biases)):
+            np.testing.assert_array_equal(network.weights[layer][member], weight)
+            np.testing.assert_array_equal(network.biases[layer][member, 0], bias)
+    x = data.uniform(size=(7, 4))
+    np.testing.assert_array_equal(critic.predict(x), loop_bound(models, x, -3.0))
+    np.testing.assert_array_equal(
+        critic.bound_gradient(x), loop_bound_gradient(models, x, -3.0)
+    )

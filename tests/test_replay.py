@@ -64,17 +64,38 @@ class TestWorstCaseReplayBuffer:
         design[:] = 99.0
         assert np.allclose(buffer.all_designs()[0], 0.0)
 
+    def test_non_finite_entries_rejected(self):
+        buffer = WorstCaseReplayBuffer(capacity=4)
+        buffer.add(np.zeros(2), -0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                buffer.add(np.zeros(2), bad)
+            with pytest.raises(ValueError, match="finite"):
+                buffer.add(np.array([0.5, bad]), 0.0)
+        assert len(buffer) == 1
+        np.testing.assert_array_equal(buffer.all_rewards(), [-0.1])
+        np.testing.assert_array_equal(buffer.all_designs(), [[0.0, 0.0]])
+
     @settings(max_examples=30, deadline=None)
     @given(
         rewards=st.lists(
-            st.floats(min_value=-5, max_value=0.2, allow_nan=False), min_size=1, max_size=50
+            st.one_of(
+                st.sampled_from([-0.5, 0.0, 0.2]),  # ties
+                st.floats(min_value=-5, max_value=0.2, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=50,
         )
     )
     def test_best_is_maximum_property(self, rewards):
         buffer = WorstCaseReplayBuffer(capacity=100)
         for index, reward in enumerate(rewards):
             buffer.add(np.full(2, index), reward)
-        assert buffer.best().reward == pytest.approx(max(rewards))
+        best = buffer.best()
+        assert best.reward == max(rewards)
+        # Ties go to the first maximum in insertion order, as max() gives.
+        first = max(range(len(rewards)), key=rewards.__getitem__)
+        np.testing.assert_array_equal(best.design, np.full(2, first))
 
 
 class TestLastWorstCaseBuffer:

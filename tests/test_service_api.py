@@ -468,6 +468,22 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at least one seed"):
             ExperimentConfig(seeds=())
 
+    @pytest.mark.parametrize(
+        "field",
+        ["ensemble_size", "batch_size", "hidden_size", "gradient_steps_per_iteration"],
+    )
+    def test_rejects_nonpositive_agent_override_at_construction(self, field):
+        from repro.api import ExperimentConfig
+
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(circuit="sal", method="C", overrides={field: 0})
+
+    def test_rejects_unknown_override_at_construction(self):
+        from repro.api import ExperimentConfig
+
+        with pytest.raises(TypeError, match="no_such_knob"):
+            ExperimentConfig(overrides={"no_such_knob": 1})
+
     def test_glova_config_plumbs_service_knobs(self):
         from repro.api import ExperimentConfig
 
