@@ -52,6 +52,7 @@ from repro.simulation import (
     BACKENDS,
     BatchedMNABackend,
     CircuitSimulator,
+    ReferenceScalarBackend,
     SimJob,
     SimulationBudget,
     SimulationPhase,
@@ -85,10 +86,12 @@ class PacedBackend(BatchedMNABackend):
 
     Models the PR-4 external-simulator regime: every row costs real wall
     clock, rows in one process run serially.  Metrics are bit-identical to
-    ``batched``.
+    ``batched``.  The cost grows with the row count, so the backend is not
+    ``vectorized`` and its jobs shard like the external engine's.
     """
 
     name = "paced"
+    vectorized = False
 
     def evaluate(self, circuit, job):
         metrics = super().evaluate(circuit, job)
@@ -138,7 +141,7 @@ def _best_of(callable_, repeats: int = REPEATS) -> float:
 # ----------------------------------------------------------------------
 def _first_job_latency(warm: bool) -> float:
     circuit = StrongArmLatch()
-    backend = BatchedMNABackend()
+    backend = ReferenceScalarBackend()  # shards; batched never does
     rng = np.random.default_rng(0)
     job = SimJob.conditions(
         circuit.name,

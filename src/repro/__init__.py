@@ -69,7 +69,9 @@ service** (:mod:`repro.simulation.service`)::
                         |   on-disk store — reruns replay cross-process
                         |   with zero backend calls and zero budget)
                         |
-         ShardedDispatcher (optional, workers > 1: splits ANY job axis —
+         ShardedDispatcher (optional, workers > 1 and an engine that
+                        |   can shard — never the vectorized batched
+                        |   one: splits ANY job axis —
                         |   mismatch rows, corner rows, design rows —
                         |   across the service's persistent warm
                         |   WorkerPool: spawned eagerly at service
@@ -159,8 +161,12 @@ The **control loop is batched too**:
   ``CircuitSimulator.simulate_designs`` (one vectorized pass over many
   designs), visiting exactly the designs the scalar schedule would.
 * *Multiprocessing sharding* — ``OperationalConfig.workers > 1`` splits
-  batched evaluations across the service's persistent warm worker pool
-  with bit-identical results (:mod:`repro.simulation.sharding`).
+  the jobs of every engine but a vectorized one (``scalar``, ``ngspice``,
+  an env-configured ``remote`` client) across the service's persistent
+  warm worker pool with bit-identical results
+  (:mod:`repro.simulation.sharding`).  The
+  vectorized ``batched`` engine evaluates in-process at any worker count:
+  a shard would cost nearly a whole pass plus a process round trip.
 * *Async pipelining* — ``SimulationService.submit`` returns futures with
   resolution-time accounting; the verifier double-buffers its full-MC
   chunks, the seed phase overlaps its mega-batches, per-row external

@@ -134,7 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers", type=int, metavar="N", help="process-pool shard count"
+        "--workers",
+        type=int,
+        metavar="N",
+        help=(
+            "process-pool shard count; the vectorized batched engine "
+            "runs in-process at any count"
+        ),
     )
     # BooleanOptionalAction keeps the default None so only explicitly
     # given flags (--cache / --no-cache) override a --config file's value.

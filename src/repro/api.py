@@ -192,9 +192,9 @@ class ExperimentConfig:
                 f"unknown simulation backend {self.backend!r}; "
                 f"available: {available_backends()}"
             )
-        # Fail on a bad or unknown override now, not after a run has
-        # spent its initial-sampling simulations.
-        self.glova_config(self.seeds[0])
+        # Fail on a bad or unknown override, sample count, chunk or worker
+        # count now, not after a run (or a daemon's journal) has started.
+        self.glova_config(self.seeds[0]).operational()
 
     # ------------------------------------------------------------------
     @property

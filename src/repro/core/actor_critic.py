@@ -159,32 +159,39 @@ class EnsembleCritic:
         ``d(E[Q_i] + beta1*sigma[Q_i]) / dx``.  The sigma term's gradient is
         ``beta1 * sum_i (Q_i - mean) * dQ_i/dx / (ensemble * sigma)``.
         """
+        return self._bound_and_gradient(designs)[1]
+
+    def _bound_and_gradient(
+        self, designs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`predict` and :meth:`bound_gradient` from one cached forward."""
         designs = np.atleast_2d(designs)
         ensemble = self.ensemble_size
         predictions = self.network.forward(designs, cache=True)[:, :, 0]
         base_grads = self.network.input_gradient(np.ones((designs.shape[0], 1)))
         weights = np.full(predictions.shape, 1.0 / ensemble)
-        if ensemble > 1 and self.beta1 != 0.0:
-            mean = predictions.mean(axis=0)
+        bound = mean = predictions.mean(axis=0)
+        if ensemble > 1:
             std = predictions.std(axis=0)
-            safe_std = np.where(std > 1e-12, std, np.inf)
-            weights = weights + self.beta1 * (
-                (predictions - mean) / (ensemble * safe_std)
-            )
+            bound = mean + self.beta1 * std
+            if self.beta1 != 0.0:
+                safe_std = np.where(std > 1e-12, std, np.inf)
+                weights = weights + self.beta1 * (
+                    (predictions - mean) / (ensemble * safe_std)
+                )
         # Accumulate from zero in member order, as a per-model loop would.
         gradient = np.zeros_like(designs, dtype=float)
         for member_gradient in base_grads * weights[:, :, None]:
             gradient += member_gradient
-        return gradient
+        return bound, gradient
 
     def actor_loss_gradient(
         self, actions: np.ndarray, target: float = FEASIBLE_REWARD
     ) -> Tuple[float, np.ndarray]:
         """Loss ``MSE(target, Q(actions))`` and its gradient w.r.t. actions."""
         actions = np.atleast_2d(actions)
-        bound = self.predict(actions)
+        bound, dbound_daction = self._bound_and_gradient(actions)
         error = bound - target
         loss = float(np.mean(error**2))
         dloss_dbound = 2.0 * error / actions.shape[0]
-        dbound_daction = self.bound_gradient(actions)
         return loss, dbound_daction * dloss_dbound[:, None]

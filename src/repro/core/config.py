@@ -73,8 +73,9 @@ class OperationalConfig:
         ``verification_chunk - 1`` extra simulations past the first
         failure).  ``1`` reproduces the strictly sequential schedule.
     workers:
-        Process count for sharding batched evaluations across a
-        ``ProcessPoolExecutor``; ``1`` (the default) stays in-process.
+        Process count for sharding jobs across a ``ProcessPoolExecutor``;
+        ``1`` (the default) stays in-process, and so does the vectorized
+        ``batched`` engine at any count.
     backend:
         Simulation backend name resolved by the service layer
         (``"batched"`` — the vectorized engine — or ``"scalar"`` — the
@@ -207,7 +208,8 @@ class GlovaConfig:
     # Full-MC verification chunk: simulations issued per batched evaluation
     # during pass 2 of Algorithm 2 (1 = strictly sequential schedule).
     verification_chunk: int = 8
-    # Process count for sharding batched evaluations (1 = in-process).
+    # Process count for sharding jobs (1 = in-process; the vectorized
+    # batched engine never shards).
     workers: int = 1
     # Simulation backend name ("batched" engine or the "scalar" reference
     # path) and job-hash result caching (a hit charges zero budget).
@@ -260,13 +262,15 @@ class GlovaConfig:
     verification_parallelism: int = 30
 
     def __post_init__(self) -> None:
-        # The agent sizes its networks and batches from these; a zero
-        # would otherwise surface only after initial sampling has run.
+        # The agent sizes its networks and batches from these and TuRBO
+        # needs a first sample; a zero would otherwise surface only after
+        # the run has started.
         for name in (
             "ensemble_size",
             "batch_size",
             "hidden_size",
             "gradient_steps_per_iteration",
+            "initial_samples",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

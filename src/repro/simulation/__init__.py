@@ -16,7 +16,8 @@ corner block × mismatch block + phase tag) evaluated by a
 * sharding — ``workers > 1`` splits any job's batch axis (mismatch,
   corner *and* design rows) across a persistent warm
   :class:`~repro.simulation.sharding.WorkerPool` owned by the service,
-  with bit-identical results (:mod:`repro.simulation.sharding`).  The
+  with bit-identical results (:mod:`repro.simulation.sharding`); the
+  ``vectorized`` ``batched`` engine stays in-process and gets no pool.  The
   scheduler is *work-stealing*: cost-balanced chunks pulled from the
   pool's shared queue, with per-row wall-clock learned by a
   :class:`RowCostModel` (:mod:`repro.simulation.costs`) and persisted as

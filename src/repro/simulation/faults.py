@@ -330,7 +330,11 @@ class FaultInjectingBackend(SimulationBackend):
     # Delegate engine traits to the wrapped backend.
     @property
     def row_parallel(self) -> bool:
-        return bool(getattr(self.inner, "row_parallel", False))
+        return bool(self.inner.row_parallel)
+
+    @property
+    def vectorized(self) -> bool:
+        return bool(self.inner.vectorized)
 
     @property
     def worker_reconstructible(self) -> bool:

@@ -2,8 +2,8 @@
 
 One :class:`SimulationServer` owns a listening socket, a terminal backend
 (any ``BACKENDS``-resolvable name — ``batched``, ``scalar``, ``ngspice``,
-even ``chaos``) and, for ``workers > 1``, a warm
-:class:`~repro.simulation.sharding.WorkerPool` behind a
+even ``chaos``) and, for ``workers > 1`` on an engine that can shard, a
+warm :class:`~repro.simulation.sharding.WorkerPool` behind a
 :class:`~repro.simulation.service.ShardedDispatcher`.  Clients
 (:class:`~repro.simulation.remote.RemoteBackend`) connect over the frame
 protocol of :mod:`repro.simulation.protocol` and get *exactly* the metric
@@ -73,7 +73,7 @@ from repro.simulation.service import (
     SimulationBackend,
     resolve_backend,
 )
-from repro.simulation.sharding import WorkerPool
+from repro.simulation.sharding import WorkerPool, can_shard
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,9 @@ class SimulationServer(Daemon):
         batches across it, exactly like the in-process service would,
         in work-stealing chunks balanced by per-row costs learned
         in-memory across the daemon's lifetime (a fleet daemon serving
-        repeated sweeps plans ever-better chunks).
+        repeated sweeps plans ever-better chunks).  Like the service,
+        a terminal backend that cannot shard (the vectorized
+        ``batched`` engine) gets no pool and evaluates in-process.
     lease_seconds / retention_seconds / heartbeat_interval:
         The liveness model described in the module docstring.
     retention_max_entries:
@@ -164,7 +166,7 @@ class SimulationServer(Daemon):
         self._pool: Optional[WorkerPool] = None
         self._engine: SimulationBackend = self._terminal
         self.cost_model = RowCostModel()
-        if self.workers > 1 and self._terminal.worker_reconstructible:
+        if self.workers > 1 and can_shard(self._terminal):
             self._pool = WorkerPool(
                 self.workers, backend_names=(self._terminal.name,)
             )
@@ -452,7 +454,10 @@ def serve_main(argv=None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for sharding big batches (default: 1)",
+        help=(
+            "worker processes for sharding big batches; the vectorized "
+            "batched engine runs in-process at any count (default: 1)"
+        ),
     )
     parser.add_argument(
         "--lease-seconds", type=float, default=DEFAULT_LEASE_SECONDS

@@ -26,7 +26,7 @@ call:
 * :class:`ShardedDispatcher` — a decorator backend splitting any job's
   batch axis — mismatch rows, corner rows *and* design rows alike — across
   the persistent warm :class:`~repro.simulation.sharding.WorkerPool` owned
-  by the service.
+  by the service, for engines that can shard (never ``batched``).
 * :class:`SimulationService` — owns the circuit, the budget, the backend
   chain and the worker pool; ``service.run(job)`` is the one synchronous
   call everything routes through, and ``service.submit(job)`` is its
@@ -94,6 +94,10 @@ Contract, in order of importance:
    executable).
 4. Raise for deployment errors, degrade (NaN) for simulation errors.
    Raising aborts the job and refunds its budget charge.
+5. Declare the cost shape: ``vectorized = True`` when one call costs
+   about the same at any row count (its jobs then never shard), or
+   ``row_parallel = True`` when every row is its own external run (any
+   multi-row job fans out across the pool).
 
 Registered names are automatically selectable from
 ``ExperimentConfig(backend=...)`` and ``python -m repro --backend ...``,
@@ -135,6 +139,7 @@ from repro.simulation.sharding import (
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
+    can_shard,
     dispatch_job_sharded,
 )
 from repro.variation.corners import CornerBatch, PVTCorner
@@ -455,6 +460,16 @@ class SimulationBackend:
     #: process boundary themselves).
     name: str = ""
 
+    #: Whether every row is individually expensive (one external-engine
+    #: run per row): any multi-row job fans out across the worker pool.
+    row_parallel: bool = False
+
+    #: Whether one ``evaluate`` call costs about the same at any row count
+    #: (one vectorized pass).  Sharding such a job pays that cost once per
+    #: shard plus a process round trip, so its jobs never shard unless the
+    #: backend also declares ``row_parallel``.
+    vectorized: bool = False
+
     @property
     def worker_reconstructible(self) -> bool:
         """Whether ``BACKENDS[self.name]()`` inside a worker process
@@ -491,10 +506,12 @@ class BatchedMNABackend(SimulationBackend):
     than one corner); design-axis jobs run through
     :meth:`AnalogCircuit.evaluate_design_batch`.  Circuits without a
     vectorized model fall back to the scalar loop inside those methods, so
-    every circuit works on this backend.
+    every circuit works on this backend.  One pass costs nearly the same
+    at 8 rows as at 1,024, so it is :attr:`vectorized`: its jobs never shard.
     """
 
     name = "batched"
+    vectorized = True
 
     def evaluate(
         self, circuit: AnalogCircuit, job: SimJob
@@ -1060,14 +1077,16 @@ class ShardedDispatcher(SimulationBackend):
     rows alike — by slicing the :class:`SimJob` itself into shard jobs and
     evaluating each on a worker-side copy of the terminal backend.  Falls
     back to the in-process evaluation whenever sharding is not applicable
-    (small batch, unregistered circuit, non-reconstructible backend, closed
-    pool); results are concatenated in row order and are bit-identical
-    either way.
+    (a :attr:`~SimulationBackend.vectorized` engine, small batch,
+    unregistered circuit, non-reconstructible backend, closed pool);
+    results are concatenated in row order and are bit-identical either way.
 
     The pool is normally created — eagerly, warm — and owned by the
-    :class:`SimulationService`; a dispatcher constructed without one builds
-    its own lazily on first use (and is then responsible for it via
-    :meth:`close`, with the interpreter-exit sweep as the backstop).
+    :class:`SimulationService`, which wraps only engines that
+    :func:`~repro.simulation.sharding.can_shard`; a dispatcher constructed
+    without one builds its own lazily on first use when its engine can
+    shard (and is then responsible for it via :meth:`close`, with the
+    interpreter-exit sweep as the backstop).
     :meth:`dispatch` is the non-blocking entry point: it returns a
     :class:`~repro.simulation.sharding.ShardHandle` with the shards already
     in flight, which is what :meth:`SimulationService.submit` pipelines on.
@@ -1103,6 +1122,7 @@ class ShardedDispatcher(SimulationBackend):
             and self._owns_pool
             and not self._released
             and self.workers > 1
+            and can_shard(self.inner)
         ):
             self._pool = WorkerPool(
                 self.workers, backend_names=(self.inner.name,), eager=False
@@ -1397,13 +1417,19 @@ class SimulationService:
       content hash, so resubmitting the identical job (a retry) can never
       double-charge (:meth:`SimulationBudget.charge`).
 
-    With ``workers > 1`` the service owns a persistent
+    With ``workers > 1`` and a terminal backend that
+    :func:`~repro.simulation.sharding.can_shard` (``scalar``,
+    ``row_parallel`` engines, an env-configured ``remote`` client), the
+    service owns a persistent
     :class:`~repro.simulation.sharding.WorkerPool`, constructed **eagerly
     and warm** (workers pre-import the backend modules, pre-build the
     registry circuit and pin their BLAS thread count) so the first sharded
-    job pays no spin-up.  The pool — and with it every OS resource the
-    service holds — is released by :meth:`close`; the service is a context
-    manager, and leaked pools are swept at interpreter exit as a backstop.
+    job pays no spin-up.  A :attr:`~SimulationBackend.vectorized` engine
+    (``batched``, the default) gets no pool: its jobs evaluate in-process,
+    as lazy futures, exactly as at ``workers=1``.  The pool — and with it
+    every OS resource the service holds — is released by :meth:`close`;
+    the service is a context manager, and leaked pools are swept at
+    interpreter exit as a backstop.
     A ``cache_dir`` turns on caching with cross-process persistence
     (:class:`CachingBackend` ``spill_dir``).
     """
@@ -1439,7 +1465,7 @@ class SimulationService:
         )
         self._dispatch: SimulationBackend = self._terminal
         self._pool: Optional[WorkerPool] = None
-        if self._workers > 1:
+        if self._workers > 1 and can_shard(self._terminal):
             self._pool = WorkerPool(
                 self._workers,
                 circuit_names=(circuit.name,),
@@ -1508,7 +1534,8 @@ class SimulationService:
 
     @property
     def pool(self) -> Optional[WorkerPool]:
-        """The service-owned warm worker pool (``None`` for ``workers=1``)."""
+        """The service-owned warm worker pool (``None`` for ``workers=1``
+        or a terminal backend that cannot shard)."""
         return self._pool
 
     @property

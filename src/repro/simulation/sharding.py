@@ -1,12 +1,21 @@
 """Persistent warm worker pools, job-axis sharding, and pool self-healing.
 
-The batched backends vectorize within one process; this module shards the
-row axis of one :class:`~repro.simulation.service.SimJob` across a
+This module shards the row axis of one
+:class:`~repro.simulation.service.SimJob` across a
 ``concurrent.futures.ProcessPoolExecutor`` when the service is configured
 with ``workers > 1`` — modelling the paper's 3-way / 30-way simulation
 parallelism with real OS-level concurrency.  Because the *job* is what gets
 sliced, every batch axis shards the same way: mismatch rows, corner rows
 and design rows alike.
+
+Every engine shards except a ``vectorized`` one (:func:`can_shard`):
+``row_parallel`` engines (one external-engine run per row), row loops such
+as the ``scalar`` reference, and an env-configured ``remote`` client
+whose workers fan shards out over the fleet.  A ``vectorized`` engine —
+the default ``batched`` one — costs about the same per call at 8 rows as
+at 1,024, so cutting its job into shards multiplies that cost and adds a
+round trip per shard; its jobs evaluate in-process at any worker count and
+the service spawns no pool for it.
 
 Two things changed with the async service redesign:
 
@@ -108,20 +117,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: subprocess per row, e.g. the non-payload-aware ngspice path) opt into a
 #: floor of one row per worker instead: any multi-row job fans its rows out
 #: across the pool rather than running them serially in one process.
+#: ``vectorized`` backends never shard (see :func:`can_shard`).
 MIN_ROWS_PER_WORKER = 2
 
 #: Work-stealing oversubscription: target chunk count per worker.  More
 #: chunks mean finer-grained stealing (a straggler chunk strands less
 #: sibling work behind it) at the price of more serialization round
-#: trips; 4 keeps the per-chunk overhead under a few percent for the
-#: in-process backends while bounding straggler idle time at ~1/4 of a
-#: uniform slice.
+#: trips; 4 bounds straggler idle time at ~1/4 of a uniform slice.
 STEAL_CHUNKS_PER_WORKER = 4
 
-#: Floor on mean rows per work-stealing chunk for in-process (vectorized)
-#: backends — caps the chunk *count* so tiny chunks never drown the
-#: vectorized solve in IPC.  ``row_parallel`` backends (one external
-#: subprocess per row) chunk down to single rows instead.
+#: Floor on mean rows per work-stealing chunk for in-process backends —
+#: caps the chunk *count* so tiny chunks never drown the evaluation in
+#: IPC.  ``row_parallel`` backends (one external subprocess per row)
+#: chunk down to single rows instead.
 MIN_STEAL_ROWS = 2
 
 
@@ -789,6 +797,24 @@ def _registered_circuit(circuit: AnalogCircuit) -> bool:
     return registered_class(circuit.name) is type(circuit)
 
 
+def can_shard(backend: "SimulationBackend") -> bool:
+    """Whether any job on ``backend`` may shard, whatever its size.
+
+    False for a :attr:`~repro.simulation.service.SimulationBackend
+    .vectorized` engine that does not also declare ``row_parallel``: one
+    vectorized pass costs about the same at any row count, so shards only
+    multiply it and add IPC.  Also False for backends a worker cannot
+    rebuild by name.  A service spawns no pool for such a backend.
+    """
+    from repro.simulation.service import BACKENDS
+
+    return (
+        (backend.row_parallel or not backend.vectorized)
+        and backend.name in BACKENDS
+        and backend.worker_reconstructible
+    )
+
+
 def shardable(
     circuit: AnalogCircuit,
     backend: "SimulationBackend",
@@ -799,23 +825,17 @@ def shardable(
 
     Backends whose rows are individually expensive (``row_parallel = True``,
     e.g. one external-simulator subprocess per row) shard any multi-row
-    batch; in-process backends require :data:`MIN_ROWS_PER_WORKER` rows per
-    worker before the serialization round trip pays off.
+    batch; other backends that :func:`can_shard` require
+    :data:`MIN_ROWS_PER_WORKER` rows per worker before the serialization
+    round trip pays off.
     """
-    from repro.simulation.service import BACKENDS
-
-    if workers <= 1:
+    if workers <= 1 or not can_shard(backend):
         return False
-    if getattr(backend, "row_parallel", False):
+    if backend.row_parallel:
         enough = batch >= 2  # any multi-row job beats a serial row loop
     else:
         enough = batch >= MIN_ROWS_PER_WORKER * workers
-    return (
-        enough
-        and backend.name in BACKENDS
-        and getattr(backend, "worker_reconstructible", True)
-        and _registered_circuit(circuit)
-    )
+    return enough and _registered_circuit(circuit)
 
 
 def plan_chunk_bounds(
@@ -894,9 +914,9 @@ def dispatch_job_sharded(
     """Submit one job's row shards to ``pool`` without blocking.
 
     Returns a :class:`ShardHandle`, or ``None`` whenever sharding is not
-    applicable (no pool, closed or poisoned pool, small batch, unregistered
-    circuit, non-terminal backend) so the caller evaluates in-process
-    instead.
+    applicable (no pool, closed or poisoned pool, vectorized engine, small
+    batch, unregistered circuit, non-terminal backend) so the caller
+    evaluates in-process instead.
 
     The batch is cut into more chunks than workers
     (:func:`plan_chunk_bounds`, balanced by the cost model's prediction
@@ -918,10 +938,7 @@ def dispatch_job_sharded(
     if cost_model is not None:
         predicted = cost_model.predict(job, backend.name)
     bounds = plan_chunk_bounds(
-        batch,
-        pool.workers,
-        costs=predicted,
-        row_parallel=bool(getattr(backend, "row_parallel", False)),
+        batch, pool.workers, costs=predicted, row_parallel=backend.row_parallel
     )
     shard_jobs = [job.shard(lo, hi) for lo, hi in bounds]
     # Submission order: longest-predicted-first when costs are known (a

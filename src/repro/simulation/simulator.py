@@ -27,7 +27,7 @@ New code should prefer the service API directly::
 
     from repro.simulation import SimJob, SimulationService
 
-    service = SimulationService(circuit, backend="batched", workers=4)
+    service = SimulationService(circuit, backend="batched")
     result = service.run(SimJob.conditions(circuit.name, x, corners, h))
 """
 
@@ -367,9 +367,9 @@ class CircuitSimulator:
 
         The design axis is the batch axis here — one job covers a whole
         TuRBO proposal batch or a population of random candidates, and with
-        ``workers > 1`` the design rows shard across the same process pool
-        as every other axis.  The budget is charged one simulation per
-        design, exactly as the scalar loop would.
+        ``workers > 1`` on an engine that shards, the design rows shard
+        across the same process pool as every other axis.  The budget is
+        charged one simulation per design, exactly as the scalar loop would.
         """
         corner = corner if corner is not None else typical_corner()
         job = SimJob.design_batch(self.circuit.name, designs, corner, phase)

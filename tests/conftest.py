@@ -12,6 +12,8 @@ Consolidates the circuit/service setup that used to be duplicated across
   sampling helpers;
 * ``seeded_rng`` — a generator factory (``seeded_rng(seed)``);
 * ``small_budget`` — a capped :class:`SimulationBudget`;
+* ``pool_submissions`` — records every shard submitted to a
+  :class:`WorkerPool`, so pool tests can assert their shards really ran;
 * ``fake_ngspice`` — installs the hermetic fake simulator
   (``tests/fake_ngspice.py``) as an executable and points
   ``$REPRO_NGSPICE`` at it, so ``NgspiceBackend`` runs end-to-end with no
@@ -33,7 +35,12 @@ import pytest
 
 from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
 from repro.core.spec import DesignSpec
-from repro.simulation import CircuitSimulator, SimulationBudget, SimulationService
+from repro.simulation import (
+    CircuitSimulator,
+    SimulationBudget,
+    SimulationService,
+    WorkerPool,
+)
 from repro.simulation.ngspice import (
     EXECUTABLE_ENV,
     MEASUREMENT_ENV,
@@ -214,6 +221,24 @@ def simulator_factory():
 def small_budget():
     """A tightly capped budget for cap/abort behaviour tests."""
     return SimulationBudget(max_simulations=64)
+
+
+@pytest.fixture
+def pool_submissions(monkeypatch):
+    """The shard jobs submitted to any :class:`WorkerPool` during the test.
+
+    Pool tests assert this is non-empty: an engine that never shards
+    would otherwise pass them in-process without touching a pool.
+    """
+    submitted = []
+    original = WorkerPool.submit
+
+    def recording(pool, fn, /, *args):
+        submitted.extend(arg for arg in args if hasattr(arg, "job_id"))
+        return original(pool, fn, *args)
+
+    monkeypatch.setattr(WorkerPool, "submit", recording)
+    return submitted
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,25 @@ class TestEnsembleCritic:
             ) / (2 * epsilon)
         assert np.allclose(analytic, numeric, rtol=1e-3, atol=1e-6)
 
+    @pytest.mark.parametrize("ensemble_size, beta1", [(1, -3.0), (3, -2.0), (3, 0.0)])
+    def test_actor_loss_gradient_equals_predict_and_bound_gradient(
+        self, rng, ensemble_size, beta1
+    ):
+        """The one-forward loss and gradient match the bound from
+        ``predict`` and the gradient from ``bound_gradient`` bit for bit."""
+        critic = EnsembleCritic(3, ensemble_size=ensemble_size, beta1=beta1, rng=rng)
+        buffer = WorstCaseReplayBuffer()
+        for _ in range(40):
+            design = rng.uniform(size=3)
+            buffer.add(design, float(np.cos(design.sum())))
+        critic.train(buffer, batch_size=8, rng=rng)
+        actions = rng.uniform(size=(10, 3))
+        loss, grad = critic.actor_loss_gradient(actions, target=FEASIBLE_REWARD)
+        error = critic.predict(actions) - FEASIBLE_REWARD
+        assert loss == float(np.mean(error**2))
+        expected = critic.bound_gradient(actions) * (2.0 * error / 10)[:, None]
+        np.testing.assert_array_equal(grad, expected)
+
     def test_actor_loss_gradient_points_towards_higher_bound(self, rng):
         critic = EnsembleCritic(2, ensemble_size=3, beta1=-1.0, rng=rng)
         buffer = WorstCaseReplayBuffer()

@@ -16,8 +16,9 @@ contract down:
 * double-buffered verification and the overlapped seed phase replaying
   the sequential schedule bit-for-bit (including on abort paths);
 * the persistent warm :class:`WorkerPool` lifecycle — explicit
-  ``close()``, context managers, in-process fallback after close — and
-  the ngspice per-row fan-out (``row_parallel``);
+  ``close()``, context managers, in-process fallback after close — the
+  rule that ``vectorized`` engines never shard (no pool at any worker
+  count), and the ngspice per-row fan-out (``row_parallel``);
 * the cross-run disk cache: atomic spill, version stamping, corruption
   and failure-block refusal, and a full ``run_experiment`` replay with
   zero backend invocations and zero budget charged.
@@ -30,7 +31,10 @@ from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.circuits import StrongArmLatch
 from repro.circuits.base import (
     AnalogCircuit,
     DeviceKind,
@@ -43,9 +47,13 @@ from repro.core.replay import LastWorstCaseBuffer
 from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import (
+    BACKENDS,
     BatchedMNABackend,
     CachingBackend,
+    FaultInjectingBackend,
+    FaultSchedule,
     NgspiceError,
+    ReferenceScalarBackend,
     ShardedDispatcher,
     SimJob,
     SimulationBudget,
@@ -58,10 +66,21 @@ from repro.simulation.ngspice import (
     PAYLOAD_AWARE_ENV,
     STRICT_ENV,
 )
-from repro.simulation.sharding import shardable
+from repro.simulation.sharding import MIN_ROWS_PER_WORKER, can_shard, shardable
 from repro.simulation.service import CACHE_FORMAT_VERSION, _CACHE_VERSION_KEY
 from repro.spice.deck import FAILURE_NAN
 from repro.variation.corners import typical_corner
+
+
+class PerRowBatchedBackend(BatchedMNABackend):
+    """The batched engine declaring per-row cost, as paced test backends
+    and one-deck-per-row external engines do."""
+
+    name = "per_row_batched"
+    row_parallel = True
+
+
+BACKENDS[PerRowBatchedBackend.name] = PerRowBatchedBackend
 
 
 def conditions_job(circuit, rows=10, seed=0, phase=SimulationPhase.OPTIMIZATION):
@@ -91,13 +110,14 @@ class TestSubmitEquivalence:
             )
         assert result.job.job_id == expected.job.job_id
 
-    def test_submit_matches_run_through_pool(self, strongarm):
+    def test_submit_matches_run_through_pool(self, strongarm, pool_submissions):
         job = conditions_job(strongarm, rows=12)
         with SimulationService(strongarm) as reference:
             expected = reference.run(job)
-        with SimulationService(strongarm, workers=3) as service:
+        with SimulationService(strongarm, backend="scalar", workers=3) as service:
             future = service.submit(job)
             result = future.result()
+        assert pool_submissions  # the shards really ran on the pool
         for name in strongarm.metric_names:
             np.testing.assert_array_equal(
                 result.metrics[name], expected.metrics[name]
@@ -320,7 +340,9 @@ def _probe_verify(seed, pipeline, chunk=3):
         )
 
 
-def _verify_once(circuit, design_seed, pipeline, workers=1, chunk=4):
+def _verify_once(
+    circuit, design_seed, pipeline, workers=1, chunk=4, backend="batched"
+):
     spec = DesignSpec.from_circuit(circuit)
     operational = operational_config(
         VerificationMethod.CORNER_LOCAL_MC,
@@ -332,7 +354,7 @@ def _verify_once(circuit, design_seed, pipeline, workers=1, chunk=4):
     )
     from repro.simulation import CircuitSimulator
 
-    with CircuitSimulator(circuit, workers=workers) as simulator:
+    with CircuitSimulator(circuit, workers=workers, backend=backend) as simulator:
         verifier = Verifier(
             simulator,
             spec,
@@ -368,9 +390,14 @@ class TestDoubleBufferedVerification:
         assert pipelined[1] == sequential[1]  # budget totals
         assert pipelined[2] == sequential[2]  # seeded stream position
 
-    def test_bit_identical_through_pool(self, strongarm):
-        sequential = _verify_once(strongarm, 2, pipeline=False, chunk=8)
-        pipelined = _verify_once(strongarm, 2, pipeline=True, workers=2, chunk=8)
+    def test_bit_identical_through_pool(self, strongarm, pool_submissions):
+        # Design seed 9604 passes screening, so pass 2's 8-row chunks reach
+        # the pool (the N' = 3 screening jobs sit under the 4-row floor).
+        sequential = _verify_once(strongarm, 9604, pipeline=False, chunk=8)
+        pipelined = _verify_once(
+            strongarm, 9604, pipeline=True, workers=2, chunk=8, backend="scalar"
+        )
+        assert pool_submissions  # the shards really ran on the pool
         assert pipelined[0].passed == sequential[0].passed
         assert pipelined[0].worst_reward == sequential[0].worst_reward
         assert pipelined[0].simulations == sequential[0].simulations
@@ -443,27 +470,35 @@ class TestPipelinedOptimizer:
 # Pool lifecycle
 # ----------------------------------------------------------------------
 class TestPoolLifecycle:
+    """Pool ownership on ``scalar``, an engine that shards (the vectorized
+    ``batched`` engine gets no pool)."""
+
     def test_service_close_shuts_down_pool(self, strongarm):
-        service = SimulationService(strongarm, workers=2)
+        service = SimulationService(strongarm, backend="scalar", workers=2)
         pool = service.pool
         assert pool is not None and not pool.closed
         service.close()
         assert pool.closed
         service.close()  # idempotent
 
-    def test_closed_service_still_evaluates_in_process(self, strongarm):
-        service = SimulationService(strongarm, workers=2)
+    def test_closed_service_still_evaluates_in_process(
+        self, strongarm, pool_submissions
+    ):
+        service = SimulationService(strongarm, backend="scalar", workers=2)
         job = conditions_job(strongarm, rows=8)
         expected = service.run(job)
+        assert pool_submissions  # the shards really ran on the pool
         service.close()
+        submitted = len(pool_submissions)
         again = service.run(job)
+        assert len(pool_submissions) == submitted
         for name in strongarm.metric_names:
             np.testing.assert_array_equal(
                 again.metrics[name], expected.metrics[name]
             )
 
     def test_context_manager(self, strongarm):
-        with SimulationService(strongarm, workers=2) as service:
+        with SimulationService(strongarm, backend="scalar", workers=2) as service:
             assert not service.pool.closed
         assert service.pool.closed and service.closed
 
@@ -476,10 +511,11 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(os.getpid)
 
-    def test_self_owned_dispatcher_pool_closes(self, strongarm):
-        dispatcher = ShardedDispatcher(BatchedMNABackend(), workers=2)
+    def test_self_owned_dispatcher_pool_closes(self, strongarm, pool_submissions):
+        dispatcher = ShardedDispatcher(ReferenceScalarBackend(), workers=2)
         job = conditions_job(strongarm, rows=8)
         metrics = dispatcher.evaluate(strongarm, job)
+        assert pool_submissions  # the shards really ran on the pool
         assert metrics[strongarm.metric_names[0]].shape == (8,)
         pool = dispatcher.pool
         assert pool is not None
@@ -492,6 +528,77 @@ class TestPoolLifecycle:
             fallback[strongarm.metric_names[0]],
             metrics[strongarm.metric_names[0]],
         )
+
+
+# ----------------------------------------------------------------------
+# Vectorized engines never shard
+# ----------------------------------------------------------------------
+_SAL = StrongArmLatch()
+
+
+class TestVectorizedEnginesStayInProcess:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.integers(1, 65_536), workers=st.integers(2, 8))
+    def test_shardable_rule(self, batch, workers):
+        schedule = FaultSchedule()
+        for backend in (
+            BatchedMNABackend(),
+            FaultInjectingBackend("batched", schedule),
+        ):
+            assert not can_shard(backend)
+            assert not shardable(_SAL, backend, workers, batch)
+        # Unchanged for engines whose cost grows with the row count.
+        for backend in (
+            ReferenceScalarBackend(),
+            FaultInjectingBackend("scalar", schedule),
+        ):
+            floor = MIN_ROWS_PER_WORKER * workers
+            assert shardable(_SAL, backend, workers, batch) == (batch >= floor)
+        for backend in (
+            PerRowBatchedBackend(),
+            FaultInjectingBackend(PerRowBatchedBackend(), schedule),
+        ):
+            assert shardable(_SAL, backend, workers, batch) == (batch >= 2)
+
+    def test_workers2_batched_service_matches_workers1(
+        self, paper_circuit, pool_submissions
+    ):
+        """No pool, lazy in-process futures, and the workers=1 metrics and
+        resolve-in-order budget trajectory."""
+        jobs = [conditions_job(paper_circuit, rows=12, seed=s) for s in range(3)]
+        jobs.append(
+            SimJob.design_batch(
+                paper_circuit.name,
+                np.random.default_rng(3).uniform(
+                    0.2, 0.8, (8, paper_circuit.dimension)
+                ),
+                typical_corner(),
+            )
+        )
+        trajectories = []
+        for workers in (1, 2):
+            with SimulationService(paper_circuit, workers=workers) as service:
+                assert service.pool is None
+                assert service.backend.name == "batched"
+                futures = [service.submit(job) for job in jobs]
+                assert all(f.blocking and not f.done() for f in futures)
+                trajectory = []
+                for future in futures:
+                    metrics = future.result().metrics
+                    trajectory.append((metrics, service.budget.snapshot()))
+            trajectories.append(trajectory)
+        assert pool_submissions == []
+        for (expected, budget), (actual, actual_budget) in zip(*trajectories):
+            assert actual_budget == budget
+            for name in paper_circuit.metric_names:
+                np.testing.assert_array_equal(actual[name], expected[name])
+
+    def test_job_daemon_spawns_no_pool_for_batched(self):
+        from repro.simulation.server import SimulationServer
+
+        server = SimulationServer(backend="batched", workers=4, port=0)
+        assert server._pool is None
+        assert server._engine is server._terminal
 
 
 # ----------------------------------------------------------------------

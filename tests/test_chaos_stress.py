@@ -42,18 +42,20 @@ def _job(circuit, seed):
 
 @pytest.mark.parametrize("mode", ["kill", "raise", "nan"])
 def test_chaos_soak_stays_equivalent(
-    mode, strongarm, service_factory, monkeypatch, tmp_path
+    mode, strongarm, service_factory, monkeypatch, tmp_path, pool_submissions
 ):
     """ROUNDS consecutive fault rounds; every round must end bit-identical.
 
     ``kill`` rounds each cost one pool heal; the pool is given enough
     headroom that the soak never poisons it, and the test asserts the
-    heals actually happened (the faults were not silently skipped).
+    heals actually happened (the faults were not silently skipped).  The
+    chaos backend wraps ``scalar``, an engine that shards; over the
+    vectorized ``batched`` engine every round would run in-process.
     """
     schedule = FaultSchedule(
         mode=mode, faults=ROUNDS, ticket_dir=str(tmp_path / "tickets")
     )
-    for key, value in schedule.to_env("batched").items():
+    for key, value in schedule.to_env("scalar").items():
         monkeypatch.setenv(key, value)
     schedule.arm()
 
@@ -78,6 +80,7 @@ def test_chaos_soak_stays_equivalent(
         assert service.budget.total == ROWS * (round_index + 1)
 
     assert schedule.tickets_left() == 0, "some scheduled faults never fired"
+    assert pool_submissions, "no round ran on the pool"
     if mode == "kill":
         assert service.pool.heals >= 1
         assert not service.pool.poisoned

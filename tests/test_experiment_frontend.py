@@ -469,6 +469,35 @@ class TestAdmissionControl:
         finally:
             harness.close()
 
+    @pytest.mark.parametrize(
+        "field, method",
+        [
+            ("workers", "C"),
+            ("verification_chunk", "C"),
+            ("optimization_samples", "C-MCL"),
+            ("initial_samples", "C"),
+        ],
+    )
+    def test_zero_count_is_config_error_and_journals_nothing(
+        self, unstarted_frontend, field, method
+    ):
+        harness = _HandlerHarness(unstarted_frontend)
+        try:
+            config = dict(_config().to_dict(), method=method, **{field: 0})
+            payload = dumps_payload({"config": config, "tenant": "t"})
+            assert unstarted_frontend._handle_submit(
+                harness.server_sock, b"\x13" * 32, payload
+            )
+            kind, _rid, body = harness.reply()
+            assert kind == FrameType.ERROR
+            decoded = loads_payload(body)
+            assert decoded["kind"] == "config"
+            assert field in decoded["message"]
+            assert unstarted_frontend.stats["accepted"] == 0
+            assert unstarted_frontend.journal.load_all() == []
+        finally:
+            harness.close()
+
     def test_unknown_run_status_is_typed_error(self, unstarted_frontend):
         harness = _HandlerHarness(unstarted_frontend)
         try:

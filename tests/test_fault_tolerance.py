@@ -37,6 +37,7 @@ from repro.simulation import (
     FaultInjectingBackend,
     FaultSchedule,
     NgspiceError,
+    ReferenceScalarBackend,
     RetryPolicy,
     ShardWatchdog,
     SimJob,
@@ -312,21 +313,26 @@ class TestChaosBackendInProcess:
 # Self-healing WorkerPool
 # ----------------------------------------------------------------------
 class TestWorkerPoolHealing:
-    def test_heal_rebuilds_a_working_executor(self, strongarm):
+    """Pool paths run on ``scalar``: the vectorized ``batched`` engine never
+    shards."""
+
+    def test_heal_rebuilds_a_working_executor(self, strongarm, pool_submissions):
         with WorkerPool(
-            2, circuit_names=(strongarm.name,), backend_names=("batched",)
+            2, circuit_names=(strongarm.name,), backend_names=("scalar",)
         ) as pool:
             job = conditions_job(strongarm, rows=8)
             before = dispatch_job_sharded(
-                strongarm, BatchedMNABackend(), job, pool
+                strongarm, ReferenceScalarBackend(), job, pool
             ).result()
             assert pool.heal(reason="test")
             assert pool.heals == 1
             assert pool.generation == 1
             assert not pool.poisoned
+            submitted = len(pool_submissions)
             after = dispatch_job_sharded(
-                strongarm, BatchedMNABackend(), job, pool
+                strongarm, ReferenceScalarBackend(), job, pool
             ).result()
+            assert len(pool_submissions) > submitted  # the healed pool ran it
             assert_metrics_equal(strongarm, after, before)
 
     def test_heal_cap_poisons_the_pool(self, strongarm):
@@ -338,7 +344,7 @@ class TestWorkerPoolHealing:
             assert (
                 dispatch_job_sharded(
                     strongarm,
-                    BatchedMNABackend(),
+                    ReferenceScalarBackend(),
                     conditions_job(strongarm, rows=8),
                     pool,
                 )
@@ -367,7 +373,7 @@ class TestWorkerPoolHealing:
         schedule = FaultSchedule(
             mode="kill", faults=1, ticket_dir=str(tmp_path / "tickets")
         )
-        chaos_env(monkeypatch, schedule)
+        chaos_env(monkeypatch, schedule, inner="scalar")
         schedule.arm()
         service = service_factory(
             strongarm,
@@ -418,7 +424,7 @@ class TestShardWatchdog:
             hang_seconds=120.0,
             ticket_dir=str(tmp_path / "tickets"),
         )
-        chaos_env(monkeypatch, schedule)
+        chaos_env(monkeypatch, schedule, inner="scalar")
         schedule.arm()
         retry = RetryPolicy(
             max_attempts=3,
@@ -516,13 +522,25 @@ class TestChaosEquivalence:
         assert -float(len(strongarm.metric_names)) in rewards
 
     def test_worker_kill_equivalence(self, monkeypatch, tmp_path):
-        """Sharded fault-free vs sharded chaos-kill: same report."""
+        """Sharded fault-free vs sharded chaos-kill: same report.
+
+        The chaos run wraps ``scalar``, an engine that shards, so the kill
+        lands in a real pool worker (over the vectorized ``batched`` engine
+        it would downgrade to an in-process raise)."""
         baseline = run_experiment(_fast_config(workers=3))
         schedule = FaultSchedule(
             mode="kill", faults=1, ticket_dir=str(tmp_path / "tickets")
         )
-        chaos_env(monkeypatch, schedule)
+        chaos_env(monkeypatch, schedule, inner="scalar")
         schedule.arm()
+        heals = []
+        original_heal = WorkerPool.heal
+
+        def counting_heal(pool, *args, **kwargs):
+            heals.append(pool)
+            return original_heal(pool, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "heal", counting_heal)
         chaotic = run_experiment(
             _fast_config(
                 backend="chaos",
@@ -531,6 +549,7 @@ class TestChaosEquivalence:
             )
         )
         assert schedule.tickets_left() == 0
+        assert heals  # a pool worker really died and the pool healed
         assert _comparable(chaotic) == _comparable(baseline)
 
 

@@ -206,24 +206,28 @@ class TestRobustAnalogBatchedSampling:
 
 
 class TestWorkerSharding:
+    """The sharded legs run ``scalar``, an engine that shards (the
+    vectorized ``batched`` engine stays in-process at any worker count)."""
+
     def test_sharded_mismatch_sweep_identical(
-        self, strongarm, mismatch_sampler, simulator_factory
+        self, strongarm, mismatch_sampler, simulator_factory, pool_submissions
     ):
         x = np.full(strongarm.dimension, 0.5)
         mismatch_set = mismatch_sampler(strongarm).sample(
             strongarm.denormalize(x), 8
         )
         single = simulator_factory(strongarm, workers=1)
-        sharded = simulator_factory(strongarm, workers=2)
+        sharded = simulator_factory(strongarm, backend="scalar", workers=2)
         reference = single.simulate_mismatch_set(x, typical_corner(), mismatch_set)
         records = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
+        assert pool_submissions  # the shards really ran on the pool
         assert sharded.budget.total == 8
         for fast, slow in zip(records, reference):
             for name in strongarm.metric_names:
                 assert fast.metrics[name] == slow.metrics[name]
 
     def test_sharded_corner_sweep_identical(
-        self, fia, mismatch_sampler, simulator_factory
+        self, fia, mismatch_sampler, simulator_factory, pool_submissions
     ):
         x = np.full(fia.dimension, 0.5)
         corners = list(full_corner_set())
@@ -234,21 +238,23 @@ class TestWorkerSharding:
         single = simulator_factory(fia, workers=1).simulate_corner_sweep(
             x, corners, sets
         )
-        sharded = simulator_factory(fia, workers=2).simulate_corner_sweep(
-            x, corners, sets
-        )
+        sharded = simulator_factory(
+            fia, backend="scalar", workers=2
+        ).simulate_corner_sweep(x, corners, sets)
+        assert pool_submissions  # the shards really ran on the pool
         for group_single, group_sharded in zip(single, sharded):
             for fast, slow in zip(group_sharded, group_single):
                 for name in fia.metric_names:
                     assert fast.metrics[name] == slow.metrics[name]
 
     def test_small_batches_stay_in_process(
-        self, strongarm, mismatch_sampler, simulator_factory
+        self, strongarm, mismatch_sampler, simulator_factory, pool_submissions
     ):
         # Below MIN_ROWS_PER_WORKER * workers the sharded path is bypassed;
         # results are identical either way.
         x = np.full(strongarm.dimension, 0.5)
         mismatch_set = mismatch_sampler(strongarm).sample(strongarm.denormalize(x), 2)
-        sharded = simulator_factory(strongarm, workers=4)
+        sharded = simulator_factory(strongarm, backend="scalar", workers=4)
         records = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
         assert len(records) == 2
+        assert pool_submissions == []

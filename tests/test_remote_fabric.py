@@ -75,6 +75,7 @@ from repro.simulation.service import (
     SimulationService,
     resolve_backend,
 )
+from repro.simulation.sharding import can_shard, shardable
 from repro.variation.corners import typical_corner
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -570,6 +571,17 @@ class TestDegradeToLocal:
         monkeypatch.setenv(ENDPOINTS_ENV, server.endpoint)
         assert RemoteBackend().worker_reconstructible
         assert not RemoteBackend(endpoints=server.endpoint).worker_reconstructible
+
+    def test_env_configured_backend_shards_client_side(
+        self, monkeypatch, server, strongarm
+    ):
+        """Each pool worker rebuilds an env-configured client, so a
+        ``workers > 1`` run fans its shards out over the fleet whatever
+        engine the daemons serve."""
+        monkeypatch.setenv(ENDPOINTS_ENV, server.endpoint)
+        assert can_shard(RemoteBackend())
+        assert shardable(strongarm, RemoteBackend(), 2, 4)
+        assert not can_shard(RemoteBackend(endpoints=server.endpoint))
 
     def test_no_endpoints_is_a_deployment_error(self, monkeypatch):
         monkeypatch.delenv(ENDPOINTS_ENV, raising=False)

@@ -377,13 +377,15 @@ class TestScalarVsBatchedBackend:
 
 
 class TestDesignAxisSharding:
-    def test_sharded_design_batch_identical(self, strongarm):
+    def test_sharded_design_batch_identical(self, strongarm, pool_submissions):
         designs = np.random.default_rng(7).uniform(
             0.2, 0.8, size=(8, strongarm.dimension)
         )
         single = CircuitSimulator(strongarm, workers=1).simulate_designs(designs)
-        with CircuitSimulator(strongarm, workers=2) as sharded_sim:
+        # scalar shards; the vectorized batched engine would stay in-process.
+        with CircuitSimulator(strongarm, backend="scalar", workers=2) as sharded_sim:
             sharded = sharded_sim.simulate_designs(designs)
+            assert pool_submissions  # the shards really ran on the pool
             assert sharded_sim.budget.total == 8
         for fast, slow in zip(sharded, single):
             for name in strongarm.metric_names:
@@ -477,6 +479,21 @@ class TestExperimentConfig:
 
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(circuit="sal", method="C", overrides={field: 0})
+
+    @pytest.mark.parametrize(
+        "field, method",
+        [
+            ("workers", "C"),
+            ("verification_chunk", "C"),
+            ("optimization_samples", "C-MCL"),
+            ("initial_samples", "C"),
+        ],
+    )
+    def test_rejects_zero_count_at_construction(self, field, method):
+        from repro.api import ExperimentConfig
+
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(circuit="sal", method=method, **{field: 0})
 
     def test_rejects_unknown_override_at_construction(self):
         from repro.api import ExperimentConfig

@@ -282,11 +282,18 @@ class TestRowSecondsPlumbing:
 # Bit-identity: the scheduler may only change wall-clock
 # ----------------------------------------------------------------------
 class TestSchedulerBitIdentity:
+    """On ``scalar``, an engine that shards (``batched`` never does)."""
+
     def _trajectory(self, circuit, workers):
         """Metrics plus the resolve-in-order budget trajectory."""
         jobs = [conditions_job(circuit, rows=12, seed=s) for s in range(3)]
-        with SimulationService(circuit, workers=workers) as service:
+        with SimulationService(
+            circuit, backend="scalar", workers=workers
+        ) as service:
             futures = [service.submit(job) for job in jobs]
+            # Pool shards are already running, so only the workers=1
+            # futures (lazy in-process thunks) block.
+            assert all(f.blocking == (workers == 1) for f in futures)
             metrics, totals = [], []
             for future in futures:
                 metrics.append(future.result().metrics)
@@ -301,14 +308,19 @@ class TestSchedulerBitIdentity:
             for name in paper_circuit.metric_names:
                 np.testing.assert_array_equal(expected[name], actual[name])
 
-    def test_learned_costs_do_not_change_results(self, strongarm):
+    def test_learned_costs_do_not_change_results(
+        self, strongarm, pool_submissions
+    ):
         """A second dispatch of the same job plans from learned exact
         rows (possibly different chunk bounds); metrics stay identical."""
         job = conditions_job(strongarm, rows=16)
-        with SimulationService(strongarm, workers=2) as service:
+        with SimulationService(strongarm, backend="scalar", workers=2) as service:
             first = service.run(job)
-            assert service.cost_model.predict(job, "batched") is not None
+            first_shards = len(pool_submissions)
+            assert service.cost_model.predict(job, "scalar") is not None
             second = service.run(job)
+        # Both runs really sharded.
+        assert 0 < first_shards < len(pool_submissions)
         for name in strongarm.metric_names:
             np.testing.assert_array_equal(
                 first.metrics[name], second.metrics[name]
@@ -412,7 +424,7 @@ class TestDoneAndBlocking:
             assert future.done() and not future.blocking
 
     def test_pool_backed_future_is_nonblocking(self, strongarm):
-        with SimulationService(strongarm, workers=2) as service:
+        with SimulationService(strongarm, backend="scalar", workers=2) as service:
             future = service.submit(conditions_job(strongarm, rows=12))
             assert not future.blocking  # shards already run elsewhere
             future.result()
