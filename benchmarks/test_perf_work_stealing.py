@@ -1,20 +1,13 @@
 """Perf benchmark: the work-stealing shard scheduler on skewed row costs.
 
 Measured and recorded to ``benchmarks/results/BENCH_work_stealing.json``:
-
-1. **Heavy-head batch** — a paced ``row_parallel`` backend whose first
-   :data:`HEAVY_ROWS` rows cost :data:`HEAVY_FACTOR`× the rest (the
-   slow-corner block at the head of a sweep).  One slice per worker
-   would hand the whole heavy region to one worker and idle the other
-   three behind it; the stealing scheduler's oversubscribed chunks drain
-   the queue.  Asserted: the measured idle fraction at ``workers=4``
-   stays below :data:`MAX_IDLE_FRACTION`.
-
-2. **Lone straggler** — one row :data:`STRAGGLER_FACTOR`× its siblings,
-   first cost-blind, then replanned from the learned exact per-row costs
-   (the second dispatch of the same job isolates the straggler into its
-   own chunk).  Recorded for trend tracking; the learned pass is
-   asserted no slower than the blind pass by more than the noise floor.
+a **heavy-head batch** on a paced ``row_parallel`` backend whose first
+:data:`HEAVY_ROWS` rows cost :data:`HEAVY_FACTOR`× the rest (the
+slow-corner block at the head of a sweep).  One slice per worker would
+hand the whole heavy region to one worker and idle the other three
+behind it; the stealing scheduler's oversubscribed equal-size chunks
+drain the queue.  Asserted: the measured idle fraction at ``workers=4``
+stays below :data:`MAX_IDLE_FRACTION`.
 
 **Bit-identity is asserted before any timing**: stealing at
 ``workers=4`` and ``workers=1`` produce identical metric blocks and
@@ -58,9 +51,6 @@ ROW_COST_SECONDS = 0.004
 HEAVY_ROWS = 8
 HEAVY_FACTOR = 5
 
-#: Lone-straggler profile: one row at STRAGGLER_FACTOR x.
-STRAGGLER_FACTOR = 10
-
 #: Rows are marked heavy in their *data* (shards never see their batch
 #: offset): a mismatch draw beyond this threshold.
 SENTINEL = 4.0
@@ -77,8 +67,7 @@ class PacedCostBackend(BatchedMNABackend):
     per row): the stealing planner chunks down to single rows.  Rows
     whose first mismatch draw exceeds :data:`SENTINEL` are heavy; the
     multiplier is encoded in the sentinel value itself
-    (``SENTINEL + factor``), so one backend serves both cost profiles.
-    Metrics are bit-identical to ``batched``.
+    (``SENTINEL + factor``).  Metrics are bit-identical to ``batched``.
     """
 
     name = "paced_cost"
@@ -137,12 +126,6 @@ def _heavy_head_factors() -> np.ndarray:
     return factors
 
 
-def _straggler_factors() -> np.ndarray:
-    factors = np.ones(BATCH_ROWS)
-    factors[0] = STRAGGLER_FACTOR
-    return factors
-
-
 def _service(circuit, workers=WORKERS) -> SimulationService:
     service = SimulationService(
         circuit, workers=workers, backend=PacedCostBackend()
@@ -192,8 +175,6 @@ def _heavy_head_block(circuit) -> dict:
     idle = None
     with _service(circuit) as service:
         for repeat in range(REPEATS):
-            # A fresh job per repeat: learned exact rows must not turn
-            # the cost-blind measurement into a learned one.
             job = _marked_job(circuit, job_factors, seed=repeat)
             result, wall = _timed_run(service, job)
             if wall < best:
@@ -211,23 +192,6 @@ def _heavy_head_block(circuit) -> dict:
     }
 
 
-def _straggler_block(circuit) -> dict:
-    factors = _straggler_factors()
-    with _service(circuit) as service:
-        job = _marked_job(circuit, factors, seed=0)
-        _, blind = _timed_run(service, job)  # cost-blind chunking
-        assert service.cost_model.predict(job, service.backend_name) is not None
-        learned = min(_timed_run(service, job)[1] for _ in range(REPEATS))
-    return {
-        "workers": WORKERS,
-        "batch_rows": BATCH_ROWS,
-        "straggler_factor": STRAGGLER_FACTOR,
-        "blind_stealing_seconds": blind,
-        "learned_stealing_seconds": learned,
-        "speedup": blind / learned,
-    }
-
-
 @pytest.mark.perf
 def test_work_stealing_speedup_and_equivalence():
     circuit = StrongArmLatch()
@@ -236,22 +200,19 @@ def test_work_stealing_speedup_and_equivalence():
         circuit, _marked_job(circuit, _heavy_head_factors(), seed=0)
     )
     heavy_head = _heavy_head_block(circuit)
-    straggler = _straggler_block(circuit)
 
     report = {
         "description": (
             "Work-stealing shard scheduler on a paced row-parallel "
             "backend modelling per-row external-simulator cost at "
             "workers=4: pool idle fraction on a heavy-head batch (first "
-            "8 of 32 rows 5x cost), and a lone 10x straggler cost-blind "
-            "vs replanned from learned exact per-row costs.  Metrics and "
-            "resolve-in-order budget trajectories are asserted "
+            "8 of 32 rows 5x cost) cut into equal-size chunks.  Metrics "
+            "and resolve-in-order budget trajectories are asserted "
             "bit-identical to workers=1 before any timing."
         ),
         "row_cost_seconds": ROW_COST_SECONDS,
         "bit_identity": identity,
         "heavy_head": heavy_head,
-        "straggler": straggler,
     }
     path = write_bench_json("work_stealing", report)
     print(f"\nwork-stealing benchmark -> {path}")
@@ -259,16 +220,5 @@ def test_work_stealing_speedup_and_equivalence():
         f"  heavy head: {heavy_head['stealing_seconds']*1e3:.0f} ms, idle "
         f"{heavy_head['stealing_idle_fraction']:.2f}"
     )
-    print(
-        f"  straggler:  {straggler['speedup']:.2f}x learned vs blind "
-        f"(blind {straggler['blind_stealing_seconds']*1e3:.0f} ms, "
-        f"learned {straggler['learned_stealing_seconds']*1e3:.0f} ms)"
-    )
 
     assert heavy_head["stealing_idle_fraction"] < MAX_IDLE_FRACTION, report
-    # Replanning from learned exact rows must never *hurt* (noise floor:
-    # one base row of modelled cost).
-    assert (
-        straggler["learned_stealing_seconds"]
-        <= straggler["blind_stealing_seconds"] + 5 * ROW_COST_SECONDS
-    ), report

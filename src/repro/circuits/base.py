@@ -8,9 +8,9 @@ A circuit exposes:
   sign-flipped, exactly as the paper does for the DRAM sensing voltages),
 * a :class:`~repro.variation.MismatchModel` describing its mismatch-carrying
   devices, and
-* :meth:`AnalogCircuit.evaluate`, the nonlinear map ``F(x | t, h)`` from a
-  normalised sizing vector, a PVT corner and a mismatch condition to the
-  metric values.
+* :meth:`AnalogCircuit.evaluate_batch`, the nonlinear map ``F(x | t, h)``
+  from a normalised sizing vector, PVT corners and mismatch conditions to
+  the metric values (:meth:`AnalogCircuit.evaluate` is its batch of one).
 
 Design vectors are exchanged with the optimizer in *normalised* form (each
 coordinate in ``[0, 1]``); wide-range parameters (widths, capacitances) are
@@ -29,6 +29,20 @@ from repro.analysis.waveform import WaveformSpec
 from repro.spice.deck import MeasureSpec
 from repro.variation.corners import CornerBatch, PVTCorner, typical_corner
 from repro.variation.distributions import DeviceKind, DeviceSpec, MismatchModel
+
+#: Floor on a capacitor's mismatch factor ``1 + delta``.  Real cap mismatch
+#: is a few percent, far above it; an out-of-model draw (say a standard
+#: normal delta) would otherwise make a capacitance negative and a noise
+#: ``sqrt`` NaN.
+MIN_CAP_FACTOR = 0.05
+
+
+def cap_mismatch_factor(
+    delta: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """A capacitor's mismatch factor ``1 + delta``, floored at
+    :data:`MIN_CAP_FACTOR` (unchanged above the floor)."""
+    return np.maximum(1.0 + delta, MIN_CAP_FACTOR)
 
 
 @dataclass(frozen=True)
@@ -80,9 +94,14 @@ class SizingParameter:
 class AnalogCircuit(abc.ABC):
     """Abstract testbench circuit.
 
-    Subclasses implement :meth:`_evaluate_physical`, receiving the physical
-    sizing vector, a corner and the per-device mismatch view, and returning
-    the raw metric values.  Everything else — normalisation, constraint
+    Subclasses implement one vectorized model,
+    :meth:`_evaluate_physical_batch`, receiving the physical sizing vector,
+    a corner (or corner batch) and the per-device mismatch view as
+    ``(B,)`` arrays, and returning the raw metric arrays.  Every entry
+    point — one condition (:meth:`evaluate`), a condition batch
+    (:meth:`evaluate_batch`) and a design batch
+    (:meth:`evaluate_design_batch`) — runs through it, so all three agree
+    bit for bit.  Everything else — normalisation, constraint
     bookkeeping, mismatch-model plumbing — lives here.
     """
 
@@ -97,14 +116,6 @@ class AnalogCircuit(abc.ABC):
             raise ValueError("circuit declares no sizing parameters")
         if not self._constraints:
             raise ValueError("circuit declares no constraints")
-        if (
-            type(self)._evaluate_physical is AnalogCircuit._evaluate_physical
-            and not self.supports_batch
-        ):
-            raise TypeError(
-                f"{type(self).__name__} must implement _evaluate_physical or "
-                "_evaluate_physical_batch"
-            )
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -121,51 +132,22 @@ class AnalogCircuit(abc.ABC):
     def _build_devices(self) -> Sequence[DeviceSpec]:
         """Declare the mismatch-carrying devices."""
 
-    def _evaluate_physical(
-        self,
-        x_physical: np.ndarray,
-        corner: PVTCorner,
-        mismatch: Dict[str, Dict[str, float]],
-    ) -> Dict[str, float]:
-        """Compute raw metric values for a physical sizing vector.
-
-        Subclasses implement either this scalar hook or the vectorized
-        :meth:`_evaluate_physical_batch` (preferred: the scalar path then
-        becomes a batch of one, so both paths share a single implementation
-        and agree bit-for-bit).
-        """
-        if not self.supports_batch:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither _evaluate_physical "
-                "nor _evaluate_physical_batch"
-            )
-        batch_view = {
-            device: {
-                quantity: np.asarray([value], dtype=float)
-                for quantity, value in quantities.items()
-            }
-            for device, quantities in mismatch.items()
-        }
-        metrics = self._evaluate_physical_batch(x_physical, corner, batch_view)
-        return {
-            name: float(np.asarray(values, dtype=float).reshape(-1)[0])
-            for name, values in metrics.items()
-        }
-
+    @abc.abstractmethod
     def _evaluate_physical_batch(
         self,
         x_physical: np.ndarray,
         corner: Union[PVTCorner, CornerBatch],
         mismatch: Dict[str, Dict[str, np.ndarray]],
     ) -> Dict[str, np.ndarray]:
-        """Vectorized twin of :meth:`_evaluate_physical`.
+        """Compute raw metric arrays for a physical sizing vector.
 
         ``mismatch`` holds ``(B,)`` arrays per device quantity and ``corner``
         may itself be array-valued (:class:`CornerBatch`); implementations
         must be pure ufunc-style numpy so the whole Monte-Carlo/corner batch
-        is evaluated in one pass.
+        is evaluated in one pass.  :meth:`evaluate_design_batch` passes the
+        transposed ``(p, M)`` design matrix as ``x_physical``, so each
+        parameter lookup ``x[i]`` must broadcast over a design axis too.
         """
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Public API
@@ -270,6 +252,8 @@ class AnalogCircuit(abc.ABC):
     ) -> Dict[str, float]:
         """Evaluate ``F(x | t, h)`` and return ``{metric: value}``.
 
+        A batch of one through :meth:`evaluate_batch`.
+
         Parameters
         ----------
         x_normalized:
@@ -280,29 +264,16 @@ class AnalogCircuit(abc.ABC):
             Mismatch vector ``h`` from the circuit's mismatch model; ``None``
             means nominal devices.
         """
-        corner = corner if corner is not None else typical_corner()
-        x_physical = self.denormalize(x_normalized)
-        if mismatch is None:
-            mismatch_view = self._mismatch_model.as_device_view(
-                self._mismatch_model.zero()
-            )
-        else:
-            mismatch_view = self._mismatch_model.as_device_view(mismatch)
-        metrics = self._evaluate_physical(x_physical, corner, mismatch_view)
-        missing = set(self._constraints) - set(metrics)
-        if missing:
-            raise RuntimeError(
-                f"circuit {self.name!r} did not report metrics: {sorted(missing)}"
-            )
-        return {name: float(metrics[name]) for name in self._constraints}
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when the circuit provides a vectorized evaluation path."""
-        return (
-            type(self)._evaluate_physical_batch
-            is not AnalogCircuit._evaluate_physical_batch
-        )
+        if mismatch is not None:
+            h = np.asarray(mismatch, dtype=float)
+            if h.shape != (self.mismatch_dimension,):
+                raise ValueError(
+                    f"expected mismatch vector of shape "
+                    f"({self.mismatch_dimension},), got {h.shape}"
+                )
+            mismatch = h[None, :]
+        metrics = self.evaluate_batch(x_normalized, corner, mismatch)
+        return {name: float(values[0]) for name, values in metrics.items()}
 
     def evaluate_batch(
         self,
@@ -324,10 +295,7 @@ class AnalogCircuit(abc.ABC):
             ``None`` for nominal devices.  When both a corner batch and a
             mismatch matrix are given their lengths must agree.
 
-        Returns ``{metric: (B,) array}``.  Circuits that implement
-        :meth:`_evaluate_physical_batch` evaluate the batch vectorized;
-        others fall back to a per-row scalar loop, so callers can adopt the
-        batched API before every circuit opts in.
+        Returns ``{metric: (B,) array}``.
         """
         corner = corner if corner is not None else typical_corner()
         x_physical = self.denormalize(x_normalized)
@@ -350,34 +318,9 @@ class AnalogCircuit(abc.ABC):
                     f"({batch}) lengths differ"
                 )
 
-        if self.supports_batch:
-            view = self._mismatch_model.as_batch_device_view(h_matrix)
-            raw = self._evaluate_physical_batch(x_physical, corner, view)
-            missing = set(self._constraints) - set(raw)
-            if missing:
-                raise RuntimeError(
-                    f"circuit {self.name!r} did not report metrics: "
-                    f"{sorted(missing)}"
-                )
-            return {
-                name: np.array(
-                    np.broadcast_to(np.asarray(raw[name], dtype=float), (batch,))
-                )
-                for name in self._constraints
-            }
-
-        # Loop fallback for circuits without a vectorized path.
-        corners = (
-            list(corner) if isinstance(corner, CornerBatch) else [corner] * batch
-        )
-        rows = [
-            self.evaluate(x_normalized, corners[index], h_matrix[index])
-            for index in range(batch)
-        ]
-        return {
-            name: np.array([row[name] for row in rows])
-            for name in self._constraints
-        }
+        view = self._mismatch_model.as_batch_device_view(h_matrix)
+        raw = self._evaluate_physical_batch(x_physical, corner, view)
+        return self._broadcast_metrics(raw, batch)
 
     def evaluate_design_batch(
         self,
@@ -388,42 +331,37 @@ class AnalogCircuit(abc.ABC):
 
         The batch axis here is the **design** axis — one row of ``designs``
         per candidate sizing vector — which is what TuRBO proposal batches
-        and population-style baselines fan out over.  Circuits whose
-        behavioural models are pure ufunc arithmetic (all of the paper's
-        testcases) vectorize directly: the physical design matrix is handed
-        to :meth:`_evaluate_physical_batch` transposed, so each parameter
-        lookup ``x[i]`` yields the ``(M,)`` column and every device model
-        broadcasts over it.  Models that cannot broadcast over the design
-        axis fall back to a per-design loop with identical results.
+        and population-style baselines fan out over.  The physical design
+        matrix is handed to :meth:`_evaluate_physical_batch` transposed, so
+        each parameter lookup ``x[i]`` yields the ``(M,)`` column and every
+        device model broadcasts over it.
 
         Returns ``{metric: (M,) array}``.
         """
         corner = corner if corner is not None else typical_corner()
         designs = np.atleast_2d(np.asarray(designs, dtype=float))
         count = designs.shape[0]
-        if self.supports_batch:
-            x_physical = self.denormalize_batch(designs)
-            view = self._mismatch_model.as_batch_device_view(
-                np.zeros((count, self.mismatch_dimension))
+        x_physical = self.denormalize_batch(designs)
+        view = self._mismatch_model.as_batch_device_view(
+            np.zeros((count, self.mismatch_dimension))
+        )
+        raw = self._evaluate_physical_batch(x_physical.T, corner, view)
+        return self._broadcast_metrics(raw, count)
+
+    def _broadcast_metrics(
+        self, raw: Dict[str, np.ndarray], batch: int
+    ) -> Dict[str, np.ndarray]:
+        """One fresh ``(batch,)`` float array per constraint metric."""
+        missing = set(self._constraints) - set(raw)
+        if missing:
+            raise RuntimeError(
+                f"circuit {self.name!r} did not report metrics: "
+                f"{sorted(missing)}"
             )
-            try:
-                raw = self._evaluate_physical_batch(x_physical.T, corner, view)
-                return {
-                    name: np.array(
-                        np.broadcast_to(
-                            np.asarray(raw[name], dtype=float), (count,)
-                        )
-                    )
-                    for name in self._constraints
-                }
-            except (TypeError, ValueError):
-                # Model not vectorizable over the design axis (scalar-only
-                # branching or shape assumptions); genuine model defects
-                # surface as other exception types and still propagate.
-                pass
-        rows = [self.evaluate(design, corner) for design in designs]
         return {
-            name: np.array([row[name] for row in rows])
+            name: np.array(
+                np.broadcast_to(np.asarray(raw[name], dtype=float), (batch,))
+            )
             for name in self._constraints
         }
 

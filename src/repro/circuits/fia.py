@@ -27,7 +27,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.circuits.base import AnalogCircuit, SizingParameter
+from repro.circuits.base import AnalogCircuit, SizingParameter, cap_mismatch_factor
 from repro.circuits.registry import register_circuit
 from repro.analysis.waveform import WaveformSpec
 from repro.spice.deck import MeasureSpec
@@ -43,12 +43,6 @@ CREST_FACTOR = 6.0
 
 #: Fraction of the reservoir charge lost to the recharge switches each cycle.
 RESERVOIR_UTILISATION = 0.9
-
-#: Floor on a capacitor's mismatch factor ``1 + delta``.  Real cap mismatch
-#: is a few percent, far above it; an out-of-model draw (say a standard
-#: normal delta) would otherwise make a capacitance negative and the noise
-#: ``sqrt`` NaN.
-MIN_CAP_FACTOR = 0.05
 
 _MICRON = 1e-6
 _WIDTH_RANGE = (0.28 * _MICRON, 32.8 * _MICRON)
@@ -188,7 +182,7 @@ class FloatingInverterAmplifier(AnalogCircuit):
         m_pmos = MosfetModel(x[self.W_PMOS], x[self.L_PMOS], pmos_28nm())
 
         mm = lambda dev, key: mismatch.get(dev, {}).get(key, 0.0)
-        cap_factor = lambda dev: np.maximum(1.0 + mm(dev, "cap"), MIN_CAP_FACTOR)
+        cap_factor = lambda dev: cap_mismatch_factor(mm(dev, "cap"))
         cap_reservoir = x[self.C_RESERVOIR] * cap_factor("C_reservoir")
         cap_load = x[self.C_LOAD] * cap_factor("C_load")
 

@@ -33,7 +33,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.circuits.base import AnalogCircuit, SizingParameter
+from repro.circuits.base import AnalogCircuit, SizingParameter, cap_mismatch_factor
 from repro.circuits.registry import register_circuit
 from repro.analysis.waveform import WaveformSpec
 from repro.spice.deck import MeasureSpec
@@ -243,8 +243,8 @@ class StrongArmLatch(AnalogCircuit):
         m_reset = MosfetModel(x[self.W_RESET], x[self.L_RESET], pmos_28nm())
 
         mm = lambda dev, key: mismatch.get(dev, {}).get(key, 0.0)
-        cap_load = x[self.C_LOAD] * (1.0 + mm("C_load", "cap"))
-        cap_offset = x[self.C_OFFSET] * (1.0 + mm("C_offset", "cap"))
+        cap_load = x[self.C_LOAD] * cap_mismatch_factor(mm("C_load", "cap"))
+        cap_offset = x[self.C_OFFSET] * cap_mismatch_factor(mm("C_offset", "cap"))
 
         # --- capacitive load at each output node -----------------------
         c_output = (

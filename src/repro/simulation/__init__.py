@@ -18,10 +18,8 @@ corner block × mismatch block + phase tag) evaluated by a
   :class:`~repro.simulation.sharding.WorkerPool` owned by the service,
   with bit-identical results (:mod:`repro.simulation.sharding`); the
   ``vectorized`` ``batched`` engine stays in-process and gets no pool.  The
-  scheduler is *work-stealing*: cost-balanced chunks pulled from the
-  pool's shared queue, with per-row wall-clock learned by a
-  :class:`RowCostModel` (:mod:`repro.simulation.costs`) and persisted as
-  cache sidecars;
+  scheduler is *work-stealing*: equal-size chunks, more than workers,
+  pulled from the pool's shared queue in row order;
 * :class:`FaultInjectingBackend` — the chaos harness: wraps any terminal
   backend with seeded, scriptable fault schedules (raise / hang /
   kill-own-worker / FAILURE_NAN) so the fault-tolerance paths are
@@ -43,8 +41,8 @@ Both daemons are subclasses of one daemon core,
 :class:`~repro.simulation.daemon.Daemon`, which owns the listener, the
 per-connection frame loop, the counters, drain and signal handling; each
 adds a frame-handler table (REQUEST, or SUBMIT/STATUS/CANCEL).  The
-durable stores (spill cache, cost sidecars, journal, checkpoints) all
-write through :func:`~repro.simulation.atomic.atomic_write`.
+durable stores (spill cache, journal, checkpoints) all write through
+:func:`~repro.simulation.atomic.atomic_write`.
 
 Fault tolerance: a :class:`RetryPolicy` on the service re-simulates
 classified-transient failures (worker death, timeouts, engine errors,
@@ -77,12 +75,6 @@ legacy entry points all compile to jobs and route through
 """
 
 from repro.simulation.budget import SimulationBudget, SimulationPhase
-from repro.simulation.costs import (
-    ROW_SECONDS_KEY,
-    RowCostModel,
-    is_reserved_metric,
-    strip_reserved_metrics,
-)
 from repro.simulation.service import (
     BACKENDS,
     CACHE_FORMAT_VERSION,
@@ -106,10 +98,13 @@ from repro.simulation.service import (
     spill_store_stats,
 )
 from repro.simulation.sharding import (
+    ROW_SECONDS_KEY,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
+    is_reserved_metric,
     plan_chunk_bounds,
+    strip_reserved_metrics,
 )
 from repro.simulation.ngspice import (  # registers the "ngspice" backend
     NgspiceBackend,
@@ -157,7 +152,6 @@ __all__ = [
     "ShardWatchdog",
     "WorkerPool",
     "ROW_SECONDS_KEY",
-    "RowCostModel",
     "is_reserved_metric",
     "strip_reserved_metrics",
     "plan_chunk_bounds",

@@ -65,7 +65,6 @@ from repro.simulation.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.simulation.costs import RowCostModel, strip_reserved_metrics
 from repro.simulation.service import (
     BACKENDS,
     ShardedDispatcher,
@@ -73,7 +72,11 @@ from repro.simulation.service import (
     SimulationBackend,
     resolve_backend,
 )
-from repro.simulation.sharding import WorkerPool, can_shard
+from repro.simulation.sharding import (
+    WorkerPool,
+    can_shard,
+    strip_reserved_metrics,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -112,12 +115,10 @@ class SimulationServer(Daemon):
         port; read :attr:`address` after :meth:`start`.
     workers:
         ``> 1`` stands up a warm :class:`WorkerPool` and shards big
-        batches across it, exactly like the in-process service would,
-        in work-stealing chunks balanced by per-row costs learned
-        in-memory across the daemon's lifetime (a fleet daemon serving
-        repeated sweeps plans ever-better chunks).  Like the service,
-        a terminal backend that cannot shard (the vectorized
-        ``batched`` engine) gets no pool and evaluates in-process.
+        batches across it in equal-size work-stealing chunks, exactly
+        like the in-process service would.  Like the service, a
+        terminal backend that cannot shard (the vectorized ``batched``
+        engine) gets no pool and evaluates in-process.
     lease_seconds / retention_seconds / heartbeat_interval:
         The liveness model described in the module docstring.
     retention_max_entries:
@@ -165,16 +166,12 @@ class SimulationServer(Daemon):
 
         self._pool: Optional[WorkerPool] = None
         self._engine: SimulationBackend = self._terminal
-        self.cost_model = RowCostModel()
         if self.workers > 1 and can_shard(self._terminal):
             self._pool = WorkerPool(
                 self.workers, backend_names=(self._terminal.name,)
             )
             self._engine = ShardedDispatcher(
-                self._terminal,
-                self.workers,
-                pool=self._pool,
-                cost_model=self.cost_model,
+                self._terminal, self.workers, pool=self._pool
             )
 
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -334,7 +331,6 @@ class SimulationServer(Daemon):
         try:
             circuit = self._circuit(job.circuit_name)
             # Reserved bookkeeping keys (per-row timing) stay server-side:
-            # the dispatcher's cost model has already consumed them, and
             # the wire protocol promises exactly the circuit's metric set.
             execution.metrics = strip_reserved_metrics(
                 self._engine.evaluate(circuit, job)

@@ -14,11 +14,11 @@ call:
 * :class:`SimResult` — the response: one ``(B,)`` array per metric, plus
   per-row :class:`SimulationRecord` views for consumers that want dicts.
 * :class:`SimulationBackend` — the engine boundary.  Two terminal backends
-  ship today: :class:`BatchedMNABackend` (the vectorized engine from PRs
-  1–2) and :class:`ReferenceScalarBackend` (the bit-exact scalar path,
-  previously an ``if not circuit.supports_batch`` branch).  Future engines
-  (an ngspice adapter, a remote worker pool) plug in here without touching
-  the control loop.
+  ship in this module: :class:`BatchedMNABackend` (the vectorized engine,
+  one ``evaluate_batch`` pass per job) and :class:`ReferenceScalarBackend`
+  (the bit-exact scalar path, one ``evaluate`` call per row).  Other
+  engines (the ngspice adapter, the remote client) plug in here without
+  touching the control loop.
 * :class:`CachingBackend` — a decorator backend memoizing results by job
   hash; a hit costs zero budget (configurable on the service).  With a
   ``spill_dir`` it also persists result blocks to an on-disk store keyed by
@@ -129,18 +129,15 @@ import numpy as np
 from repro.circuits.base import AnalogCircuit
 from repro.simulation.atomic import atomic_write
 from repro.simulation.budget import SimulationBudget, SimulationPhase
-from repro.simulation.costs import (
-    ROW_SECONDS_KEY,
-    RowCostModel,
-    is_reserved_metric,
-    strip_reserved_metrics,
-)
 from repro.simulation.sharding import (
+    ROW_SECONDS_KEY,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
     can_shard,
     dispatch_job_sharded,
+    is_reserved_metric,
+    strip_reserved_metrics,
 )
 from repro.variation.corners import CornerBatch, PVTCorner
 
@@ -381,8 +378,7 @@ class SimResult:
     backend: str = ""
     #: Measured wall-clock seconds per row (``(B,)``), or ``None`` when
     #: the evaluation was not timed (cache hits, remote replies).  NaN
-    #: rows never ran (watchdog-degraded shards).  This is what the
-    #: work-stealing scheduler's cost model learns from.
+    #: rows never ran (watchdog-degraded shards).
     row_seconds: Optional[np.ndarray] = None
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
@@ -499,15 +495,16 @@ class SimulationBackend:
 
 
 class BatchedMNABackend(SimulationBackend):
-    """The production engine: one vectorized pass per job (PRs 1–2).
+    """The production engine: one vectorized pass per job.
 
     Condition-axis jobs run through :meth:`AnalogCircuit.evaluate_batch`
     (corner axis carried by a :class:`CornerBatch` when the block has more
     than one corner); design-axis jobs run through
-    :meth:`AnalogCircuit.evaluate_design_batch`.  Circuits without a
-    vectorized model fall back to the scalar loop inside those methods, so
-    every circuit works on this backend.  One pass costs nearly the same
-    at 8 rows as at 1,024, so it is :attr:`vectorized`: its jobs never shard.
+    :meth:`AnalogCircuit.evaluate_design_batch`.  Both hand the whole
+    block to the circuit's closed-form ``_evaluate_physical_batch`` model
+    in one call (no MNA solve, despite the name).  One pass costs nearly
+    the same at 8 rows as at 1,024, so it is :attr:`vectorized`: its jobs
+    never shard.
     """
 
     name = "batched"
@@ -529,9 +526,10 @@ class BatchedMNABackend(SimulationBackend):
 class ReferenceScalarBackend(SimulationBackend):
     """The bit-exact scalar reference path, one row at a time.
 
-    Formerly the ``if not circuit.supports_batch`` branch inside every
-    simulator entry point; as a backend it is selectable for any circuit —
-    the debugging / cross-validation twin of :class:`BatchedMNABackend`.
+    Calls :meth:`AnalogCircuit.evaluate` (a batch of one) per row — the
+    debugging / cross-validation twin of :class:`BatchedMNABackend`, and
+    an engine whose cost grows with rows, so its jobs shard at
+    ``workers > 1``.
     """
 
     name = "scalar"
@@ -910,8 +908,7 @@ class CachingBackend(SimulationBackend):
         # with reported-failed measures (plain NaN) are still results and
         # stay cacheable.  Reserved bookkeeping keys (per-row timing) are
         # never stored: a replayed hit costs nothing, so the original
-        # run's wall clock would be a lie (the cost model keeps its own
-        # sidecars for that).
+        # run's wall clock would be a lie.
         if failed_row_mask(metrics).any():
             return
         metrics = strip_reserved_metrics(metrics)
@@ -1090,6 +1087,10 @@ class ShardedDispatcher(SimulationBackend):
     :meth:`dispatch` is the non-blocking entry point: it returns a
     :class:`~repro.simulation.sharding.ShardHandle` with the shards already
     in flight, which is what :meth:`SimulationService.submit` pipelines on.
+    Chunks are equal-size and submitted in row order
+    (:func:`~repro.simulation.sharding.plan_chunk_bounds`): a plan depends
+    only on the row count, the worker count and the engine's
+    ``row_parallel`` flag.
     """
 
     def __init__(
@@ -1098,7 +1099,6 @@ class ShardedDispatcher(SimulationBackend):
         workers: int,
         pool: Optional[WorkerPool] = None,
         watchdog: Optional[ShardWatchdog] = None,
-        cost_model: Optional[RowCostModel] = None,
     ):
         self.inner = inner
         self.workers = max(1, int(workers))
@@ -1106,9 +1106,6 @@ class ShardedDispatcher(SimulationBackend):
         self._owns_pool = pool is None
         self._released = False
         self.watchdog = watchdog
-        #: Learned per-row cost estimates feeding (and fed by) the
-        #: work-stealing planner; ``None`` runs cost-agnostic.
-        self.cost_model = cost_model
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -1135,12 +1132,7 @@ class ShardedDispatcher(SimulationBackend):
         """Submit the job's shards without blocking (``None`` = not
         shardable; the caller evaluates in-process instead)."""
         return dispatch_job_sharded(
-            circuit,
-            self.inner,
-            job,
-            self.pool,
-            watchdog=self.watchdog,
-            cost_model=self.cost_model,
+            circuit, self.inner, job, self.pool, watchdog=self.watchdog
         )
 
     def evaluate(
@@ -1452,17 +1444,6 @@ class SimulationService:
         self._workers = max(1, int(workers))
         self._terminal = resolve_backend(backend)
         self._retry = resolve_retry(retry)
-        # Even single-process runs observe their row timings, so a later
-        # (or concurrent) sharded run plans informed chunks.  With a
-        # cache_dir the observations persist as sidecars in the same
-        # keyspace as the result spill.
-        self._cost_model = RowCostModel(
-            sidecar_dir=(
-                os.path.join(os.fspath(cache_dir), "costs")
-                if cache_dir is not None
-                else None
-            )
-        )
         self._dispatch: SimulationBackend = self._terminal
         self._pool: Optional[WorkerPool] = None
         if self._workers > 1 and can_shard(self._terminal):
@@ -1479,7 +1460,6 @@ class SimulationService:
                 watchdog=(
                     self._retry.watchdog() if self._retry is not None else None
                 ),
-                cost_model=self._cost_model,
             )
         self._cache: Optional[CachingBackend] = (
             CachingBackend(self._dispatch, spill_dir=cache_dir)
@@ -1526,11 +1506,6 @@ class SimulationService:
     def retry(self) -> Optional[RetryPolicy]:
         """The active retry policy (``None`` = fail fast, legacy mode)."""
         return self._retry
-
-    @property
-    def cost_model(self) -> RowCostModel:
-        """Learned per-row cost estimates feeding the shard planner."""
-        return self._cost_model
 
     @property
     def pool(self) -> Optional[WorkerPool]:
@@ -1582,17 +1557,17 @@ class SimulationService:
         counted = self._budget.charge(job.phase, count, job_id=job_id)
         return counted, job_id
 
+    @staticmethod
     def _time_stamped(
-        self, job: SimJob, metrics: Dict[str, np.ndarray], started: float
+        job: SimJob, metrics: Dict[str, np.ndarray], started: float
     ) -> Dict[str, np.ndarray]:
         """Ensure a successful block carries per-row timing.
 
         Blocks assembled from pool shards already carry the workers'
-        measured :data:`~repro.simulation.costs.ROW_SECONDS_KEY` (and the
-        shard handle already fed the cost model); an in-process
-        evaluation is timed here instead — the whole evaluation's wall
-        clock split uniformly over the rows — and observed into the cost
-        model so single-process runs still teach the scheduler.
+        measured :data:`~repro.simulation.sharding.ROW_SECONDS_KEY`; an
+        in-process evaluation is timed here instead — the whole
+        evaluation's wall clock split uniformly over the rows.  It ends
+        up in :attr:`SimResult.row_seconds`.
         """
         if ROW_SECONDS_KEY in metrics:
             return metrics
@@ -1600,9 +1575,6 @@ class SimulationService:
         metrics = dict(metrics)
         metrics[ROW_SECONDS_KEY] = np.full(
             rows, (time.perf_counter() - started) / rows
-        )
-        self._cost_model.observe(
-            job, metrics[ROW_SECONDS_KEY], self._terminal.name
         )
         return metrics
 

@@ -36,15 +36,13 @@ Two things changed with the async service redesign:
   abandon speculative work).
 * **Scheduling is work-stealing.**  Instead of one uniform
   slice per worker, a job is cut into more, smaller chunks than workers
-  (:func:`plan_chunk_bounds`) and the executor's shared queue does the
-  stealing: whichever worker finishes its chunk pulls the next, so a
-  heavy-tailed row (an ngspice deck blowing its transient budget) idles
-  at most one worker for one chunk instead of stranding the pool behind
-  a fat uniform slice.  Chunk bounds are balanced by *learned* per-row
-  costs when available — every shard stamps its wall clock into the
-  result block and a :class:`~repro.simulation.costs.RowCostModel`
-  accumulates them (persistently, via cache-sidecar JSON) — and
-  known-expensive chunks are submitted first.
+  (:func:`plan_chunk_bounds`: equal-size, in row order) and the
+  executor's shared queue does the stealing: whichever worker finishes
+  its chunk pulls the next, so a heavy-tailed row (an ngspice deck
+  blowing its transient budget) idles at most one worker for one chunk
+  instead of stranding the pool behind a fat uniform slice.  Every shard
+  stamps its wall clock into its result block (:data:`ROW_SECONDS_KEY`),
+  which surfaces as :attr:`ShardHandle.row_seconds`.
 
 Fault tolerance (the simulation-fabric layer):
 
@@ -106,7 +104,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
-from repro.simulation.costs import ROW_SECONDS_KEY, RowCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.simulation.service import SimJob, SimulationBackend
@@ -131,6 +128,35 @@ STEAL_CHUNKS_PER_WORKER = 4
 #: IPC.  ``row_parallel`` backends (one external subprocess per row)
 #: chunk down to single rows instead.
 MIN_STEAL_ROWS = 2
+
+#: Prefix marking reserved (non-metric) keys inside a metrics block.
+#: Reserved keys ride inside metrics dicts but are **not metrics**:
+#: failure detection skips them, the cache refuses to store them, and
+#: :class:`~repro.simulation.service.SimResult` pops
+#: :data:`ROW_SECONDS_KEY` into its ``row_seconds`` field before
+#: consumers see the block.
+RESERVED_METRIC_PREFIX = "__"
+
+#: Reserved key carrying per-row wall-clock seconds through a metrics
+#: block: one ``(B,)`` float array, NaN for rows that never ran (e.g.
+#: watchdog-degraded shards).
+ROW_SECONDS_KEY = "__row_seconds__"
+
+
+def is_reserved_metric(name: str) -> bool:
+    """Whether ``name`` is a reserved (non-metric) metrics-block key."""
+    return name.startswith(RESERVED_METRIC_PREFIX)
+
+
+def strip_reserved_metrics(
+    metrics: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """``metrics`` without reserved keys (a new dict; input untouched)."""
+    return {
+        name: values
+        for name, values in metrics.items()
+        if not is_reserved_metric(name)
+    }
 
 
 #: Environment variables pinned to ``1`` inside every pool worker so a
@@ -357,10 +383,8 @@ def _evaluate_job_shard(
     """Worker-side: evaluate one shard job on process-cached objects.
 
     The returned block carries the evaluation's wall clock under the
-    reserved :data:`~repro.simulation.costs.ROW_SECONDS_KEY` — exact for
-    one-row shards, a uniform split of the shard's elapsed time
-    otherwise — which is what the work-stealing scheduler's cost model
-    learns from (see :mod:`repro.simulation.costs`).
+    reserved :data:`ROW_SECONDS_KEY` — exact for one-row shards, a
+    uniform split of the shard's elapsed time otherwise.
     """
     circuit = _worker_circuit(job.circuit_name)
     started = time.perf_counter()
@@ -598,8 +622,7 @@ def _failure_block(job: "SimJob", metric_names: Sequence[str]):
     """An all-:data:`FAILURE_NAN` metrics block for one shard job.
 
     Carries NaN row seconds (the rows never ran) so degraded shards
-    assemble uniformly with timed siblings; the cost model ignores
-    non-finite observations.
+    assemble uniformly with timed siblings.
     """
     from repro.spice.deck import FAILURE_NAN
 
@@ -636,9 +659,8 @@ class ShardHandle:
     speculative double-buffered submission safe.
 
     Timing: worker blocks carry per-row wall clock under the reserved
-    :data:`~repro.simulation.costs.ROW_SECONDS_KEY`; assembly stitches it
-    into :attr:`row_seconds` (row order) and feeds the scheduler's
-    :class:`~repro.simulation.costs.RowCostModel` when one was wired in.
+    :data:`ROW_SECONDS_KEY`; assembly stitches it into
+    :attr:`row_seconds` (row order).
 
     Fault handling inside ``result()``:
 
@@ -656,14 +678,12 @@ class ShardHandle:
 
     def __init__(
         self,
-        job: "SimJob",
         jobs: List["SimJob"],
         futures: List[Future],
         pool: WorkerPool,
         backend_name: str,
         metric_names: Sequence[str],
         watchdog: Optional[ShardWatchdog] = None,
-        cost_model: Optional[RowCostModel] = None,
     ):
         self._shards = [
             _Shard(shard_job, future, pool.generation)
@@ -673,10 +693,7 @@ class ShardHandle:
         self._backend_name = backend_name
         self._metric_names = tuple(metric_names)
         self._watchdog = watchdog
-        self._job = job
-        self._cost_model = cost_model
         self._cancelled = False
-        self._observed = False
         #: Per-row wall-clock seconds in row order, populated by
         #: ``result()`` when the shard blocks carried timing.
         self.row_seconds: Optional[np.ndarray] = None
@@ -782,11 +799,6 @@ class ShardHandle:
         row_seconds = merged.get(ROW_SECONDS_KEY)
         if row_seconds is not None:
             self.row_seconds = row_seconds
-            if not self._observed and self._cost_model is not None:
-                self._observed = True
-                self._cost_model.observe(
-                    self._job, row_seconds, self._backend_name
-                )
         return merged
 
 
@@ -841,22 +853,16 @@ def shardable(
 def plan_chunk_bounds(
     batch: int,
     workers: int,
-    costs: Optional[np.ndarray] = None,
     row_parallel: bool = False,
-    chunks_per_worker: int = STEAL_CHUNKS_PER_WORKER,
 ) -> List[Tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` chunk bounds balanced by predicted row cost.
+    """Contiguous ``[lo, hi)`` work-stealing chunks of equal size.
 
-    The work-stealing planner: the batch is cut at equal *cumulative
-    cost* targets, so with uniform (or unknown) costs the chunks are
-    equal-sized and ``chunks_per_worker ×`` oversubscribed, while a
-    heavy row absorbs several targets in a row and ends up isolated in
-    a chunk of its own — the straggler never strands sibling rows
-    behind it.  Chunk *count* is capped by :data:`MIN_STEAL_ROWS` mean
-    rows per chunk for in-process backends (``row_parallel`` engines
-    chunk down to single rows) so IPC overhead stays bounded; the
-    cost-weighted cuts may still produce smaller individual chunks,
-    which is exactly the wanted behaviour for stragglers.
+    The batch is cut into :data:`STEAL_CHUNKS_PER_WORKER` chunks per
+    worker, so the executor's shared queue can hand a free worker the
+    next chunk while another is stuck on a straggler.  Chunk *count* is
+    capped by :data:`MIN_STEAL_ROWS` mean rows per chunk for in-process
+    backends (``row_parallel`` engines chunk down to single rows) so IPC
+    overhead stays bounded.  Chunk sizes differ by at most one row.
 
     Row order is preserved (chunks tile ``[0, batch)`` in order), which
     is what keeps concatenated results bit-identical to the in-process
@@ -866,41 +872,15 @@ def plan_chunk_bounds(
     workers = max(1, int(workers))
     if batch <= 0:
         return []
-    min_rows = 1 if row_parallel else max(1, int(MIN_STEAL_ROWS))
+    min_rows = 1 if row_parallel else MIN_STEAL_ROWS
     chunks = min(
         batch,
-        workers * max(1, int(chunks_per_worker)),
+        workers * STEAL_CHUNKS_PER_WORKER,
         max(workers, batch // min_rows),
     )
-    chunks = max(1, chunks)
-    weights = None
-    if costs is not None:
-        weights = np.asarray(costs, dtype=float).reshape(-1).copy()
-        if weights.shape[0] != batch:
-            weights = None
-        else:
-            usable = np.isfinite(weights) & (weights > 0)
-            if not usable.any():
-                weights = None
-            else:
-                weights[~usable] = float(weights[usable].mean())
-    if weights is None:
-        weights = np.ones(batch)
-    cumulative = np.cumsum(weights)
-    targets = cumulative[-1] * np.arange(1, chunks) / chunks
-    cuts = np.searchsorted(cumulative, targets, side="left") + 1
-    # Any single row filling a whole chunk's cost budget is cut out into
-    # a chunk of its own: equal-cumulative-cost cuts alone would leave
-    # the cheap rows *preceding* a straggler stranded in its chunk.
-    step = cumulative[-1] / chunks
-    heavy = np.flatnonzero(weights >= step)
-    bounds = np.unique(
-        np.concatenate(([0], cuts, heavy, heavy + 1, [batch]))
-    )
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(len(bounds) - 1)
-    ]
+    # Cut k sits at ceil(k * batch / chunks).
+    cuts = [-(-k * batch // chunks) for k in range(chunks + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def dispatch_job_sharded(
@@ -909,7 +889,6 @@ def dispatch_job_sharded(
     job: "SimJob",
     pool: Optional[WorkerPool],
     watchdog: Optional[ShardWatchdog] = None,
-    cost_model: Optional[RowCostModel] = None,
 ) -> Optional[ShardHandle]:
     """Submit one job's row shards to ``pool`` without blocking.
 
@@ -918,43 +897,28 @@ def dispatch_job_sharded(
     batch, unregistered circuit, non-terminal backend) so the caller
     evaluates in-process instead.
 
-    The batch is cut into more chunks than workers
-    (:func:`plan_chunk_bounds`, balanced by the cost model's prediction
-    when one is wired in) and the executor's shared queue does the
-    stealing: whichever worker finishes pulls the next chunk, so a
-    straggler row idles at most one worker for one chunk.
-    Known-expensive chunks are submitted first (longest-predicted-first)
-    so a learned straggler starts immediately instead of queueing behind
-    cheap work.  Shard results assemble in row order — bit-identical
+    The batch is cut into more equal-size chunks than workers
+    (:func:`plan_chunk_bounds`), submitted in row order, and the
+    executor's shared queue does the stealing: whichever worker finishes
+    pulls the next chunk, so a straggler row idles at most one worker for
+    one chunk.  Shard results assemble in row order — bit-identical
     metrics and, because the service accounts at resolution time,
     bit-identical budget trajectories.
     """
     if pool is None or pool.closed or pool.poisoned:
         return None
-    batch = job.batch
-    if not shardable(circuit, backend, pool.workers, batch):
+    if not shardable(circuit, backend, pool.workers, job.batch):
         return None
-    predicted: Optional[np.ndarray] = None
-    if cost_model is not None:
-        predicted = cost_model.predict(job, backend.name)
-    bounds = plan_chunk_bounds(
-        batch, pool.workers, costs=predicted, row_parallel=backend.row_parallel
-    )
-    shard_jobs = [job.shard(lo, hi) for lo, hi in bounds]
-    # Submission order: longest-predicted-first when costs are known (a
-    # learned straggler starts on the first free worker), else row
-    # order.  Assembly is by shard *index*, so submission order never
-    # affects the result.
-    order = list(range(len(shard_jobs)))
-    if predicted is not None and len(shard_jobs) > 1:
-        chunk_cost = [float(predicted[lo:hi].sum()) for lo, hi in bounds]
-        order.sort(key=lambda i: (-chunk_cost[i], i))
+    shard_jobs = [
+        job.shard(lo, hi)
+        for lo, hi in plan_chunk_bounds(
+            job.batch, pool.workers, row_parallel=backend.row_parallel
+        )
+    ]
 
     def _submit_all(slots: List[Optional[Future]]) -> None:
-        for i in order:
-            slots[i] = pool.submit(
-                _evaluate_job_shard, backend.name, shard_jobs[i]
-            )
+        for i, shard_job in enumerate(shard_jobs):
+            slots[i] = pool.submit(_evaluate_job_shard, backend.name, shard_job)
 
     futures: List[Optional[Future]] = [None] * len(shard_jobs)
     try:
@@ -976,12 +940,10 @@ def dispatch_job_sharded(
         except (BrokenProcessPool, RuntimeError):
             return None  # freshly healed pool broke again: give up
     return ShardHandle(
-        job,
         shard_jobs,
         futures,
         pool,
         backend.name,
         circuit.metric_names,
         watchdog=watchdog,
-        cost_model=cost_model,
     )

@@ -77,8 +77,18 @@ class TestEvaluateBatchEquivalence:
             assert batch[name].shape == (1,)
             assert batch[name][0] == pytest.approx(scalar[name], abs=TOLERANCE)
 
-    def test_supports_batch_flag(self, circuit_cls):
-        assert circuit_cls().supports_batch
+    def test_scalar_evaluate_is_a_batch_of_one(self, circuit_cls):
+        """``evaluate`` has no model of its own: it equals a one-row
+        ``evaluate_batch`` bit for bit, at every corner."""
+        circuit = circuit_cls()
+        x = circuit.random_sizing(np.random.default_rng(5))
+        mismatch_set = seeded_mismatch(circuit, x, count=4)
+        for corner in full_corner_set():
+            for h in mismatch_set.samples:
+                batch = circuit.evaluate_batch(x, corner, h[None, :])
+                assert circuit.evaluate(x, corner, h) == {
+                    name: batch[name][0] for name in circuit.metric_names
+                }
 
 
 class TestSimulatorFastPaths:

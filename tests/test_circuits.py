@@ -12,6 +12,7 @@ from repro.circuits import (
     available_circuits,
     get_circuit,
 )
+from repro.circuits.base import AnalogCircuit, MIN_CAP_FACTOR, cap_mismatch_factor
 from repro.variation.corners import ProcessCorner, PVTCorner, typical_corner
 
 ALL_CIRCUITS = [StrongArmLatch, FloatingInverterAmplifier, DramCoreSenseAmp]
@@ -111,6 +112,15 @@ class TestEvaluationContract:
         with pytest.raises(ValueError):
             circuit.evaluate(np.zeros(circuit.dimension + 1))
 
+    def test_wrong_mismatch_shape_rejected(self, circuit_cls):
+        """``evaluate`` takes one mismatch vector, never a batch of them."""
+        circuit = circuit_cls()
+        x = np.full(circuit.dimension, 0.5)
+        dim = circuit.mismatch_dimension
+        for shape in ((dim + 1,), (1, dim), (2, dim)):
+            with pytest.raises(ValueError):
+                circuit.evaluate(x, mismatch=np.zeros(shape))
+
     def test_nominal_mismatch_matches_default(self, circuit_cls, rng):
         circuit = circuit_cls()
         x = circuit.random_sizing(rng)
@@ -187,9 +197,12 @@ class TestFiaBehaviour:
         h[model.index_of("M_nmos_b", "vth")] = -0.02
         assert circuit.evaluate(x, mismatch=h)["noise"] > circuit.evaluate(x)["noise"]
 
-    def test_out_of_model_cap_mismatch_stays_finite(self, rng):
+    @pytest.mark.parametrize(
+        "circuit_cls", [FloatingInverterAmplifier, StrongArmLatch]
+    )
+    def test_out_of_model_cap_mismatch_stays_finite(self, circuit_cls, rng):
         """A standard-normal cap delta must not drive a capacitance negative."""
-        circuit = FloatingInverterAmplifier()
+        circuit = circuit_cls()
         with np.errstate(invalid="raise"):
             for _ in range(20):
                 metrics = circuit.evaluate_batch(
@@ -210,6 +223,66 @@ class TestFiaBehaviour:
         common = circuit.evaluate(x, mismatch=h)["noise"]
         nominal = circuit.evaluate(x)["noise"]
         assert common == pytest.approx(nominal, rel=0.25)
+
+
+class TestCapMismatchFloor:
+    """Every capacitor's ``1 + delta`` goes through one shared floor."""
+
+    def test_factor_is_floored_only_below_the_minimum(self):
+        below = np.array([-40.0, -1.0, -0.96])
+        above = np.array([-0.5, 0.0, 0.03])
+        np.testing.assert_array_equal(
+            cap_mismatch_factor(below), np.full(3, MIN_CAP_FACTOR)
+        )
+        np.testing.assert_array_equal(cap_mismatch_factor(above), 1.0 + above)
+        assert cap_mismatch_factor(-3.0) == MIN_CAP_FACTOR
+
+    @pytest.mark.parametrize(
+        "circuit_cls, device",
+        [
+            (StrongArmLatch, "C_load"),
+            (StrongArmLatch, "C_offset"),
+            (FloatingInverterAmplifier, "C_reservoir"),
+            (FloatingInverterAmplifier, "C_load"),
+        ],
+    )
+    def test_deltas_past_the_floor_evaluate_alike(self, circuit_cls, device):
+        """A cap delta past the floor is the floored capacitance: finite,
+        unlike nominal, and the same however far past the floor it is."""
+        circuit = circuit_cls()
+        model = circuit.mismatch_model
+        x = np.full(circuit.dimension, 0.5)
+
+        def with_delta(delta):
+            h = model.zero()
+            h[model.index_of(device, "cap")] = delta
+            with np.errstate(invalid="raise", divide="raise"):
+                return circuit.evaluate(x, mismatch=h)
+
+        floored = with_delta(-0.96)
+        assert all(np.isfinite(value) for value in floored.values())
+        assert with_delta(-3.0) == floored
+        assert with_delta(-40.0) == floored
+        assert floored != with_delta(0.0)
+
+
+class TestSubclassContract:
+    def test_vectorized_model_is_the_only_evaluation_hook(self):
+        """A circuit with only a scalar ``_evaluate_physical`` is abstract:
+        ``_evaluate_physical_batch`` is the one model every entry point
+        runs through."""
+
+        class ScalarOnly(AnalogCircuit):
+            name = "scalar_only"
+            _build_parameters = StrongArmLatch._build_parameters
+            _build_constraints = StrongArmLatch._build_constraints
+            _build_devices = StrongArmLatch._build_devices
+
+            def _evaluate_physical(self, x_physical, corner, mismatch):
+                return {name: 0.0 for name in self.metric_names}
+
+        with pytest.raises(TypeError, match="_evaluate_physical_batch"):
+            ScalarOnly()
 
 
 class TestDramBehaviour:

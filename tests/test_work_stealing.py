@@ -2,13 +2,14 @@
 
 Covers this PR's contract from both ends:
 
-* **Planning** — :func:`plan_chunk_bounds` tiles the batch in row order,
-  oversubscribes the pool, isolates learned stragglers, and degrades to
-  uniform chunks on bad cost inputs.
-* **Learning** — :class:`RowCostModel` keeps exact per-row seconds by
-  job hash plus an EWMA rate per (circuit, backend), rejects
-  unusable observations, and round-trips both through JSON sidecars
-  (corruption = a silent miss, never a wrong prediction).
+* **Planning** — :func:`plan_chunk_bounds` tiles the batch in row order
+  with equal-size chunks (sizes differ by at most one row) and
+  oversubscribes the pool; a plan depends only on rows, workers and
+  ``row_parallel``, so a service that has already timed earlier jobs
+  still cuts and submits equal chunks in row order.
+* **Timing** — per-row wall clock reaches :attr:`SimResult.row_seconds`
+  but never the metrics or the cache, and a ``cache_dir`` holds only
+  spill records.
 * **Bit-identity** — stealing at workers=2 and the workers=1 reference
   produce identical metrics and identical resolve-in-order budget
   trajectories on all three paper circuits: the scheduler may only
@@ -27,7 +28,7 @@ Covers this PR's contract from both ends:
 
 from __future__ import annotations
 
-import json
+import importlib
 import multiprocessing
 import os
 import threading
@@ -36,21 +37,24 @@ from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import straggler_idle_fraction
 from repro.simulation import (
     BACKENDS,
     BatchedMNABackend,
     ROW_SECONDS_KEY,
-    RowCostModel,
     SimJob,
+    ReferenceScalarBackend,
+    ShardedDispatcher,
     SimulationPhase,
     SimulationService,
     is_reserved_metric,
     plan_chunk_bounds,
     strip_reserved_metrics,
 )
-from repro.simulation.costs import RESERVED_METRIC_PREFIX
+from repro.simulation.sharding import RESERVED_METRIC_PREFIX
 from repro.simulation.service import failed_row_mask, iter_resolved
 from repro.variation.corners import typical_corner
 
@@ -96,32 +100,46 @@ class TestPlanChunkBounds:
         assert len(bounds) == 6  # one external subprocess per chunk
         assert plan_chunk_bounds(6, workers=4) != bounds
 
-    def test_heavy_row_is_isolated(self):
-        costs = np.ones(32)
-        costs[11] = 40.0  # one straggler dominating the batch
-        bounds = plan_chunk_bounds(32, workers=4, costs=costs)
-        self.assert_tiles(bounds, 32)
-        assert (11, 12) in bounds  # the straggler strands no siblings
-
-    def test_bad_costs_fall_back_to_uniform(self):
-        reference = plan_chunk_bounds(16, workers=2)
-        wrong_shape = plan_chunk_bounds(16, workers=2, costs=np.ones(5))
-        all_nan = plan_chunk_bounds(16, workers=2, costs=np.full(16, np.nan))
-        assert wrong_shape == reference
-        assert all_nan == reference
-
-    def test_partial_nan_costs_fill_with_mean(self):
-        costs = np.ones(16)
-        costs[3] = np.nan  # a row that never ran last time
-        costs[8] = 8.0
-        bounds = plan_chunk_bounds(16, workers=4, costs=costs)
-        self.assert_tiles(bounds, 16)
-        assert (8, 9) in bounds
-
     def test_degenerate_batches(self):
         assert plan_chunk_bounds(0, workers=4) == []
         assert plan_chunk_bounds(1, workers=4) == [(0, 1)]
         assert plan_chunk_bounds(3, workers=8) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_cuts_sit_at_rounded_up_even_shares(self):
+        # 10 rows on one worker: 4 chunks, cut k at ceil(10 * k / 4).
+        assert plan_chunk_bounds(10, workers=1) == [
+            (0, 3), (3, 5), (5, 8), (8, 10)
+        ]
+
+    @pytest.mark.parametrize(
+        "retired",
+        [{"costs": np.ones(16)}, {"chunks_per_worker": 2}],
+        ids=["costs", "chunks_per_worker"],
+    )
+    def test_plan_takes_no_cost_inputs(self, retired):
+        """A plan depends only on rows, workers and ``row_parallel``."""
+        with pytest.raises(TypeError):
+            plan_chunk_bounds(16, workers=2, **retired)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 4096),
+        workers=st.integers(1, 8),
+        row_parallel=st.booleans(),
+    )
+    def test_equal_chunks_tile_rows_in_order(self, rows, workers, row_parallel):
+        bounds = plan_chunk_bounds(
+            rows, workers=workers, row_parallel=row_parallel
+        )
+        min_rows = 1 if row_parallel else 2
+        assert len(bounds) == min(
+            rows, 4 * workers, max(workers, rows // min_rows)
+        )
+        if rows == 0:
+            return
+        self.assert_tiles(bounds, rows)
+        sizes = [hi - lo for lo, hi in bounds]
+        assert max(sizes) - min(sizes) <= 1
 
 
 # ----------------------------------------------------------------------
@@ -152,90 +170,6 @@ class TestReservedKeys:
 
 
 # ----------------------------------------------------------------------
-# The cost model
-# ----------------------------------------------------------------------
-class TestRowCostModel:
-    def test_exact_rows_win_over_rate(self, strongarm):
-        model = RowCostModel()
-        job = conditions_job(strongarm, rows=4)
-        seconds = np.array([0.1, 0.2, 0.3, 0.4])
-        assert model.observe(job, seconds, "batched")
-        np.testing.assert_array_equal(
-            model.predict(job, "batched"), seconds
-        )
-        # An unseen job of the same circuit gets the uniform EWMA rate.
-        other = conditions_job(strongarm, rows=6, seed=9)
-        predicted = model.predict(other, "batched")
-        np.testing.assert_allclose(predicted, np.full(6, 0.25))
-
-    def test_ewma_rate_update(self, strongarm):
-        model = RowCostModel(alpha=0.5)
-        model.observe(conditions_job(strongarm, rows=2), np.full(2, 1.0), "b")
-        model.observe(
-            conditions_job(strongarm, rows=2, seed=1), np.full(2, 3.0), "b"
-        )
-        assert model.rate(strongarm.name, "b") == pytest.approx(2.0)
-        assert model.observations == 2
-
-    def test_unusable_observations_rejected(self, strongarm):
-        model = RowCostModel()
-        job = conditions_job(strongarm, rows=3)
-        assert not model.observe(job, np.ones(5), "b")  # wrong shape
-        assert not model.observe(job, np.full(3, np.nan), "b")  # never ran
-        assert model.predict(job, "b") is None
-        assert model.observations == 0
-
-    def test_nan_rows_filled_in_prediction(self, strongarm):
-        model = RowCostModel()
-        job = conditions_job(strongarm, rows=3)
-        model.observe(job, np.array([1.0, np.nan, 3.0]), "b")
-        np.testing.assert_allclose(
-            model.predict(job, "b"), np.array([1.0, 2.0, 3.0])
-        )
-
-    def test_sidecar_round_trip(self, strongarm, tmp_path):
-        sidecar_dir = str(tmp_path / "costs")
-        first = RowCostModel(sidecar_dir=sidecar_dir)
-        job = conditions_job(strongarm, rows=3)
-        seconds = np.array([0.5, 1.5, 2.5])
-        first.observe(job, seconds, "batched")
-        # A fresh model (fresh process in production) replays both the
-        # exact rows and the summary rate from disk.
-        second = RowCostModel(sidecar_dir=sidecar_dir)
-        np.testing.assert_array_equal(
-            second.predict(job, "batched"), seconds
-        )
-        assert second.rate(strongarm.name, "batched") == pytest.approx(1.5)
-
-    def test_corrupt_sidecars_are_a_silent_miss(self, strongarm, tmp_path):
-        sidecar_dir = str(tmp_path / "costs")
-        model = RowCostModel(sidecar_dir=sidecar_dir)
-        job = conditions_job(strongarm, rows=3)
-        model.observe(job, np.ones(3), "batched")
-        for name in (
-            model._job_sidecar_path(job.job_id),
-            model._summary_path(),
-        ):
-            with open(name, "w") as handle:
-                handle.write("{not json")
-        fresh = RowCostModel(sidecar_dir=sidecar_dir)
-        assert fresh.predict(job, "batched") is None
-        assert fresh.rate(strongarm.name, "batched") is None
-
-    def test_no_temp_files_leak(self, strongarm, tmp_path):
-        sidecar_dir = tmp_path / "costs"
-        model = RowCostModel(sidecar_dir=str(sidecar_dir))
-        model.observe(conditions_job(strongarm, rows=2), np.ones(2), "b")
-        leftovers = [
-            name
-            for _, _, names in os.walk(sidecar_dir)
-            for name in names
-            if name.endswith(".tmp")
-        ]
-        assert leftovers == []
-
-
-# ----------------------------------------------------------------------
 # Per-row timing through the service
 # ----------------------------------------------------------------------
 class TestRowSecondsPlumbing:
@@ -249,13 +183,6 @@ class TestRowSecondsPlumbing:
         records = result.to_records(strongarm.metric_names)
         assert all(record.seconds is not None for record in records)
 
-    def test_single_process_runs_teach_the_model(self, strongarm):
-        with SimulationService(strongarm) as service:
-            assert service.cost_model is not None
-            service.run(conditions_job(strongarm, rows=4))
-            assert service.cost_model.observations == 1
-            assert service.cost_model.rate(strongarm.name, "batched") is not None
-
     def test_cache_never_stores_timing(self, strongarm, tmp_path):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
@@ -266,16 +193,55 @@ class TestRowSecondsPlumbing:
         assert replayed.cached
         assert replayed.row_seconds is None  # a hit simulated nothing
         assert not any(is_reserved_metric(name) for name in replayed.metrics)
+        # The cache_dir holds the one spill record and nothing else.
+        assert not os.path.exists(os.path.join(cache_dir, "costs"))
+        files = [name for _, _, names in os.walk(cache_dir) for name in names]
+        assert len(files) == 1 and files[0].endswith(".npz")
 
-    def test_cost_sidecars_persist_under_cache_dir(self, strongarm, tmp_path):
+    def test_sharded_result_carries_row_seconds(
+        self, strongarm, pool_submissions
+    ):
+        """Pool shards stamp their own wall clock; assembly puts one
+        finite value per row into ``row_seconds``, none into metrics."""
+        with SimulationService(strongarm, backend="scalar", workers=2) as service:
+            result = service.run(conditions_job(strongarm, rows=12))
+        assert pool_submissions  # the rows really ran on the pool
+        assert result.row_seconds.shape == (12,)
+        assert np.isfinite(result.row_seconds).all()
+        assert (result.row_seconds >= 0).all()
+        assert not any(is_reserved_metric(name) for name in result.metrics)
+
+    def test_sharded_cache_dir_holds_only_spill_records(
+        self, strongarm, tmp_path, pool_submissions
+    ):
         cache_dir = str(tmp_path / "simcache")
-        job = conditions_job(strongarm, rows=4)
-        with SimulationService(strongarm, cache_dir=cache_dir) as service:
-            service.run(job)
-        assert os.path.isdir(os.path.join(cache_dir, "costs"))
-        with SimulationService(strongarm, cache_dir=cache_dir) as fresh:
-            predicted = fresh.cost_model.predict(job, "batched")
-        assert predicted is not None and predicted.shape == (4,)
+        with SimulationService(
+            strongarm, backend="scalar", workers=2, cache_dir=cache_dir
+        ) as service:
+            for seed in range(3):
+                service.run(conditions_job(strongarm, rows=8, seed=seed))
+        assert pool_submissions
+        files = [name for _, _, names in os.walk(cache_dir) for name in names]
+        assert len(files) == 3
+        assert all(name.endswith(".npz") for name in files)
+
+
+class TestNoCostModel:
+    """No learned row-cost model, and no stand-in for one."""
+
+    def test_cost_module_is_gone(self):
+        import repro.simulation as simulation
+
+        assert not hasattr(simulation, "RowCostModel")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.simulation.costs")
+
+    def test_service_and_dispatcher_keep_no_cost_model(self, strongarm):
+        with SimulationService(strongarm, backend="scalar", workers=2) as service:
+            assert service.pool is not None
+            assert not hasattr(service, "cost_model")
+        with pytest.raises(TypeError):
+            ShardedDispatcher(ReferenceScalarBackend(), 2, cost_model=None)
 
 
 # ----------------------------------------------------------------------
@@ -308,23 +274,33 @@ class TestSchedulerBitIdentity:
             for name in paper_circuit.metric_names:
                 np.testing.assert_array_equal(expected[name], actual[name])
 
-    def test_learned_costs_do_not_change_results(
+
+class TestEqualChunkDispatch:
+    """A shard plan depends only on rows, workers and ``row_parallel``."""
+
+    def test_timed_service_still_cuts_equal_chunks_in_row_order(
         self, strongarm, pool_submissions
     ):
-        """A second dispatch of the same job plans from learned exact
-        rows (possibly different chunk bounds); metrics stay identical."""
-        job = conditions_job(strongarm, rows=16)
+        """On ``scalar`` at workers=2, after sixteen timed warm-up jobs,
+        every 8-, 16- and 24-row job is cut into chunks whose sizes differ
+        by at most one row, submitted in row order: no earlier timing
+        moves a cut."""
         with SimulationService(strongarm, backend="scalar", workers=2) as service:
-            first = service.run(job)
-            first_shards = len(pool_submissions)
-            assert service.cost_model.predict(job, "scalar") is not None
-            second = service.run(job)
-        # Both runs really sharded.
-        assert 0 < first_shards < len(pool_submissions)
-        for name in strongarm.metric_names:
-            np.testing.assert_array_equal(
-                first.metrics[name], second.metrics[name]
-            )
+            for seed in range(16):
+                service.run(conditions_job(strongarm, rows=8, seed=100 + seed))
+            for seed, rows in enumerate((8, 16, 24) * 3):
+                job = conditions_job(strongarm, rows=rows, seed=seed)
+                del pool_submissions[:]
+                service.run(job)
+                sizes = [shard.batch for shard in pool_submissions]
+                assert len(sizes) == len(plan_chunk_bounds(rows, workers=2))
+                assert max(sizes) - min(sizes) <= 1
+                np.testing.assert_array_equal(
+                    np.concatenate(
+                        [shard.mismatch for shard in pool_submissions]
+                    ),
+                    job.mismatch,
+                )
 
 
 # ----------------------------------------------------------------------
