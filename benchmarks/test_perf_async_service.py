@@ -10,10 +10,12 @@ Three claims are measured and recorded to
    lazily on that first job — the PR-4 behaviour.
 
 2. **Double-buffered vs sequential verification** — one full Algorithm-2
-   verification pass over a verified design, ``pipeline`` on vs off, at
-   ``workers=4``: with double buffering the verifier has chunk *k+1* in
-   flight while it scans chunk *k*, so the per-chunk control-loop latency
-   (records, rewards, dispatch) is hidden behind simulation.
+   verification pass over a verified design, at ``workers=4``: the
+   verifier's own schedule (``iter_resolved`` at lookahead 1) against the
+   same loop patched to lookahead 0 (:func:`lookahead_zero`).  With double
+   buffering the verifier has chunk *k+1* in flight while it scans chunk
+   *k*, so the per-chunk control-loop latency (records, rewards, dispatch)
+   is hidden behind simulation.
 
 3. **End-to-end sizing pass** — the full seed → optimize → verify
    evaluation workflow, futures-driven (pipelined seed mega-batches +
@@ -35,14 +37,18 @@ unasserted.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from harness import write_bench_json
 from repro.circuits import StrongArmLatch
+from repro.core import verification
 from repro.core.config import VerificationMethod, operational_config
 from repro.core.replay import LastWorstCaseBuffer
 from repro.core.reward import rewards_from_matrix
@@ -58,6 +64,7 @@ from repro.simulation import (
     SimulationPhase,
     WorkerPool,
 )
+from repro.simulation.service import iter_resolved
 from repro.simulation.sharding import dispatch_job_sharded
 from repro.variation.corners import typical_corner
 from repro.variation.mismatch import MismatchSampler
@@ -183,15 +190,24 @@ def _pool_timings() -> dict:
 # ----------------------------------------------------------------------
 # 2 + 3. the sizing workflow, sync vs async
 # ----------------------------------------------------------------------
-def _operational(pipeline: bool, workers: int):
+def _operational(workers: int):
     return operational_config(
         VerificationMethod.CORNER_LOCAL_MC,
         optimization_samples=3,
         verification_samples=VERIFICATION_SAMPLES,
         verification_chunk=8,
-        pipeline=pipeline,
         workers=workers,
     )
+
+
+@contextlib.contextmanager
+def lookahead_zero():
+    """The sequential verifier: its ``iter_resolved`` chunk stream pinned
+    to ``ahead=0``, so each chunk is submitted only after the previous
+    one resolved."""
+    sequential = functools.partial(iter_resolved, ahead=0)
+    with mock.patch.object(verification, "iter_resolved", sequential):
+        yield
 
 
 def _find_verifiable_design(circuit, spec):
@@ -199,7 +215,7 @@ def _find_verifiable_design(circuit, spec):
     the entire corners × N budget (the workload pipelining accelerates)."""
     rng = np.random.default_rng(0)
     with CircuitSimulator(circuit) as simulator:
-        operational = _operational(pipeline=False, workers=1)
+        operational = _operational(workers=1)
         for _ in range(400):
             design = np.clip(circuit.random_sizing(rng) + 0.15, 0.0, 1.0)
             verifier = Verifier(
@@ -221,12 +237,13 @@ class _WorkflowDriver:
     """One seed → optimize → verify evaluation pass at a fixed schedule.
 
     ``pipelined=False`` reproduces the synchronous PR-4 control loop:
-    blocking ``run`` calls, sequential seed sweeps, chunked-but-blocking
-    verification.  ``pipelined=True`` is the async loop: seed mega-batches
-    submitted one ahead through ``submit_corner_sweep`` and
-    double-buffered verification.  Both issue exactly the same simulations
-    in the same order, so rewards and budgets agree bit-for-bit and the
-    wall-clock difference is pure pipelining.
+    blocking ``run`` calls, sequential seed sweeps, and verification at
+    lookahead 0 (:func:`lookahead_zero`).  ``pipelined=True`` is the async
+    loop: seed mega-batches submitted ahead through
+    ``submit_corner_sweep`` and double-buffered verification.  Both issue
+    exactly the same simulations in the same order, so rewards and
+    budgets agree bit-for-bit and the wall-clock difference is pure
+    pipelining.
     """
 
     def __init__(self, circuit, spec, design, pipelined, backend="paced"):
@@ -247,7 +264,7 @@ class _WorkflowDriver:
 
     def run(self):
         circuit = self.circuit
-        operational = _operational(self.pipelined, WORKERS)
+        operational = _operational(WORKERS)
         self.budget.reset()
         simulator = self.simulator
         trace = []
@@ -341,7 +358,11 @@ class _WorkflowDriver:
             use_mu_sigma=False,
             rng=np.random.default_rng(4),
         )
-        outcome = verifier.verify(self.design, buffer)
+        schedule = (
+            contextlib.nullcontext() if self.pipelined else lookahead_zero()
+        )
+        with schedule:
+            outcome = verifier.verify(self.design, buffer)
         return outcome, self.budget.snapshot(), trace
 
 
@@ -350,9 +371,10 @@ def _verification_timings(circuit, spec, design) -> dict:
     persistent warm pool per mode (spin-up is measured separately)."""
     outcomes = {}
     timings = {}
+    operational = _operational(WORKERS)
     for pipeline in (False, True):
-        operational = _operational(pipeline, WORKERS)
-        with CircuitSimulator(
+        schedule = contextlib.nullcontext() if pipeline else lookahead_zero()
+        with schedule, CircuitSimulator(
             circuit, workers=WORKERS, backend="paced_rows"
         ) as simulator:
 

@@ -83,12 +83,12 @@ service** (:mod:`repro.simulation.service`)::
                            (row_parallel engines fan per-row decks out
                             across the pool, one row per worker)
 
-The control loop pipelines on ``submit``: full-MC verification
-**double-buffers** its h-SCORE-ordered chunks (chunk *k+1* in flight
-while chunk *k* is scanned) and the optimizer seed phase overlaps its
-per-seed corner mega-batches — with metrics, seeded streams and budget
-accounting bit-identical to the sequential schedule
-(``OperationalConfig.pipeline = False`` is the tested reference path).
+The control loop always runs on ``submit``, through ``iter_resolved``:
+full-MC verification **double-buffers** its h-SCORE-ordered chunks (chunk
+*k+1* in flight while chunk *k* is scanned) and the optimizer seed phase
+overlaps its per-seed corner mega-batches.  No option selects a blocking
+schedule; the tested sequential reference is the same loop at lookahead
+0, with metrics, seeded streams and budget accounting bit-identical.
 
 A :class:`~repro.simulation.service.SimJob` is a frozen value object —
 design block × corner block × mismatch block + phase tag — with a
@@ -155,7 +155,7 @@ The **control loop is batched too**:
   budget charging the simulated prefix rounded up to the chunk (at most
   ``chunk - 1`` over-simulations past the first failure).
 * *Seed-phase mega-batch* — the optimizer's corners × N' seed sweep is one
-  ``CircuitSimulator.simulate_corner_sweep`` call per seed design.
+  ``CircuitSimulator.submit_corner_sweep`` job per seed design.
 * *Design-axis batching* — TuRBO proposal batches and population baselines
   evaluate through ``AnalogCircuit.evaluate_design_batch`` /
   ``CircuitSimulator.simulate_designs`` (one vectorized pass over many

@@ -160,16 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "overlap the control loop with in-flight simulation "
-            "(double-buffered verification, overlapped seed batches); "
-            "--no-pipeline selects the bit-identical sequential reference"
-        ),
-    )
-    parser.add_argument(
         "--paper-scale",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -374,7 +364,6 @@ def _resolve_config(args: argparse.Namespace) -> api.ExperimentConfig:
         "workers": args.workers,
         "cache_simulations": args.cache,
         "cache_dir": args.cache_dir,
-        "pipeline": args.pipeline,
         "paper_scale": args.paper_scale,
         "checkpoint_dir": args.checkpoint_dir,
     }
@@ -419,8 +408,7 @@ def _print_dry_run(config: api.ExperimentConfig) -> None:
         cache_state = f"disk:{operational.cache_dir}"
     print(
         f"Backend:              {operational.backend} "
-        f"(workers={operational.workers}, cache={cache_state}, "
-        f"pipeline={'on' if operational.pipeline else 'off'})"
+        f"(workers={operational.workers}, cache={cache_state})"
     )
     if config.retry is not None:
         attempts = config.retry.get("max_attempts", "?")

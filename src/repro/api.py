@@ -117,10 +117,6 @@ class ExperimentConfig:
     #: store and a repeated run replays from it — zero backend
     #: invocations, zero budget charged.
     cache_dir: Optional[str] = None
-    #: Futures-based pipelining of the control loop (double-buffered
-    #: verification, overlapped seed mega-batches); bit-identical to the
-    #: sequential schedule, ``False`` selects the reference path.
-    pipeline: bool = True
     verification_chunk: int = 8
     paper_scale: bool = False
     #: Fault-tolerance retry policy for the simulation service, stored in
@@ -221,7 +217,6 @@ class ExperimentConfig:
             backend=self.backend,
             cache_simulations=self.cache_simulations,
             cache_dir=self.cache_dir,
-            pipeline=self.pipeline,
             retry=self.retry,
         )
         return config.with_overrides(**self.overrides)

@@ -88,18 +88,16 @@ class OperationalConfig:
         implies ``cache_simulations``: results spill to a job-hash-keyed
         on-disk store and repeated runs replay from it with zero backend
         invocations and zero budget charged.
-    pipeline:
-        Overlap the control loop with in-flight simulation through the
-        futures-based service path: full-MC verification double-buffers
-        its h-SCORE-ordered chunks and the optimizer seed phase overlaps
-        its per-seed corner mega-batches.  Metrics, seeded streams and
-        budget accounting are bit-identical to the sequential schedule
-        (``False`` — the debugging / equivalence reference).
     retry:
         Fault-tolerance policy for the simulation service — a
         :class:`repro.simulation.service.RetryPolicy` or its dict form
         (resolved by the service).  ``None`` (the default) fails fast, the
         legacy behaviour.
+
+    The schedule itself is not configurable: the verifier's full pass and
+    the optimizer's seed phase always keep one job in flight through
+    :func:`~repro.simulation.service.iter_resolved`, which issues and
+    charges the same simulations, in the same order, as a blocking loop.
     """
 
     method: VerificationMethod
@@ -113,7 +111,6 @@ class OperationalConfig:
     backend: str = "batched"
     cache_simulations: bool = False
     cache_dir: Optional[str] = None
-    pipeline: bool = True
     retry: Optional[Any] = field(default=None, hash=False)
 
     @property
@@ -141,7 +138,6 @@ def operational_config(
     backend: str = "batched",
     cache_simulations: bool = False,
     cache_dir: Optional[str] = None,
-    pipeline: bool = True,
     retry: Optional[Any] = None,
 ) -> OperationalConfig:
     """Build the Table-I operational configuration for ``method``.
@@ -158,7 +154,6 @@ def operational_config(
         backend=backend,
         cache_simulations=cache_simulations,
         cache_dir=cache_dir,
-        pipeline=pipeline,
         retry=retry,
     )
     if method is VerificationMethod.CORNER:
@@ -219,10 +214,6 @@ class GlovaConfig:
     # spill to a job-hash-keyed on-disk store and repeated runs replay
     # from it with zero backend invocations and zero budget charged.
     cache_dir: Optional[str] = None
-    # Futures-based pipelining of the control loop (double-buffered
-    # verification chunks, overlapped seed-phase mega-batches) —
-    # bit-identical to the sequential schedule, False = reference path.
-    pipeline: bool = True
     # Fault-tolerance retry policy for the simulation service (a
     # RetryPolicy or its dict form; None = fail fast, the legacy mode).
     # Failed attempts are budget-refunded before each retry, so the
@@ -286,7 +277,6 @@ class GlovaConfig:
             backend=self.backend,
             cache_simulations=self.cache_simulations,
             cache_dir=self.cache_dir,
-            pipeline=self.pipeline,
             retry=self.retry,
         )
 

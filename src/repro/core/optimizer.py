@@ -133,32 +133,24 @@ class GlovaOptimizer:
         """Simulate seeds across all corners and fill the worst-case buffers.
 
         The corners × mismatch-sets sweep for each seed design runs as one
-        mega-batch (:meth:`CircuitSimulator.simulate_corner_sweep`): the
+        mega-batch (:meth:`CircuitSimulator.submit_corner_sweep`): the
         mismatch sets are still drawn corner-by-corner — the seeded stream
         is identical to a per-corner schedule — but the simulator sees a
         single ``(|corners| × N',)`` evaluation per seed.
 
-        With ``OperationalConfig.pipeline`` the per-seed mega-batches are
-        **overlapped**: seed *i+1*'s mismatch sets are sampled and its
-        sweep submitted while seed *i* is still in flight, then results
-        are resolved — and the buffers filled — strictly in seed order.
-        Sampling still happens in seed order (the seeded stream is
-        bit-identical; simulation consumes no randomness) and budget
-        charges land at resolution, in seed order, so the accounting is
-        bit-identical to the sequential schedule too.
+        The per-seed mega-batches are **overlapped** through
+        :func:`~repro.simulation.service.iter_resolved`: seed *i+1*'s
+        mismatch sets are sampled and its sweep submitted while seed *i* is
+        still in flight, then results are resolved — and the buffers
+        filled — strictly in seed order.  Sampling still happens in seed
+        order (simulation consumes no randomness) and budget charges land
+        at resolution, in seed order, so streams and accounting are
+        bit-identical to the same loop at lookahead 0, one seed at a time;
+        an abort (budget exhaustion) cancels the speculative sweep before
+        it is charged.
         """
         corners = list(self.operational.corners)
         use_mc = self.operational.include_local or self.operational.include_global
-
-        def sample_sets(design: np.ndarray):
-            """Draw the per-corner mismatch sets (always in seed order)."""
-            x_physical = self.circuit.denormalize(design)
-            return [
-                self._mismatch_sampler.sample(
-                    x_physical, self.operational.optimization_samples
-                )
-                for _ in corners
-            ]
 
         def submit_sweep(design: np.ndarray):
             """Sample (in seed order) and submit one seed's sweep; ``None``
@@ -166,10 +158,17 @@ class GlovaOptimizer:
             if not corners:
                 return None
             if use_mc:
+                x_physical = self.circuit.denormalize(design)
+                mismatch_sets = [
+                    self._mismatch_sampler.sample(
+                        x_physical, self.operational.optimization_samples
+                    )
+                    for _ in corners
+                ]
                 return self.simulator.submit_corner_sweep(
                     design,
                     corners,
-                    sample_sets(design),
+                    mismatch_sets,
                     phase=SimulationPhase.INITIAL_SAMPLING,
                 )
             return self.simulator.submit_corners(
@@ -179,7 +178,7 @@ class GlovaOptimizer:
                 phase=SimulationPhase.INITIAL_SAMPLING,
             )
 
-        def process(design: np.ndarray, resolved) -> None:
+        for design, resolved in iter_resolved(designs, submit_sweep):
             if resolved is None:
                 per_corner = []
             else:
@@ -201,40 +200,6 @@ class GlovaOptimizer:
                     )
                     worst_reward = min(worst_reward, estimate_reward)
             self.agent.observe(design, worst_reward)
-
-        if not self.operational.pipeline:
-            # The sequential reference path: genuinely blocking calls, no
-            # futures anywhere.
-            for design in designs:
-                if not corners:
-                    process(design, None)
-                elif use_mc:
-                    process(
-                        design,
-                        self.simulator.simulate_corner_sweep(
-                            design,
-                            corners,
-                            sample_sets(design),
-                            phase=SimulationPhase.INITIAL_SAMPLING,
-                        ),
-                    )
-                else:
-                    process(
-                        design,
-                        self.simulator.simulate_corners(
-                            design,
-                            self.operational.corners,
-                            None,
-                            phase=SimulationPhase.INITIAL_SAMPLING,
-                        ),
-                    )
-            return
-
-        # Overlapped schedule: one sweep in flight ahead, resolved and
-        # processed in seed order; an abort (budget exhaustion) cancels
-        # the speculative sweep before it is charged.
-        for design, resolved in iter_resolved(designs, submit_sweep):
-            process(design, resolved)
 
     # ------------------------------------------------------------------
     # Phase 3-4: the optimization / verification loop

@@ -23,18 +23,20 @@ Verification proceeds in two passes over the corner set:
    (``VerificationResult.simulations`` reports exactly what was charged).
    A chunk of 1 reproduces the sequential schedule, budget included.
 
-   With ``OperationalConfig.pipeline`` (the default) the chunk schedule is
-   **double-buffered** through the futures-based service path: while chunk
-   *k* evaluates in flight, the verifier has already ranked and submitted
-   chunk *k+1*, so it never idles on the simulator between chunks.  The
-   pipeline stays *within* one corner (the next corner's mismatch set is
-   sampled only after the current corner fully passes, keeping the seeded
-   stream bit-identical to the sequential schedule), resolution happens in
-   rank order (budget accounting lands at resolution, in the same order and
-   with the same chunk-rounding as the sequential schedule), and an abort
-   cancels the speculative chunk before it is ever charged — pass/fail,
-   failed corner, failure stage, worst reward, budget totals and RNG
-   streams are all bit-for-bit identical (equivalence-tested).
+   The chunk schedule is **double-buffered** through the futures-based
+   service path (:func:`~repro.simulation.service.iter_resolved`): while
+   chunk *k* evaluates in flight, the verifier has already submitted
+   chunk *k+1*, so a pool-backed engine never idles between chunks.  The
+   overlap stays *within* one corner (the next corner's mismatch set is
+   sampled only after the current corner fully passes, so the seeded
+   stream is the one-at-a-time stream), resolution happens in rank order
+   (budget accounting lands at resolution, in the same order and with the
+   same chunk rounding as a blocking loop), and an abort cancels the
+   speculative chunk before it is ever charged.  Pass/fail, failed corner,
+   failure stage, worst reward, budget totals and RNG streams are
+   bit-for-bit those of the same loop run at lookahead 0 (one chunk
+   submitted and resolved at a time), which the tests use as the
+   sequential reference.
 
 If both passes complete, the design is verified for the chosen scenario.
 The worst-corner subset simulated during the optimization phase can be
@@ -52,7 +54,7 @@ The two Table-III ablation switches live here as well:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from repro.core.spec import DesignSpec
 from repro.simulation.budget import SimulationPhase
 from repro.simulation.service import iter_resolved
 from repro.simulation.simulator import CircuitSimulator, SimulationRecord
-from repro.variation.corners import CornerSet, PVTCorner
+from repro.variation.corners import PVTCorner
 from repro.variation.mismatch import MismatchSampler, MismatchSet
 
 
@@ -114,10 +116,6 @@ class Verifier:
         self.use_reordering = use_reordering
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    #: Chunks kept in flight ahead of the one being scanned (1 = classic
-    #: double buffering; the pool is the real concurrency limit).
-    PIPELINE_AHEAD = 1
-
     # ------------------------------------------------------------------
     def _sampler(self) -> MismatchSampler:
         return MismatchSampler(
@@ -136,25 +134,14 @@ class Verifier:
     ) -> Iterator[List[SimulationRecord]]:
         """Yield each chunk's records, in rank order.
 
-        Sequential mode (``pipeline`` off, or a single chunk): one blocking
-        simulation per chunk, exactly the pre-async schedule.  Pipelined
-        mode: chunk *k+1* is submitted through the futures-based service
-        path before chunk *k* is resolved, so the simulator never idles
-        between chunks.  Resolution happens strictly in rank order — budget
-        charges land in the same order, with the same chunk rounding, as
-        the sequential schedule — and abandoning the generator (the caller
-        aborts on a failing chunk) cancels the speculative in-flight chunk
-        before it is ever charged or cached.
+        Chunk *k+1* is submitted through the futures-based service path
+        before chunk *k* is resolved, so the simulator never idles between
+        chunks.  Resolution happens strictly in rank order — budget charges
+        land in the same order, with the same chunk rounding, as a blocking
+        loop — and abandoning the generator (the caller aborts on a failing
+        chunk) cancels the speculative in-flight chunk before it is ever
+        charged or cached.
         """
-        if not self.operational.pipeline or len(chunks) <= 1:
-            for chunk in chunks:
-                yield self.simulator.simulate_mismatch_set(
-                    design,
-                    corner,
-                    extra_set.subset(chunk),
-                    phase=SimulationPhase.VERIFICATION,
-                )
-            return
 
         def submit(chunk: np.ndarray):
             return self.simulator.submit_mismatch_set(
@@ -164,7 +151,7 @@ class Verifier:
                 phase=SimulationPhase.VERIFICATION,
             )
 
-        for _, records in iter_resolved(chunks, submit, self.PIPELINE_AHEAD):
+        for _, records in iter_resolved(chunks, submit):
             yield records
 
     # ------------------------------------------------------------------
@@ -290,10 +277,10 @@ class Verifier:
                 # h-SCORE-ordered chunks: one batched evaluation per chunk,
                 # then a rank-order scan for the first infeasible reward, so
                 # the abort decision matches the sequential schedule while
-                # the simulator runs at batch speed.  With pipelining the
-                # stream below keeps the next chunk in flight while this
-                # one is scanned (double buffering); aborting out of the
-                # loop cancels the speculative chunk uncharged.
+                # the simulator runs at batch speed.  The stream below
+                # keeps the next chunk in flight while this one is scanned
+                # (double buffering); aborting out of the loop cancels the
+                # speculative chunk uncharged.
                 chunks = [
                     order[start : start + chunk_size]
                     for start in range(0, len(order), chunk_size)

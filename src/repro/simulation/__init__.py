@@ -55,9 +55,10 @@ deadlines via :class:`~repro.simulation.sharding.ShardWatchdog`.
 The service runs jobs synchronously (:meth:`SimulationService.run`) or
 asynchronously (:meth:`SimulationService.submit` → :class:`SimFuture`),
 with all budget accounting — idempotent charges, failure refunds, cache
-stores — performed at resolution time, so pipelined control loops (the
-double-buffered verifier, the overlapped seed phase) account bit-for-bit
-like their sequential twins.  Services own their pools: ``close()`` or the
+stores — performed at resolution time, by the same code for both.  So the
+control loop, which always runs on futures (the double-buffered verifier,
+the overlapped seed phase), accounts bit-for-bit like the same loop run
+one job at a time.  Services own their pools: ``close()`` or the
 context-manager protocol releases them.
 
 The service

@@ -170,9 +170,7 @@ class SimulationServer(Daemon):
             self._pool = WorkerPool(
                 self.workers, backend_names=(self._terminal.name,)
             )
-            self._engine = ShardedDispatcher(
-                self._terminal, self.workers, pool=self._pool
-            )
+            self._engine = ShardedDispatcher(self._terminal, self._pool)
 
         self._executor: Optional[ThreadPoolExecutor] = None
         self._circuits: Dict[str, AnalogCircuit] = {}
@@ -207,8 +205,6 @@ class SimulationServer(Daemon):
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-        if isinstance(self._engine, ShardedDispatcher):
-            self._engine.close()
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None

@@ -25,8 +25,9 @@ call:
   the same hash, so repeated experiment sweeps replay across processes.
 * :class:`ShardedDispatcher` — a decorator backend splitting any job's
   batch axis — mismatch rows, corner rows *and* design rows alike — across
-  the persistent warm :class:`~repro.simulation.sharding.WorkerPool` owned
-  by the service, for engines that can shard (never ``batched``).
+  a persistent warm :class:`~repro.simulation.sharding.WorkerPool` it is
+  handed (the service owns it), for engines that can shard (never
+  ``batched``).
 * :class:`SimulationService` — owns the circuit, the budget, the backend
   chain and the worker pool; ``service.run(job)`` is the one synchronous
   call everything routes through, and ``service.submit(job)`` is its
@@ -63,9 +64,14 @@ the failure refund and the cache store — happens at **resolution time**
   submission safe: work the sequential schedule would never have issued is
   never accounted, and with the lazy thunk it is never even evaluated.
 
-The control loop uses this for pipelining (``core/verification.py``
-double-buffers full-MC chunks; the optimizer seed phase overlaps its
-corner mega-batches) with bit-identical results, streams and budgets.
+The control loop always runs this way, through :func:`iter_resolved` one
+submission ahead (``core/verification.py`` double-buffers full-MC chunks;
+the optimizer seed phase overlaps its corner mega-batches).  There is no
+blocking variant to switch to: the sequential reference is the same loop
+at lookahead 0, whose results, streams and budgets are bit-identical.
+On the default ``batched`` engine every future is a lazy thunk, so both
+lookaheads evaluate the same jobs in the same order; only a pool-backed
+engine overlaps work.
 
 Writing a backend
 -----------------
@@ -942,6 +948,7 @@ class CachingBackend(SimulationBackend):
         self._cache.clear()
         self.hits = 0
         self.misses = 0
+        self.disk_hits = 0
 
 
 # ----------------------------------------------------------------------
@@ -1078,12 +1085,12 @@ class ShardedDispatcher(SimulationBackend):
     unregistered circuit, non-reconstructible backend, closed pool);
     results are concatenated in row order and are bit-identical either way.
 
-    The pool is normally created — eagerly, warm — and owned by the
-    :class:`SimulationService`, which wraps only engines that
-    :func:`~repro.simulation.sharding.can_shard`; a dispatcher constructed
-    without one builds its own lazily on first use when its engine can
-    shard (and is then responsible for it via :meth:`close`, with the
-    interpreter-exit sweep as the backstop).
+    The pool belongs to whoever builds the dispatcher — the
+    :class:`SimulationService` or the job-mode
+    :class:`~repro.simulation.server.SimulationServer`, each of which
+    wraps only engines that :func:`~repro.simulation.sharding.can_shard`
+    and shuts the pool down itself; the dispatcher never creates or
+    closes one.
     :meth:`dispatch` is the non-blocking entry point: it returns a
     :class:`~repro.simulation.sharding.ShardHandle` with the shards already
     in flight, which is what :meth:`SimulationService.submit` pipelines on.
@@ -1096,35 +1103,16 @@ class ShardedDispatcher(SimulationBackend):
     def __init__(
         self,
         inner: SimulationBackend,
-        workers: int,
-        pool: Optional[WorkerPool] = None,
+        pool: WorkerPool,
         watchdog: Optional[ShardWatchdog] = None,
     ):
         self.inner = inner
-        self.workers = max(1, int(workers))
-        self._pool = pool
-        self._owns_pool = pool is None
-        self._released = False
+        self.pool = pool
         self.watchdog = watchdog
 
     @property
     def name(self) -> str:  # type: ignore[override]
-        return f"sharded({self.inner.name}, workers={self.workers})"
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The pool shards run on (lazily created when self-owned)."""
-        if (
-            self._pool is None
-            and self._owns_pool
-            and not self._released
-            and self.workers > 1
-            and can_shard(self.inner)
-        ):
-            self._pool = WorkerPool(
-                self.workers, backend_names=(self.inner.name,), eager=False
-            )
-        return self._pool
+        return f"sharded({self.inner.name}, workers={self.pool.workers})"
 
     def dispatch(
         self, circuit: AnalogCircuit, job: SimJob
@@ -1143,14 +1131,6 @@ class ShardedDispatcher(SimulationBackend):
             return handle.result()
         return self.inner.evaluate(circuit, job)
 
-    def close(self) -> None:
-        """Shut down a self-owned pool (service-owned pools are closed by
-        the service)."""
-        self._released = True
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
 
 # ----------------------------------------------------------------------
 # Futures
@@ -1166,11 +1146,14 @@ class SimFuture:
 
     :meth:`result` performs the *entire* service-side accounting exactly
     once — cache-hit charge, budget charge with the idempotency key,
-    failure refund, cache store — and memoizes the outcome, so repeated
+    failure refund, cache store, through the same code as
+    :meth:`SimulationService.run` — and memoizes the outcome, so repeated
     calls return the same :class:`SimResult` (or re-raise the same error)
     without double-charging.  Resolving futures in submission order
     therefore reproduces the synchronous schedule's budget trajectory
-    bit-for-bit.
+    bit-for-bit.  The future exposes no readiness poll: callers schedule
+    by resolution order (:func:`iter_resolved`), never by asking whether
+    work has finished.
 
     :meth:`cancel` abandons the future: queued pool shards are cancelled,
     running ones finish but their results are dropped, a lazy thunk is
@@ -1217,40 +1200,8 @@ class SimFuture:
         """Whether the job was satisfied by the cache at submission."""
         return self._cached_metrics is not None
 
-    @property
-    def blocking(self) -> bool:
-        """Whether resolution runs the evaluation in the caller's thread.
-
-        True for the lazy in-process thunk: no background work exists to
-        overlap with, so :meth:`result` *is* the evaluation.  Schedulers
-        polling :meth:`done` should treat a blocking future as work to
-        resolve, not work to wait for.
-        """
-        return self._handle is None and self._cached_metrics is None
-
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def done(self) -> bool:
-        """Whether :meth:`result` would return without blocking.
-
-        A cache hit is done the moment it is submitted; a pool-backed
-        future is done when its shards are; a lazy in-process thunk is
-        **not** done until someone resolves it — its evaluation happens
-        inside :meth:`result`, and reporting it "ready" would let a
-        pipelining caller skip the overlap it was polling for (see
-        :attr:`blocking`).
-        """
-        with self._lock:
-            if self._resolved or self._cancelled:
-                return True
-            if self._resolving:
-                return False  # another thread is mid-resolve
-            if self._cached_metrics is not None:
-                return True
-            if self._handle is not None:
-                return self._handle.done()
-            return False  # lazy thunk: nothing ran yet
 
     def cancel(self) -> bool:
         """Abandon the future (no charge, no cache store, work dropped).
@@ -1331,7 +1282,9 @@ class SimFuture:
                 # cancel() can never return True for a charged hit.
                 self._committing = True
         try:
-            result = self._service._resolve(self)
+            result = self._service._resolve(
+                self.job, self._cached_metrics, self._outcome, self._guarded
+            )
         except BaseException as error:
             with self._done_condition:
                 self._error = error
@@ -1359,7 +1312,9 @@ def iter_resolved(items: Sequence, submit: Callable, ahead: int = 1):
     its loop, or an exception during resolution — cancels every future
     still pending, so speculative work is never charged.  ``submit`` may
     return ``None`` for an empty request; it is yielded through as
-    ``None`` and never resolved or cancelled.
+    ``None`` and never resolved or cancelled.  ``ahead=0`` submits and
+    resolves one item at a time: the sequential schedule, which the
+    default lookahead of 1 reproduces bit for bit.
     """
     pending: deque = deque()
     index = 0
@@ -1436,7 +1391,6 @@ class SimulationService:
         charge_cache_hits: bool = False,
         idempotent_charges: bool = False,
         cache_dir: Optional[str] = None,
-        warm_pool: bool = True,
         retry: Union[None, RetryPolicy, Dict[str, object]] = None,
     ):
         self._circuit = circuit
@@ -1451,12 +1405,10 @@ class SimulationService:
                 self._workers,
                 circuit_names=(circuit.name,),
                 backend_names=(self._terminal.name,),
-                eager=warm_pool,
             )
             self._dispatch = ShardedDispatcher(
                 self._terminal,
-                self._workers,
-                pool=self._pool,
+                self._pool,
                 watchdog=(
                     self._retry.watchdog() if self._retry is not None else None
                 ),
@@ -1536,8 +1488,6 @@ class SimulationService:
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown()
-        if isinstance(self._dispatch, ShardedDispatcher):
-            self._dispatch.close()
 
     def __enter__(self) -> "SimulationService":
         return self
@@ -1649,6 +1599,56 @@ class SimulationService:
                 lambda: self._dispatch.evaluate(self._circuit, job)
             )
 
+    def _probe(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
+        """Reject a job for another circuit; the cached metrics on a hit.
+
+        Probing happens before any charge, so a miss keeps the
+        charge-before-evaluate order (a ``max_simulations`` cap aborts
+        before work is spent)."""
+        if job.circuit_name != self._circuit.name:
+            raise ValueError(
+                f"job targets circuit {job.circuit_name!r} but this service "
+                f"simulates {self._circuit.name!r}"
+            )
+        return None if self._cache is None else self._cache.lookup(job)
+
+    def _resolve(
+        self,
+        job: SimJob,
+        cached_metrics: Optional[Dict[str, np.ndarray]],
+        first_attempt: Callable[[], Dict[str, np.ndarray]],
+        guard: Optional[Callable[[Callable], Callable]] = None,
+    ) -> SimResult:
+        """The accounting :meth:`run` and :meth:`SimFuture.result` share.
+
+        A cache hit charges zero (or ``job.cost`` under
+        ``charge_cache_hits``) with no idempotency key: each hit is a
+        deliberate accounting event, and the key for the job's real run
+        must stay intact.  A miss runs :meth:`_evaluate_accounted`, moves
+        the per-row timing onto the result and stores the admitted
+        metrics to the cache."""
+        if cached_metrics is not None:
+            self._budget.charge(
+                job.phase, job.cost if self._charge_cache_hits else 0
+            )
+            return SimResult(
+                job=job,
+                metrics=cached_metrics,
+                cached=True,
+                backend=self._cache.name,
+            )
+        metrics = self._evaluate_accounted(job, first_attempt, guard)
+        row_seconds = metrics.pop(ROW_SECONDS_KEY, None)
+        if self._cache is not None:
+            self._cache.store(job, metrics)
+        return SimResult(
+            job=job,
+            metrics=metrics,
+            cached=False,
+            backend=self._dispatch.name,
+            row_seconds=row_seconds,
+        )
+
     def run(self, job: SimJob) -> SimResult:
         """Evaluate one job, charging the budget before any simulation runs
         (so a ``max_simulations`` cap aborts without spending work, exactly
@@ -1662,38 +1662,10 @@ class SimulationService:
         non-strict ngspice timeout) is refunded too, mirroring the cache's
         refusal to store such blocks — strict and graceful failure modes
         account identically."""
-        if job.circuit_name != self._circuit.name:
-            raise ValueError(
-                f"job targets circuit {job.circuit_name!r} but this service "
-                f"simulates {self._circuit.name!r}"
-            )
-        if self._cache is not None:
-            metrics = self._cache.lookup(job)
-            if metrics is not None:
-                # Hits charge plainly (no idempotency key): each hit is a
-                # deliberate accounting event under ``charge_cache_hits``,
-                # and the key for the job's real run must stay intact.
-                self._budget.charge(
-                    job.phase, job.cost if self._charge_cache_hits else 0
-                )
-                return SimResult(
-                    job=job,
-                    metrics=metrics,
-                    cached=True,
-                    backend=self._cache.name,
-                )
-        metrics = self._evaluate_accounted(
-            job, lambda: self._dispatch.evaluate(self._circuit, job)
-        )
-        row_seconds = metrics.pop(ROW_SECONDS_KEY, None)
-        if self._cache is not None:
-            self._cache.store(job, metrics)
-        return SimResult(
-            job=job,
-            metrics=metrics,
-            cached=False,
-            backend=self._dispatch.name,
-            row_seconds=row_seconds,
+        return self._resolve(
+            job,
+            self._probe(job),
+            lambda: self._dispatch.evaluate(self._circuit, job),
         )
 
     # ------------------------------------------------------------------
@@ -1718,17 +1690,11 @@ class SimulationService:
         over-cap resolution aborts with work already spent — the
         accounting is still identical, only wasted wall-clock differs.
         """
-        if job.circuit_name != self._circuit.name:
-            raise ValueError(
-                f"job targets circuit {job.circuit_name!r} but this service "
-                f"simulates {self._circuit.name!r}"
+        metrics = self._probe(job)
+        if metrics is not None:
+            return SimFuture(
+                self, job, outcome=lambda: metrics, cached_metrics=metrics
             )
-        if self._cache is not None:
-            metrics = self._cache.lookup(job)
-            if metrics is not None:
-                return SimFuture(
-                    self, job, outcome=lambda: metrics, cached_metrics=metrics
-                )
         handle: Optional[ShardHandle] = None
         if isinstance(self._dispatch, ShardedDispatcher):
             handle = self._dispatch.dispatch(self._circuit, job)
@@ -1738,36 +1704,4 @@ class SimulationService:
             self,
             job,
             outcome=lambda: self._dispatch.evaluate(self._circuit, job),
-        )
-
-    def _resolve(self, future: SimFuture) -> SimResult:
-        """Resolution-time accounting for one future (single caller:
-        :meth:`SimFuture.result`).  Mirrors :meth:`run` step for step:
-        cache hits charge zero (or ``job.cost`` under
-        ``charge_cache_hits``), real runs charge before the outcome is
-        inspected, a raising outcome or an all-failure block refunds, and
-        admitted metrics are stored to the cache."""
-        job = future.job
-        if future._cached_metrics is not None:
-            self._budget.charge(
-                job.phase, job.cost if self._charge_cache_hits else 0
-            )
-            return SimResult(
-                job=job,
-                metrics=future._cached_metrics,
-                cached=True,
-                backend=self._cache.name if self._cache is not None else "",
-            )
-        metrics = self._evaluate_accounted(
-            job, future._outcome, guard=future._guarded
-        )
-        row_seconds = metrics.pop(ROW_SECONDS_KEY, None)
-        if self._cache is not None:
-            self._cache.store(job, metrics)
-        return SimResult(
-            job=job,
-            metrics=metrics,
-            cached=False,
-            backend=self._dispatch.name,
-            row_seconds=row_seconds,
         )

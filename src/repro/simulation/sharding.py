@@ -702,9 +702,6 @@ class ShardHandle:
         #: Shard indices re-dispatched after a worker death (observable).
         self.redispatched_shards: List[int] = []
 
-    def done(self) -> bool:
-        return all(shard.future.done() for shard in self._shards)
-
     def cancelled(self) -> bool:
         return self._cancelled
 

@@ -60,8 +60,8 @@ class RecordsFuture:
     see :meth:`SimFuture.result`) and unpacks the metrics tensor into
     :class:`SimulationRecord` views — grouped per corner when the future
     came from :meth:`CircuitSimulator.submit_corner_sweep`.  ``cancel()``
-    abandons the job without charging, which is how pipelined consumers
-    discard speculative work after an abort.
+    abandons the job without charging, which is how the control loop
+    discards speculative work after an abort.
     """
 
     def __init__(
@@ -80,14 +80,6 @@ class RecordsFuture:
     def future(self) -> SimFuture:
         """The underlying service future (for budget/cache introspection)."""
         return self._future
-
-    def done(self) -> bool:
-        return self._future.done()
-
-    @property
-    def blocking(self) -> bool:
-        """True when ``result()`` would run the simulation in this thread."""
-        return self._future.blocking
 
     def cancel(self) -> bool:
         return self._future.cancel()

@@ -14,7 +14,10 @@ contract down:
   failure refunds for raising workers and graceful all-failure blocks,
   ``max_simulations`` aborts at the same point as the sync schedule;
 * double-buffered verification and the overlapped seed phase replaying
-  the sequential schedule bit-for-bit (including on abort paths);
+  the sequential schedule bit-for-bit (including on abort paths).  The
+  reference is the control loop's own ``iter_resolved`` loop patched to
+  lookahead 0 (:func:`lookahead_zero`), one job submitted and resolved
+  at a time; no config field selects it;
 * the persistent warm :class:`WorkerPool` lifecycle — explicit
   ``close()``, context managers, in-process fallback after close — the
   rule that ``vectorized`` engines never shard (no pool at any worker
@@ -26,8 +29,11 @@ contract down:
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 from concurrent.futures import CancelledError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from repro.circuits.base import (
     DeviceSpec,
     SizingParameter,
 )
+from repro.core import optimizer, verification
 from repro.core.config import GlovaConfig, VerificationMethod, operational_config
 from repro.core.optimizer import GlovaOptimizer
 from repro.core.replay import LastWorstCaseBuffer
@@ -54,7 +61,6 @@ from repro.simulation import (
     FaultSchedule,
     NgspiceError,
     ReferenceScalarBackend,
-    ShardedDispatcher,
     SimJob,
     SimulationBudget,
     SimulationPhase,
@@ -67,7 +73,11 @@ from repro.simulation.ngspice import (
     STRICT_ENV,
 )
 from repro.simulation.sharding import MIN_ROWS_PER_WORKER, can_shard, shardable
-from repro.simulation.service import CACHE_FORMAT_VERSION, _CACHE_VERSION_KEY
+from repro.simulation.service import (
+    CACHE_FORMAT_VERSION,
+    _CACHE_VERSION_KEY,
+    iter_resolved,
+)
 from repro.spice.deck import FAILURE_NAN
 from repro.variation.corners import typical_corner
 
@@ -191,7 +201,7 @@ class TestResolutionAccounting:
             service.run(job)
             assert service.budget.total == 4
             future = service.submit(job)
-            assert future.cached and future.done()
+            assert future.cached
             result = future.result()
         assert result.cached
         assert service.budget.total == 4  # the hit charged zero
@@ -315,7 +325,22 @@ class FullMCProbeCircuit(AnalogCircuit):
         return {"margin": 0.9 + 0.74 * vth}
 
 
-def _probe_verify(seed, pipeline, chunk=3):
+@contextlib.contextmanager
+def lookahead_zero():
+    """Run the verifier and the seed phase one job at a time.
+
+    Both loops call ``iter_resolved`` at its default lookahead of 1; this
+    patch pins ``ahead=0`` in the two modules, so every job is submitted
+    only after the previous one resolved — the sequential reference."""
+    sequential = functools.partial(iter_resolved, ahead=0)
+    with mock.patch.object(verification, "iter_resolved", sequential):
+        with mock.patch.object(optimizer, "iter_resolved", sequential):
+            yield
+
+
+def _probe_verify(seed, chunk=3):
+    """The probe's verification outcome and the service budget total read
+    after ``verify`` returned, i.e. after the chunk stream was closed."""
     circuit = FullMCProbeCircuit()
     from repro.simulation import CircuitSimulator
 
@@ -325,7 +350,6 @@ def _probe_verify(seed, pipeline, chunk=3):
             optimization_samples=3,
             verification_samples=11,
             verification_chunk=chunk,
-            pipeline=pipeline,
         )
         verifier = Verifier(
             simulator,
@@ -334,22 +358,20 @@ def _probe_verify(seed, pipeline, chunk=3):
             use_mu_sigma=False,  # reach pass 2 instead of the Eq.-7 screen
             rng=np.random.default_rng(seed),
         )
-        return verifier.verify(
+        outcome = verifier.verify(
             np.full(circuit.dimension, 0.5),
             LastWorstCaseBuffer(operational.corners),
         )
+        return outcome, simulator.budget.total
 
 
-def _verify_once(
-    circuit, design_seed, pipeline, workers=1, chunk=4, backend="batched"
-):
+def _verify_once(circuit, design_seed, workers=1, chunk=4, backend="batched"):
     spec = DesignSpec.from_circuit(circuit)
     operational = operational_config(
         VerificationMethod.CORNER_LOCAL_MC,
         optimization_samples=3,
         verification_samples=11,
         verification_chunk=chunk,
-        pipeline=pipeline,
         workers=workers,
     )
     from repro.simulation import CircuitSimulator
@@ -379,8 +401,9 @@ class TestDoubleBufferedVerification:
         """Pass/fail, failed corner, failure stage, worst reward, charged
         budget and the post-verify RNG stream all match the sequential
         schedule — across seeds that exercise both pass and abort paths."""
-        sequential = _verify_once(paper_circuit, design_seed, pipeline=False)
-        pipelined = _verify_once(paper_circuit, design_seed, pipeline=True)
+        with lookahead_zero():
+            sequential = _verify_once(paper_circuit, design_seed)
+        pipelined = _verify_once(paper_circuit, design_seed)
         for field in ("passed", "failed_corner", "failure_stage"):
             assert getattr(pipelined[0], field) == getattr(
                 sequential[0], field
@@ -393,9 +416,10 @@ class TestDoubleBufferedVerification:
     def test_bit_identical_through_pool(self, strongarm, pool_submissions):
         # Design seed 9604 passes screening, so pass 2's 8-row chunks reach
         # the pool (the N' = 3 screening jobs sit under the 4-row floor).
-        sequential = _verify_once(strongarm, 9604, pipeline=False, chunk=8)
+        with lookahead_zero():
+            sequential = _verify_once(strongarm, 9604, chunk=8)
         pipelined = _verify_once(
-            strongarm, 9604, pipeline=True, workers=2, chunk=8, backend="scalar"
+            strongarm, 9604, workers=2, chunk=8, backend="scalar"
         )
         assert pool_submissions  # the shards really ran on the pool
         assert pipelined[0].passed == sequential[0].passed
@@ -408,18 +432,23 @@ class TestDoubleBufferedVerification:
         """On a full-MC abort the in-flight speculative chunk is cancelled:
         the charged budget equals the sequential chunk-rounded prefix (the
         pipelined path would charge one chunk more if the cancel leaked).
-        Uses a synthetic probe whose sample-level failure probability makes
-        full-MC aborts common (the paper circuits fail at screening first,
-        cf. ``test_verification_chunked``)."""
+        ``simulations`` is read before the chunk stream closes, so the
+        budget total is also compared after ``verify`` returned: cleanup
+        that resolved the pending chunk instead of cancelling it shows up
+        only there.  Uses a synthetic probe whose sample-level failure
+        probability makes full-MC aborts common (the paper circuits fail
+        at screening first, cf. ``test_verification_chunked``)."""
         full_mc_aborts = 0
         for seed in range(12):
-            sequential = _probe_verify(seed, pipeline=False)
-            pipelined = _probe_verify(seed, pipeline=True)
+            with lookahead_zero():
+                sequential, sequential_total = _probe_verify(seed)
+            pipelined, pipelined_total = _probe_verify(seed)
             assert pipelined.passed == sequential.passed
             assert pipelined.failed_corner == sequential.failed_corner
             assert pipelined.failure_stage == sequential.failure_stage
             assert pipelined.worst_reward == sequential.worst_reward
             assert pipelined.simulations == sequential.simulations
+            assert pipelined_total == sequential_total
             if sequential.failure_stage == "full_mc":
                 full_mc_aborts += 1
         # The probe is tuned so the abort path is actually exercised.
@@ -436,27 +465,27 @@ class TestPipelinedOptimizer:
     )
     def test_full_trajectory_identical(self, strongarm, method):
         """End-to-end GLOVA runs (seed phase + optimization + verification)
-        are bit-identical with pipelining on and off — designs, rewards,
-        budgets and iteration counts — for both the MC and the pure-corner
-        seed schedules."""
+        are bit-identical at lookahead 1 and 0 — designs, rewards, budgets
+        and iteration counts — for both the MC and the pure-corner seed
+        schedules."""
 
-        def run(pipeline):
+        def run():
             config = GlovaConfig(
                 verification=method,
                 seed=5,
                 max_iterations=6,
                 initial_samples=16,
                 verification_samples=6,
-                pipeline=pipeline,
             )
-            optimizer = GlovaOptimizer(strongarm, config)
+            glova = GlovaOptimizer(strongarm, config)
             try:
-                return optimizer.run()
+                return glova.run()
             finally:
-                optimizer.simulator.close()
+                glova.simulator.close()
 
-        sequential = run(False)
-        pipelined = run(True)
+        with lookahead_zero():
+            sequential = run()
+        pipelined = run()
         assert pipelined.success == sequential.success
         assert pipelined.iterations == sequential.iterations
         assert pipelined.simulations == sequential.simulations
@@ -511,24 +540,6 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(os.getpid)
 
-    def test_self_owned_dispatcher_pool_closes(self, strongarm, pool_submissions):
-        dispatcher = ShardedDispatcher(ReferenceScalarBackend(), workers=2)
-        job = conditions_job(strongarm, rows=8)
-        metrics = dispatcher.evaluate(strongarm, job)
-        assert pool_submissions  # the shards really ran on the pool
-        assert metrics[strongarm.metric_names[0]].shape == (8,)
-        pool = dispatcher.pool
-        assert pool is not None
-        dispatcher.close()
-        assert pool.closed
-        # A released dispatcher never resurrects its pool.
-        assert dispatcher.pool is None
-        fallback = dispatcher.evaluate(strongarm, job)
-        np.testing.assert_array_equal(
-            fallback[strongarm.metric_names[0]],
-            metrics[strongarm.metric_names[0]],
-        )
-
 
 # ----------------------------------------------------------------------
 # Vectorized engines never shard
@@ -581,7 +592,6 @@ class TestVectorizedEnginesStayInProcess:
                 assert service.pool is None
                 assert service.backend.name == "batched"
                 futures = [service.submit(job) for job in jobs]
-                assert all(f.blocking and not f.done() for f in futures)
                 trajectory = []
                 for future in futures:
                     metrics = future.result().metrics
@@ -681,6 +691,20 @@ class TestDiskCache:
             np.testing.assert_array_equal(
                 replayed.metrics[name], expected.metrics[name]
             )
+
+    def test_clear_resets_every_counter(self, strongarm, tmp_path):
+        """Disk hits are a subset of hits, so ``clear()`` zeroes both."""
+        cache_dir = str(tmp_path / "simcache")
+        job = conditions_job(strongarm, rows=4)
+        with SimulationService(strongarm, cache_dir=cache_dir) as first:
+            first.run(job)
+        with SimulationService(strongarm, cache_dir=cache_dir) as second:
+            assert second.run(job).cached
+            cache = second.cache
+            assert (cache.hits, cache.disk_hits) == (1, 1)
+            cache.clear()
+            assert (cache.hits, cache.misses, cache.disk_hits) == (0, 0, 0)
+            assert len(cache) == 0
 
     def test_cache_dir_implies_caching(self, strongarm, tmp_path):
         service = SimulationService(strongarm, cache_dir=str(tmp_path / "c"))

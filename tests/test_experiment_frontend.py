@@ -50,6 +50,7 @@ from repro.simulation.faults import (
 from repro.simulation.frontend import (
     RUN_CANCELLED,
     RUN_DONE,
+    RUN_FAILED,
     RUN_QUEUED,
     ExperimentClient,
     ExperimentFrontend,
@@ -663,6 +664,44 @@ class TestJournalReplay:
         assert (
             second.ledger.snapshot()["default"]["total"]
             == report.total_simulations
+        )
+
+    def test_queued_run_with_a_dropped_field_fails_and_daemon_serves_on(
+        self, tmp_path
+    ):
+        """A run journaled by an older build whose config still carries
+        ``pipeline`` replays into ``failed`` with the unknown-field error;
+        the daemon then completes a fresh run as usual."""
+        journal_dir = str(tmp_path / "journal")
+        stale_config = _config().to_dict()
+        stale_config["pipeline"] = True
+        run_id = "ab" * 32
+        ExperimentJournal(journal_dir).record(
+            _Run(run_id, "alice", stale_config)
+        )
+        frontend = ExperimentFrontend(journal_dir)
+        assert frontend.stats["replayed_runs"] == 1
+        stale = frontend._runs[run_id]
+        frontend.start()
+        try:
+            assert stale.done.wait(60)
+            report = api.run_experiment(
+                _config(), endpoint=frontend.endpoint, tenant="alice"
+            )
+        finally:
+            frontend.stop()
+        assert stale.state == RUN_FAILED
+        assert stale.error["message"] == (
+            "unknown ExperimentConfig fields: ['pipeline']"
+        )
+        records = {
+            record["run_id"]: record for record in frontend.journal.load_all()
+        }
+        assert records[run_id]["state"] == RUN_FAILED
+        assert frontend.stats["failed"] == 1
+        assert frontend.stats["completed"] == 1
+        assert _comparable_report(report) == _comparable_report(
+            api.run_experiment(_config())
         )
 
 

@@ -14,6 +14,7 @@ Covers the PR-3 redesign surface:
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -501,6 +502,31 @@ class TestExperimentConfig:
         with pytest.raises(TypeError, match="no_such_knob"):
             ExperimentConfig(overrides={"no_such_knob": 1})
 
+    def test_schedule_is_not_configurable(self):
+        """The control loop has one schedule: a config that still carries
+        ``pipeline`` fails like any unknown field, at every surface."""
+        from repro.api import ExperimentConfig
+        from repro.core.config import (
+            GlovaConfig,
+            VerificationMethod,
+            operational_config,
+        )
+
+        payload = ExperimentConfig().to_dict()
+        assert "pipeline" not in payload
+        payload["pipeline"] = False
+        with pytest.raises(
+            ValueError,
+            match=re.escape("unknown ExperimentConfig fields: ['pipeline']"),
+        ):
+            ExperimentConfig.from_dict(payload)
+        with pytest.raises(TypeError, match="pipeline"):
+            ExperimentConfig(overrides={"pipeline": False})
+        with pytest.raises(TypeError, match="pipeline"):
+            GlovaConfig(pipeline=False)
+        with pytest.raises(TypeError, match="pipeline"):
+            operational_config(VerificationMethod.CORNER, pipeline=False)
+
     def test_glova_config_plumbs_service_knobs(self):
         from repro.api import ExperimentConfig
 
@@ -567,6 +593,13 @@ class TestCommandLine:
         assert "dry run" in result.stdout
         assert "strongarm_latch" in result.stdout
         assert "Predefined corners:   30" in result.stdout
+        assert "pipeline" not in result.stdout
+
+    @pytest.mark.parametrize("flag", ["--pipeline", "--no-pipeline"])
+    def test_schedule_flags_are_rejected(self, flag):
+        result = self.run_cli("--circuit", "sal", flag, "--dry-run")
+        assert result.returncode == 2
+        assert f"unrecognized arguments: {flag}" in result.stderr
 
     def test_list_circuits(self):
         result = self.run_cli("--list-circuits")

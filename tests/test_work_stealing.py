@@ -16,10 +16,8 @@ Covers this PR's contract from both ends:
   change wall-clock.
 * **The bugfix batch** — ``SimFuture.cancel`` returns immediately while
   another thread is mid-resolve (the resolve no longer holds the lock),
-  with net-zero accounting; ``done()`` no longer reports an unresolved
-  lazy thunk as ready (``blocking`` exposes why); ``iter_resolved``
-  cleanup cancels every pending future even when one ``cancel()``
-  raises.
+  with net-zero accounting; ``iter_resolved`` cleanup cancels every
+  pending future even when one ``cancel()`` raises.
 * **Stragglers** — on a paced ``row_parallel`` backend with one heavy
   row, the stealing schedule keeps the pool's measured idle fraction
   bounded (one uniform slice per worker would strand a whole worker
@@ -250,25 +248,26 @@ class TestNoCostModel:
 class TestSchedulerBitIdentity:
     """On ``scalar``, an engine that shards (``batched`` never does)."""
 
-    def _trajectory(self, circuit, workers):
+    def _trajectory(self, circuit, workers, pool_submissions):
         """Metrics plus the resolve-in-order budget trajectory."""
         jobs = [conditions_job(circuit, rows=12, seed=s) for s in range(3)]
+        del pool_submissions[:]
         with SimulationService(
             circuit, backend="scalar", workers=workers
         ) as service:
             futures = [service.submit(job) for job in jobs]
-            # Pool shards are already running, so only the workers=1
-            # futures (lazy in-process thunks) block.
-            assert all(f.blocking == (workers == 1) for f in futures)
+            # Submission dispatched the workers=2 shards to the pool;
+            # the workers=1 futures are lazy in-process thunks.
+            assert bool(pool_submissions) == (workers > 1)
             metrics, totals = [], []
             for future in futures:
                 metrics.append(future.result().metrics)
                 totals.append(service.budget.total)
         return metrics, totals
 
-    def test_stealing_matches_sequential(self, paper_circuit):
-        reference = self._trajectory(paper_circuit, 1)
-        stealing = self._trajectory(paper_circuit, 2)
+    def test_stealing_matches_sequential(self, paper_circuit, pool_submissions):
+        reference = self._trajectory(paper_circuit, 1, pool_submissions)
+        stealing = self._trajectory(paper_circuit, 2, pool_submissions)
         assert stealing[1] == reference[1] == [12, 24, 36]
         for expected, actual in zip(reference[0], stealing[0]):
             for name in paper_circuit.metric_names:
@@ -346,7 +345,7 @@ class TestConcurrentCancel:
         # The cancellation is memoized like any resolution outcome.
         with pytest.raises(CancelledError):
             future.result()
-        assert future.cancelled() and future.done()
+        assert future.cancelled()
 
     def test_cancel_refuses_once_committed(self, strongarm):
         """After the commit checkpoint passes, a racing cancel returns
@@ -376,47 +375,6 @@ class TestConcurrentCancel:
         assert len(results) == 4
         assert all(result is results[0] for result in results)
         assert service.budget.total == 5
-
-
-# ----------------------------------------------------------------------
-# Bugfix: done() on a lazy thunk / the blocking property
-# ----------------------------------------------------------------------
-class TestDoneAndBlocking:
-    def test_lazy_thunk_is_not_done_until_resolved(self, strongarm):
-        with SimulationService(strongarm) as service:
-            future = service.submit(conditions_job(strongarm, rows=4))
-            # The regression: done() used to claim True here, letting a
-            # pipelining caller skip the overlap it was polling for.
-            assert not future.done()
-            assert future.blocking
-            future.result()
-            assert future.done()
-
-    def test_cache_hit_is_done_and_nonblocking(self, strongarm):
-        with SimulationService(strongarm, cache=True) as service:
-            job = conditions_job(strongarm, rows=4)
-            service.run(job)
-            future = service.submit(job)
-            assert future.done() and not future.blocking
-
-    def test_pool_backed_future_is_nonblocking(self, strongarm):
-        with SimulationService(strongarm, backend="scalar", workers=2) as service:
-            future = service.submit(conditions_job(strongarm, rows=12))
-            assert not future.blocking  # shards already run elsewhere
-            future.result()
-            assert future.done()
-
-    def test_records_future_exposes_blocking(self, strongarm):
-        from repro.simulation import CircuitSimulator
-
-        with CircuitSimulator(strongarm) as simulator:
-            rng = np.random.default_rng(0)
-            future = simulator.submit_corners(
-                rng.uniform(0.2, 0.8, strongarm.dimension),
-                (typical_corner(),),
-            )
-            assert future.blocking and not future.done()
-            future.result()
 
 
 # ----------------------------------------------------------------------
