@@ -10,6 +10,12 @@ against the *batched loop* (design-batched TuRBO objective, corners × N' seed
 mega-batch, chunk-8 verification).  Only the simulation side is timed —
 agent updates are identical in both schedules.  The comparison asserts
 value equivalence before timing anything.
+
+The legacy schedule evaluates one simulation per engine call.  On the
+``vectorized`` ``batched`` engine the verifier shares one evaluation per
+corner whatever the chunk size, so the legacy schedule runs on
+:class:`PerCallBackend`, a twin with the same metrics that is not
+``vectorized``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,11 @@ from repro.core.reward import rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.core.turbo import TurboSampler
 from repro.core.verification import Verifier
-from repro.simulation import CircuitSimulator, SimulationPhase
+from repro.simulation import (
+    BatchedMNABackend,
+    CircuitSimulator,
+    SimulationPhase,
+)
 from repro.variation.mismatch import MismatchSampler
 
 REPEATS = 3
@@ -41,6 +51,18 @@ VERIFICATION_SAMPLES = 24
 OPTIMIZATION_ITERATIONS = 10
 TURBO_EVALUATIONS = 30
 SEED_DESIGNS = 2
+
+
+class PerCallBackend(BatchedMNABackend):
+    """The batched engine without the ``vectorized`` trait.
+
+    Metrics are bit-identical to ``batched``, but the verifier evaluates
+    each full-MC chunk in its own call: at ``verification_chunk=1``, one
+    call per simulation, as the legacy schedule did.
+    """
+
+    name = "per_call_batched"
+    vectorized = False
 
 
 def _best_of(callable_, repeats: int = REPEATS) -> float:
@@ -89,8 +111,9 @@ class _WorkflowDriver:
 
     ``batched=False`` reproduces the PR-1 control loop: scalar TuRBO
     objective, per-corner seed loop, strictly sequential full-MC
-    verification.  ``batched=True`` is the new loop: design-batched TuRBO,
-    corner mega-batch, chunk-8 verification.  Both issue exactly the same
+    verification, one engine call per simulation (:class:`PerCallBackend`).
+    ``batched=True`` is the new loop: design-batched TuRBO, corner
+    mega-batch, chunk-8 verification.  Both run exactly the same
     simulations in the same order, so the budgets agree and the wall-clock
     difference is pure batching.
     """
@@ -104,7 +127,10 @@ class _WorkflowDriver:
 
     def run(self):
         circuit = self.circuit
-        simulator = CircuitSimulator(circuit)
+        simulator = CircuitSimulator(
+            circuit,
+            backend=BatchedMNABackend() if self.batched else PerCallBackend(),
+        )
         operational = operational_config(
             VerificationMethod.CORNER_LOCAL_MC,
             optimization_samples=3,

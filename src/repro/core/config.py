@@ -65,13 +65,16 @@ class OperationalConfig:
         The predefined corner set ``T`` (30 PVT corners, or 6 VT corners for
         the global-local MC scenario where the process axis is statistical).
     verification_chunk:
-        Full-MC simulations issued per batched evaluation during the
-        verification pass.  Chunks are scanned in h-SCORE order for the
-        first infeasible reward, so the pass/fail outcome and the failed
-        corner match the one-at-a-time schedule exactly; the budget charges
-        the simulated prefix rounded up to the chunk (at most
-        ``verification_chunk - 1`` extra simulations past the first
-        failure).  ``1`` reproduces the strictly sequential schedule.
+        Rows per full-MC job during the verification pass: the charging
+        and job granularity, not the evaluation granularity.  Chunks are
+        scanned in h-SCORE order for the first infeasible reward, so the
+        pass/fail outcome and the failed corner match the one-at-a-time
+        schedule exactly; the budget charges the simulated prefix rounded
+        up to the chunk (at most ``verification_chunk - 1`` extra
+        simulations past the first failure).  ``1`` reproduces the
+        strictly sequential schedule.  A ``vectorized`` engine evaluates
+        a corner's chunks in one call whatever their size; other engines
+        evaluate one call per chunk.
     workers:
         Process count for sharding jobs across a ``ProcessPoolExecutor``;
         ``1`` (the default) stays in-process, and so does the vectorized

@@ -13,15 +13,26 @@ Verification proceeds in two passes over the corner set:
    sampled, ranked by h-SCORE, and simulated in that order.  The first
    simulation whose reward is not the feasible 0.2 aborts verification.
 
-   The full pass evaluates the ranked conditions in **chunks** of
-   ``OperationalConfig.verification_chunk`` (default 8) through the batched
-   simulator, scanning each chunk in rank order for the first infeasible
+   The full pass submits the ranked conditions as **chunk jobs** of
+   ``OperationalConfig.verification_chunk`` (default 8) rows, scanning
+   each chunk's metrics matrix in rank order for the first infeasible
    reward.  The pass/fail outcome, the failed corner and the failure stage
    are identical to the one-at-a-time schedule; the only difference is the
    budget, which charges the simulated prefix *rounded up to the chunk* —
    at most ``verification_chunk - 1`` simulations past the first failure
    (``VerificationResult.simulations`` reports exactly what was charged).
    A chunk of 1 reproduces the sequential schedule, budget included.
+
+   A chunk is the job granularity, not the evaluation granularity.  Each
+   chunk is ``job.shard(lo, hi)`` of one job over the corner's whole
+   ranked remainder, submitted through
+   :meth:`~repro.simulation.service.SimulationService.chunk_submitter`.
+   On a ``vectorized`` engine that is not ``row_parallel`` (``batched``)
+   the chunks share one evaluation of that whole job, so a corner costs
+   one engine call; every other engine evaluates each chunk alone.
+   Either way a chunk is charged, keyed, cached and cancelled as its own
+   job, so outcomes, budgets and cache contents do not depend on the
+   engine.
 
    The chunk schedule is **double-buffered** through the futures-based
    service path (:func:`~repro.simulation.service.iter_resolved`): while
@@ -54,7 +65,7 @@ The two Table-III ablation switches live here as well:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -65,7 +76,7 @@ from repro.core.replay import LastWorstCaseBuffer
 from repro.core.reward import FEASIBLE_REWARD, rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.simulation.budget import SimulationPhase
-from repro.simulation.service import iter_resolved
+from repro.simulation.service import SimJob, iter_resolved
 from repro.simulation.simulator import CircuitSimulator, SimulationRecord
 from repro.variation.corners import PVTCorner
 from repro.variation.mismatch import MismatchSampler, MismatchSet
@@ -124,35 +135,6 @@ class Verifier:
             include_local=self.operational.include_local,
             rng=self.rng,
         )
-
-    def _chunk_record_stream(
-        self,
-        design: np.ndarray,
-        corner: PVTCorner,
-        extra_set: MismatchSet,
-        chunks: Sequence[np.ndarray],
-    ) -> Iterator[List[SimulationRecord]]:
-        """Yield each chunk's records, in rank order.
-
-        Chunk *k+1* is submitted through the futures-based service path
-        before chunk *k* is resolved, so the simulator never idles between
-        chunks.  Resolution happens strictly in rank order — budget charges
-        land in the same order, with the same chunk rounding, as a blocking
-        loop — and abandoning the generator (the caller aborts on a failing
-        chunk) cancels the speculative in-flight chunk before it is ever
-        charged or cached.
-        """
-
-        def submit(chunk: np.ndarray):
-            return self.simulator.submit_mismatch_set(
-                design,
-                corner,
-                extra_set.subset(chunk),
-                phase=SimulationPhase.VERIFICATION,
-            )
-
-        for _, records in iter_resolved(chunks, submit):
-            yield records
 
     # ------------------------------------------------------------------
     def verify(
@@ -274,25 +256,29 @@ class Verifier:
                 else:
                     order = np.arange(len(extra_set))
 
-                # h-SCORE-ordered chunks: one batched evaluation per chunk,
-                # then a rank-order scan for the first infeasible reward, so
-                # the abort decision matches the sequential schedule while
-                # the simulator runs at batch speed.  The stream below
+                # h-SCORE-ordered chunks, each its own job, scanned in rank
+                # order for the first infeasible reward, so the abort
+                # decision matches the sequential schedule.  The stream
                 # keeps the next chunk in flight while this one is scanned
-                # (double buffering); aborting out of the loop cancels the
-                # speculative chunk uncharged.
-                chunks = [
-                    order[start : start + chunk_size]
-                    for start in range(0, len(order), chunk_size)
+                # (double buffering); aborting out of the loop cancels it
+                # uncharged.  On a vectorized engine the chunks share one
+                # evaluation of the whole ranked remainder.
+                ranked = SimJob.conditions(
+                    self.simulator.circuit.name,
+                    design,
+                    (screen.corner,),
+                    extra_set.subset(order).samples,
+                    SimulationPhase.VERIFICATION,
+                )
+                bounds = [
+                    (lo, min(lo + chunk_size, ranked.batch))
+                    for lo in range(0, ranked.batch, chunk_size)
                 ]
-                for records in self._chunk_record_stream(
-                    design, screen.corner, extra_set, chunks
+                for _, result in iter_resolved(
+                    bounds, self.simulator.service.chunk_submitter(ranked)
                 ):
                     rewards = rewards_from_matrix(
-                        self.spec,
-                        self.simulator.metrics_matrix(
-                            records, self.spec.metric_names
-                        ),
+                        self.spec, result.matrix(self.spec.metric_names)
                     )
                     failing = np.flatnonzero(rewards < FEASIBLE_REWARD)
                     if failing.size:

@@ -71,7 +71,10 @@ blocking variant to switch to: the sequential reference is the same loop
 at lookahead 0, whose results, streams and budgets are bit-identical.
 On the default ``batched`` engine every future is a lazy thunk, so both
 lookaheads evaluate the same jobs in the same order; only a pool-backed
-engine overlaps work.
+engine overlaps work.  There, too, the verifier's chunk futures of one
+corner share one lazy evaluation of the corner's whole ranked remainder
+(:meth:`SimulationService.chunk_submitter`); each chunk is still its own
+job at resolution.
 
 Writing a backend
 -----------------
@@ -101,9 +104,12 @@ Contract, in order of importance:
 4. Raise for deployment errors, degrade (NaN) for simulation errors.
    Raising aborts the job and refunds its budget charge.
 5. Declare the cost shape: ``vectorized = True`` when one call costs
-   about the same at any row count (its jobs then never shard), or
-   ``row_parallel = True`` when every row is its own external run (any
-   multi-row job fans out across the pool).
+   about the same at any row count (its jobs then never shard, and the
+   verifier's full-MC chunks of one corner share one call over the
+   whole ranked remainder, see :meth:`SimulationService.chunk_submitter`),
+   or ``row_parallel = True`` when every row is its own external run (any
+   multi-row job fans out across the pool, and every chunk is evaluated
+   alone).
 
 Registered names are automatically selectable from
 ``ExperimentConfig(backend=...)`` and ``python -m repro --backend ...``,
@@ -1671,7 +1677,11 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Async path
     # ------------------------------------------------------------------
-    def submit(self, job: SimJob) -> SimFuture:
+    def submit(
+        self,
+        job: SimJob,
+        outcome: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
+    ) -> SimFuture:
         """Start one job and return a :class:`SimFuture` immediately.
 
         When the job shards across the service's warm pool, its shards are
@@ -1679,7 +1689,10 @@ class SimulationService:
         in-process evaluation is deferred into the future (lazy thunk) and
         runs when — and only if — the future is resolved.  A cache hit is
         recognised at submission (no work is dispatched) but, like all
-        accounting, charged at resolution.
+        accounting, charged at resolution.  ``outcome`` replaces the
+        first attempt's evaluation on a cache miss (a shared block's row
+        reader, see :meth:`chunk_submitter`); retries always re-dispatch
+        the job itself.
 
         The accounting contract lives on :meth:`SimFuture.result`:
         resolving futures in submission order reproduces the synchronous
@@ -1695,6 +1708,8 @@ class SimulationService:
             return SimFuture(
                 self, job, outcome=lambda: metrics, cached_metrics=metrics
             )
+        if outcome is not None:
+            return SimFuture(self, job, outcome=outcome)
         handle: Optional[ShardHandle] = None
         if isinstance(self._dispatch, ShardedDispatcher):
             handle = self._dispatch.dispatch(self._circuit, job)
@@ -1705,3 +1720,76 @@ class SimulationService:
             job,
             outcome=lambda: self._dispatch.evaluate(self._circuit, job),
         )
+
+    def chunk_submitter(
+        self, job: SimJob
+    ) -> Callable[[Tuple[int, int]], SimFuture]:
+        """A ``submit`` for row chunks of ``job``: ``(lo, hi)`` submits
+        ``job.shard(lo, hi)`` through :meth:`submit`.
+
+        Every chunk is its own job, charged, keyed, cached and cancelled
+        exactly as if it had been built alone.  On a
+        :attr:`~SimulationBackend.vectorized` engine that is not
+        ``row_parallel`` the chunks' futures share one lazy evaluation of
+        the whole job (:class:`_SharedBlock`); a chunk covering the whole
+        job is submitted on its own.
+        """
+        terminal = self._terminal
+        block = (
+            _SharedBlock(self, job)
+            if terminal.vectorized and not terminal.row_parallel
+            else None
+        )
+
+        def submit(bounds: Tuple[int, int]) -> SimFuture:
+            lo, hi = bounds
+            chunk = job.shard(lo, hi)
+            if block is None or hi - lo == job.batch:
+                return self.submit(chunk)
+            return self.submit(chunk, lambda: block.rows(chunk, lo, hi))
+
+        return submit
+
+
+class _SharedBlock:
+    """One lazy evaluation of a whole job, read chunk by chunk.
+
+    The first chunk attempt that needs it evaluates every row of the job
+    in one dispatch call, timed like any in-process evaluation; each later
+    chunk reads its rows of the metrics and of the per-row seconds.  A
+    whole-job call that raises or returns any
+    :data:`~repro.spice.deck.FAILURE_NAN` row drops the block, and every
+    chunk, the triggering one included, then evaluates alone.  Charging,
+    caching and cancelling stay on the chunk futures, so rows no resolved
+    chunk reads are never charged or stored.
+    """
+
+    def __init__(self, service: SimulationService, job: SimJob):
+        self._service = service
+        self._job = job
+        self._lock = threading.Lock()
+        self._evaluated = False
+        #: The whole job's metrics; ``None`` once the block is dropped.
+        self._metrics: Optional[Dict[str, np.ndarray]] = None
+
+    def _evaluate(self) -> Optional[Dict[str, np.ndarray]]:
+        service = self._service
+        started = time.perf_counter()
+        try:
+            metrics = service._dispatch.evaluate(service._circuit, self._job)
+        except Exception:  # noqa: BLE001 - the chunk alone raises for real
+            return None
+        if failed_row_mask(metrics).any():
+            return None
+        return service._time_stamped(self._job, metrics, started)
+
+    def rows(self, chunk: SimJob, lo: int, hi: int) -> Dict[str, np.ndarray]:
+        """The metrics of ``chunk``, which covers rows ``[lo, hi)``."""
+        with self._lock:
+            if not self._evaluated:
+                self._metrics = self._evaluate()
+                self._evaluated = True
+        service, metrics = self._service, self._metrics
+        if metrics is None:
+            return service._dispatch.evaluate(service._circuit, chunk)
+        return {name: values[lo:hi].copy() for name, values in metrics.items()}

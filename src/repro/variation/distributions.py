@@ -286,21 +286,6 @@ class MismatchModel:
             ]
         return view
 
-    def as_device_view(self, h: np.ndarray) -> Dict[str, Dict[str, float]]:
-        """Unpack a mismatch vector into ``{device: {quantity: value}}``."""
-        h = np.asarray(h, dtype=float)
-        if h.shape != (self.dimension,):
-            raise ValueError(
-                f"expected mismatch vector of shape ({self.dimension},), "
-                f"got {h.shape}"
-            )
-        view: Dict[str, Dict[str, float]] = {}
-        for parameter in self._parameters:
-            view.setdefault(parameter.device, {})[parameter.quantity] = float(
-                h[parameter.index]
-            )
-        return view
-
     def zero(self) -> np.ndarray:
         """The nominal (no-mismatch) vector."""
         return np.zeros(self.dimension)

@@ -129,16 +129,18 @@ class TestMismatchModel:
 
     def test_device_view_round_trip(self):
         model = two_device_model()
-        h = np.array([0.01, -0.02, 0.005])
-        view = model.as_device_view(h)
-        assert view["M1"]["vth"] == pytest.approx(0.01)
-        assert view["M1"]["beta"] == pytest.approx(-0.02)
-        assert view["C1"]["cap"] == pytest.approx(0.005)
+        h = np.array([[0.01, -0.02, 0.005]])
+        view = model.as_batch_device_view(h)
+        assert view["M1"]["vth"].tolist() == pytest.approx([0.01])
+        assert view["M1"]["beta"].tolist() == pytest.approx([-0.02])
+        assert view["C1"]["cap"].tolist() == pytest.approx([0.005])
 
     def test_device_view_rejects_wrong_shape(self):
         model = two_device_model()
         with pytest.raises(ValueError):
-            model.as_device_view(np.zeros(5))
+            model.as_batch_device_view(np.zeros((1, 5)))
+        with pytest.raises(ValueError):
+            model.as_batch_device_view(np.zeros(3))  # a 1-D vector
 
     def test_duplicate_device_names_rejected(self):
         device = DeviceSpec(
