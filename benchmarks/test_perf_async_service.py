@@ -190,13 +190,12 @@ def _pool_timings() -> dict:
 # ----------------------------------------------------------------------
 # 2 + 3. the sizing workflow, sync vs async
 # ----------------------------------------------------------------------
-def _operational(workers: int):
+def _operational():
     return operational_config(
         VerificationMethod.CORNER_LOCAL_MC,
         optimization_samples=3,
         verification_samples=VERIFICATION_SAMPLES,
         verification_chunk=8,
-        workers=workers,
     )
 
 
@@ -215,7 +214,7 @@ def _find_verifiable_design(circuit, spec):
     the entire corners × N budget (the workload pipelining accelerates)."""
     rng = np.random.default_rng(0)
     with CircuitSimulator(circuit) as simulator:
-        operational = _operational(workers=1)
+        operational = _operational()
         for _ in range(400):
             design = np.clip(circuit.random_sizing(rng) + 0.15, 0.0, 1.0)
             verifier = Verifier(
@@ -264,7 +263,7 @@ class _WorkflowDriver:
 
     def run(self):
         circuit = self.circuit
-        operational = _operational(WORKERS)
+        operational = _operational()
         self.budget.reset()
         simulator = self.simulator
         trace = []
@@ -371,7 +370,7 @@ def _verification_timings(circuit, spec, design) -> dict:
     persistent warm pool per mode (spin-up is measured separately)."""
     outcomes = {}
     timings = {}
-    operational = _operational(WORKERS)
+    operational = _operational()
     for pipeline in (False, True):
         schedule = contextlib.nullcontext() if pipeline else lookahead_zero()
         with schedule, CircuitSimulator(

@@ -4,12 +4,12 @@ Measured and recorded to ``benchmarks/results/BENCH_loop_batching.json``:
 a verification-heavy workflow (TuRBO initial sampling at typical, the
 seed-phase corner sweep, optimization iterations at the worst corner,
 then one full Algorithm-2 verification) timed twice over identical work:
-the *legacy scalar schedule* (scalar TuRBO objective, per-corner seed
-loop, one-at-a-time full-MC verification = ``verification_chunk=1``)
-against the *batched loop* (design-batched TuRBO objective, corners × N' seed
-mega-batch, chunk-8 verification).  Only the simulation side is timed —
-agent updates are identical in both schedules.  The comparison asserts
-value equivalence before timing anything.
+the *legacy scalar schedule* (one typical-corner call per TuRBO design,
+per-corner seed loop, one-at-a-time full-MC verification =
+``verification_chunk=1``) against the *batched loop* (design-batched TuRBO
+objective, corners × N' seed mega-batch, chunk-8 verification).  Only the
+simulation side is timed — agent updates are identical in both schedules.
+The comparison asserts value equivalence before timing anything.
 
 The legacy schedule evaluates one simulation per engine call.  On the
 ``vectorized`` ``batched`` engine the verifier shares one evaluation per
@@ -157,26 +157,23 @@ class _WorkflowDriver:
             circuit.dimension, rng=np.random.default_rng(3), batch_size=3
         )
 
-        def scalar_objective(design):
-            record = simulator.simulate_typical(design)
-            return float(rewards_of([record])[0])
+        def per_design_objective(designs):
+            # The legacy schedule: one typical-corner call per design.
+            return np.array(
+                [
+                    rewards_of([simulator.simulate_typical(design)])[0]
+                    for design in designs
+                ]
+            )
 
         def batch_objective(designs):
             return rewards_of(simulator.simulate_designs(designs))
 
-        if self.batched:
-            turbo.run(
-                None,
-                max_evaluations=TURBO_EVALUATIONS,
-                feasible_target=10**9,
-                objective_batch=batch_objective,
-            )
-        else:
-            turbo.run(
-                scalar_objective,
-                max_evaluations=TURBO_EVALUATIONS,
-                feasible_target=10**9,
-            )
+        turbo.run(
+            batch_objective if self.batched else per_design_objective,
+            max_evaluations=TURBO_EVALUATIONS,
+            feasible_target=10**9,
+        )
 
         # --- phase 2: seed designs across all corners ------------------
         for _ in range(SEED_DESIGNS):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import ExperimentConfig, run_sizing
-from repro.core.reward import reward_from_metrics
+from repro.core.reward import reward_from_metrics, rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.core.turbo import TurboSampler
 from repro.simulation import CircuitSimulator
@@ -53,11 +53,14 @@ def nominal_only_design(circuit, seed=0, budget=120):
     simulator = CircuitSimulator(circuit)
     spec = DesignSpec.from_circuit(circuit)
     sampler = TurboSampler(circuit.dimension, rng=np.random.default_rng(seed))
-    result = sampler.run(
-        lambda x: reward_from_metrics(spec, simulator.simulate_typical(x).metrics),
-        max_evaluations=budget,
-        feasible_target=1,
-    )
+
+    def typical_rewards(designs):
+        records = simulator.simulate_designs(designs)
+        return rewards_from_matrix(
+            spec, simulator.metrics_matrix(records, spec.metric_names)
+        )
+
+    result = sampler.run(typical_rewards, max_evaluations=budget, feasible_target=1)
     return result.best_design
 
 

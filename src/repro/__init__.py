@@ -166,7 +166,7 @@ The **control loop is batched too**:
   evaluate through ``AnalogCircuit.evaluate_design_batch`` /
   ``CircuitSimulator.simulate_designs`` (one vectorized pass over many
   designs), visiting exactly the designs the scalar schedule would.
-* *Multiprocessing sharding* — ``OperationalConfig.workers > 1`` splits
+* *Multiprocessing sharding* — ``workers > 1`` splits
   the jobs of every engine but a vectorized one (``scalar``, ``ngspice``,
   an env-configured ``remote`` client) across the service's persistent
   warm worker pool with bit-identical results

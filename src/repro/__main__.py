@@ -403,12 +403,12 @@ def _print_dry_run(config: api.ExperimentConfig) -> None:
         f"Full verification:    "
         f"{operational.total_verification_simulations} simulations/pass"
     )
-    cache_state = "on" if operational.cache_simulations else "off"
-    if operational.cache_dir:
-        cache_state = f"disk:{operational.cache_dir}"
+    cache_state = "on" if glova.cache_simulations else "off"
+    if glova.cache_dir:
+        cache_state = f"disk:{glova.cache_dir}"
     print(
-        f"Backend:              {operational.backend} "
-        f"(workers={operational.workers}, cache={cache_state})"
+        f"Backend:              {glova.backend} "
+        f"(workers={glova.workers}, cache={cache_state})"
     )
     if config.retry is not None:
         attempts = config.retry.get("max_attempts", "?")

@@ -492,7 +492,6 @@ def _run_seed(config: ExperimentConfig, seed: int) -> OptimizationResult:
     circuit = config.build_circuit()
     optimizer_cls = ALGORITHMS[config.algorithm]
     restore_endpoints: Optional[str] = None
-    endpoints_set = False
     if config.endpoints:
         # RemoteBackend is environment-configured (the ngspice pattern);
         # publish the fleet for this seed and restore afterwards so one
@@ -501,17 +500,18 @@ def _run_seed(config: ExperimentConfig, seed: int) -> OptimizationResult:
 
         restore_endpoints = os.environ.get(ENDPOINTS_ENV)
         os.environ[ENDPOINTS_ENV] = ",".join(config.endpoints)
-        endpoints_set = True
-    optimizer = optimizer_cls(circuit, config.glova_config(seed))
+    optimizer = None
     try:
+        # Built inside the guard: a construction that raises (a worker
+        # pool that never warms up) must still restore the endpoints.
+        optimizer = optimizer_cls(circuit, config.glova_config(seed))
         return optimizer.run()
     finally:
         # Every optimizer owns a CircuitSimulator; release its service's
         # worker pool so per-seed pools never accumulate across a sweep.
-        optimizer.simulator.close()
-        if endpoints_set:
-            from repro.simulation.remote import ENDPOINTS_ENV
-
+        if optimizer is not None:
+            optimizer.simulator.close()
+        if config.endpoints:
             if restore_endpoints is None:
                 os.environ.pop(ENDPOINTS_ENV, None)
             else:

@@ -11,79 +11,28 @@ failing sample tends to come late).
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.circuits.base import AnalogCircuit
-from repro.core.config import GlovaConfig, OperationalConfig
-from repro.core.replay import LastWorstCaseBuffer
-from repro.core.result import OptimizationResult
-from repro.core.reward import reward_from_metrics, rewards_from_matrix
-from repro.core.spec import DesignSpec
-from repro.core.verification import Verifier
-from repro.simulation.budget import SimulationBudget, SimulationPhase
-from repro.simulation.simulator import CircuitSimulator
+from repro.core.optimizer import SizingOptimizer
+from repro.core.reward import rewards_from_matrix
+from repro.simulation.budget import SimulationPhase
 from repro.variation.corners import PVTCorner
-from repro.variation.mismatch import MismatchSampler, MismatchSet
 
 
-class BaselineOptimizer(abc.ABC):
-    """Common machinery: simulator, mismatch sampling, brute-force verify."""
+class BaselineOptimizer(SizingOptimizer):
+    """Common machinery: corner evaluation and brute-force verification."""
 
     #: Label used in result objects and tables.
     method_name: str = "baseline"
-
-    def __init__(
-        self,
-        circuit: AnalogCircuit,
-        config: Optional[GlovaConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        self.circuit = circuit
-        self.config = config if config is not None else GlovaConfig()
-        self.rng = (
-            rng if rng is not None else np.random.default_rng(self.config.seed)
-        )
-        self.operational: OperationalConfig = self.config.operational()
-        self.spec = DesignSpec.from_circuit(circuit)
-        self.budget = SimulationBudget(
-            cost_per_simulation=self.config.cost_per_simulation,
-            optimization_parallelism=self.config.optimization_parallelism,
-            verification_parallelism=self.config.verification_parallelism,
-        )
-        self.simulator = CircuitSimulator(
-            circuit,
-            self.budget,
-            workers=self.operational.workers,
-            backend=self.operational.backend,
-            cache=self.operational.cache_simulations,
-            cache_dir=self.operational.cache_dir,
-            retry=self.operational.retry,
-        )
-        self.last_worst = LastWorstCaseBuffer(self.operational.corners)
-        self.mismatch_sampler = MismatchSampler(
-            circuit.mismatch_model,
-            include_global=self.operational.include_global,
-            include_local=self.operational.include_local,
-            rng=self.rng,
-        )
-        # Baselines verify without GLOVA's verification-phase contributions.
-        self.verifier = Verifier(
-            self.simulator,
-            self.spec,
-            self.operational,
-            beta2=self.config.reliability_beta2,
-            use_mu_sigma=False,
-            use_reordering=False,
-            rng=self.rng,
-        )
-
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def run(self) -> OptimizationResult:
-        """Execute the baseline's optimization loop."""
+    #: A risk-neutral single critic (no ensemble bound, beta1 = 0), and
+    #: verification without GLOVA's verification-phase contributions.
+    config_overrides = {
+        "use_ensemble_critic": False,
+        "use_mu_sigma": False,
+        "use_reordering": False,
+    }
 
     # ------------------------------------------------------------------
     def _worst_from_records(self, corner: PVTCorner, records) -> float:
@@ -145,41 +94,3 @@ class BaselineOptimizer(abc.ABC):
         """Full verification without mu-sigma screening or reordering."""
         outcome = self.verifier.verify(design, self.last_worst)
         return outcome.passed
-
-    def typical_reward(self, design: np.ndarray) -> float:
-        record = self.simulator.simulate_typical(design)
-        return reward_from_metrics(self.spec, record.metrics)
-
-    def typical_rewards_batch(self, designs: np.ndarray) -> np.ndarray:
-        """Rewards for a whole design batch at typical, in one pass."""
-        records = self.simulator.simulate_designs(designs)
-        return rewards_from_matrix(
-            self.spec,
-            self.simulator.metrics_matrix(records, self.spec.metric_names),
-        )
-
-    # ------------------------------------------------------------------
-    def build_result(
-        self,
-        success: bool,
-        iterations: int,
-        final_design: Optional[np.ndarray],
-        verification_attempts: int,
-    ) -> OptimizationResult:
-        final_metrics = None
-        final_physical = None
-        if final_design is not None and success:
-            final_physical = self.circuit.denormalize(final_design)
-            final_metrics = self.circuit.evaluate(final_design)
-        return OptimizationResult(
-            success=success,
-            iterations=iterations,
-            simulations=self.budget.snapshot(),
-            runtime=self.budget.modelled_runtime(),
-            final_design=final_design if success else None,
-            final_design_physical=final_physical,
-            final_metrics=final_metrics,
-            verification_attempts=verification_attempts,
-            method=f"{self.method_name}/{self.operational.method.value}",
-            circuit=self.circuit.name,
-        )

@@ -14,18 +14,9 @@ gap Table II quantifies.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
-
 from repro.baselines.base import BaselineOptimizer
-from repro.circuits.base import AnalogCircuit
-from repro.core.agent import RiskSensitiveAgent
-from repro.core.config import GlovaConfig
 from repro.core.result import OptimizationResult
 from repro.core.reward import FEASIBLE_REWARD
-from repro.core.turbo import TurboSampler
-from repro.simulation.budget import SimulationPhase
 
 
 class PVTSizingOptimizer(BaselineOptimizer):
@@ -33,34 +24,9 @@ class PVTSizingOptimizer(BaselineOptimizer):
 
     method_name = "pvtsizing"
 
-    def __init__(
-        self,
-        circuit: AnalogCircuit,
-        config: Optional[GlovaConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        config = config if config is not None else GlovaConfig()
-        # Risk-neutral single critic: no ensemble bound, beta1 = 0.
-        config = config.with_overrides(use_ensemble_critic=False)
-        super().__init__(circuit, config, rng)
-        self.agent = RiskSensitiveAgent(circuit.dimension, self.config, self.rng)
-
     # ------------------------------------------------------------------
     def run(self) -> OptimizationResult:
-        sampler = TurboSampler(
-            self.circuit.dimension,
-            rng=self.rng,
-            batch_size=self.config.optimization_parallelism,
-        )
-        turbo = sampler.run(
-            lambda design: self.typical_reward(design),
-            max_evaluations=self.config.initial_samples,
-            feasible_target=self.config.initial_feasible_target,
-            objective_batch=self.typical_rewards_batch,
-        )
-        for design, reward in zip(turbo.designs, turbo.rewards):
-            self.agent.observe(design, reward)
-        best_design = turbo.best_design
+        best_design = self.turbo_seed()
         self.agent.actor.pretrain_towards(
             self.agent.buffer.all_designs(), best_design
         )
@@ -80,10 +46,7 @@ class PVTSizingOptimizer(BaselineOptimizer):
                 verification_attempts += 1
                 if self.brute_force_verify(design):
                     return self.build_result(
-                        success=True,
-                        iterations=iteration,
-                        final_design=design,
-                        verification_attempts=verification_attempts,
+                        iteration, design, verification_attempts
                     )
 
             self.agent.observe(design, worst_reward)
@@ -91,8 +54,5 @@ class PVTSizingOptimizer(BaselineOptimizer):
             last_design = design
 
         return self.build_result(
-            success=False,
-            iterations=self.config.max_iterations,
-            final_design=None,
-            verification_attempts=verification_attempts,
+            self.config.max_iterations, None, verification_attempts
         )

@@ -7,10 +7,6 @@ simulations than random search to find a verifiable design.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.baselines.base import BaselineOptimizer
 from repro.core.result import OptimizationResult
 from repro.core.reward import FEASIBLE_REWARD
@@ -20,6 +16,7 @@ class RandomSearchOptimizer(BaselineOptimizer):
     """Sample designs uniformly; verify any that look feasible at all corners."""
 
     method_name = "random_search"
+    learns = False
 
     def run(self) -> OptimizationResult:
         verification_attempts = 0
@@ -31,14 +28,8 @@ class RandomSearchOptimizer(BaselineOptimizer):
                 verification_attempts += 1
                 if self.brute_force_verify(design):
                     return self.build_result(
-                        success=True,
-                        iterations=iteration,
-                        final_design=design,
-                        verification_attempts=verification_attempts,
+                        iteration, design, verification_attempts
                     )
         return self.build_result(
-            success=False,
-            iterations=self.config.max_iterations,
-            final_design=None,
-            verification_attempts=verification_attempts,
+            self.config.max_iterations, None, verification_attempts
         )

@@ -11,17 +11,13 @@ efficiency in Table II, so both are reproduced here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.baselines.base import BaselineOptimizer
-from repro.circuits.base import AnalogCircuit
-from repro.core.agent import RiskSensitiveAgent
-from repro.core.config import GlovaConfig
 from repro.core.result import OptimizationResult
 from repro.core.reward import FEASIBLE_REWARD
-from repro.simulation.budget import SimulationPhase
 from repro.variation.corners import PVTCorner
 
 
@@ -51,28 +47,11 @@ class RobustAnalogOptimizer(BaselineOptimizer):
     """Multi-task RL with corner clustering and random initial sampling."""
 
     method_name = "robustanalog"
-
-    def __init__(
-        self,
-        circuit: AnalogCircuit,
-        config: Optional[GlovaConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        n_clusters: int = 4,
-        recluster_every: int = 10,
-        random_initial_samples: Optional[int] = None,
-    ):
-        config = config if config is not None else GlovaConfig()
-        config = config.with_overrides(use_ensemble_critic=False)
-        super().__init__(circuit, config, rng)
-        self.agent = RiskSensitiveAgent(circuit.dimension, self.config, self.rng)
-        self.n_clusters = n_clusters
-        self.recluster_every = recluster_every
-        self.random_initial_samples = (
-            random_initial_samples
-            if random_initial_samples is not None
-            else self.config.initial_samples
-        )
-        self._dominant_corners: List[PVTCorner] = list(self.operational.corners)
+    #: k-means clusters over the per-corner reward histories; the worst
+    #: corner of each is the one simulated between full sweeps.
+    N_CLUSTERS = 4
+    #: Iterations between full-corner sweeps that refresh the clustering.
+    RECLUSTER_EVERY = 10
 
     # ------------------------------------------------------------------
     def _random_initial_sampling(self) -> np.ndarray:
@@ -86,11 +65,9 @@ class RobustAnalogOptimizer(BaselineOptimizer):
         best_reward = -np.inf
         designs = [
             self.circuit.random_sizing(self.rng)
-            for _ in range(self.random_initial_samples)
+            for _ in range(self.config.initial_samples)
         ]
-        if not designs:
-            return best_design
-        rewards = self.typical_rewards_batch(np.stack(designs))
+        rewards = self.typical_rewards(np.stack(designs))
         for design, reward in zip(designs, rewards):
             reward = float(reward)
             self.agent.observe(design, reward)
@@ -107,7 +84,7 @@ class RobustAnalogOptimizer(BaselineOptimizer):
             history = reward_matrix.get(corner.name, [0.0])
             histories.append(history[-3:] + [history[-1]] * (3 - len(history[-3:])))
         vectors = np.array(histories)
-        labels = kmeans_cluster(vectors, self.n_clusters, self.rng)
+        labels = kmeans_cluster(vectors, self.N_CLUSTERS, self.rng)
         dominant: List[PVTCorner] = []
         for cluster in np.unique(labels):
             members = [c for c, label in zip(corners, labels) if label == cluster]
@@ -136,7 +113,7 @@ class RobustAnalogOptimizer(BaselineOptimizer):
             design = self.agent.propose(last_design)
 
             # Periodically refresh the clustering with a full-corner sweep.
-            if iteration == 1 or iteration % self.recluster_every == 0:
+            if iteration == 1 or iteration % self.RECLUSTER_EVERY == 0:
                 worst_by_corner = self.evaluate_all_corners(design)
                 for name, worst in worst_by_corner.items():
                     reward_matrix[name].append(worst)
@@ -153,10 +130,7 @@ class RobustAnalogOptimizer(BaselineOptimizer):
                 verification_attempts += 1
                 if self.brute_force_verify(design):
                     return self.build_result(
-                        success=True,
-                        iterations=iteration,
-                        final_design=design,
-                        verification_attempts=verification_attempts,
+                        iteration, design, verification_attempts
                     )
 
             self.agent.observe(design, float(worst_reward))
@@ -164,8 +138,5 @@ class RobustAnalogOptimizer(BaselineOptimizer):
             last_design = design
 
         return self.build_result(
-            success=False,
-            iterations=self.config.max_iterations,
-            final_design=None,
-            verification_attempts=verification_attempts,
+            self.config.max_iterations, None, verification_attempts
         )

@@ -26,7 +26,8 @@ Modules
 ``verification``
     The hierarchical verification algorithm (Algorithm 2).
 ``optimizer``
-    The full Fig.-2 workflow tying everything together.
+    The full Fig.-2 workflow tying everything together, on the run
+    scaffold (``SizingOptimizer``) the Table-II baselines share.
 """
 
 from repro.core.config import GlovaConfig, OperationalConfig, VerificationMethod

@@ -15,7 +15,7 @@ used in Table III — with defaults matching the paper's experimental setup
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from repro.variation.corners import CornerSet, full_corner_set, vt_corner_set
@@ -75,27 +75,11 @@ class OperationalConfig:
         strictly sequential schedule.  A ``vectorized`` engine evaluates
         a corner's chunks in one call whatever their size; other engines
         evaluate one call per chunk.
-    workers:
-        Process count for sharding jobs across a ``ProcessPoolExecutor``;
-        ``1`` (the default) stays in-process, and so does the vectorized
-        ``batched`` engine at any count.
-    backend:
-        Simulation backend name resolved by the service layer
-        (``"batched"`` — the vectorized engine — or ``"scalar"`` — the
-        bit-exact reference path; see :mod:`repro.simulation.service`).
-    cache_simulations:
-        Memoize simulation results by job content hash; a cache hit
-        charges zero budget.
-    cache_dir:
-        Directory for the cross-process simulation cache.  Setting it
-        implies ``cache_simulations``: results spill to a job-hash-keyed
-        on-disk store and repeated runs replay from it with zero backend
-        invocations and zero budget charged.
-    retry:
-        Fault-tolerance policy for the simulation service — a
-        :class:`repro.simulation.service.RetryPolicy` or its dict form
-        (resolved by the service).  ``None`` (the default) fails fast, the
-        legacy behaviour.
+
+    The simulation service's settings (backend, workers, cache, retry)
+    are not part of the row: :class:`GlovaConfig` carries them, and the
+    optimizer hands them straight to its
+    :class:`~repro.simulation.simulator.CircuitSimulator`.
 
     The schedule itself is not configurable: the verifier's full pass and
     the optimizer's seed phase always keep one job in flight through
@@ -110,11 +94,6 @@ class OperationalConfig:
     verification_samples: int
     corners: CornerSet
     verification_chunk: int = 8
-    workers: int = 1
-    backend: str = "batched"
-    cache_simulations: bool = False
-    cache_dir: Optional[str] = None
-    retry: Optional[Any] = field(default=None, hash=False)
 
     @property
     def total_verification_simulations(self) -> int:
@@ -128,8 +107,6 @@ class OperationalConfig:
             raise ValueError("verification_samples (N) must be >= N'")
         if self.verification_chunk < 1:
             raise ValueError("verification_chunk must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def operational_config(
@@ -137,11 +114,6 @@ def operational_config(
     optimization_samples: int = 3,
     verification_samples: Optional[int] = None,
     verification_chunk: int = 8,
-    workers: int = 1,
-    backend: str = "batched",
-    cache_simulations: bool = False,
-    cache_dir: Optional[str] = None,
-    retry: Optional[Any] = None,
 ) -> OperationalConfig:
     """Build the Table-I operational configuration for ``method``.
 
@@ -151,14 +123,6 @@ def operational_config(
     """
     if verification_samples is None:
         verification_samples = PAPER_MC_SAMPLES[method]
-    shared = dict(
-        verification_chunk=verification_chunk,
-        workers=workers,
-        backend=backend,
-        cache_simulations=cache_simulations,
-        cache_dir=cache_dir,
-        retry=retry,
-    )
     if method is VerificationMethod.CORNER:
         return OperationalConfig(
             method=method,
@@ -167,7 +131,7 @@ def operational_config(
             optimization_samples=1,
             verification_samples=1,
             corners=full_corner_set(),
-            **shared,
+            verification_chunk=verification_chunk,
         )
     if method is VerificationMethod.CORNER_LOCAL_MC:
         return OperationalConfig(
@@ -177,7 +141,7 @@ def operational_config(
             optimization_samples=optimization_samples,
             verification_samples=verification_samples,
             corners=full_corner_set(),
-            **shared,
+            verification_chunk=verification_chunk,
         )
     return OperationalConfig(
         method=method,
@@ -186,7 +150,7 @@ def operational_config(
         optimization_samples=optimization_samples,
         verification_samples=verification_samples,
         corners=vt_corner_set(),
-        **shared,
+        verification_chunk=verification_chunk,
     )
 
 
@@ -256,15 +220,16 @@ class GlovaConfig:
     verification_parallelism: int = 30
 
     def __post_init__(self) -> None:
-        # The agent sizes its networks and batches from these and TuRBO
-        # needs a first sample; a zero would otherwise surface only after
-        # the run has started.
+        # The agent sizes its networks and batches from these, TuRBO
+        # needs a first sample and the service a worker; a zero would
+        # otherwise surface only after the run has started.
         for name in (
             "ensemble_size",
             "batch_size",
             "hidden_size",
             "gradient_steps_per_iteration",
             "initial_samples",
+            "workers",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -276,11 +241,6 @@ class GlovaConfig:
             optimization_samples=self.optimization_samples,
             verification_samples=self.verification_samples,
             verification_chunk=self.verification_chunk,
-            workers=self.workers,
-            backend=self.backend,
-            cache_simulations=self.cache_simulations,
-            cache_dir=self.cache_dir,
-            retry=self.retry,
         )
 
     def effective_ensemble_size(self) -> int:

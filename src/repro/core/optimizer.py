@@ -15,18 +15,23 @@ One :class:`GlovaOptimizer` run executes:
 4. **Verification** (Algorithm 2) — whenever the worst-corner mu-sigma
    screen passes, the full hierarchical verification runs; success
    terminates the framework.
+
+:class:`SizingOptimizer` is the scaffold this workflow shares with the
+Table-II baselines (:mod:`repro.baselines`): one constructor for the
+simulator, verifier, buffers and agent, the typical-condition rewards, the
+TuRBO seed step and result building.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import abc
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
 from repro.core.agent import RiskSensitiveAgent
 from repro.core.config import GlovaConfig
-from repro.core.mu_sigma import MuSigmaEvaluator
 from repro.core.replay import LastWorstCaseBuffer
 from repro.core.result import IterationRecord, OptimizationResult
 from repro.core.reward import (
@@ -43,8 +48,29 @@ from repro.simulation.simulator import CircuitSimulator
 from repro.variation.mismatch import MismatchSampler
 
 
-class GlovaOptimizer:
-    """Variation-aware sizing with risk-sensitive RL (the paper's framework)."""
+class SizingOptimizer(abc.ABC):
+    """The run scaffold GLOVA and the Table-II baselines share.
+
+    One constructor builds, from a :class:`GlovaConfig`, everything a
+    sizing run evaluates against: the RNG, the Table-I row
+    (``operational``), the spec, the budget, the
+    :class:`~repro.simulation.simulator.CircuitSimulator` (configured
+    from the config's service fields: backend, workers, cache, retry),
+    the last-worst-case corner buffer, the mismatch sampler, the
+    verifier and, for an algorithm that learns, the agent.  Each
+    algorithm supplies its own :meth:`run` from the shared steps below.
+    """
+
+    #: Prefix of the result label (``pvtsizing/C-MCL``); empty for GLOVA,
+    #: whose results carry the bare method (``C-MCL``).
+    method_name: str = ""
+    #: :class:`GlovaConfig` fields the algorithm pins, whatever the caller
+    #: configured (a baseline's risk-neutral critic and brute-force
+    #: verifier).
+    config_overrides: Mapping[str, Any] = {}
+    #: Whether the algorithm trains a :class:`RiskSensitiveAgent`
+    #: (``agent`` is ``None`` otherwise).
+    learns: bool = True
 
     def __init__(
         self,
@@ -52,8 +78,9 @@ class GlovaOptimizer:
         config: Optional[GlovaConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ):
+        config = config if config is not None else GlovaConfig()
         self.circuit = circuit
-        self.config = config if config is not None else GlovaConfig()
+        self.config = config.with_overrides(**self.config_overrides)
         self.rng = (
             rng if rng is not None else np.random.default_rng(self.config.seed)
         )
@@ -67,16 +94,23 @@ class GlovaOptimizer:
         self.simulator = CircuitSimulator(
             circuit,
             self.budget,
-            workers=self.operational.workers,
-            backend=self.operational.backend,
-            cache=self.operational.cache_simulations,
-            cache_dir=self.operational.cache_dir,
-            retry=self.operational.retry,
+            workers=self.config.workers,
+            backend=self.config.backend,
+            cache=self.config.cache_simulations,
+            cache_dir=self.config.cache_dir,
+            retry=self.config.retry,
         )
-        self.agent = RiskSensitiveAgent(circuit.dimension, self.config, self.rng)
+        self.agent = (
+            RiskSensitiveAgent(circuit.dimension, self.config, self.rng)
+            if self.learns
+            else None
+        )
         self.last_worst = LastWorstCaseBuffer(self.operational.corners)
-        self.screen_evaluator = MuSigmaEvaluator(
-            self.spec, beta2=self.config.reliability_beta2
+        self.mismatch_sampler = MismatchSampler(
+            circuit.mismatch_model,
+            include_global=self.operational.include_global,
+            include_local=self.operational.include_local,
+            rng=self.rng,
         )
         self.verifier = Verifier(
             self.simulator,
@@ -87,48 +121,82 @@ class GlovaOptimizer:
             use_reordering=self.config.use_reordering,
             rng=self.rng,
         )
-        self._mismatch_sampler = MismatchSampler(
-            circuit.mismatch_model,
-            include_global=self.operational.include_global,
-            include_local=self.operational.include_local,
-            rng=self.rng,
-        )
+
+    @abc.abstractmethod
+    def run(self) -> OptimizationResult:
+        """Execute the algorithm and return the run's result."""
 
     # ------------------------------------------------------------------
-    # Phase 1-2: initial sampling and seeding
-    # ------------------------------------------------------------------
-    def _typical_reward(self, design: np.ndarray) -> float:
-        record = self.simulator.simulate_typical(design)
-        return reward_from_metrics(self.spec, record.metrics)
-
-    def _typical_rewards_batch(self, designs: np.ndarray) -> np.ndarray:
-        """Rewards for a whole design batch at typical, in one pass."""
+    def typical_rewards(self, designs: np.ndarray) -> np.ndarray:
+        """Rewards of an ``(M, p)`` design batch at the typical condition,
+        in one design-axis job."""
         records = self.simulator.simulate_designs(designs)
         return rewards_from_matrix(
             self.spec,
             self.simulator.metrics_matrix(records, self.spec.metric_names),
         )
 
-    def _initial_sampling(self) -> np.ndarray:
-        """Run TuRBO at the typical condition; returns the best design."""
+    def turbo_seed(self) -> np.ndarray:
+        """TuRBO initial sampling at the typical condition; returns the best
+        design.
+
+        Every TuRBO evaluation is information about the reward landscape,
+        so each one goes into the agent's replay buffer and the critic
+        starts from a useful prior.  Worst-case corrections arrive from
+        the RL iterations themselves.
+        """
         sampler = TurboSampler(
             self.circuit.dimension,
             rng=self.rng,
             batch_size=self.config.optimization_parallelism,
         )
         result = sampler.run(
-            self._typical_reward,
+            self.typical_rewards,
             max_evaluations=self.config.initial_samples,
             feasible_target=self.config.initial_feasible_target,
-            objective_batch=self._typical_rewards_batch,
         )
-        # Every TuRBO evaluation is information about the reward landscape;
-        # store it so the critic starts from a useful prior.  Worst-case
-        # corrections arrive from the RL iterations themselves.
         for design, reward in zip(result.designs, result.rewards):
             self.agent.observe(design, reward)
         return result.best_design
 
+    def build_result(
+        self,
+        iterations: int,
+        final_design: Optional[np.ndarray],
+        verification_attempts: int,
+        history: Optional[List[IterationRecord]] = None,
+    ) -> OptimizationResult:
+        """The run's result; it succeeded exactly when it returns the
+        verified ``final_design``."""
+        label = self.operational.method.value
+        if self.method_name:
+            label = f"{self.method_name}/{label}"
+        final_metrics: Optional[Dict[str, float]] = None
+        final_physical: Optional[np.ndarray] = None
+        if final_design is not None:
+            final_physical = self.circuit.denormalize(final_design)
+            final_metrics = self.circuit.evaluate(final_design)
+        return OptimizationResult(
+            success=final_design is not None,
+            iterations=iterations,
+            simulations=self.budget.snapshot(),
+            runtime=self.budget.modelled_runtime(),
+            final_design=final_design,
+            final_design_physical=final_physical,
+            final_metrics=final_metrics,
+            verification_attempts=verification_attempts,
+            history=history if history is not None else [],
+            method=label,
+            circuit=self.circuit.name,
+        )
+
+
+class GlovaOptimizer(SizingOptimizer):
+    """Variation-aware sizing with risk-sensitive RL (the paper's framework)."""
+
+    # ------------------------------------------------------------------
+    # Phase 2: seeding (phase 1 is the shared :meth:`turbo_seed`)
+    # ------------------------------------------------------------------
     def _seed_buffers(self, designs: List[np.ndarray]) -> None:
         """Simulate seeds across all corners and fill the worst-case buffers.
 
@@ -160,7 +228,7 @@ class GlovaOptimizer:
             if use_mc:
                 x_physical = self.circuit.denormalize(design)
                 mismatch_sets = [
-                    self._mismatch_sampler.sample(
+                    self.mismatch_sampler.sample(
                         x_physical, self.operational.optimization_samples
                     )
                     for _ in corners
@@ -194,7 +262,7 @@ class GlovaOptimizer:
                 self.last_worst.update(corner, corner_worst)
                 worst_reward = min(worst_reward, corner_worst)
                 if self.config.risk_adjusted_reward and len(records) >= 2:
-                    screen = self.screen_evaluator.evaluate(metric_dicts)
+                    screen = self.verifier.evaluator.evaluate(metric_dicts)
                     estimate_reward = reward_from_metrics(
                         self.spec, screen.estimates
                     )
@@ -206,7 +274,7 @@ class GlovaOptimizer:
     # ------------------------------------------------------------------
     def run(self) -> OptimizationResult:
         """Execute the full workflow and return the run's result."""
-        best_design = self._initial_sampling()
+        best_design = self.turbo_seed()
         seeds = [best_design]
         if self.config.seed_designs > 1:
             designs = self.agent.buffer.all_designs()
@@ -229,7 +297,7 @@ class GlovaOptimizer:
             worst_corner = self.last_worst.worst_corner()
             x_physical = self.circuit.denormalize(design)
 
-            mismatch_set = self._mismatch_sampler.sample(
+            mismatch_set = self.mismatch_sampler.sample(
                 x_physical,
                 self.operational.optimization_samples,
                 independent_globals=True,
@@ -246,7 +314,7 @@ class GlovaOptimizer:
             self.last_worst.update(worst_corner, worst_reward)
 
             # --- step 4: mu-sigma decision on whether to verify ----------
-            screen = self.screen_evaluator.evaluate(metric_dicts)
+            screen = self.verifier.evaluator.evaluate(metric_dicts)
             if self.config.use_mu_sigma:
                 should_verify = screen.passed
             else:
@@ -299,12 +367,8 @@ class GlovaOptimizer:
             )
 
             if verification_passed:
-                return self._build_result(
-                    success=True,
-                    iterations=iteration,
-                    final_design=design,
-                    history=history,
-                    verification_attempts=verification_attempts,
+                return self.build_result(
+                    iteration, design, verification_attempts, history
                 )
 
             # --- step 6: store the worst reward and update the agent -----
@@ -314,38 +378,6 @@ class GlovaOptimizer:
             history[-1].actor_loss = summary.actor_loss
             last_design = design
 
-        return self._build_result(
-            success=False,
-            iterations=self.config.max_iterations,
-            final_design=None,
-            history=history,
-            verification_attempts=verification_attempts,
-        )
-
-    # ------------------------------------------------------------------
-    def _build_result(
-        self,
-        success: bool,
-        iterations: int,
-        final_design: Optional[np.ndarray],
-        history: List[IterationRecord],
-        verification_attempts: int,
-    ) -> OptimizationResult:
-        final_metrics: Optional[Dict[str, float]] = None
-        final_physical: Optional[np.ndarray] = None
-        if final_design is not None:
-            final_physical = self.circuit.denormalize(final_design)
-            final_metrics = self.circuit.evaluate(final_design)
-        return OptimizationResult(
-            success=success,
-            iterations=iterations,
-            simulations=self.budget.snapshot(),
-            runtime=self.budget.modelled_runtime(),
-            final_design=final_design,
-            final_design_physical=final_physical,
-            final_metrics=final_metrics,
-            verification_attempts=verification_attempts,
-            history=history,
-            method=self.operational.method.value,
-            circuit=self.circuit.name,
+        return self.build_result(
+            self.config.max_iterations, None, verification_attempts, history
         )

@@ -147,31 +147,27 @@ class TurboSampler:
     # ------------------------------------------------------------------
     def run(
         self,
-        objective: Optional[Callable[[np.ndarray], float]],
+        objective: Callable[[np.ndarray], np.ndarray],
         max_evaluations: int,
         feasible_target: int = 1,
-        objective_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> TurboResult:
         """Drive the sampler against ``objective`` (reward at typical).
 
-        Stops when ``feasible_target`` feasible designs have been found or
-        the evaluation budget is exhausted.
-
-        ``objective_batch`` maps an ``(M, p)`` design matrix to ``(M,)``
-        rewards in one call; when provided, every proposal batch (and the
-        space-filling initial design) is evaluated in a single vectorized
-        pass instead of M scalar calls.  Bookkeeping — tell order, trust
-        region updates, the feasibility stop — is identical to the scalar
-        schedule, so a batched run visits exactly the same designs as a
-        scalar run with the same seed.
+        ``objective`` maps an ``(M, p)`` design matrix to ``(M,)`` rewards
+        in one call, so every proposal batch (and the space-filling
+        initial design) is one vectorized evaluation.  Stops when
+        ``feasible_target`` feasible designs have been found or the
+        evaluation budget is exhausted.
         """
-        if objective is None and objective_batch is None:
-            raise ValueError("provide objective or objective_batch")
 
         def evaluate(batch_designs: np.ndarray) -> np.ndarray:
-            if objective_batch is not None:
-                return np.asarray(objective_batch(batch_designs), dtype=float)
-            return np.array([float(objective(design)) for design in batch_designs])
+            rewards = np.asarray(objective(batch_designs), dtype=float)
+            if rewards.shape != (len(batch_designs),):
+                raise ValueError(
+                    f"objective must map {len(batch_designs)} designs to "
+                    f"{len(batch_designs)} rewards, got shape {rewards.shape}"
+                )
+            return rewards
 
         feasible: List[np.ndarray] = []
         evaluations = 0

@@ -70,9 +70,10 @@ The service
 * models wall-clock cost so normalized-runtime comparisons can be made
   without a real HSPICE testbed.
 
-:class:`CircuitSimulator` remains as a thin compatibility shim whose five
-legacy entry points all compile to jobs and route through
-:meth:`SimulationService.run`.
+:class:`CircuitSimulator` remains as a thin compatibility shim whose
+entry points all compile to jobs: the blocking ``simulate*`` calls route
+through :meth:`SimulationService.run`, their ``submit_*`` twins through
+:meth:`SimulationService.submit`.
 """
 
 from repro.simulation.budget import SimulationBudget, SimulationPhase

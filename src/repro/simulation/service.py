@@ -71,10 +71,12 @@ blocking variant to switch to: the sequential reference is the same loop
 at lookahead 0, whose results, streams and budgets are bit-identical.
 On the default ``batched`` engine every future is a lazy thunk, so both
 lookaheads evaluate the same jobs in the same order; only a pool-backed
-engine overlaps work.  There, too, the verifier's chunk futures of one
-corner share one lazy evaluation of the corner's whole ranked remainder
-(:meth:`SimulationService.chunk_submitter`); each chunk is still its own
-job at resolution.
+engine overlaps work.  On a ``vectorized`` engine that is not
+``row_parallel`` (``batched``, ``chaos`` over it) the verifier's chunk
+futures of one corner also share one lazy evaluation of the corner's
+whole ranked remainder (:meth:`SimulationService.chunk_submitter`); every
+other engine, pool-backed ones included, evaluates each chunk alone.
+Either way each chunk is still its own job at resolution.
 
 Writing a backend
 -----------------

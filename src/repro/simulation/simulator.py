@@ -14,12 +14,15 @@ entry points that mirror how the paper issues SPICE jobs:
   pass (TuRBO proposal batches, population-style baselines).
 
 Since the service redesign every one of these **compiles to a**
-:class:`~repro.simulation.service.SimJob` **and routes through the single**
-:meth:`~repro.simulation.service.SimulationService.run` **call** — batching,
-backend selection, caching, sharding and budget accounting all live in the
-service layer, and the entry points here only express the request shape
-(grouping corner sweeps, tiling a shared mismatch vector) and unpack the
-result into :class:`SimulationRecord` lists.  Metrics, seeded streams and
+:class:`~repro.simulation.service.SimJob` **and routes through**
+:meth:`~repro.simulation.service.SimulationService.run`; the non-blocking
+``submit_*`` twins compile the same jobs and go through
+:meth:`~repro.simulation.service.SimulationService.submit`, returning a
+:class:`RecordsFuture`.  Batching, backend selection, caching, sharding
+and budget accounting all live in the service layer, and the entry points
+here only express the request shape (grouping corner sweeps, tiling a
+shared mismatch vector) and unpack the result into
+:class:`SimulationRecord` lists.  Metrics, seeded streams and
 budget charges are bit-identical to the pre-service behavior: a batch of B
 conditions still charges B simulations, exactly as the paper counts them.
 

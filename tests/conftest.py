@@ -11,6 +11,8 @@ Consolidates the circuit/service setup that used to be duplicated across
 * ``mismatch_sampler`` / ``seeded_mismatch`` — deterministic mismatch
   sampling helpers;
 * ``seeded_rng`` — a generator factory (``seeded_rng(seed)``);
+* ``conditions_job`` — a seeded condition-axis :class:`SimJob` factory
+  (one design at typical across ``rows`` mismatch rows);
 * ``small_budget`` — a capped :class:`SimulationBudget`;
 * ``pool_submissions`` — records every shard submitted to a
   :class:`WorkerPool`, so pool tests can assert their shards really ran;
@@ -37,7 +39,9 @@ from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongAr
 from repro.core.spec import DesignSpec
 from repro.simulation import (
     CircuitSimulator,
+    SimJob,
     SimulationBudget,
+    SimulationPhase,
     SimulationService,
     WorkerPool,
 )
@@ -171,6 +175,26 @@ def seeded_mismatch(mismatch_sampler):
     def make(circuit, x, count, seed=5):
         sampler = mismatch_sampler(circuit, seed=seed)
         return sampler.sample(circuit.denormalize(x), count)
+
+    return make
+
+
+@pytest.fixture
+def conditions_job():
+    """Factory: ``conditions_job(circuit, rows=10, seed=0, phase=...)`` ->
+    a condition-axis :class:`SimJob`: one seeded design at the typical
+    corner across ``rows`` standard-normal mismatch rows.  ``rows``,
+    ``seed`` and ``phase`` fix the job's content hash (``job_id``)."""
+
+    def make(circuit, rows=10, seed=0, phase=SimulationPhase.OPTIMIZATION):
+        rng = np.random.default_rng(seed)
+        return SimJob.conditions(
+            circuit.name,
+            rng.uniform(0.2, 0.8, circuit.dimension),
+            (typical_corner(),),
+            rng.standard_normal((rows, circuit.mismatch_dimension)),
+            phase,
+        )
 
     return make
 

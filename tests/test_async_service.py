@@ -63,7 +63,6 @@ from repro.simulation import (
     ReferenceScalarBackend,
     SimJob,
     SimulationBudget,
-    SimulationPhase,
     SimulationService,
     WorkerPool,
 )
@@ -93,22 +92,11 @@ class PerRowBatchedBackend(BatchedMNABackend):
 BACKENDS[PerRowBatchedBackend.name] = PerRowBatchedBackend
 
 
-def conditions_job(circuit, rows=10, seed=0, phase=SimulationPhase.OPTIMIZATION):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-        phase,
-    )
-
-
 # ----------------------------------------------------------------------
 # submit / result equivalence
 # ----------------------------------------------------------------------
 class TestSubmitEquivalence:
-    def test_submit_matches_run_all_circuits(self, paper_circuit):
+    def test_submit_matches_run_all_circuits(self, paper_circuit, conditions_job):
         job = conditions_job(paper_circuit, rows=8)
         with SimulationService(paper_circuit) as sync_service:
             expected = sync_service.run(job)
@@ -120,7 +108,9 @@ class TestSubmitEquivalence:
             )
         assert result.job.job_id == expected.job.job_id
 
-    def test_submit_matches_run_through_pool(self, strongarm, pool_submissions):
+    def test_submit_matches_run_through_pool(
+        self, strongarm, pool_submissions, conditions_job
+    ):
         job = conditions_job(strongarm, rows=12)
         with SimulationService(strongarm) as reference:
             expected = reference.run(job)
@@ -146,7 +136,7 @@ class TestSubmitEquivalence:
                 async_result.metrics[name], sync.metrics[name]
             )
 
-    def test_interleaved_submissions_resolve_in_order(self, strongarm):
+    def test_interleaved_submissions_resolve_in_order(self, strongarm, conditions_job):
         """Several futures in flight; resolving in submission order gives
         the synchronous budget trajectory."""
         with SimulationService(strongarm) as service:
@@ -164,7 +154,7 @@ class TestSubmitEquivalence:
 # Resolution-time accounting
 # ----------------------------------------------------------------------
 class TestResolutionAccounting:
-    def test_result_is_memoized_and_charges_once(self, strongarm):
+    def test_result_is_memoized_and_charges_once(self, strongarm, conditions_job):
         with SimulationService(strongarm) as service:
             future = service.submit(conditions_job(strongarm, rows=5))
             first = future.result()
@@ -172,7 +162,7 @@ class TestResolutionAccounting:
         assert first is second
         assert service.budget.total == 5
 
-    def test_cancel_before_resolve_charges_nothing(self, strongarm):
+    def test_cancel_before_resolve_charges_nothing(self, strongarm, conditions_job):
         calls = []
 
         class CountingBackend(BatchedMNABackend):
@@ -188,14 +178,14 @@ class TestResolutionAccounting:
         assert service.budget.total == 0
         assert calls == []  # the lazy thunk never even evaluated
 
-    def test_cancel_after_resolve_is_refused(self, strongarm):
+    def test_cancel_after_resolve_is_refused(self, strongarm, conditions_job):
         with SimulationService(strongarm) as service:
             future = service.submit(conditions_job(strongarm, rows=3))
             future.result()
             assert not future.cancel()
         assert service.budget.total == 3
 
-    def test_cache_hit_at_submission(self, strongarm):
+    def test_cache_hit_at_submission(self, strongarm, conditions_job):
         with SimulationService(strongarm, cache=True) as service:
             job = conditions_job(strongarm, rows=4)
             service.run(job)
@@ -206,14 +196,14 @@ class TestResolutionAccounting:
         assert result.cached
         assert service.budget.total == 4  # the hit charged zero
 
-    def test_idempotent_charge_at_resolution(self, strongarm):
+    def test_idempotent_charge_at_resolution(self, strongarm, conditions_job):
         with SimulationService(strongarm, idempotent_charges=True) as service:
             job = conditions_job(strongarm, rows=6)
             service.submit(job).result()
             service.submit(job).result()  # same content hash: swallowed
         assert service.budget.total == 6
 
-    def test_budget_cap_aborts_at_resolution(self, strongarm):
+    def test_budget_cap_aborts_at_resolution(self, strongarm, conditions_job):
         budget = SimulationBudget(max_simulations=10)
         with SimulationService(strongarm, budget=budget) as service:
             first = service.submit(conditions_job(strongarm, rows=8, seed=0))
@@ -227,7 +217,7 @@ class TestResolutionAccounting:
                 second.result()  # memoized error, still no charge
             assert service.budget.total == 8
 
-    def test_raising_backend_refunds_at_resolution(self, strongarm):
+    def test_raising_backend_refunds_at_resolution(self, strongarm, conditions_job):
         class Exploding(BatchedMNABackend):
             def evaluate(self, circuit, job):
                 raise RuntimeError("mid-flight explosion")
@@ -244,7 +234,7 @@ class TestResolutionAccounting:
             assert service.budget.total == 0
 
     def test_worker_raising_mid_flight_refunds_and_retries(
-        self, strongarm, fake_ngspice, tmp_path, monkeypatch
+        self, strongarm, fake_ngspice, tmp_path, monkeypatch, conditions_job
     ):
         """The async twin of the sync mid-shard rollback test: one real
         worker process fails its shard of an in-flight future (one-shot
@@ -274,7 +264,7 @@ class TestResolutionAccounting:
                 )
 
     def test_graceful_failure_block_refunds_at_resolution(
-        self, strongarm, fake_ngspice, monkeypatch
+        self, strongarm, fake_ngspice, monkeypatch, conditions_job
     ):
         """A non-raising whole-block failure (engine exits 3, non-strict →
         FAILURE_NAN degradation) is refunded at resolution like the sync
@@ -372,7 +362,6 @@ def _verify_once(circuit, design_seed, workers=1, chunk=4, backend="batched"):
         optimization_samples=3,
         verification_samples=11,
         verification_chunk=chunk,
-        workers=workers,
     )
     from repro.simulation import CircuitSimulator
 
@@ -511,7 +500,7 @@ class TestPoolLifecycle:
         service.close()  # idempotent
 
     def test_closed_service_still_evaluates_in_process(
-        self, strongarm, pool_submissions
+        self, strongarm, pool_submissions, conditions_job
     ):
         service = SimulationService(strongarm, backend="scalar", workers=2)
         job = conditions_job(strongarm, rows=8)
@@ -572,7 +561,7 @@ class TestVectorizedEnginesStayInProcess:
             assert shardable(_SAL, backend, workers, batch) == (batch >= 2)
 
     def test_workers2_batched_service_matches_workers1(
-        self, paper_circuit, pool_submissions
+        self, paper_circuit, pool_submissions, conditions_job
     ):
         """No pool, lazy in-process futures, and the workers=1 metrics and
         resolve-in-order budget trajectory."""
@@ -640,7 +629,7 @@ class TestNgspiceRowParallel:
         assert NgspiceBackend().worker_reconstructible
 
     def test_per_row_decks_fan_out_through_pool(
-        self, strongarm, fake_ngspice, monkeypatch
+        self, strongarm, fake_ngspice, monkeypatch, conditions_job
     ):
         """Non-payload-aware engines (one deck per row) run their rows
         concurrently through the warm pool, bit-equal to the analytic
@@ -664,7 +653,9 @@ class TestNgspiceRowParallel:
 # Cross-run disk cache
 # ----------------------------------------------------------------------
 class TestDiskCache:
-    def test_spill_and_reload_across_services(self, strongarm, tmp_path):
+    def test_spill_and_reload_across_services(
+        self, strongarm, tmp_path, conditions_job
+    ):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=6)
         with SimulationService(strongarm, cache_dir=cache_dir) as first:
@@ -692,7 +683,7 @@ class TestDiskCache:
                 replayed.metrics[name], expected.metrics[name]
             )
 
-    def test_clear_resets_every_counter(self, strongarm, tmp_path):
+    def test_clear_resets_every_counter(self, strongarm, tmp_path, conditions_job):
         """Disk hits are a subset of hits, so ``clear()`` zeroes both."""
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
@@ -712,7 +703,7 @@ class TestDiskCache:
         assert service.cache.spill_dir is not None
         service.close()
 
-    def test_version_mismatch_is_a_miss(self, strongarm, tmp_path):
+    def test_version_mismatch_is_a_miss(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
         with SimulationService(strongarm, cache_dir=cache_dir) as service:
@@ -728,7 +719,7 @@ class TestDiskCache:
             assert not result.cached
             assert fresh.budget.total == 4
 
-    def test_corrupt_spill_is_a_miss(self, strongarm, tmp_path):
+    def test_corrupt_spill_is_a_miss(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
         with SimulationService(strongarm, cache_dir=cache_dir) as service:
@@ -741,7 +732,7 @@ class TestDiskCache:
             assert not result.cached
             assert fresh.budget.total == 4
 
-    def test_failure_tagged_spill_is_refused(self, strongarm, tmp_path):
+    def test_failure_tagged_spill_is_refused(self, strongarm, tmp_path, conditions_job):
         """A stale on-disk block carrying FAILURE_NAN rows (written by a
         hypothetical older build) is re-simulated, exactly like the
         in-memory admission rule."""
@@ -759,7 +750,7 @@ class TestDiskCache:
             cache.lookup(job) is None
         )
 
-    def test_spill_write_is_atomic(self, strongarm, tmp_path):
+    def test_spill_write_is_atomic(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=2)
         cache = CachingBackend(BatchedMNABackend(), spill_dir=cache_dir)

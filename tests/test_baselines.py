@@ -71,18 +71,18 @@ class TestRobustAnalog:
         assert result.total_simulations > 0
         assert result.method.startswith("robustanalog")
 
-    def test_dominant_corner_subset_is_smaller_than_full_set(self):
+    def test_dominant_corner_subset_is_smaller_than_full_set(self, monkeypatch):
         config = GlovaConfig(
             verification=VerificationMethod.CORNER,
             seed=0,
             max_iterations=15,
             initial_samples=20,
         )
-        optimizer = RobustAnalogOptimizer(
-            StrongArmLatch(), config, n_clusters=4, recluster_every=5
-        )
+        monkeypatch.setattr(RobustAnalogOptimizer, "RECLUSTER_EVERY", 5)
+        optimizer = RobustAnalogOptimizer(StrongArmLatch(), config)
         optimizer.run()
-        assert len(optimizer._dominant_corners) <= 4
+        clusters = RobustAnalogOptimizer.N_CLUSTERS
+        assert len(optimizer._dominant_corners) <= clusters
 
 
 class TestRandomSearch:

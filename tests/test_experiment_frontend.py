@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.simulation.budget import SimulationPhase, TenantBudgetLedger
+from repro.simulation.budget import TenantBudgetLedger
 from repro.simulation.faults import (
     NetworkFaultSchedule,
     install_network_chaos,
@@ -75,11 +75,9 @@ from repro.simulation.remote import RemoteBackend
 from repro.simulation.server import SimulationServer
 from repro.simulation.service import (
     BACKENDS,
-    SimJob,
     SimulationBackend,
     resolve_backend,
 )
-from repro.variation.corners import typical_corner
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
@@ -708,26 +706,15 @@ class TestJournalReplay:
 # ----------------------------------------------------------------------
 # Satellite: bounded result retention in the job-mode daemon
 # ----------------------------------------------------------------------
-def _conditions_job(circuit, seed):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((4, circuit.mismatch_dimension)),
-        phase=SimulationPhase.OPTIMIZATION,
-    )
-
-
 class TestRetentionBound:
-    def test_lru_eviction_by_deposit_time(self, strongarm):
+    def test_lru_eviction_by_deposit_time(self, strongarm, conditions_job):
         with SimulationServer(
             heartbeat_interval=0.1,
             retention_seconds=600.0,
             retention_max_entries=2,
         ) as server:
             backend = RemoteBackend(endpoints=server.endpoint, attempts=2)
-            jobs = [_conditions_job(strongarm, seed) for seed in (1, 2, 3)]
+            jobs = [conditions_job(strongarm, rows=4, seed=seed) for seed in (1, 2, 3)]
             for job in jobs:
                 backend.evaluate(strongarm, job)
             assert server.stats["executions"] == 3
@@ -768,12 +755,14 @@ def slow_backend():
 
 
 class TestJobModeDrain:
-    def test_drain_completes_inflight_execution(self, strongarm, slow_backend):
+    def test_drain_completes_inflight_execution(
+        self, strongarm, slow_backend, conditions_job
+    ):
         server = SimulationServer(
             backend=_SlowBackend.name, heartbeat_interval=0.1
         ).start()
         address = server.address
-        job = _conditions_job(strongarm, seed=7)
+        job = conditions_job(strongarm, rows=4, seed=7)
         reference = resolve_backend("batched").evaluate(strongarm, job)
         outcome = {}
 

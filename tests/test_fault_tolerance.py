@@ -40,9 +40,7 @@ from repro.simulation import (
     ReferenceScalarBackend,
     RetryPolicy,
     ShardWatchdog,
-    SimJob,
     SimulationBudget,
-    SimulationPhase,
     WorkerPool,
     classify_failure,
     clear_spill_store,
@@ -55,21 +53,9 @@ from repro.simulation.service import (
 )
 from repro.simulation.sharding import dispatch_job_sharded
 from repro.simulation.ngspice import NgspiceRunner
-from repro.variation.corners import typical_corner
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
-
-
-def conditions_job(circuit, rows=10, seed=0, phase=SimulationPhase.OPTIMIZATION):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-        phase=phase,
-    )
 
 
 def assert_metrics_equal(circuit, metrics, reference):
@@ -207,21 +193,21 @@ class TestFaultSchedule:
         assert not schedule._claim_ticket()
         assert schedule.tickets_left() == 0
 
-    def test_seeded_targeting_is_deterministic(self, strongarm):
+    def test_seeded_targeting_is_deterministic(self, strongarm, conditions_job):
         schedule = FaultSchedule(probability=0.5, seed=3)
         jobs = [conditions_job(strongarm, rows=2, seed=s) for s in range(32)]
         draws = [schedule.eligible(job) for job in jobs]
         assert draws == [schedule.eligible(job) for job in jobs]
         assert any(draws) and not all(draws)  # actually splits the jobs
 
-    def test_probability_none_targets_everything(self, strongarm):
+    def test_probability_none_targets_everything(self, strongarm, conditions_job):
         schedule = FaultSchedule()
         assert schedule.eligible(conditions_job(strongarm, rows=2))
 
 
 class TestChaosBackendInProcess:
     def test_flaky_then_succeed_with_retries(
-        self, strongarm, service_factory, monkeypatch
+        self, strongarm, service_factory, monkeypatch, conditions_job
     ):
         """The flaky-engine schedule: two injected failures, then clean.
         A 3-attempt policy rides them out; metrics and budget are
@@ -241,7 +227,7 @@ class TestChaosBackendInProcess:
         assert service.backend.injected == 2
 
     def test_nan_block_schedule_retries_and_recovers(
-        self, strongarm, service_factory, monkeypatch
+        self, strongarm, service_factory, monkeypatch, conditions_job
     ):
         chaos_env(monkeypatch, FaultSchedule(mode="nan", faults=1))
         service = service_factory(
@@ -257,7 +243,7 @@ class TestChaosBackendInProcess:
         assert service.budget.total == 5
 
     def test_without_policy_chaos_fault_surfaces_refunded(
-        self, strongarm, service_factory, monkeypatch
+        self, strongarm, service_factory, monkeypatch, conditions_job
     ):
         chaos_env(monkeypatch, FaultSchedule(mode="raise", faults=1))
         service = service_factory(strongarm, backend="chaos")
@@ -266,7 +252,7 @@ class TestChaosBackendInProcess:
         assert service.budget.total == 0
 
     def test_retries_exhausted_surfaces_last_fault(
-        self, strongarm, service_factory, monkeypatch
+        self, strongarm, service_factory, monkeypatch, conditions_job
     ):
         chaos_env(monkeypatch, FaultSchedule(mode="raise", faults=None))
         service = service_factory(
@@ -277,7 +263,7 @@ class TestChaosBackendInProcess:
         assert service.budget.total == 0  # every attempt refunded
 
     def test_kill_mode_downgrades_to_raise_in_main_process(
-        self, strongarm, monkeypatch
+        self, strongarm, monkeypatch, conditions_job
     ):
         """A mis-scripted kill schedule must never take down the driver
         (or the test runner): outside a pool worker it raises instead."""
@@ -287,7 +273,7 @@ class TestChaosBackendInProcess:
             backend.evaluate(strongarm, conditions_job(strongarm, rows=2))
 
     def test_async_resolution_retries_identically(
-        self, strongarm, service_factory, monkeypatch
+        self, strongarm, service_factory, monkeypatch, conditions_job
     ):
         """submit()/result() runs the same retry accounting as run()."""
         jobs = [conditions_job(strongarm, rows=4, seed=s) for s in range(3)]
@@ -316,7 +302,9 @@ class TestWorkerPoolHealing:
     """Pool paths run on ``scalar``: the vectorized ``batched`` engine never
     shards."""
 
-    def test_heal_rebuilds_a_working_executor(self, strongarm, pool_submissions):
+    def test_heal_rebuilds_a_working_executor(
+        self, strongarm, pool_submissions, conditions_job
+    ):
         with WorkerPool(
             2, circuit_names=(strongarm.name,), backend_names=("scalar",)
         ) as pool:
@@ -335,7 +323,7 @@ class TestWorkerPoolHealing:
             assert len(pool_submissions) > submitted  # the healed pool ran it
             assert_metrics_equal(strongarm, after, before)
 
-    def test_heal_cap_poisons_the_pool(self, strongarm):
+    def test_heal_cap_poisons_the_pool(self, strongarm, conditions_job):
         with WorkerPool(2, max_heals=0, eager=False) as pool:
             with pytest.warns(RuntimeWarning, match="poisoned"):
                 assert not pool.heal(reason="test")
@@ -363,7 +351,7 @@ class TestWorkerPoolHealing:
             assert pool.heals == 1
 
     def test_worker_death_mid_shard_heals_and_redispatches(
-        self, strongarm, service_factory, monkeypatch, tmp_path
+        self, strongarm, service_factory, monkeypatch, tmp_path, conditions_job
     ):
         """THE worker-death acceptance test: a chaos ``kill`` schedule
         makes one real pool worker ``os._exit`` mid-shard.  The pool
@@ -411,7 +399,7 @@ class TestShardWatchdog:
         assert watchdog.deadline(100) == 200.0
 
     def test_hung_shard_degrades_and_retry_recovers(
-        self, strongarm, service_factory, monkeypatch, tmp_path
+        self, strongarm, service_factory, monkeypatch, tmp_path, conditions_job
     ):
         """A chaos ``hang`` schedule wedges one shard far past its
         watchdog deadline.  The shard degrades to FAILURE_NAN instead of
@@ -643,7 +631,7 @@ class TestCheckpointResume:
 # Spill-store maintenance (the `repro cache` CLI)
 # ----------------------------------------------------------------------
 class TestSpillStoreMaintenance:
-    def _populated_store(self, circuit, tmp_path, jobs=4):
+    def _populated_store(self, circuit, tmp_path, conditions_job, jobs=4):
         spill_dir = str(tmp_path / "store")
         cache = CachingBackend(BatchedMNABackend(), spill_dir=spill_dir)
         for seed in range(jobs):
@@ -651,16 +639,16 @@ class TestSpillStoreMaintenance:
             cache.run(circuit, job)
         return spill_dir
 
-    def test_stats_counts_entries_and_bytes(self, strongarm, tmp_path):
-        spill_dir = self._populated_store(strongarm, tmp_path, jobs=4)
+    def test_stats_counts_entries_and_bytes(self, strongarm, tmp_path, conditions_job):
+        spill_dir = self._populated_store(strongarm, tmp_path, conditions_job, jobs=4)
         stats = spill_store_stats(spill_dir)
         assert stats["entries"] == 4
         assert stats["total_bytes"] > 0
         assert stats["oldest_mtime"] <= stats["newest_mtime"]
         assert spill_store_stats(str(tmp_path / "missing"))["entries"] == 0
 
-    def test_prune_evicts_oldest_first(self, strongarm, tmp_path):
-        spill_dir = self._populated_store(strongarm, tmp_path, jobs=4)
+    def test_prune_evicts_oldest_first(self, strongarm, tmp_path, conditions_job):
+        spill_dir = self._populated_store(strongarm, tmp_path, conditions_job, jobs=4)
         records = sorted(
             (os.stat(path).st_mtime, path)
             for path in [
@@ -686,14 +674,14 @@ class TestSpillStoreMaintenance:
         newest = {os.path.basename(path) for _mtime, path in records[-2:]}
         assert remaining == newest
 
-    def test_clear_empties_the_store(self, strongarm, tmp_path):
-        spill_dir = self._populated_store(strongarm, tmp_path, jobs=3)
+    def test_clear_empties_the_store(self, strongarm, tmp_path, conditions_job):
+        spill_dir = self._populated_store(strongarm, tmp_path, conditions_job, jobs=3)
         assert clear_spill_store(spill_dir) == 3
         assert spill_store_stats(spill_dir)["entries"] == 0
         assert clear_spill_store(spill_dir) == 0  # idempotent
 
-    def test_cache_cli_subcommand(self, strongarm, tmp_path):
-        spill_dir = self._populated_store(strongarm, tmp_path, jobs=2)
+    def test_cache_cli_subcommand(self, strongarm, tmp_path, conditions_job):
+        spill_dir = self._populated_store(strongarm, tmp_path, conditions_job, jobs=2)
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         completed = subprocess.run(

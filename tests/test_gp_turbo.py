@@ -88,9 +88,9 @@ class TestTurboSampler:
     def test_run_finds_feasible_region(self, rng):
         """Reward landscape with a feasible plateau around x = 0.7."""
 
-        def objective(design):
-            distance = np.linalg.norm(design - 0.7)
-            return FEASIBLE_REWARD if distance < 0.25 else -distance
+        def objective(designs):
+            distance = np.linalg.norm(designs - 0.7, axis=1)
+            return np.where(distance < 0.25, FEASIBLE_REWARD, -distance)
 
         sampler = TurboSampler(3, rng=rng, batch_size=4)
         result = sampler.run(objective, max_evaluations=120, feasible_target=1)
@@ -102,12 +102,17 @@ class TestTurboSampler:
     def test_run_respects_budget(self, rng):
         calls = []
 
-        def objective(design):
-            calls.append(1)
-            return -1.0
+        def objective(designs):
+            calls.append(len(designs))
+            return np.full(len(designs), -1.0)
 
         sampler = TurboSampler(2, rng=rng)
         result = sampler.run(objective, max_evaluations=25, feasible_target=1)
-        assert len(calls) == 25
+        assert sum(calls) == 25
         assert result.evaluations == 25
         assert not result.found_feasible
+
+    def test_run_rejects_one_reward_for_a_batch(self, rng):
+        sampler = TurboSampler(2, rng=rng)
+        with pytest.raises(ValueError, match="objective must map 10 designs"):
+            sampler.run(lambda designs: -1.0, max_evaluations=25)

@@ -4,7 +4,6 @@ PR 1 batched the simulator; this suite pins down the layers above it:
 
 * design-axis batching (``evaluate_design_batch`` / ``simulate_designs``),
 * the corners × mismatch-sets mega-batch (``simulate_corner_sweep``),
-* TuRBO's batched objective (identical trajectory to the scalar schedule),
 * the optimizer seed phase through the mega-batch (identical buffers),
 * the baselines' batched population sampling, and
 * multiprocessing sharding (bit-identical to single-process).
@@ -17,7 +16,7 @@ from repro.baselines import RobustAnalogOptimizer
 from repro.circuits import StrongArmLatch
 from repro.core.config import GlovaConfig, VerificationMethod
 from repro.core.optimizer import GlovaOptimizer
-from repro.core.turbo import TurboSampler
+from repro.core.reward import reward_from_metrics
 from repro.simulation import CircuitSimulator, SimulationPhase
 from repro.variation.corners import ProcessCorner, PVTCorner, full_corner_set, typical_corner
 
@@ -100,44 +99,6 @@ class TestCornerSweepMegaBatch:
             simulator.simulate_corner_sweep(x, list(full_corner_set()), [])
 
 
-class TestTurboBatchedObjective:
-    @staticmethod
-    def scalar_objective(design):
-        # Feasible (reward 0.2) inside a corner of the cube, so the
-        # feasible-target stop is exercised too.
-        return 0.2 if design[0] > 0.8 and design[1] > 0.6 else float(-np.sum(design**2))
-
-    def run_sampler(self, batched: bool):
-        sampler = TurboSampler(
-            dimension=4, rng=np.random.default_rng(17), batch_size=3
-        )
-        if batched:
-            return sampler.run(
-                None,
-                max_evaluations=40,
-                feasible_target=2,
-                objective_batch=lambda designs: np.array(
-                    [self.scalar_objective(design) for design in designs]
-                ),
-            )
-        return sampler.run(
-            self.scalar_objective, max_evaluations=40, feasible_target=2
-        )
-
-    def test_batched_trajectory_identical_to_scalar(self):
-        scalar = self.run_sampler(batched=False)
-        batched = self.run_sampler(batched=True)
-        assert scalar.evaluations == batched.evaluations
-        assert np.array_equal(scalar.designs, batched.designs)
-        assert np.array_equal(scalar.rewards, batched.rewards)
-        assert len(scalar.feasible_designs) == len(batched.feasible_designs)
-
-    def test_requires_some_objective(self):
-        sampler = TurboSampler(dimension=2, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="objective"):
-            sampler.run(None, max_evaluations=5)
-
-
 class TestSeedPhaseMegaBatch:
     def make_optimizer(self, seed=11):
         config = GlovaConfig(
@@ -154,17 +115,34 @@ class TestSeedPhaseMegaBatch:
         mega = self.make_optimizer()
         reference = self.make_optimizer()
 
-        # Rewire the reference optimizer onto the strictly sequential
-        # per-corner schedule the seed phase used before mega-batching.
+        # Rewire the reference optimizer's seed sweeps onto the strictly
+        # sequential per-corner schedule the seed phase used before
+        # mega-batching, already resolved.
         simulator = reference.simulator
+        sweeps = []
+
+        class Resolved:
+            def __init__(self, groups):
+                self.groups = groups
+
+            def result(self):
+                return self.groups
+
+            def cancel(self):
+                return False
 
         def sequential_sweep(x, corners, mismatch_sets, phase):
-            return [
-                simulator.simulate_mismatch_set(x, corner, mismatch_set, phase=phase)
-                for corner, mismatch_set in zip(corners, mismatch_sets)
-            ]
+            sweeps.append(len(corners))
+            return Resolved(
+                [
+                    simulator.simulate_mismatch_set(
+                        x, corner, mismatch_set, phase=phase
+                    )
+                    for corner, mismatch_set in zip(corners, mismatch_sets)
+                ]
+            )
 
-        reference.simulator.simulate_corner_sweep = sequential_sweep
+        reference.simulator.submit_corner_sweep = sequential_sweep
 
         designs = [
             np.full(mega.circuit.dimension, 0.45),
@@ -173,6 +151,9 @@ class TestSeedPhaseMegaBatch:
         mega._seed_buffers([design.copy() for design in designs])
         reference._seed_buffers([design.copy() for design in designs])
 
+        # The reference really ran per corner: one sweep per design, each
+        # over every predefined corner.
+        assert sweeps == [len(reference.operational.corners)] * len(designs)
         assert mega.budget.total == reference.budget.total
         for corner in mega.operational.corners:
             assert mega.last_worst.reward_of(corner) == pytest.approx(
@@ -188,20 +169,21 @@ class TestSeedPhaseMegaBatch:
 class TestRobustAnalogBatchedSampling:
     def test_population_rewards_match_scalar(self, strongarm):
         optimizer = RobustAnalogOptimizer(
-            strongarm,
-            GlovaConfig(seed=9, initial_samples=8),
-            random_initial_samples=8,
+            strongarm, GlovaConfig(seed=9, initial_samples=8)
         )
         best = optimizer._random_initial_sampling()
         designs = optimizer.agent.buffer.all_designs()
         rewards = optimizer.agent.buffer.all_rewards()
+
+        def scalar_reward(design):
+            metrics = strongarm.evaluate(design, typical_corner())
+            return reward_from_metrics(optimizer.spec, metrics)
+
         assert len(designs) == 8
         for design, reward in zip(designs, rewards):
-            assert reward == pytest.approx(
-                optimizer.typical_reward(design), abs=TOLERANCE
-            )
+            assert reward == pytest.approx(scalar_reward(design), abs=TOLERANCE)
         assert float(np.max(rewards)) == pytest.approx(
-            optimizer.typical_reward(best), abs=TOLERANCE
+            scalar_reward(best), abs=TOLERANCE
         )
 
 

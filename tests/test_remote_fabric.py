@@ -40,7 +40,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.registry import get_circuit
-from repro.simulation.budget import SimulationPhase
 from repro.simulation.faults import (
     FaultSchedule,
     NetworkFaultSchedule,
@@ -70,13 +69,11 @@ from repro.simulation.remote import (
 from repro.simulation.server import SimulationServer
 from repro.simulation.service import (
     BACKENDS,
-    SimJob,
     SimulationBackend,
     SimulationService,
     resolve_backend,
 )
 from repro.simulation.sharding import can_shard, shardable
-from repro.variation.corners import typical_corner
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
@@ -85,17 +82,6 @@ SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def conditions_job(circuit, rows=8, seed=0):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-        phase=SimulationPhase.OPTIMIZATION,
-    )
-
-
 def assert_metrics_equal(circuit, metrics, reference):
     for name in circuit.metric_names:
         np.testing.assert_array_equal(metrics[name], reference[name])
@@ -174,8 +160,8 @@ class TestProtocolRoundTrip:
         assert kind == FrameType.HEARTBEAT
         assert body == b""
 
-    def test_request_id_bytes_round_trip(self, strongarm):
-        job = conditions_job(strongarm)
+    def test_request_id_bytes_round_trip(self, strongarm, conditions_job):
+        job = conditions_job(strongarm, rows=8)
         assert request_id_bytes(job.job_id).hex() == job.job_id
 
     def test_request_id_bytes_rejects_garbage(self):
@@ -366,8 +352,8 @@ class TestCircuitBreaker:
 # Server behaviour
 # ----------------------------------------------------------------------
 class TestServer:
-    def test_round_trip_bit_identical(self, strongarm, server):
-        job = conditions_job(strongarm)
+    def test_round_trip_bit_identical(self, strongarm, server, conditions_job):
+        job = conditions_job(strongarm, rows=8)
         remote = remote_for(server)
         reference = resolve_backend("batched").evaluate(strongarm, job)
         assert_metrics_equal(
@@ -376,8 +362,8 @@ class TestServer:
         assert remote.remote_evaluations == 1
         assert remote.fallback_used == 0
 
-    def test_repeat_submission_hits_retention(self, strongarm, server):
-        job = conditions_job(strongarm)
+    def test_repeat_submission_hits_retention(self, strongarm, server, conditions_job):
+        job = conditions_job(strongarm, rows=8)
         remote = remote_for(server)
         first = remote.evaluate(strongarm, job)
         second = remote.evaluate(strongarm, job)
@@ -389,11 +375,13 @@ class TestServer:
         remote = remote_for(server)
         assert remote.ping(server.address)
 
-    def test_concurrent_duplicates_coalesce(self, strongarm, test_backends):
+    def test_concurrent_duplicates_coalesce(
+        self, strongarm, test_backends, conditions_job
+    ):
         with SimulationServer(
             backend="sleepytest", heartbeat_interval=0.1
         ) as server:
-            job = conditions_job(strongarm)
+            job = conditions_job(strongarm, rows=8)
             results = [None, None]
 
             def submit(slot):
@@ -413,14 +401,14 @@ class TestServer:
             assert_metrics_equal(strongarm, results[0], results[1])
 
     def test_lease_expires_for_silent_client_and_result_is_retained(
-        self, strongarm, test_backends
+        self, strongarm, test_backends, conditions_job
     ):
         with SimulationServer(
             backend="sleepytest",
             heartbeat_interval=0.05,
             lease_seconds=0.3,
         ) as server:
-            job = conditions_job(strongarm)
+            job = conditions_job(strongarm, rows=8)
             # A hand-rolled client that submits, then never echoes a
             # heartbeat — the signature of a client that froze.
             sock = socket.create_connection(server.address, timeout=5.0)
@@ -453,7 +441,9 @@ class TestServer:
             assert server.stats["executions"] == 1
             assert server.stats["retention_hits"] == 1
 
-    def test_survives_garbage_and_keeps_serving(self, strongarm, server):
+    def test_survives_garbage_and_keeps_serving(
+        self, strongarm, server, conditions_job
+    ):
         sock = socket.create_connection(server.address, timeout=5.0)
         sock.sendall(b"GET / HTTP/1.1\r\nHost: nope\r\n\r\n")
         sock.close()
@@ -465,15 +455,15 @@ class TestServer:
             time.sleep(0.02)
         assert server.stats["protocol_errors"] >= 1
         # The daemon shrugged it off: real traffic still works.
-        job = conditions_job(strongarm)
+        job = conditions_job(strongarm, rows=8)
         remote = remote_for(server)
         reference = resolve_backend("batched").evaluate(strongarm, job)
         assert_metrics_equal(
             strongarm, remote.evaluate(strongarm, job), reference
         )
 
-    def test_mismatched_request_id_is_rejected(self, strongarm, server):
-        job = conditions_job(strongarm)
+    def test_mismatched_request_id_is_rejected(self, strongarm, server, conditions_job):
+        job = conditions_job(strongarm, rows=8)
         sock = socket.create_connection(server.address, timeout=5.0)
         try:
             sock.sendall(
@@ -495,14 +485,14 @@ class TestServer:
         assert server.stats["executions"] == 0
 
     def test_server_deployment_error_raises_client_side(
-        self, strongarm, test_backends
+        self, strongarm, test_backends, conditions_job
     ):
         with SimulationServer(
             backend="boomtest", heartbeat_interval=0.1
         ) as server:
             remote = remote_for(server, attempts=1)
             with pytest.raises(RemoteError) as excinfo:
-                remote.evaluate(strongarm, conditions_job(strongarm))
+                remote.evaluate(strongarm, conditions_job(strongarm, rows=8))
             assert excinfo.value.kind == "deployment"
             assert remote.fallback_used == 0
 
@@ -511,7 +501,9 @@ class TestServer:
 # RemoteBackend: degradation and recovery
 # ----------------------------------------------------------------------
 class TestDegradeToLocal:
-    def test_connection_refused_degrades_bit_identically(self, strongarm):
+    def test_connection_refused_degrades_bit_identically(
+        self, strongarm, conditions_job
+    ):
         # Point at a closed port: every attempt is refused, the breaker
         # opens, and the job runs on the local fallback — same numbers.
         with socket.socket() as probe:
@@ -523,7 +515,7 @@ class TestDegradeToLocal:
             connect_timeout=0.25,
             breaker_threshold=2,
         )
-        job = conditions_job(strongarm)
+        job = conditions_job(strongarm, rows=8)
         reference = resolve_backend("batched").evaluate(strongarm, job)
         assert_metrics_equal(
             strongarm, remote.evaluate(strongarm, job), reference
@@ -539,8 +531,8 @@ class TestDegradeToLocal:
         assert remote.fallback_used == 2
         assert time.monotonic() - started < 2.0
 
-    def test_fleet_recovery_through_half_open_probe(self, strongarm):
-        job = conditions_job(strongarm)
+    def test_fleet_recovery_through_half_open_probe(self, strongarm, conditions_job):
+        job = conditions_job(strongarm, rows=8)
         first = SimulationServer(heartbeat_interval=0.1).start()
         host, port = first.address
         first.stop()
@@ -595,7 +587,7 @@ class TestDegradeToLocal:
 class TestNetworkChaos:
     @pytest.mark.parametrize("mode", ["drop", "truncate", "delay", "duplicate"])
     def test_single_fault_then_success(
-        self, strongarm, server, tmp_path, mode
+        self, strongarm, server, tmp_path, mode, conditions_job
     ):
         schedule = NetworkFaultSchedule(
             mode=mode,
@@ -605,7 +597,7 @@ class TestNetworkChaos:
         )
         chaos = install_network_chaos(schedule)
         try:
-            job = conditions_job(strongarm)
+            job = conditions_job(strongarm, rows=8)
             remote = remote_for(server)
             reference = resolve_backend("batched").evaluate(strongarm, job)
             assert_metrics_equal(
@@ -618,12 +610,12 @@ class TestNetworkChaos:
             install_network_chaos(None)
 
     def test_unlimited_drop_chaos_degrades_to_local(
-        self, strongarm, server
+        self, strongarm, server, conditions_job
     ):
         schedule = NetworkFaultSchedule(mode="drop", faults=None)
         install_network_chaos(schedule)
         try:
-            job = conditions_job(strongarm)
+            job = conditions_job(strongarm, rows=8)
             remote = remote_for(server, attempts=2)
             reference = resolve_backend("batched").evaluate(strongarm, job)
             assert_metrics_equal(
@@ -691,7 +683,7 @@ class TestDisarm:
 # ----------------------------------------------------------------------
 class TestServiceComposition:
     def test_service_budget_trajectory_identical_to_batched(
-        self, strongarm, server, service_factory
+        self, strongarm, server, service_factory, conditions_job
     ):
         jobs = [conditions_job(strongarm, rows=6, seed=s) for s in range(3)]
         local = service_factory(strongarm, backend="batched", cache=True)
@@ -709,6 +701,34 @@ class TestServiceComposition:
         # The cache absorbed the repeats client-side: the server only ever
         # saw each unique job once.
         assert server.stats["executions"] == len(jobs)
+
+
+class TestEndpointPublication:
+    @pytest.mark.parametrize("previous", [None, "127.0.0.1:7"])
+    def test_failed_construction_restores_endpoints(self, monkeypatch, previous):
+        """``run_experiment`` publishes a config's endpoints for each seed;
+        an optimizer whose construction raises (a worker pool that never
+        warms up) must not leave them behind, or a later ``remote`` run
+        naming no endpoints would silently reach the stale fleet."""
+        from repro.api import ExperimentConfig, run_experiment
+
+        monkeypatch.setenv(ENDPOINTS_ENV, previous or "unset")
+        if previous is None:
+            monkeypatch.delenv(ENDPOINTS_ENV)
+
+        def warm_up_timeout(self, *args, **kwargs):
+            raise RuntimeError("worker pool warm-up timed out")
+
+        monkeypatch.setattr(SimulationService, "__init__", warm_up_timeout)
+        config = ExperimentConfig(
+            backend="remote",
+            endpoints=("127.0.0.1:9",),
+            max_iterations=1,
+            initial_samples=2,
+        )
+        with pytest.raises(RuntimeError, match="warm-up timed out"):
+            run_experiment(config)
+        assert os.environ.get(ENDPOINTS_ENV) == previous
 
 
 # ----------------------------------------------------------------------
@@ -887,7 +907,7 @@ class TestCacheCliMissingStore:
 # ----------------------------------------------------------------------
 class TestCompressedSpill:
     def test_spills_are_zip_compressed_and_stats_report_payload(
-        self, strongarm, tmp_path
+        self, strongarm, tmp_path, conditions_job
     ):
         import zipfile
 
@@ -915,7 +935,9 @@ class TestCompressedSpill:
         assert stats["payload_bytes"] > 0
         assert stats["compression_ratio"] is not None
 
-    def test_v1_uncompressed_records_still_load(self, strongarm, tmp_path):
+    def test_v1_uncompressed_records_still_load(
+        self, strongarm, tmp_path, conditions_job
+    ):
         from repro.simulation.service import (
             CachingBackend,
             _CACHE_VERSION_KEY,
@@ -941,7 +963,9 @@ class TestCompressedSpill:
         assert reader.disk_hits == 1
         assert_metrics_equal(strongarm, loaded, metrics)
 
-    def test_unknown_future_version_is_a_miss(self, strongarm, tmp_path):
+    def test_unknown_future_version_is_a_miss(
+        self, strongarm, tmp_path, conditions_job
+    ):
         from repro.simulation.service import (
             CachingBackend,
             _CACHE_VERSION_KEY,
@@ -967,7 +991,7 @@ class TestCompressedSpill:
 # Stress soak (tier-1-excluded)
 # ----------------------------------------------------------------------
 @pytest.mark.stress
-def test_remote_chaos_soak(strongarm, tmp_path):
+def test_remote_chaos_soak(strongarm, tmp_path, conditions_job):
     """Hammer the fabric: many jobs under probabilistic frame chaos with
     a mid-soak server restart — every job must come back bit-identical
     to the local reference, whichever path (remote, retained, degraded)

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.api import ALGORITHMS
 from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
 from repro.circuits.registry import (
     available_circuits,
@@ -29,11 +30,13 @@ from repro.circuits.registry import (
     registered_class,
     registered_entry,
 )
+from repro.core.config import GlovaConfig
 from repro.simulation import (
     BatchedMNABackend,
     CachingBackend,
     CircuitSimulator,
     ReferenceScalarBackend,
+    RetryPolicy,
     SimJob,
     SimulationBudget,
     SimulationPhase,
@@ -538,11 +541,36 @@ class TestExperimentConfig:
             overrides={"use_mu_sigma": False},  # a Table-III ablation
         )
         glova = config.glova_config(seed=0)
-        operational = glova.operational()
-        assert operational.workers == 3
-        assert operational.backend == "scalar"
-        assert operational.cache_simulations
         assert glova.use_mu_sigma is False
+        optimizer = ALGORITHMS["glova"](config.build_circuit(), glova)
+        with optimizer.simulator:
+            service = optimizer.simulator.service
+            assert service.workers == 3
+            assert service.backend_name == "scalar"
+            assert service.cache is not None
+        assert optimizer.verifier.use_mu_sigma is False
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_service_settings_reach_every_algorithm(self, algorithm, tmp_path):
+        """Results are bit-identical across backends, worker counts and
+        caches, so a dropped setting would move no digest or table: the
+        check is on the service each algorithm builds."""
+        policy = RetryPolicy(max_attempts=4, backoff=0.0, jitter=0.0)
+        cache_dir = tmp_path / "cache"
+        config = GlovaConfig(
+            backend="scalar",
+            workers=2,
+            cache_dir=str(cache_dir),
+            retry=policy.to_dict(),
+            seed=0,
+        )
+        optimizer = ALGORITHMS[algorithm](StrongArmLatch(), config)
+        with optimizer.simulator:
+            service = optimizer.simulator.service
+            assert service.backend_name == "scalar"
+            assert service.pool is not None and service.pool.workers == 2
+            assert service.cache.spill_dir == str(cache_dir)
+            assert service.retry == policy
 
     def test_run_baseline_requires_baseline(self):
         from repro.api import ExperimentConfig, run_baseline

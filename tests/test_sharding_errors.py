@@ -17,12 +17,10 @@ import pytest
 from repro.simulation import (
     BatchedMNABackend,
     NgspiceError,
-    SimJob,
     SimulationBudget,
     SimulationPhase,
 )
 from repro.simulation.ngspice import STRICT_ENV
-from repro.variation.corners import typical_corner
 
 
 class ExplodingBackend(BatchedMNABackend):
@@ -38,16 +36,6 @@ class ExplodingBackend(BatchedMNABackend):
             self.fail_next = False
             raise RuntimeError("worker exploded mid-shard")
         return super().evaluate(circuit, job)
-
-
-def conditions_job(circuit, rows=10, seed=0):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +70,7 @@ class TestBudgetRefund:
 # ----------------------------------------------------------------------
 class TestServiceRollback:
     def test_failure_surfaces_and_budget_uncharged(
-        self, strongarm, service_factory
+        self, strongarm, service_factory, conditions_job
     ):
         backend = ExplodingBackend()
         backend.fail_next = True
@@ -94,7 +82,7 @@ class TestServiceRollback:
         assert backend.calls == 1
 
     def test_retry_after_failure_charges_exactly_once(
-        self, strongarm, service_factory
+        self, strongarm, service_factory, conditions_job
     ):
         backend = ExplodingBackend()
         backend.fail_next = True
@@ -112,7 +100,9 @@ class TestServiceRollback:
         service.run(job)
         assert service.budget.total == 6
 
-    def test_failure_never_poisons_the_cache(self, strongarm, service_factory):
+    def test_failure_never_poisons_the_cache(
+        self, strongarm, service_factory, conditions_job
+    ):
         backend = ExplodingBackend()
         backend.fail_next = True
         service = service_factory(strongarm, backend=backend, cache=True)
@@ -130,7 +120,13 @@ class TestServiceRollback:
 # ----------------------------------------------------------------------
 class TestWorkerFailureMidShard:
     def test_worker_exception_surfaces_and_budget_uncharged(
-        self, strongarm, fake_ngspice, service_factory, tmp_path, monkeypatch
+        self,
+        strongarm,
+        fake_ngspice,
+        service_factory,
+        tmp_path,
+        monkeypatch,
+        conditions_job,
     ):
         """One of several real worker processes fails its shard (one-shot
         marker consumed by whichever worker gets there first, in strict

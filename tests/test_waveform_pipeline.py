@@ -48,7 +48,7 @@ from repro.analysis.waveform import (
     time_average,
     value_at,
 )
-from repro.simulation import BatchedMNABackend, NgspiceBackend, NgspiceError, SimJob
+from repro.simulation import BatchedMNABackend, NgspiceBackend, NgspiceError
 from repro.spice.deck import (
     compile_job_deck,
     failure_nan_mask,
@@ -63,7 +63,6 @@ from repro.spice.rawfile import (
     render_rawfile,
 )
 from repro.spice.trim import describe_trim, probe_node_names, trim_circuit
-from repro.variation.corners import typical_corner
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -557,16 +556,6 @@ class TestModelCards:
 # ----------------------------------------------------------------------
 # Waveform-mode backend (through the hermetic fake)
 # ----------------------------------------------------------------------
-def _conditions_job(circuit, rows=3, seed=7):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-    )
-
-
 class TestWaveformBackend:
     def test_measurement_env_resolution(self, fake_ngspice_waveform):
         assert NgspiceBackend().measurement == "waveform"
@@ -581,11 +570,11 @@ class TestWaveformBackend:
         assert not NgspiceBackend(measurement="measure").row_parallel
 
     def test_metrics_bit_equal_to_analytic_engine(
-        self, paper_circuit, fake_ngspice_waveform
+        self, paper_circuit, fake_ngspice_waveform, conditions_job
     ):
         """The acceptance property: deck -> subprocess -> binary rawfile ->
         host-side extraction reproduces the analytic engine bit-for-bit."""
-        job = _conditions_job(paper_circuit)
+        job = conditions_job(paper_circuit, rows=3, seed=7)
         waveform = NgspiceBackend().evaluate(paper_circuit, job)
         analytic = BatchedMNABackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
@@ -593,25 +582,25 @@ class TestWaveformBackend:
 
     @pytest.mark.parametrize("mode", ["partial", "garbage"])
     def test_missing_or_garbage_rawfile_degrades_to_failure_nan(
-        self, strongarm, fake_ngspice_waveform, monkeypatch, mode
+        self, strongarm, fake_ngspice_waveform, monkeypatch, mode, conditions_job
     ):
         # partial = the engine exits 0 but writes no rawfile; garbage = the
         # rawfile is unparseable.  Both mean "the engine never produced the
         # cell", so every cell is FAILURE_NAN (refundable, uncacheable).
         monkeypatch.setenv("FAKE_NGSPICE_MODE", mode)
-        job = _conditions_job(strongarm, rows=2)
+        job = conditions_job(strongarm, rows=2, seed=7)
         metrics = NgspiceBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             assert failure_nan_mask(metrics[name]).all()
 
     def test_engine_reported_nan_is_plain_nan(
-        self, strongarm, fake_ngspice_waveform, monkeypatch
+        self, strongarm, fake_ngspice_waveform, monkeypatch, conditions_job
     ):
         # failcell = the run succeeded but the first metric's trace carries
         # NaN: a genuine failed measurement, chargeable and cacheable —
         # plain NaN, NOT the FAILURE_NAN signature.
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "failcell")
-        job = _conditions_job(strongarm, rows=2)
+        job = conditions_job(strongarm, rows=2, seed=7)
         metrics = NgspiceBackend().evaluate(strongarm, job)
         first = strongarm.metric_names[0]
         assert np.isnan(metrics[first]).all()
@@ -620,12 +609,12 @@ class TestWaveformBackend:
             assert np.isfinite(metrics[name]).all()
 
     def test_strict_mode_raises_on_garbage_rawfile(
-        self, strongarm, fake_ngspice_waveform, monkeypatch
+        self, strongarm, fake_ngspice_waveform, monkeypatch, conditions_job
     ):
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "garbage")
         with pytest.raises(NgspiceError):
             NgspiceBackend(strict=True).evaluate(
-                strongarm, _conditions_job(strongarm, rows=1)
+                strongarm, conditions_job(strongarm, rows=1, seed=7)
             )
 
 

@@ -46,7 +46,6 @@ from repro.simulation import (
     SimJob,
     ReferenceScalarBackend,
     ShardedDispatcher,
-    SimulationPhase,
     SimulationService,
     is_reserved_metric,
     plan_chunk_bounds,
@@ -55,17 +54,6 @@ from repro.simulation import (
 from repro.simulation.sharding import RESERVED_METRIC_PREFIX
 from repro.simulation.service import failed_row_mask, iter_resolved
 from repro.variation.corners import typical_corner
-
-
-def conditions_job(circuit, rows=10, seed=0, phase=SimulationPhase.OPTIMIZATION):
-    rng = np.random.default_rng(seed)
-    return SimJob.conditions(
-        circuit.name,
-        rng.uniform(0.2, 0.8, circuit.dimension),
-        (typical_corner(),),
-        rng.standard_normal((rows, circuit.mismatch_dimension)),
-        phase,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +159,7 @@ class TestReservedKeys:
 # Per-row timing through the service
 # ----------------------------------------------------------------------
 class TestRowSecondsPlumbing:
-    def test_result_carries_row_seconds_not_metrics(self, strongarm):
+    def test_result_carries_row_seconds_not_metrics(self, strongarm, conditions_job):
         with SimulationService(strongarm) as service:
             result = service.run(conditions_job(strongarm, rows=4))
         assert result.row_seconds is not None
@@ -181,7 +169,7 @@ class TestRowSecondsPlumbing:
         records = result.to_records(strongarm.metric_names)
         assert all(record.seconds is not None for record in records)
 
-    def test_cache_never_stores_timing(self, strongarm, tmp_path):
+    def test_cache_never_stores_timing(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
         with SimulationService(strongarm, cache_dir=cache_dir) as service:
@@ -197,7 +185,7 @@ class TestRowSecondsPlumbing:
         assert len(files) == 1 and files[0].endswith(".npz")
 
     def test_sharded_result_carries_row_seconds(
-        self, strongarm, pool_submissions
+        self, strongarm, pool_submissions, conditions_job
     ):
         """Pool shards stamp their own wall clock; assembly puts one
         finite value per row into ``row_seconds``, none into metrics."""
@@ -210,7 +198,7 @@ class TestRowSecondsPlumbing:
         assert not any(is_reserved_metric(name) for name in result.metrics)
 
     def test_sharded_cache_dir_holds_only_spill_records(
-        self, strongarm, tmp_path, pool_submissions
+        self, strongarm, tmp_path, pool_submissions, conditions_job
     ):
         cache_dir = str(tmp_path / "simcache")
         with SimulationService(
@@ -248,9 +236,8 @@ class TestNoCostModel:
 class TestSchedulerBitIdentity:
     """On ``scalar``, an engine that shards (``batched`` never does)."""
 
-    def _trajectory(self, circuit, workers, pool_submissions):
+    def _trajectory(self, circuit, jobs, workers, pool_submissions):
         """Metrics plus the resolve-in-order budget trajectory."""
-        jobs = [conditions_job(circuit, rows=12, seed=s) for s in range(3)]
         del pool_submissions[:]
         with SimulationService(
             circuit, backend="scalar", workers=workers
@@ -265,9 +252,12 @@ class TestSchedulerBitIdentity:
                 totals.append(service.budget.total)
         return metrics, totals
 
-    def test_stealing_matches_sequential(self, paper_circuit, pool_submissions):
-        reference = self._trajectory(paper_circuit, 1, pool_submissions)
-        stealing = self._trajectory(paper_circuit, 2, pool_submissions)
+    def test_stealing_matches_sequential(
+        self, paper_circuit, pool_submissions, conditions_job
+    ):
+        jobs = [conditions_job(paper_circuit, rows=12, seed=s) for s in range(3)]
+        reference = self._trajectory(paper_circuit, jobs, 1, pool_submissions)
+        stealing = self._trajectory(paper_circuit, jobs, 2, pool_submissions)
         assert stealing[1] == reference[1] == [12, 24, 36]
         for expected, actual in zip(reference[0], stealing[0]):
             for name in paper_circuit.metric_names:
@@ -278,7 +268,7 @@ class TestEqualChunkDispatch:
     """A shard plan depends only on rows, workers and ``row_parallel``."""
 
     def test_timed_service_still_cuts_equal_chunks_in_row_order(
-        self, strongarm, pool_submissions
+        self, strongarm, pool_submissions, conditions_job
     ):
         """On ``scalar`` at workers=2, after sixteen timed warm-up jobs,
         every 8-, 16- and 24-row job is cut into chunks whose sizes differ
@@ -306,7 +296,7 @@ class TestEqualChunkDispatch:
 # Bugfix: cancel() no longer blocks behind a concurrent resolve
 # ----------------------------------------------------------------------
 class TestConcurrentCancel:
-    def test_cancel_during_resolve_returns_promptly(self, strongarm):
+    def test_cancel_during_resolve_returns_promptly(self, strongarm, conditions_job):
         started = threading.Event()
         release = threading.Event()
 
@@ -347,7 +337,7 @@ class TestConcurrentCancel:
             future.result()
         assert future.cancelled()
 
-    def test_cancel_refuses_once_committed(self, strongarm):
+    def test_cancel_refuses_once_committed(self, strongarm, conditions_job):
         """After the commit checkpoint passes, a racing cancel returns
         False — an accounted job cannot be un-issued."""
         with SimulationService(strongarm) as service:
@@ -356,7 +346,7 @@ class TestConcurrentCancel:
             assert not future.cancel()
         assert service.budget.total == 3
 
-    def test_concurrent_resolvers_agree(self, strongarm):
+    def test_concurrent_resolvers_agree(self, strongarm, conditions_job):
         """Racing result() calls from many threads all see the one
         memoized outcome and charge exactly once."""
         with SimulationService(strongarm) as service:
@@ -489,7 +479,7 @@ fork_only = pytest.mark.skipif(
 
 @fork_only
 class TestStragglerScheduling:
-    def test_stealing_bounds_straggler_idle_time(self, strongarm):
+    def test_stealing_bounds_straggler_idle_time(self, strongarm, conditions_job):
         job = straggler_job(strongarm)
         with SimulationService(
             strongarm, workers=2, backend=StragglerPacedBackend()
