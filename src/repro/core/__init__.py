@@ -12,7 +12,8 @@ Modules
     input gradients and in-place Adam over flat buffers (the critic
     ensemble is K members, the actor one).
 ``replay``
-    Worst-case replay buffer and last-worst-case corner buffer.
+    Worst-case replay buffer (one draw gives all of an agent update's
+    minibatches) and last-worst-case corner buffer.
 ``actor_critic``
     The actor network and the ensemble-based critic (Eq. 6).
 ``agent``

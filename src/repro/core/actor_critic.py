@@ -14,6 +14,8 @@ replay buffer, so ensemble spread reflects epistemic uncertainty from the
 limited number of sampled variations.  The base models are the members of
 one :class:`~repro.core.nn.StackedMLP`, so the ensemble trains and
 predicts in one pass; the actor is the same network with one member.
+The caller draws the batches (:meth:`EnsembleCritic.train` takes them
+stacked), so one update's batches can come from one draw.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.nn import StackedMLP
-from repro.core.replay import WorstCaseReplayBuffer
 from repro.core.reward import FEASIBLE_REWARD
 
 
@@ -139,16 +140,12 @@ class EnsembleCritic:
         return predictions.mean(axis=0), predictions.std(axis=0)
 
     # ------------------------------------------------------------------
-    def train(
-        self,
-        buffer: WorstCaseReplayBuffer,
-        batch_size: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Train every base model on its own batch; returns the mean loss."""
-        batches = [buffer.sample(batch_size, rng) for _ in range(self.ensemble_size)]
-        designs = np.stack([designs for designs, _ in batches])
-        rewards = np.stack([rewards for _, rewards in batches])[:, :, None]
+    def train(self, designs: np.ndarray, rewards: np.ndarray) -> float:
+        """One step of every base model on its own batch; returns the mean loss.
+
+        ``designs`` is ``(ensemble, batch, p)`` and ``rewards`` is
+        ``(ensemble, batch, 1)``: member ``i`` regresses onto batch ``i``.
+        """
         return float(np.mean(self.network.fit_step(designs, rewards)))
 
     # ------------------------------------------------------------------
@@ -169,20 +166,19 @@ class EnsembleCritic:
         ensemble = self.ensemble_size
         predictions = self.network.forward(designs, cache=True)[:, :, 0]
         base_grads = self.network.input_gradient(np.ones((designs.shape[0], 1)))
+        # np.mean's and np.std's own operations, written out once so the
+        # mean and the deviations from it also serve the gradient weights.
+        bound = mean = predictions.sum(axis=0) / ensemble
         weights = np.full(predictions.shape, 1.0 / ensemble)
-        bound = mean = predictions.mean(axis=0)
         if ensemble > 1:
-            std = predictions.std(axis=0)
+            deviations = predictions - mean
+            std = np.sqrt(np.square(deviations).sum(axis=0) / ensemble)
             bound = mean + self.beta1 * std
             if self.beta1 != 0.0:
                 safe_std = np.where(std > 1e-12, std, np.inf)
-                weights = weights + self.beta1 * (
-                    (predictions - mean) / (ensemble * safe_std)
-                )
-        # Accumulate from zero in member order, as a per-model loop would.
-        gradient = np.zeros_like(designs, dtype=float)
-        for member_gradient in base_grads * weights[:, :, None]:
-            gradient += member_gradient
+                weights = weights + self.beta1 * (deviations / (ensemble * safe_std))
+        # Sum from zero in member order, as a per-model loop would.
+        gradient = np.add.reduce(base_grads * weights[:, :, None], axis=0, initial=0.0)
         return bound, gradient
 
     def actor_loss_gradient(

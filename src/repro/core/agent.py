@@ -10,7 +10,11 @@ buffer.  Each optimization iteration (driven by the
 3. :meth:`update`  — several gradient steps: every critic base model
    regresses onto worst-case rewards from its own batch, then the actor is
    pushed toward designs whose risk-sensitive bound reaches the feasible
-   reward of 0.2 (the paper's actor loss ``MSE(0.2, Q(A(x)))``).
+   reward of 0.2 (the paper's actor loss ``MSE(0.2, Q(A(x)))``) on one
+   more batch.  All of an update's batches come from one draw before the
+   first step: the buffer does not change during the update, and the
+   draw makes the indices and leaves the RNG exactly as one ``sample``
+   call per batch, in step order, would.
 """
 
 from __future__ import annotations
@@ -86,39 +90,41 @@ class RiskSensitiveAgent:
         self.buffer.add(design, worst_reward)
 
     # ------------------------------------------------------------------
-    def update(self, gradient_steps: Optional[int] = None) -> AgentUpdateSummary:
-        """Train critic and actor from the replay buffer."""
+    def update(self) -> AgentUpdateSummary:
+        """Train critic and actor from the replay buffer.
+
+        Each step trains the K critic members on batches ``0..K-1`` of
+        the step, then takes one policy-gradient step, minimising
+        ``MSE(0.2, Q(A(x)))``, on batch ``K``.
+        """
         if len(self.buffer) == 0:
             raise RuntimeError("cannot update the agent with an empty buffer")
-        steps = (
-            gradient_steps
-            if gradient_steps is not None
-            else self.config.gradient_steps_per_iteration
+        steps = self.config.gradient_steps_per_iteration
+        members = self.critic.ensemble_size
+        batch_size = min(self.config.batch_size, len(self.buffer))
+        designs, rewards = self.buffer.sample_batches(
+            steps * (members + 1), batch_size, self.rng
         )
-        batch_size = min(self.config.batch_size, max(len(self.buffer), 1))
+        designs = designs.reshape(steps, members + 1, batch_size, -1)
+        rewards = rewards.reshape(steps, members + 1, batch_size, 1)
 
         critic_losses: List[float] = []
         actor_losses: List[float] = []
-        for _ in range(steps):
+        for step_designs, step_rewards in zip(designs, rewards):
             critic_losses.append(
-                self.critic.train(self.buffer, batch_size, self.rng)
+                self.critic.train(step_designs[:members], step_rewards[:members])
             )
-            actor_losses.append(self._actor_step(batch_size))
+            actions = self.actor.forward_batch(step_designs[members])
+            loss, grad_actions = self.critic.actor_loss_gradient(
+                actions, target=FEASIBLE_REWARD
+            )
+            self.actor.apply_gradient(grad_actions)
+            actor_losses.append(loss)
         return AgentUpdateSummary(
             critic_loss=float(np.mean(critic_losses)),
             actor_loss=float(np.mean(actor_losses)),
             gradient_steps=steps,
         )
-
-    def _actor_step(self, batch_size: int) -> float:
-        """One policy-gradient step: minimise ``MSE(0.2, Q(A(x)))``."""
-        designs, _ = self.buffer.sample(batch_size, self.rng)
-        actions = self.actor.forward_batch(designs)
-        loss, grad_actions = self.critic.actor_loss_gradient(
-            actions, target=FEASIBLE_REWARD
-        )
-        self.actor.apply_gradient(grad_actions)
-        return loss
 
     # ------------------------------------------------------------------
     def predicted_bound(self, design: np.ndarray) -> float:

@@ -12,6 +12,10 @@ the critic uses K = ensemble size and the actor K = 1:
   ufuncs over the whole buffer;
 * backpropagation gives parameter gradients and, separately, gradients
   with respect to the input (to push actor outputs through the critic).
+  It reads each activation's slope from the cached forward (a ReLU mask,
+  ``s*(1-s)`` of the cached sigmoid output, nothing at a linear output)
+  and multiplies by transposed weight views made once: the flat buffer
+  is updated in place, so the views stay current.
 
 Inputs are ``(K, batch, in)`` (a batch per member) or ``(batch, in)``
 (shared); outputs are ``(K, batch, out)``.  Each member computes bit for
@@ -37,31 +41,32 @@ def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(x.dtype)
+def _relu_backward(grad, pre, out):
+    return grad * (pre > 0.0)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _sigmoid_grad(x: np.ndarray) -> np.ndarray:
-    s = _sigmoid(x)
-    return s * (1.0 - s)
+def _sigmoid_backward(grad, pre, out):
+    return grad * (out * (1.0 - out))
 
 
 def _identity(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _identity_grad(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
+def _identity_backward(grad, pre, out):
+    return grad
 
 
+#: name -> (forward, backward); backward maps ``(grad, pre-activation,
+#: output)`` of a cached forward to ``grad`` times the activation's slope.
 _ACTIVATIONS: Dict[str, Tuple[Callable, Callable]] = {
-    "relu": (_relu, _relu_grad),
-    "sigmoid": (_sigmoid, _sigmoid_grad),
-    "linear": (_identity, _identity_grad),
+    "relu": (_relu, _relu_backward),
+    "sigmoid": (_sigmoid, _sigmoid_backward),
+    "linear": (_identity, _identity_backward),
 }
 
 
@@ -112,6 +117,7 @@ class StackedMLP:
         self.grad_weights, self.grad_biases = _layer_views(
             self.gradients, members, shapes
         )
+        self._transposed_weights = [np.swapaxes(w, -1, -2) for w in self.weights]
         self._activations = [_ACTIVATIONS["relu"]] * (len(shapes) - 1)
         self._activations.append(_ACTIVATIONS[output_activation])
         # Member-major, layer-minor: the draws K separate networks make.
@@ -119,48 +125,59 @@ class StackedMLP:
             for weight, (fan_in, fan_out) in zip(self.weights, shapes):
                 scale = np.sqrt(2.0 / (fan_in + fan_out))
                 weight[member] = rng.normal(0.0, scale, size=(fan_in, fan_out))
-        # Per-layer inputs and pre-activations of the last cached forward.
-        self._inputs: Optional[List[np.ndarray]] = None
+        # The last cached forward: the input and every layer's output
+        # (layer l maps values[l] to values[l + 1]), and the pre-activations.
+        self._values: Optional[List[np.ndarray]] = None
         self._preactivations: Optional[List[np.ndarray]] = None
         self._step_count = 0
 
     def forward(self, inputs: np.ndarray, cache: bool = True) -> np.ndarray:
-        """``(K, batch, out)`` outputs for ``(K, batch, in)`` or ``(batch, in)``."""
-        outputs = np.asarray(inputs, dtype=float)
-        layer_inputs, preactivations = [], []
+        """``(K, batch, out)`` outputs for ``(K, batch, in)`` or ``(batch, in)``.
+
+        With ``cache=True`` the outputs are part of the cache (a sigmoid
+        output's slope is read from them), so callers must not write
+        into them before backpropagating.
+        """
+        values = [np.asarray(inputs, dtype=float)]
+        preactivations = []
         for weight, bias, (activation, _) in zip(
             self.weights, self.biases, self._activations
         ):
-            layer_inputs.append(outputs)
-            preactivations.append(outputs @ weight + bias)
-            outputs = activation(preactivations[-1])
+            preactivations.append(values[-1] @ weight + bias)
+            values.append(activation(preactivations[-1]))
         if cache:
-            self._inputs, self._preactivations = layer_inputs, preactivations
-        return outputs
+            self._values, self._preactivations = values, preactivations
+        return values[-1]
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray) -> None:
         """Backprop a loss gradient, accumulating parameter gradients.
 
-        Returns the gradient with respect to the cached forward's input.
+        The gradient w.r.t. the input, which no training step reads, is
+        not formed; :meth:`input_gradient` gives it.
         """
-        return self._backpropagate(grad_output, accumulate=True)
+        grad = grad_output
+        for index in reversed(range(len(self.weights))):
+            grad_pre = self._through_activation(index, grad)
+            layer_input = np.swapaxes(self._values[index], -1, -2)
+            self.grad_weights[index] += layer_input @ grad_pre
+            self.grad_biases[index] += grad_pre.sum(axis=-2, keepdims=True)
+            if index:
+                grad = grad_pre @ self._transposed_weights[index]
 
     def input_gradient(self, grad_output: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. the input only (parameter gradients untouched)."""
-        return self._backpropagate(grad_output, accumulate=False)
+        grad = grad_output
+        for index in reversed(range(len(self.weights))):
+            grad_pre = self._through_activation(index, grad)
+            grad = grad_pre @ self._transposed_weights[index]
+        return grad
 
-    def _backpropagate(self, grad: np.ndarray, accumulate: bool) -> np.ndarray:
+    def _through_activation(self, index: int, grad: np.ndarray) -> np.ndarray:
+        """``grad`` times layer ``index``'s activation slope at the cached forward."""
         if self._preactivations is None:
             raise RuntimeError("backward called before a cached forward pass")
-        for index in reversed(range(len(self.weights))):
-            _, activation_grad = self._activations[index]
-            grad_pre = grad * activation_grad(self._preactivations[index])
-            if accumulate:
-                layer_input = np.swapaxes(self._inputs[index], -1, -2)
-                self.grad_weights[index] += layer_input @ grad_pre
-                self.grad_biases[index] += grad_pre.sum(axis=-2, keepdims=True)
-            grad = grad_pre @ np.swapaxes(self.weights[index], -1, -2)
-        return grad
+        _, backward = self._activations[index]
+        return backward(grad, self._preactivations[index], self._values[index + 1])
 
     def zero_grad(self) -> None:
         self.gradients.fill(0.0)

@@ -4,7 +4,11 @@ Two buffers appear in Fig. 2 of the paper:
 
 * the **worst-case replay buffer** ``B_worst`` stores ``(x, r_worst)``
   pairs, where ``r_worst`` is the minimum reward across the mismatch
-  conditions simulated for that design at the worst corner;
+  conditions simulated for that design at the worst corner.  The agent
+  draws all the minibatches of one update at once
+  (:meth:`WorstCaseReplayBuffer.sample_batches`), with exactly the draws
+  and RNG stream of as many successive :meth:`~WorstCaseReplayBuffer.sample`
+  calls;
 * the **last worst-case buffer** remembers, per PVT corner, the most recent
   worst reward observed there — it is used both to pick the worst corner for
   the next optimization step and to order corners at the start of
@@ -22,6 +26,52 @@ import numpy as np
 from repro.variation.corners import CornerSet, PVTCorner
 
 
+#: Above this population ``Generator.choice(replace=False)`` may switch from
+#: Floyd's selection to a tail shuffle, which :func:`choice_batches` does
+#: not reproduce; the replay buffer's capacity stays within it.
+FLOYD_MAX_POPULATION = 10_000
+
+
+def choice_batches(
+    population: int, count: int, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``(count, size)`` indices: ``count`` successive
+    ``rng.choice(population, size, replace=False)`` results, from one draw.
+
+    For ``population <= FLOYD_MAX_POPULATION`` each ``choice`` call runs
+    Floyd's selection (for ``j = population - size ... population - 1``
+    it draws in ``[0, j]`` and takes ``j`` instead of a repeated draw),
+    then a Fisher-Yates shuffle of the picks (for ``i = size - 1 ... 1``
+    it draws in ``[0, i]`` and swaps ``i`` with the draw).  One
+    ``integers`` call over the tiled bounds makes exactly those draws in
+    that order, and both steps then run across all rows at once, so the
+    indices and the generator's next state match the successive calls.
+    """
+    if not 1 <= size <= population <= FLOYD_MAX_POPULATION:
+        raise ValueError(
+            f"batch size must be in [1, population] and population in "
+            f"[1, {FLOYD_MAX_POPULATION}]: got size {size}, population {population}"
+        )
+    floyd = np.arange(population - size, population)
+    swaps = np.arange(size - 1, 0, -1)
+    draws = rng.integers(
+        0, np.tile(np.concatenate([floyd, swaps]), count), endpoint=True,
+        dtype=np.int64,
+    ).reshape(count, 2 * size - 1)
+    picks = np.empty((count, size), dtype=np.int64)
+    for step, last in enumerate(floyd):
+        drawn = draws[:, step]
+        repeated = (picks[:, :step] == drawn[:, None]).any(axis=1)
+        picks[:, step] = np.where(repeated, last, drawn)
+    flat, starts = picks.reshape(-1), np.arange(0, count * size, size)
+    for step, position in enumerate(swaps, start=size):
+        other = starts + draws[:, step]
+        held = flat[other]
+        flat[other] = picks[:, position]
+        picks[:, position] = held
+    return picks
+
+
 @dataclass(frozen=True)
 class Transition:
     """One stored experience: a design and its worst-case reward."""
@@ -33,13 +83,16 @@ class Transition:
 class WorstCaseReplayBuffer:
     """Fixed-capacity FIFO ring of ``(design, worst reward)`` pairs.
 
-    Rejects non-finite input: one NaN in the ring would reach every
-    critic member on its next training step.
+    Rejects non-finite input and designs that are not 1-D vectors of the
+    stored designs' length: one bad row in the ring would reach every
+    minibatch of the agent's next update.
     """
 
     def __init__(self, capacity: int = 2048):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        if not 1 <= capacity <= FLOYD_MAX_POPULATION:
+            raise ValueError(
+                f"capacity must be in [1, {FLOYD_MAX_POPULATION}], got {capacity}"
+            )
         self._capacity = capacity
         self._designs = np.empty((capacity, 0))
         self._rewards = np.empty(capacity)
@@ -60,6 +113,12 @@ class WorstCaseReplayBuffer:
             raise ValueError(
                 f"replay entries must be finite: reward {reward}, design {design}"
             )
+        stored = self._designs.shape[1:]
+        if design.ndim != 1 or (self._size and design.shape != stored):
+            raise ValueError(
+                f"replay designs must be 1-D vectors of one length: got shape "
+                f"{design.shape}, stored {stored}"
+            )
         if not self._size:
             self._designs = np.empty((self._capacity,) + design.shape)
         self._designs[self._cursor] = design
@@ -76,6 +135,19 @@ class WorstCaseReplayBuffer:
         rng = rng if rng is not None else np.random.default_rng()
         replace = self._size < batch_size
         indices = rng.choice(self._size, size=batch_size, replace=replace)
+        return self._designs[indices], self._rewards[indices]
+
+    def sample_batches(
+        self, count: int, batch_size: int, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(count, batch, p)`` designs and ``(count, batch)`` rewards.
+
+        The batches, and the generator's state afterwards, are those of
+        ``count`` successive :meth:`sample` calls.  ``batch_size`` must be
+        in ``[1, len(self)]`` (above it :meth:`sample` would replace), or
+        ``ValueError`` is raised before any draw.
+        """
+        indices = choice_batches(self._size, count, batch_size, rng)
         return self._designs[indices], self._rewards[indices]
 
     def best(self) -> Transition:

@@ -8,6 +8,12 @@ from repro.core.replay import WorstCaseReplayBuffer
 from repro.core.reward import FEASIBLE_REWARD
 
 
+def train_on(critic, buffer, batch_size, rng):
+    """One critic step, every member on its own batch from ``buffer``."""
+    designs, rewards = buffer.sample_batches(critic.ensemble_size, batch_size, rng)
+    return critic.train(designs, rewards[:, :, None])
+
+
 class TestActor:
     def test_act_stays_in_unit_box(self, rng):
         actor = Actor(6, rng=rng)
@@ -62,7 +68,7 @@ class TestEnsembleCritic:
             design = rng.uniform(size=2)
             buffer.add(design, float(design.sum() / 5.0))
         for _ in range(300):
-            critic.train(buffer, batch_size=16, rng=rng)
+            train_on(critic, buffer, 16, rng)
         low = critic.predict(np.array([[0.05, 0.05]]))[0]
         high = critic.predict(np.array([[0.95, 0.95]]))[0]
         assert high > low
@@ -74,7 +80,7 @@ class TestEnsembleCritic:
         for _ in range(50):
             design = rng.uniform(size=3)
             buffer.add(design, float(np.sin(design.sum())))
-        critic.train(buffer, batch_size=8, rng=rng)
+        train_on(critic, buffer, 8, rng)
 
         x = rng.uniform(size=(1, 3))
         analytic = critic.bound_gradient(x)[0]
@@ -100,7 +106,7 @@ class TestEnsembleCritic:
         for _ in range(40):
             design = rng.uniform(size=3)
             buffer.add(design, float(np.cos(design.sum())))
-        critic.train(buffer, batch_size=8, rng=rng)
+        train_on(critic, buffer, 8, rng)
         actions = rng.uniform(size=(10, 3))
         loss, grad = critic.actor_loss_gradient(actions, target=FEASIBLE_REWARD)
         error = critic.predict(actions) - FEASIBLE_REWARD
@@ -115,7 +121,7 @@ class TestEnsembleCritic:
             design = rng.uniform(size=2)
             buffer.add(design, float(design.sum() / 5.0 - 0.3))
         for _ in range(200):
-            critic.train(buffer, batch_size=16, rng=rng)
+            train_on(critic, buffer, 16, rng)
         actions = np.array([[0.5, 0.5]])
         loss, grad = critic.actor_loss_gradient(actions, target=FEASIBLE_REWARD)
         assert loss > 0

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.actor_critic import EnsembleCritic
+from repro.core.agent import RiskSensitiveAgent
+from repro.core.config import GlovaConfig
 from repro.core.nn import StackedMLP
 from repro.core.replay import WorstCaseReplayBuffer
+from repro.core.reward import FEASIBLE_REWARD
 
 
 class TestStackedMLP:
@@ -125,9 +128,10 @@ class TestStackedTraining:
 
 
 class LoopMLP:
-    """One relu MLP with a linear output, trained layer by layer."""
+    """One relu MLP with a linear or sigmoid output, trained layer by layer."""
 
-    def __init__(self, layer_sizes, learning_rate, rng):
+    def __init__(self, layer_sizes, learning_rate, rng, output="linear"):
+        self.output = output
         self.weights, self.biases = [], []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
@@ -139,20 +143,33 @@ class LoopMLP:
         self.second = [np.zeros_like(p) for p in self.params]
         self.steps = 0
 
+    @staticmethod
+    def sigmoid(pre):
+        return 1.0 / (1.0 + np.exp(-np.clip(pre, -60.0, 60.0)))
+
     def forward(self, x):
         self.cache = []
         last = len(self.weights) - 1
         for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
             pre = x @ weight + bias
             self.cache.append((x, pre))
-            x = pre if index == last else np.maximum(pre, 0.0)
+            if index < last:
+                x = np.maximum(pre, 0.0)
+            else:
+                x = self.sigmoid(pre) if self.output == "sigmoid" else pre
         return x
 
     def backward(self, grad, grads=None):
         last = len(self.weights) - 1
         for index in reversed(range(len(self.weights))):
             x, pre = self.cache[index]
-            slope = np.ones_like(pre) if index == last else (pre > 0.0).astype(float)
+            if index < last:
+                slope = (pre > 0.0).astype(float)
+            elif self.output == "sigmoid":
+                s = self.sigmoid(pre)
+                slope = s * (1.0 - s)
+            else:
+                slope = np.ones_like(pre)
             grad_pre = grad * slope
             if grads is not None:
                 grads[2 * index] += x.T @ grad_pre
@@ -161,9 +178,14 @@ class LoopMLP:
         return grad
 
     def fit(self, x, y):
+        """One MSE step on ``(x, y)``; returns the loss before the step."""
         error = self.forward(x) - y
         grads = [np.zeros_like(p) for p in self.params]
         self.backward(2.0 * error / error.shape[0], grads)
+        self.adam(grads)
+        return np.mean(error**2)
+
+    def adam(self, grads):
         self.steps += 1
         for p, g, m, v in zip(self.params, grads, self.first, self.second):
             m[...] = 0.9 * m + (1.0 - 0.9) * g
@@ -213,7 +235,8 @@ def test_critic_matches_loop_reference_bit_for_bit(members):
         buffer.add(design, float(np.sin(design.sum()) - 0.5))
     stacked_batches, loop_batches = np.random.default_rng(5), np.random.default_rng(5)
     for _ in range(50):
-        critic.train(buffer, 10, stacked_batches)
+        designs, rewards = buffer.sample_batches(members, 10, stacked_batches)
+        critic.train(designs, rewards[:, :, None])
         for model in models:
             designs, rewards = buffer.sample(10, loop_batches)
             model.fit(designs, rewards[:, None])
@@ -228,3 +251,86 @@ def test_critic_matches_loop_reference_bit_for_bit(members):
     np.testing.assert_array_equal(
         critic.bound_gradient(x), loop_bound_gradient(models, x, -3.0)
     )
+
+
+class LoopAgent:
+    """Algorithm 1's update, textbook style: K loop critics and a loop actor,
+    one ``buffer.sample`` per critic member and one for the actor per step."""
+
+    def __init__(self, design_dimension, config, rng):
+        hidden = config.hidden_size
+        # RiskSensitiveAgent builds the actor, then the critic, from its rng.
+        self.actor = LoopMLP(
+            [design_dimension, hidden, hidden, design_dimension],
+            config.actor_learning_rate,
+            rng,
+            output="sigmoid",
+        )
+        critic_sizes = [design_dimension, hidden, hidden, 1]
+        self.critics = [
+            LoopMLP(critic_sizes, config.critic_learning_rate, rng)
+            for _ in range(config.effective_ensemble_size())
+        ]
+        self.beta1 = config.effective_beta1()
+        self.config = config
+        self.rng = rng
+
+    def update(self, buffer):
+        batch_size = min(self.config.batch_size, len(buffer))
+        critic_losses, actor_losses = [], []
+        for _ in range(self.config.gradient_steps_per_iteration):
+            member_losses = []
+            for model in self.critics:
+                designs, rewards = buffer.sample(batch_size, self.rng)
+                member_losses.append(model.fit(designs, rewards[:, None]))
+            critic_losses.append(float(np.mean(member_losses)))
+
+            designs, _ = buffer.sample(batch_size, self.rng)
+            actions = self.actor.forward(designs)
+            error = loop_bound(self.critics, actions, self.beta1) - FEASIBLE_REWARD
+            actor_losses.append(float(np.mean(error**2)))
+            grad_actions = loop_bound_gradient(self.critics, actions, self.beta1) * (
+                2.0 * error / batch_size
+            )[:, None]
+            grads = [np.zeros_like(p) for p in self.actor.params]
+            self.actor.backward(grad_actions, grads)
+            self.actor.adam(grads)
+        return float(np.mean(critic_losses)), float(np.mean(actor_losses))
+
+
+@pytest.mark.parametrize("use_ensemble_critic", [True, False])
+def test_agent_update_matches_loop_reference_bit_for_bit(use_ensemble_critic):
+    """One draw per update and the stacked learner give exactly the
+    per-batch textbook update: weights, losses and the RNG stream."""
+    config = GlovaConfig(
+        seed=0,
+        hidden_size=16,
+        gradient_steps_per_iteration=6,
+        use_ensemble_critic=use_ensemble_critic,
+    )
+    assert (config.effective_ensemble_size(), config.effective_beta1()) == (
+        (5, -3.0) if use_ensemble_critic else (1, 0.0)
+    )
+    agent = RiskSensitiveAgent(4, config, np.random.default_rng(21))
+    reference = LoopAgent(4, config, np.random.default_rng(21))
+    # A small ring, so it wraps: both sides read the same buffer.
+    buffer = agent.buffer = WorstCaseReplayBuffer(capacity=24)
+    data = np.random.default_rng(8)
+    for _ in range(20):
+        buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
+
+    for _ in range(6):
+        for _ in range(3):
+            buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
+        summary = agent.update()
+        assert (summary.critic_loss, summary.actor_loss) == reference.update(buffer)
+    assert len(buffer) == buffer.capacity
+
+    networks = [(agent.actor.network, [reference.actor])]
+    networks.append((agent.critic.network, reference.critics))
+    for network, models in networks:
+        for member, model in enumerate(models):
+            for layer, (weight, bias) in enumerate(zip(model.weights, model.biases)):
+                np.testing.assert_array_equal(network.weights[layer][member], weight)
+                np.testing.assert_array_equal(network.biases[layer][member, 0], bias)
+    assert agent.rng.random() == reference.rng.random()
