@@ -56,7 +56,7 @@ from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     CircuitSimulator,
     ReferenceScalarBackend,
     SimJob,
@@ -88,7 +88,7 @@ SEED_DESIGNS = 2
 DESIGN_BATCHES = 3
 
 
-class PacedBackend(BatchedMNABackend):
+class PacedBackend(BatchedBackend):
     """The batched engine plus a modelled constant per-row SPICE cost.
 
     Models the PR-4 external-simulator regime: every row costs real wall

@@ -34,7 +34,7 @@ from repro.core.spec import DesignSpec
 from repro.core.turbo import TurboSampler
 from repro.core.verification import Verifier
 from repro.simulation import (
-    BatchedMNABackend,
+    BatchedBackend,
     CircuitSimulator,
     SimulationPhase,
 )
@@ -53,7 +53,7 @@ TURBO_EVALUATIONS = 30
 SEED_DESIGNS = 2
 
 
-class PerCallBackend(BatchedMNABackend):
+class PerCallBackend(BatchedBackend):
     """The batched engine without the ``vectorized`` trait.
 
     Metrics are bit-identical to ``batched``, but the verifier evaluates
@@ -129,7 +129,7 @@ class _WorkflowDriver:
         circuit = self.circuit
         simulator = CircuitSimulator(
             circuit,
-            backend=BatchedMNABackend() if self.batched else PerCallBackend(),
+            backend=BatchedBackend() if self.batched else PerCallBackend(),
         )
         operational = operational_config(
             VerificationMethod.CORNER_LOCAL_MC,

@@ -11,9 +11,9 @@ Three properties are measured and recorded to
    Metric preservation is asserted (probed DC voltage agrees with the full
    netlist) before anything is timed.
 
-2. **Simulation-time reduction** — wall clock of the analytic DC solve on
-   the trimmed versus the untrimmed netlist, the same work a real engine
-   saves per waveform run.
+2. **Simulation-time reduction** — wall clock of the test tree's reference
+   DC solve (``tests/spice_reference.py``) on the trimmed versus the
+   untrimmed netlist, the same work a real engine saves per waveform run.
 
 3. **Rawfile parse throughput** — MB/s of
    :func:`repro.spice.rawfile.parse_rawfile` on a realistic multi-trace
@@ -24,16 +24,21 @@ Numbers track trends across PRs rather than absolute performance.
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from harness import write_bench_json
-from repro.spice.dc import solve_dc
-from repro.spice.examples import common_source_ladder
 from repro.spice.rawfile import parse_rawfile, render_rawfile
 from repro.spice.trim import trim_circuit
+
+# The netlists and the DC solve live with the tests; make them importable
+# when this file runs on its own.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+from spice_reference import common_source_ladder, solve_dc  # noqa: E402
 
 pytestmark = pytest.mark.perf
 

@@ -32,7 +32,7 @@ from repro.analysis import straggler_idle_fraction
 from repro.circuits import StrongArmLatch
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     SimJob,
     SimulationService,
 )
@@ -60,7 +60,7 @@ SENTINEL = 4.0
 MAX_IDLE_FRACTION = 0.30
 
 
-class PacedCostBackend(BatchedMNABackend):
+class PacedCostBackend(BatchedBackend):
     """The batched engine plus a modelled per-row cost read off the data.
 
     ``row_parallel = True`` mirrors real external engines (one subprocess

@@ -29,7 +29,8 @@ Subpackages
 ``repro.variation``
     PVT corner enumeration and the hierarchical global/local mismatch model.
 ``repro.spice``
-    A lightweight modified-nodal-analysis circuit simulation substrate.
+    The MOSFET device model the testbenches build on, the netlist model,
+    the ngspice deck compiler, rawfile I/O and netlist trimming.
 ``repro.circuits``
     The three paper testcases (StrongARM latch, floating inverter amplifier,
     OCSA + subhole DRAM core) as behavioural performance models.
@@ -79,7 +80,7 @@ service** (:mod:`repro.simulation.service`)::
                         |   pre-build the registry circuit and pin BLAS
                         |   threads; service.close() releases it)
                         |
-         BatchedMNABackend | ReferenceScalarBackend | NgspiceBackend
+         BatchedBackend | ReferenceScalarBackend | NgspiceBackend
                            (row_parallel engines fan per-row decks out
                             across the pool, one row per worker)
 
@@ -111,24 +112,22 @@ Migration table (legacy entry point → job compilation):
 ``simulate_designs(X, t)``                     ``SimJob.design_batch(name, X, t)``
 =============================================  =================================
 
-Circuits are looked up by name through :mod:`repro.circuits.registry`
-(``@register_circuit`` for testbenches, ``register_circuit_factory`` for
-parameterized netlists such as ``common_source_ladder``).
+Circuits are looked up by name or alias through
+:mod:`repro.circuits.registry` (``@register_circuit``).
 
-**One metric code path for every engine.**  Waveform post-processing
+**One metric code path for every waveform.**  Waveform post-processing
 lives in a single dependency-free library,
 :mod:`repro.analysis.waveform`: crossing/delay, slew, overshoot,
 settling and average extractors over raw ``(time, trace)`` arrays.  The
-analytic transient solvers delegate their ``crossing_time`` there, and
-the external ngspice backend's waveform mode
-(``NgspiceBackend(measurement="waveform")``) applies the *same
-functions* to traces parsed from the engine's binary rawfile
-(:mod:`repro.spice.rawfile`), guided by the per-circuit
-:class:`~repro.analysis.waveform.WaveformSpec` declarations — so a
-delay from a real engine and a delay from the analytic engine are the
-same code on different arrays.  Waveform decks probe only what the
-specs name, which lets :mod:`repro.spice.trim` cut the netlist to the
-probed cone of influence before the engine ever sees it.
+external ngspice backend's waveform mode
+(``NgspiceBackend(measurement="waveform")``) applies them to traces
+parsed from the engine's binary rawfile (:mod:`repro.spice.rawfile`),
+guided by the per-circuit :class:`~repro.analysis.waveform.WaveformSpec`
+declarations.  Each recipe is exactly invertible, so the hermetic fake
+engine's rawfiles carry the analytic engine's metrics bit for bit.
+Waveform decks probe only what the specs name, which lets
+:mod:`repro.spice.trim` cut the netlist to the probed cone of influence
+before the engine ever sees it.
 
 Performance
 -----------
@@ -139,9 +138,8 @@ ufunc-style device model
 ``AnalogCircuit.evaluate_batch`` evaluates a whole N'-sample mismatch set
 or 30-corner sweep in one vectorized pass, and ``CircuitSimulator`` routes
 every batch through it (budget accounting still charges B simulations).
-No sizing run solves an MNA system; the scalar ``solve_dc`` /
-``solve_transient`` serve netlist work (the trimming checks and the
-waveform benchmark).
+The package solves no MNA system: a netlist reaches an engine only as
+an ngspice deck.
 
 Choosing scalar vs batched: the scalar ``evaluate`` remains the reference
 path for one-off conditions and debugging — it produces identical numbers,

@@ -56,13 +56,7 @@ from typing import List, Optional
 import os
 
 from repro import api
-from repro.circuits.registry import (
-    NETLIST,
-    TESTBENCH,
-    available_circuits,
-    get_circuit,
-    registered_entry,
-)
+from repro.circuits.registry import available_circuits, get_circuit
 from repro.simulation import available_backends
 from repro.simulation.ngspice import EXECUTABLE_ENV
 from repro.version import __version__
@@ -292,15 +286,12 @@ def deck_main(argv: List[str]) -> int:
     """The ``repro deck`` subcommand: print a circuit's reference deck."""
     from repro.spice.deck import compile_job_deck, reference_job
 
-    args = build_deck_parser().parse_args(argv)
-    circuit = get_circuit(args.circuit)
-    if not hasattr(circuit, "metric_names"):
-        print(
-            f"error: {args.circuit!r} is a netlist factory, not a sizing "
-            f"testbench; decks are compiled for testbench circuits",
-            file=sys.stderr,
-        )
-        return 2
+    parser = build_deck_parser()
+    args = parser.parse_args(argv)
+    try:
+        circuit = get_circuit(args.circuit)
+    except KeyError as error:
+        parser.error(error.args[0])
     job = reference_job(circuit, rows=args.rows)
     trim = False if args.no_trim else None
     deck = compile_job_deck(
@@ -330,15 +321,12 @@ def deck_main(argv: List[str]) -> int:
 
 def _list_circuits() -> None:
     print("Testbench circuits (sizing targets):")
-    for name in available_circuits(TESTBENCH):
+    for name in available_circuits():
         circuit = get_circuit(name)
         print(
             f"  {name:<28} {circuit.dimension:>2} parameters, "
             f"{len(circuit.metric_names)} metrics"
         )
-    print("Netlist factories (solver benchmarks):")
-    for name in available_circuits(NETLIST):
-        print(f"  {name}")
 
 
 def _resolve_config(args: argparse.Namespace) -> api.ExperimentConfig:
@@ -440,16 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.ngspice_executable:
         os.environ[EXECUTABLE_ENV] = args.ngspice_executable
-
-    # A netlist name is valid for --list-circuits but not for sizing runs;
-    # fail with the registry's context before building an ExperimentConfig.
-    if args.circuit is not None:
-        entry = registered_entry(args.circuit)
-        if entry is not None and entry.kind == NETLIST:
-            parser.error(
-                f"{args.circuit!r} is a netlist factory, not a sizing "
-                f"testbench; choose from {available_circuits()}"
-            )
 
     try:
         config = _resolve_config(args)

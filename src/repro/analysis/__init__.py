@@ -8,9 +8,9 @@ as text tables.  The runs themselves go through :mod:`repro.api`
 
 :mod:`repro.analysis.waveform` is the engine-neutral waveform metric
 library: vectorized crossing/delay/slew/settling/average measurements
-shared by the analytic transient solver and the external-simulator
-rawfile pipeline, plus the :class:`WaveformSpec` declarations circuits
-use to describe how each metric is extracted from traces.
+over the traces of an external simulator's rawfile, plus the
+:class:`WaveformSpec` declarations circuits use to describe how each
+metric is extracted from traces.
 """
 
 from repro.analysis.metrics import (

@@ -1,17 +1,12 @@
 """Waveform-first metric extraction shared by every simulation engine.
 
-The analytic MNA engine and the external ngspice path used to compute
-metrics through two unrelated code paths: vectorized numpy post-processing
-on :class:`~repro.spice.transient.TransientResult` waveforms on one side,
-hand-written ``.measure`` cards on the other.  This module collapses them
-into **one** library of pure-array metric extractors — crossing/delay,
-slew, overshoot, settling, amplitude and average power — operating on raw
-``(time, trace)`` float64 arrays.  ``TransientResult.crossing_time`` is a
-thin wrapper over :func:`first_crossing` below, and the waveform-mode
+This module is **one** library of pure-array metric extractors —
+crossing/delay, slew, overshoot, settling, amplitude and average power —
+operating on raw ``(time, trace)`` float64 arrays.  The waveform-mode
 ngspice backend (:mod:`repro.simulation.ngspice`) feeds parsed rawfile
-traces (:mod:`repro.spice.rawfile`) through the very same functions, so a
-delay measured from an external engine and a delay measured from the
-analytic engine are *literally the same code* applied to different arrays.
+traces (:mod:`repro.spice.rawfile`) through these functions instead of
+hand-written ``.measure`` cards, so every engine's waveforms are measured
+by *literally the same code*.
 
 Circuits declare how each metric is extracted with a :class:`WaveformSpec`
 (probe trace names plus an extraction recipe), the waveform twin of
@@ -29,8 +24,8 @@ is what lets the whole waveform subsystem be acceptance-tested end-to-end
 — deck, subprocess, rawfile bytes, extraction — with zero tolerance loss.
 
 This module imports nothing from the rest of the package (pure numpy +
-stdlib), so any layer — spice solvers, simulation backends, the test
-double — can depend on it without cycles.
+stdlib), so any layer — the circuits, the deck compiler, simulation
+backends, the test double — can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -81,9 +76,8 @@ def first_crossing(
 
     ``waves`` is ``(B, n_steps + 1)``; returns ``(B,)`` crossing times with
     ``NaN`` where a waveform never crosses.  This is the single crossing
-    implementation for the whole codebase — the transient solvers'
-    ``crossing_time`` methods delegate here, so analytic and external
-    waveforms are measured bit-identically.
+    implementation for the whole codebase: :func:`crossing_time` and every
+    ``crossing`` recipe measure through it.
     """
     previous = waves[:, :-1]
     current = waves[:, 1:]

@@ -51,10 +51,9 @@ from repro.baselines import (
     RobustAnalogOptimizer,
 )
 from repro.circuits.registry import (
-    TESTBENCH,
     available_circuits,
     get_circuit,
-    registered_entry,
+    registered_class,
 )
 from repro.core.config import GlovaConfig, VerificationMethod
 from repro.core.optimizer import GlovaOptimizer
@@ -177,8 +176,7 @@ class ExperimentConfig:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"available: {sorted(ALGORITHMS)}"
             )
-        entry = registered_entry(self.circuit)
-        if entry is None or entry.kind != TESTBENCH:
+        if registered_class(self.circuit) is None:
             raise ValueError(
                 f"unknown sizing circuit {self.circuit!r}; "
                 f"available: {available_circuits()}"

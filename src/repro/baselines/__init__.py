@@ -10,7 +10,7 @@
   random sampling; a sanity floor, not a paper baseline.
 
 Neither published baseline has public code; both are re-implemented from
-their papers' descriptions (see DESIGN.md, substitution table).
+their papers' descriptions.
 """
 
 from repro.baselines.base import BaselineOptimizer

@@ -13,11 +13,11 @@ the paper:
   targets on low/high data sensing voltage and energy per bit.
 
 The circuits are behavioural performance models built on the device physics
-in :mod:`repro.spice`; see DESIGN.md for the substitution rationale.
+in :mod:`repro.spice`.  They stand in for the paper's HSPICE testbenches,
+which run on a proprietary 28 nm PDK that a public reproduction cannot use.
 
 The circuits self-register with :mod:`repro.circuits.registry` via the
-``@register_circuit`` decorator; parameterized netlist builders register
-through :func:`~repro.circuits.registry.register_circuit_factory`.
+``@register_circuit`` decorator.
 """
 
 from repro.circuits.base import AnalogCircuit, SizingParameter
@@ -28,7 +28,6 @@ from repro.circuits.registry import (
     available_circuits,
     get_circuit,
     register_circuit,
-    register_circuit_factory,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "available_circuits",
     "get_circuit",
     "register_circuit",
-    "register_circuit_factory",
 ]

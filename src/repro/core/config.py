@@ -192,7 +192,7 @@ class GlovaConfig:
     # Store a risk-adjusted reward (the worse of the sampled worst case and
     # the mu + beta2*sigma estimate, Eq. 1 applied at the sample level) so
     # the agent sees a dense robustness signal even when individual mismatch
-    # samples rarely fail.  See DESIGN.md, "implementation choices".
+    # samples rarely fail.
     risk_adjusted_reward: bool = True
     # --- agent --------------------------------------------------------
     ensemble_size: int = 5

@@ -6,7 +6,7 @@ Two orderings make the verification phase fail fast:
   metrics of the mu-sigma estimates ``e_i`` normalised by the constraint
   magnitude (the normalisation keeps metrics with different units
   commensurable; the paper sums the raw ``e_i``, which is equivalent up to a
-  per-circuit constant and documented in DESIGN.md).  Higher t-SCORE means
+  per-circuit constant).  Higher t-SCORE means
   the corner is closer to failing, so it is simulated first.
 
 * **MC reordering** — within a corner, the not-yet-simulated mismatch

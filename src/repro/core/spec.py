@@ -14,8 +14,7 @@ robust form::
     f_i = (c_i - F_i) / (|c_i| + |F_i| + eps)
 
 which preserves the sign and the [-1, 1] range of the paper's normalisation
-for positive metrics and extends it safely to sign-flipped ones (documented
-substitution, see DESIGN.md).
+for positive metrics and extends it safely to sign-flipped ones.
 
 A non-finite metric (NaN from a failed measurement, ±inf from a model
 blowing up) is the maximal violation, ``f_i = -1``, on every path.

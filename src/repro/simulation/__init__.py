@@ -5,7 +5,7 @@ directly; every simulation request is a :class:`SimJob` (design block ×
 corner block × mismatch block + phase tag) evaluated by a
 :class:`SimulationService` through a pluggable :class:`SimulationBackend`:
 
-* :class:`BatchedMNABackend` — the vectorized production engine;
+* :class:`BatchedBackend` — the vectorized production engine;
 * :class:`ReferenceScalarBackend` — the bit-exact scalar reference path;
 * :class:`NgspiceBackend` — the external-simulator adapter: compiles each
   job to an ngspice netlist deck and parses ``.measure`` results back into
@@ -80,7 +80,7 @@ from repro.simulation.budget import SimulationBudget, SimulationPhase
 from repro.simulation.service import (
     BACKENDS,
     CACHE_FORMAT_VERSION,
-    BatchedMNABackend,
+    BatchedBackend,
     CachingBackend,
     FailureKind,
     ReferenceScalarBackend,
@@ -160,7 +160,7 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "SimulationBackend",
     "SimulationService",
-    "BatchedMNABackend",
+    "BatchedBackend",
     "ReferenceScalarBackend",
     "NgspiceBackend",
     "NgspiceError",

@@ -14,7 +14,7 @@ call:
 * :class:`SimResult` — the response: one ``(B,)`` array per metric, plus
   per-row :class:`SimulationRecord` views for consumers that want dicts.
 * :class:`SimulationBackend` — the engine boundary.  Two terminal backends
-  ship in this module: :class:`BatchedMNABackend` (the vectorized engine,
+  ship in this module: :class:`BatchedBackend` (the vectorized engine,
   one ``evaluate_batch`` pass per job) and :class:`ReferenceScalarBackend`
   (the bit-exact scalar path, one ``evaluate`` call per row).  Other
   engines (the ngspice adapter, the remote client) plug in here without
@@ -508,7 +508,7 @@ class SimulationBackend:
         )
 
 
-class BatchedMNABackend(SimulationBackend):
+class BatchedBackend(SimulationBackend):
     """The production engine: one vectorized pass per job.
 
     Condition-axis jobs run through :meth:`AnalogCircuit.evaluate_batch`
@@ -516,7 +516,7 @@ class BatchedMNABackend(SimulationBackend):
     than one corner); design-axis jobs run through
     :meth:`AnalogCircuit.evaluate_design_batch`.  Both hand the whole
     block to the circuit's closed-form ``_evaluate_physical_batch`` model
-    in one call (no MNA solve, despite the name).  One pass costs nearly
+    in one call.  One pass costs nearly
     the same at 8 rows as at 1,024, so it is :attr:`vectorized`: its jobs
     never shard.
     """
@@ -541,7 +541,7 @@ class ReferenceScalarBackend(SimulationBackend):
     """The bit-exact scalar reference path, one row at a time.
 
     Calls :meth:`AnalogCircuit.evaluate` (a batch of one) per row — the
-    debugging / cross-validation twin of :class:`BatchedMNABackend`, and
+    debugging / cross-validation twin of :class:`BatchedBackend`, and
     an engine whose cost grows with rows, so its jobs shard at
     ``workers > 1``.
     """
@@ -575,7 +575,7 @@ class ReferenceScalarBackend(SimulationBackend):
 
 #: Terminal backends reconstructible by name inside worker processes.
 BACKENDS: Dict[str, type] = {
-    BatchedMNABackend.name: BatchedMNABackend,
+    BatchedBackend.name: BatchedBackend,
     ReferenceScalarBackend.name: ReferenceScalarBackend,
 }
 

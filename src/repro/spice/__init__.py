@@ -1,27 +1,20 @@
-"""Lightweight SPICE-like circuit simulation substrate.
+"""SPICE-side substrate: the device model, netlists and the ngspice bridge.
 
-The paper sizes circuits against HSPICE with a proprietary 28 nm PDK.  This
-subpackage provides the open substitute: a small but genuine circuit
-simulator built on modified nodal analysis (MNA), with
+The paper sizes circuits against HSPICE with a proprietary 28 nm PDK.
+This reproduction evaluates closed-form behavioural testbenches instead
+(:mod:`repro.circuits`), so it solves no netlist itself.  This subpackage
+holds what those testbenches and the external-engine path share:
 
-* a netlist data model (:mod:`repro.spice.netlist`),
 * a square-law / velocity-saturation MOSFET model with corner- and
-  mismatch-aware parameters (:mod:`repro.spice.mosfet`),
-* DC operating-point solution via damped Newton iteration
-  (:mod:`repro.spice.dc`),
-* backward-Euler transient analysis (:mod:`repro.spice.transient`),
-* output-referred thermal-noise estimation (:mod:`repro.spice.noise`), and
+  mismatch-aware parameters (:mod:`repro.spice.mosfet`), whose
+  ufunc-style ``batch_*`` evaluation the behavioural models build on;
+* a netlist data model (:mod:`repro.spice.netlist`);
 * an ngspice-dialect deck compiler + measure-log parser bridging the
-  netlist model to external simulators (:mod:`repro.spice.deck`),
+  netlist model to external simulators (:mod:`repro.spice.deck`);
 * a binary/ascii rawfile reader + writer for waveform-mode measurement
-  (:mod:`repro.spice.rawfile`), and
+  (:mod:`repro.spice.rawfile`); and
 * connectivity-based netlist trimming that drops elements outside the
   cone of influence of the probed nodes (:mod:`repro.spice.trim`).
-
-The behavioural testbenches in :mod:`repro.circuits` use the device model
-directly for their analytic performance expressions and use the solvers for
-sanity anchoring; the optimizer never needs to know which is which — it only
-ever sees performance metrics.
 """
 
 from repro.spice.mosfet import MosfetModel, MosfetParameters, nmos_28nm, pmos_28nm
@@ -35,9 +28,6 @@ from repro.spice.netlist import (
     Mosfet,
     GROUND,
 )
-from repro.spice.dc import DCSolution, solve_dc
-from repro.spice.transient import TransientResult, solve_transient
-from repro.spice.noise import thermal_noise_voltage, ktc_noise, mosfet_thermal_noise_current
 from repro.spice.deck import (
     Deck,
     DeckParseError,
@@ -82,11 +72,4 @@ __all__ = [
     "VCCS",
     "Mosfet",
     "GROUND",
-    "DCSolution",
-    "solve_dc",
-    "TransientResult",
-    "solve_transient",
-    "thermal_noise_voltage",
-    "ktc_noise",
-    "mosfet_thermal_noise_current",
 ]

@@ -19,7 +19,7 @@ ngspice-dialect netlist that carries
   values, ``vdd_val``, ``temp_val``, process-shift params), the row's
   ``.model`` cards (corner vth/mobility shifts and element-static
   mismatch lowered through the analytic engine's ``effective_vth_mu``, and
-  ``lambda`` scaled ``lambda_per_um / L_um`` exactly like the MNA model),
+  ``lambda`` scaled ``lambda_per_um / L_um`` exactly like the device model),
   a ``.temp`` card, the ``.op``/``.tran`` analyses and one ``.measure``
   card per metric (:meth:`repro.circuits.base.AnalogCircuit.measure_specs`),
   row-suffixed so measure names never collide.
@@ -312,7 +312,7 @@ def _element_card(element: Element, models: _ModelTable) -> str:
         )
     if isinstance(element, Mosfet):
         model_name = models.name_for(element)
-        # Body tied to source, matching the MNA stamping convention.
+        # Body tied to source, as the device model assumes.
         return (
             f"{_card_name('M', element.name)} {element.drain} {element.gate} "
             f"{element.source} {element.source} {model_name} "

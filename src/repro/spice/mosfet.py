@@ -17,12 +17,10 @@ All dimensions are SI (metres, volts, amps, farads) unless noted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from repro.variation.corners import PVTCorner
 
 BOLTZMANN = 1.380649e-23
 ELECTRON_CHARGE = 1.602176634e-19
@@ -55,8 +53,6 @@ class MosfetParameters:
         Mobility power-law exponent ``mu ~ (T/300K)^-k``.
     subthreshold_slope:
         Subthreshold swing factor ``n`` in ``exp(Vgs/(n*kT/q))``.
-    gamma_noise:
-        Thermal-noise gamma coefficient (2/3 long channel, ~1 short channel).
     """
 
     vth0: float
@@ -68,7 +64,6 @@ class MosfetParameters:
     vth_temp_coeff: float
     mobility_temp_exponent: float
     subthreshold_slope: float
-    gamma_noise: float
     polarity: str = "nmos"
 
 
@@ -84,7 +79,6 @@ def nmos_28nm() -> MosfetParameters:
         vth_temp_coeff=-0.8e-3,
         mobility_temp_exponent=1.4,
         subthreshold_slope=1.45,
-        gamma_noise=1.0,
         polarity="nmos",
     )
 
@@ -101,33 +95,15 @@ def pmos_28nm() -> MosfetParameters:
         vth_temp_coeff=-0.8e-3,
         mobility_temp_exponent=1.3,
         subthreshold_slope=1.5,
-        gamma_noise=1.0,
         polarity="pmos",
     )
-
-
-@dataclass(frozen=True)
-class MosfetOperatingPoint:
-    """Small-signal quantities at a bias point."""
-
-    ids: float
-    gm: float
-    gds: float
-    vgs: float
-    vds: float
-    vth: float
-    vov: float
-    region: str
 
 
 @dataclass(frozen=True)
 class BatchedOperatingPoint:
     """Array-valued bias point: every field broadcasts over the batch axis.
 
-    Produced by :meth:`MosfetModel.batch_operating_point`; unlike the scalar
-    :class:`MosfetOperatingPoint` it carries no ``region`` label (region
-    classification is a reporting aid, not something the stamping or the
-    behavioural models consume on the hot path).
+    Produced by :meth:`MosfetModel.batch_operating_point`.
     """
 
     ids: np.ndarray
@@ -185,8 +161,8 @@ class MosfetModel:
         (e.g. one entry per Monte-Carlo sample), and ``corner`` may be a
         scalar :class:`PVTCorner` or an array-valued corner batch; the result
         broadcasts accordingly.  This is the single source of truth for the
-        environment handling — the scalar :meth:`effective_parameters` and the
-        batched evaluation paths both route through it.
+        environment handling: the ``batch_*`` evaluations and the deck's
+        ``.model`` cards both route through it.
         """
         params = self.parameters
         vth = params.vth0
@@ -207,75 +183,14 @@ class MosfetModel:
         mu_cox = np.maximum(mu_cox, 1e-9)
         return vth, mu_cox
 
-    def effective_parameters(
-        self,
-        corner: Optional[PVTCorner] = None,
-        vth_shift: float = 0.0,
-        beta_error: float = 0.0,
-    ) -> MosfetParameters:
-        """Apply corner skew, temperature, and mismatch to the parameter set.
-
-        ``vth_shift`` is an additive threshold error (V) and ``beta_error`` a
-        relative current-factor error, i.e. the two mismatch quantities
-        produced by :class:`repro.variation.MismatchModel`.
-        """
-        vth, mu_cox = self.effective_vth_mu(corner, vth_shift, beta_error)
-        return replace(self.parameters, vth0=float(vth), mu_cox=float(mu_cox))
-
     # ------------------------------------------------------------------
     # Current and small-signal evaluation
     # ------------------------------------------------------------------
-    def drain_current(
-        self,
-        vgs: float,
-        vds: float,
-        corner: Optional[PVTCorner] = None,
-        vth_shift: float = 0.0,
-        beta_error: float = 0.0,
-    ) -> float:
-        """Drain current (A) for positive ``vgs``/``vds`` conventions.
-
-        The caller is expected to hand in magnitudes for PMOS devices (source
-        referenced), which keeps the model polarity-agnostic.
-        """
-        return float(self.batch_drain_current(vgs, vds, corner, vth_shift, beta_error))
-
     def batch_drain_current(self, vgs, vds, corner=None, vth_shift=0.0, beta_error=0.0):
         """Ufunc-style drain current: all bias/mismatch inputs may be arrays."""
         vth, mu_cox = self.effective_vth_mu(corner, vth_shift, beta_error)
         temperature_k = 300.15 if corner is None else corner.temperature_kelvin
         return self._ids_core(vgs, vds, vth, mu_cox, temperature_k)
-
-    def operating_point(
-        self,
-        vgs: float,
-        vds: float,
-        corner: Optional[PVTCorner] = None,
-        vth_shift: float = 0.0,
-        beta_error: float = 0.0,
-    ) -> MosfetOperatingPoint:
-        """Bias point with numerically differentiated gm and gds."""
-        op = self.batch_operating_point(vgs, vds, corner, vth_shift, beta_error)
-        vov = float(op.vov)
-        # Region classification needs only vov and the saturation knee;
-        # _vdsat depends on parameters the environment never modifies, so no
-        # second effective-parameter evaluation is required.
-        if vov <= 0:
-            region = "subthreshold"
-        elif vds < self._vdsat(vov, self.parameters):
-            region = "triode"
-        else:
-            region = "saturation"
-        return MosfetOperatingPoint(
-            ids=float(op.ids),
-            gm=float(op.gm),
-            gds=float(op.gds),
-            vgs=vgs,
-            vds=vds,
-            vth=float(op.vth),
-            vov=vov,
-            region=region,
-        )
 
     def batch_operating_point(
         self, vgs, vds, corner=None, vth_shift=0.0, beta_error=0.0
@@ -304,17 +219,6 @@ class MosfetModel:
             vov=vgs - vth,
         )
 
-    def transconductance(
-        self,
-        vgs: float,
-        vds: float,
-        corner: Optional[PVTCorner] = None,
-        vth_shift: float = 0.0,
-        beta_error: float = 0.0,
-    ) -> float:
-        """Small-signal gm at the given bias."""
-        return self.operating_point(vgs, vds, corner, vth_shift, beta_error).gm
-
     # ------------------------------------------------------------------
     # Capacitances
     # ------------------------------------------------------------------
@@ -333,25 +237,6 @@ class MosfetModel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _vdsat(self, vov: float, params: MosfetParameters) -> float:
-        length_um = self.length * 1e6
-        v_crit = params.v_sat_effect * np.maximum(length_um, 1e-3)
-        if vov <= 0:
-            return 0.0
-        return vov * v_crit / (vov + v_crit)
-
-    def _ids(
-        self,
-        vgs: float,
-        vds: float,
-        params: MosfetParameters,
-        corner: Optional[PVTCorner],
-    ) -> float:
-        temperature_k = 300.15 if corner is None else corner.temperature_kelvin
-        return float(
-            self._ids_core(vgs, vds, params.vth0, params.mu_cox, temperature_k)
-        )
-
     def _ids_core(self, vgs, vds, vth, mu_cox, temperature_k):
         """Ufunc-style drain current: all arguments broadcast elementwise.
 

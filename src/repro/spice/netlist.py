@@ -1,22 +1,18 @@
-"""Netlist data model for the MNA-based simulation substrate.
+"""Netlist data model for the ngspice deck compiler and netlist trimming.
 
 A :class:`Circuit` is a flat collection of two- and four-terminal elements
 connected by named nodes.  Node ``"0"`` (also exported as :data:`GROUND`) is
-the reference.  Elements know how to stamp themselves into the MNA matrices;
-nonlinear elements (MOSFETs) stamp a linearised companion model around the
-current iterate, which is what the Newton solver in :mod:`repro.spice.dc`
-expects.
+the reference.  :func:`repro.spice.deck.netlist_cards` lowers a circuit to
+ngspice cards, and :func:`repro.spice.trim.trim_circuit` cuts it to the cone
+of influence of the probed nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.spice.mosfet import MosfetModel
-from repro.variation.corners import PVTCorner
 
 GROUND = "0"
 
@@ -28,9 +24,6 @@ class Element:
 
     def nodes(self) -> Tuple[str, ...]:
         raise NotImplementedError
-
-    def is_nonlinear(self) -> bool:
-        return False
 
 
 @dataclass
@@ -125,9 +118,6 @@ class Mosfet(Element):
     def nodes(self) -> Tuple[str, ...]:
         return (self.drain, self.gate, self.source)
 
-    def is_nonlinear(self) -> bool:
-        return True
-
     @property
     def is_pmos(self) -> bool:
         return self.model.parameters.polarity == "pmos"
@@ -138,14 +128,13 @@ class Circuit:
 
     Example
     -------
-    >>> from repro.spice import Circuit, Resistor, VoltageSource, solve_dc
+    >>> from repro.spice import Circuit, Resistor, VoltageSource
     >>> circuit = Circuit("divider")
-    >>> circuit.add(VoltageSource("VIN", "in", "0", 1.0))
-    >>> circuit.add(Resistor("R1", "in", "out", 1e3))
-    >>> circuit.add(Resistor("R2", "out", "0", 1e3))
-    >>> solution = solve_dc(circuit)
-    >>> round(solution["out"], 6)
-    0.5
+    >>> _ = circuit.add(VoltageSource("VIN", "in", "0", 1.0))
+    >>> _ = circuit.add(Resistor("R1", "in", "out", 1e3))
+    >>> _ = circuit.add(Resistor("R2", "out", "0", 1e3))
+    >>> circuit.node_names()
+    ['in', 'out']
     """
 
     def __init__(self, name: str = "circuit"):
@@ -170,9 +159,6 @@ class Circuit:
     def elements(self) -> Tuple[Element, ...]:
         return tuple(self._elements)
 
-    def elements_of_type(self, element_type) -> List[Element]:
-        return [e for e in self._elements if isinstance(e, element_type)]
-
     # ------------------------------------------------------------------
     # Node bookkeeping
     # ------------------------------------------------------------------
@@ -185,21 +171,8 @@ class Circuit:
                     seen[node] = None
         return list(seen.keys())
 
-    def node_index(self) -> Dict[str, int]:
-        return {name: index for index, name in enumerate(self.node_names())}
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_names())
-
-    def has_nonlinear_elements(self) -> bool:
-        return any(e.is_nonlinear() for e in self._elements)
-
     def voltage_sources(self) -> List[VoltageSource]:
         return [e for e in self._elements if isinstance(e, VoltageSource)]
-
-    def capacitors(self) -> List[Capacitor]:
-        return [e for e in self._elements if isinstance(e, Capacitor)]
 
     def validate(self) -> None:
         """Basic sanity checks: a ground reference and no floating sources."""

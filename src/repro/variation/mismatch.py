@@ -132,8 +132,8 @@ class MismatchSampler:
         independent_globals:
             Draw a fresh die-level shift for *every* sample instead of one
             shared die.  The optimization phase uses this so that a handful
-            of samples already spans die-to-die spread (see DESIGN.md);
-            verification keeps the paper's one-die-per-corner hierarchy.
+            of samples already spans die-to-die spread; verification
+            keeps the paper's one-die-per-corner hierarchy.
         """
         if count < 1:
             raise ValueError("count must be >= 1")

@@ -4,12 +4,12 @@
 A drop-in stand-in for ``ngspice -b -o run.log deck.cir`` that needs no
 SPICE engine: it parses the machine payload the deck compiler embeds in
 every deck (:func:`repro.spice.deck.parse_deck_job`), reconstructs the
-original :class:`SimJob`, evaluates it with the **analytic MNA engine**
-(:class:`repro.simulation.service.BatchedMNABackend`) and answers with an
+original :class:`SimJob`, evaluates it with the **analytic engine**
+(:class:`repro.simulation.service.BatchedBackend`) and answers with an
 ngspice-style measure log (``m_<metric>_r<row> = <value>`` lines).  Because
 the payload stores every float at 17 significant digits, the round trip is
 bit-exact: metrics reported through the fake agree with a direct
-``BatchedMNABackend`` evaluation to within :data:`TOLERANCE`.
+``BatchedBackend`` evaluation to within :data:`TOLERANCE`.
 
 The ``conftest.py`` fixture ``fake_ngspice`` installs this module as an
 executable launcher and points ``$REPRO_NGSPICE`` at it, so the full
@@ -44,7 +44,7 @@ import sys
 import time
 
 #: Declared agreement between the fake's measure log and a direct
-#: BatchedMNABackend evaluation.  Values are printed at 17 significant
+#: BatchedBackend evaluation.  Values are printed at 17 significant
 #: digits (exact for IEEE doubles); the bound is slack for safety.
 TOLERANCE = 1e-12
 
@@ -126,12 +126,12 @@ def main(argv=None) -> int:
         output = "fake-ngspice: no measures in this log\n"
     else:
         from repro.circuits.registry import get_circuit
-        from repro.simulation.service import BatchedMNABackend
+        from repro.simulation.service import BatchedBackend
         from repro.spice.deck import parse_deck_job
 
         job = parse_deck_job(deck_text)
         circuit = get_circuit(job.circuit_name)
-        metrics = BatchedMNABackend().evaluate(circuit, job)
+        metrics = BatchedBackend().evaluate(circuit, job)
         output = _render_log(job, circuit, metrics, mode)
 
     if log_path is not None:
@@ -170,7 +170,7 @@ def _run_waveform(deck_text: str, raw_path: str, log_path, mode: str) -> int:
 
     from repro.analysis.waveform import synthesize_canonical
     from repro.circuits.registry import get_circuit
-    from repro.simulation.service import BatchedMNABackend
+    from repro.simulation.service import BatchedBackend
     from repro.spice.deck import parse_deck_job
     from repro.spice.rawfile import render_rawfile
 
@@ -182,7 +182,7 @@ def _run_waveform(deck_text: str, raw_path: str, log_path, mode: str) -> int:
         )
         return 2
     circuit = get_circuit(job.circuit_name)
-    metrics = BatchedMNABackend().evaluate(circuit, job)
+    metrics = BatchedBackend().evaluate(circuit, job)
     values = {
         name: float(metrics[name][0]) for name in circuit.metric_names
     }

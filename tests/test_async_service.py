@@ -55,7 +55,7 @@ from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     CachingBackend,
     FaultInjectingBackend,
     FaultSchedule,
@@ -81,7 +81,7 @@ from repro.spice.deck import FAILURE_NAN
 from repro.variation.corners import typical_corner
 
 
-class PerRowBatchedBackend(BatchedMNABackend):
+class PerRowBatchedBackend(BatchedBackend):
     """The batched engine declaring per-row cost, as paced test backends
     and one-deck-per-row external engines do."""
 
@@ -165,7 +165,7 @@ class TestResolutionAccounting:
     def test_cancel_before_resolve_charges_nothing(self, strongarm, conditions_job):
         calls = []
 
-        class CountingBackend(BatchedMNABackend):
+        class CountingBackend(BatchedBackend):
             def evaluate(self, circuit, job):
                 calls.append(job.batch)
                 return super().evaluate(circuit, job)
@@ -218,7 +218,7 @@ class TestResolutionAccounting:
             assert service.budget.total == 8
 
     def test_raising_backend_refunds_at_resolution(self, strongarm, conditions_job):
-        class Exploding(BatchedMNABackend):
+        class Exploding(BatchedBackend):
             def evaluate(self, circuit, job):
                 raise RuntimeError("mid-flight explosion")
 
@@ -257,7 +257,7 @@ class TestResolutionAccounting:
             retry = service.submit(job)
             result = retry.result()
             assert service.budget.total == 8
-            reference = BatchedMNABackend().evaluate(strongarm, job)
+            reference = BatchedBackend().evaluate(strongarm, job)
             for name in strongarm.metric_names:
                 np.testing.assert_allclose(
                     result.metrics[name], reference[name], rtol=1e-12, atol=0
@@ -542,7 +542,7 @@ class TestVectorizedEnginesStayInProcess:
     def test_shardable_rule(self, batch, workers):
         schedule = FaultSchedule()
         for backend in (
-            BatchedMNABackend(),
+            BatchedBackend(),
             FaultInjectingBackend("batched", schedule),
         ):
             assert not can_shard(backend)
@@ -641,7 +641,7 @@ class TestNgspiceRowParallel:
                 strongarm, service._terminal, workers=3, batch=job.batch
             )
             result = service.submit(job).result()
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             np.testing.assert_allclose(
                 result.metrics[name], reference[name], rtol=1e-12, atol=0
@@ -665,7 +665,7 @@ class TestDiskCache:
         # disk: zero budget, no backend invocation.
         calls = []
 
-        class Counting(BatchedMNABackend):
+        class Counting(BatchedBackend):
             def evaluate(self, circuit, job):
                 calls.append(job.job_id)
                 return super().evaluate(circuit, job)
@@ -738,7 +738,7 @@ class TestDiskCache:
         in-memory admission rule."""
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=3)
-        cache = CachingBackend(BatchedMNABackend(), spill_dir=cache_dir)
+        cache = CachingBackend(BatchedBackend(), spill_dir=cache_dir)
         poisoned = {
             name: np.full(3, FAILURE_NAN) for name in strongarm.metric_names
         }
@@ -753,8 +753,8 @@ class TestDiskCache:
     def test_spill_write_is_atomic(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=2)
-        cache = CachingBackend(BatchedMNABackend(), spill_dir=cache_dir)
-        metrics = BatchedMNABackend().evaluate(strongarm, job)
+        cache = CachingBackend(BatchedBackend(), spill_dir=cache_dir)
+        metrics = BatchedBackend().evaluate(strongarm, job)
         cache.store(job, metrics)
         directory = os.path.dirname(cache._spill_path(job.job_id))
         leftovers = [f for f in os.listdir(directory) if f.endswith(".tmp")]
@@ -780,17 +780,17 @@ class TestDiskCache:
         assert first.total_simulations > 0
 
         calls = []
-        original = BatchedMNABackend.evaluate
+        original = BatchedBackend.evaluate
 
         def counting(self, circuit, job):
             calls.append(job.job_id)
             return original(self, circuit, job)
 
-        BatchedMNABackend.evaluate = counting
+        BatchedBackend.evaluate = counting
         try:
             second = api.run_experiment(config)
         finally:
-            BatchedMNABackend.evaluate = original
+            BatchedBackend.evaluate = original
         assert calls == []  # every job replayed from the disk store
         assert second.total_simulations == 0
         # Identical outcome, replayed or simulated.

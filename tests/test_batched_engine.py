@@ -9,10 +9,9 @@ batch of one.
 import numpy as np
 import pytest
 
+from repro.analysis.waveform import first_crossing
 from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
 from repro.simulation import CircuitSimulator, SimulationPhase
-from repro.spice import solve_dc, solve_transient
-from repro.spice.examples import loaded_cmos_inverter
 from repro.variation.corners import (
     CornerBatch,
     ProcessCorner,
@@ -143,61 +142,23 @@ class TestSimulatorFastPaths:
         assert simulator.budget.snapshot()["verification"] == 5
 
 
-class TestSourceRestoration:
-    """Transient analysis must not corrupt circuit state (satellite fix)."""
-
-    def test_scalar_transient_leaves_sources_untouched(self):
-        circuit = loaded_cmos_inverter()
-        solve_transient(
-            circuit,
-            stop_time=1e-9,
-            time_step=0.02e-9,
-            source_waveforms={"VIN": lambda t: 0.9},
-        )
-        assert circuit.element("VIN").voltage == 0.0
-
-    def test_dc_after_transient_sees_original_sources(self):
-        circuit = loaded_cmos_inverter()
-        before = solve_dc(circuit, damping=0.5)["out"]
-        solve_transient(
-            circuit,
-            stop_time=1e-9,
-            time_step=0.02e-9,
-            source_waveforms={"VIN": lambda t: 0.9},
-        )
-        after = solve_dc(circuit, damping=0.5)["out"]
-        assert after == pytest.approx(before, abs=1e-12)
-
-
 class TestCrossingTimeVectorized:
     def test_rising_and_falling(self):
         times = np.linspace(0.0, 1.0, 11)
-        from repro.spice.transient import TransientResult
-
-        ramp = TransientResult(
-            times, np.linspace(0.0, 1.0, 11)[None, :], {"n": 0}
+        ramp = np.linspace(0.0, 1.0, 11)[None, :]
+        assert first_crossing(times, ramp, 0.55)[0] == pytest.approx(0.55)
+        fall = np.linspace(1.0, 0.0, 11)[None, :]
+        assert first_crossing(times, fall, 0.55, rising=False)[0] == pytest.approx(
+            0.45
         )
-        assert ramp.crossing_time("n", 0.55) == pytest.approx(0.55)
-        fall = TransientResult(
-            times, np.linspace(1.0, 0.0, 11)[None, :], {"n": 0}
-        )
-        assert fall.crossing_time("n", 0.55, rising=False) == pytest.approx(0.45)
 
     def test_flat_segment_crosses_at_segment_end(self):
         times = np.array([0.0, 1.0, 2.0])
         wave = np.array([[0.0, 0.5, 0.5]])
-        result_cls = __import__(
-            "repro.spice.transient", fromlist=["TransientResult"]
-        ).TransientResult
-        result = result_cls(times, wave, {"n": 0})
         # Threshold equal to a flat segment's value: crossing is detected on
         # the first segment via interpolation.
-        assert result.crossing_time("n", 0.5) == pytest.approx(1.0)
+        assert first_crossing(times, wave, 0.5)[0] == pytest.approx(1.0)
 
-    def test_none_when_never_crossed(self):
-        from repro.spice.transient import TransientResult
-
-        result = TransientResult(
-            np.linspace(0.0, 1.0, 5), np.zeros((1, 5)), {"n": 0}
-        )
-        assert result.crossing_time("n", 0.5) is None
+    def test_nan_when_never_crossed(self):
+        times = np.linspace(0.0, 1.0, 5)
+        assert np.isnan(first_crossing(times, np.zeros((1, 5)), 0.5)[0])

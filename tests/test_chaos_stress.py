@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.simulation import (
-    BatchedMNABackend,
+    BatchedBackend,
     FaultSchedule,
     RetryPolicy,
     SimJob,
@@ -70,7 +70,7 @@ def test_chaos_soak_stays_equivalent(
     if mode == "kill":
         service.pool.max_heals = ROUNDS + 2
 
-    reference = BatchedMNABackend()
+    reference = BatchedBackend()
     for round_index in range(ROUNDS):
         job = _job(strongarm, seed=round_index)
         result = service.run(job)

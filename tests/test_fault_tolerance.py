@@ -31,7 +31,7 @@ import repro.api as api
 from repro.api import ExperimentConfig, run_experiment
 from repro.core.optimizer import GlovaOptimizer
 from repro.simulation import (
-    BatchedMNABackend,
+    BatchedBackend,
     ChaosFault,
     FailureKind,
     FaultInjectingBackend,
@@ -221,7 +221,7 @@ class TestChaosBackendInProcess:
         )
         job = conditions_job(strongarm, rows=6)
         result = service.run(job)
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         assert_metrics_equal(strongarm, result.metrics, reference)
         assert service.budget.total == 6  # charged exactly once
         assert service.backend.injected == 2
@@ -235,7 +235,7 @@ class TestChaosBackendInProcess:
         )
         job = conditions_job(strongarm, rows=5)
         result = service.run(job)
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         assert_metrics_equal(strongarm, result.metrics, reference)
         assert np.isfinite(
             result.metrics[strongarm.metric_names[0]]
@@ -373,7 +373,7 @@ class TestWorkerPoolHealing:
         job = conditions_job(strongarm, rows=12)
         result = service.run(job)
 
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         assert_metrics_equal(strongarm, result.metrics, reference)
         assert service.budget.total == 12
         assert schedule.tickets_left() == 0  # the fault really fired
@@ -384,7 +384,7 @@ class TestWorkerPoolHealing:
         assert_metrics_equal(
             strongarm,
             service.run(second).metrics,
-            BatchedMNABackend().evaluate(strongarm, second),
+            BatchedBackend().evaluate(strongarm, second),
         )
         assert service.budget.total == 24
 
@@ -433,7 +433,7 @@ class TestShardWatchdog:
             result = service.run(job)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0  # nowhere near the 120s hang
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         assert_metrics_equal(strongarm, result.metrics, reference)
         assert service.budget.total == 12
         assert service.pool.heals >= 1
@@ -633,7 +633,7 @@ class TestCheckpointResume:
 class TestSpillStoreMaintenance:
     def _populated_store(self, circuit, tmp_path, conditions_job, jobs=4):
         spill_dir = str(tmp_path / "store")
-        cache = CachingBackend(BatchedMNABackend(), spill_dir=spill_dir)
+        cache = CachingBackend(BatchedBackend(), spill_dir=spill_dir)
         for seed in range(jobs):
             job = conditions_job(circuit, rows=3, seed=seed)
             cache.run(circuit, job)

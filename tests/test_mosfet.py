@@ -29,83 +29,119 @@ class TestGeometryValidation:
 
 class TestDrainCurrent:
     def test_off_device_conducts_little(self, nmos):
-        assert nmos.drain_current(vgs=0.0, vds=0.9) < 1e-7
+        assert nmos.batch_drain_current(vgs=0.0, vds=0.9) < 1e-7
 
     def test_current_increases_with_vgs(self, nmos):
-        currents = [nmos.drain_current(vgs, 0.9) for vgs in (0.4, 0.6, 0.8)]
+        currents = [nmos.batch_drain_current(vgs, 0.9) for vgs in (0.4, 0.6, 0.8)]
         assert currents[0] < currents[1] < currents[2]
 
     def test_current_scales_with_width(self):
         narrow = MosfetModel(1e-6, 100e-9, nmos_28nm())
         wide = MosfetModel(4e-6, 100e-9, nmos_28nm())
-        ratio = wide.drain_current(0.7, 0.9) / narrow.drain_current(0.7, 0.9)
+        ratio = wide.batch_drain_current(0.7, 0.9) / narrow.batch_drain_current(
+            0.7, 0.9
+        )
         assert ratio == pytest.approx(4.0, rel=0.05)
 
     def test_current_decreases_with_length(self):
         short = MosfetModel(1e-6, 30e-9, nmos_28nm())
         long = MosfetModel(1e-6, 300e-9, nmos_28nm())
-        assert short.drain_current(0.7, 0.9) > long.drain_current(0.7, 0.9)
+        assert short.batch_drain_current(0.7, 0.9) > long.batch_drain_current(0.7, 0.9)
 
     def test_negative_vds_clamped(self, nmos):
-        assert nmos.drain_current(0.7, -0.1) >= 0.0
+        assert nmos.batch_drain_current(0.7, -0.1) >= 0.0
 
     def test_triode_current_below_saturation(self, nmos):
-        assert nmos.drain_current(0.7, 0.02) < nmos.drain_current(0.7, 0.9)
+        assert nmos.batch_drain_current(0.7, 0.02) < nmos.batch_drain_current(0.7, 0.9)
 
     def test_pmos_weaker_than_nmos_at_same_size(self, nmos, pmos):
-        assert pmos.drain_current(0.7, 0.9) < nmos.drain_current(0.7, 0.9)
+        assert pmos.batch_drain_current(0.7, 0.9) < nmos.batch_drain_current(0.7, 0.9)
 
 
 class TestEnvironment:
     def test_ss_corner_reduces_current(self, nmos):
         nominal = PVTCorner(ProcessCorner.TT, 0.9, 27.0)
         slow = PVTCorner(ProcessCorner.SS, 0.9, 27.0)
-        assert nmos.drain_current(0.6, 0.9, corner=slow) < nmos.drain_current(
-            0.6, 0.9, corner=nominal
-        )
+        assert nmos.batch_drain_current(
+            0.6, 0.9, corner=slow
+        ) < nmos.batch_drain_current(0.6, 0.9, corner=nominal)
 
     def test_ff_corner_increases_current(self, nmos):
         nominal = PVTCorner(ProcessCorner.TT, 0.9, 27.0)
         fast = PVTCorner(ProcessCorner.FF, 0.9, 27.0)
-        assert nmos.drain_current(0.6, 0.9, corner=fast) > nmos.drain_current(
-            0.6, 0.9, corner=nominal
-        )
+        assert nmos.batch_drain_current(
+            0.6, 0.9, corner=fast
+        ) > nmos.batch_drain_current(0.6, 0.9, corner=nominal)
 
     def test_high_temperature_reduces_strong_inversion_current(self, nmos):
         cold = PVTCorner(ProcessCorner.TT, 0.9, -40.0)
         hot = PVTCorner(ProcessCorner.TT, 0.9, 80.0)
-        assert nmos.drain_current(0.8, 0.9, corner=hot) < nmos.drain_current(
-            0.8, 0.9, corner=cold
-        )
+        assert nmos.batch_drain_current(
+            0.8, 0.9, corner=hot
+        ) < nmos.batch_drain_current(0.8, 0.9, corner=cold)
 
     def test_positive_vth_mismatch_reduces_current(self, nmos):
-        base = nmos.drain_current(0.6, 0.9)
-        shifted = nmos.drain_current(0.6, 0.9, vth_shift=0.05)
+        base = nmos.batch_drain_current(0.6, 0.9)
+        shifted = nmos.batch_drain_current(0.6, 0.9, vth_shift=0.05)
         assert shifted < base
 
     def test_beta_error_scales_current(self, nmos):
-        base = nmos.drain_current(0.7, 0.9)
-        boosted = nmos.drain_current(0.7, 0.9, beta_error=0.10)
+        base = nmos.batch_drain_current(0.7, 0.9)
+        boosted = nmos.batch_drain_current(0.7, 0.9, beta_error=0.10)
         assert boosted == pytest.approx(base * 1.10, rel=0.01)
 
 
 class TestOperatingPoint:
     def test_region_classification(self, nmos):
-        assert nmos.operating_point(0.2, 0.9).region == "subthreshold"
-        assert nmos.operating_point(0.8, 0.9).region == "saturation"
-        assert nmos.operating_point(0.8, 0.01).region == "triode"
+        # No region label: the regions show in the overdrive and conductances.
+        sub = nmos.batch_operating_point(0.2, 0.9)
+        sat = nmos.batch_operating_point(0.8, 0.9)
+        tri = nmos.batch_operating_point(0.8, 0.01)
+        assert sub.vov < 0 < sat.vov
+        assert sub.ids < 1e-3 * sat.ids
+        assert tri.ids < sat.ids
+        assert tri.gds > 5 * sat.gds
+
+    def test_batch_axis_matches_elementwise(self, nmos):
+        vgs = np.array([0.2, 0.5, 0.8])
+        vds = np.array([0.9, 0.05, 0.01])
+        batch = nmos.batch_operating_point(vgs[:, None], vds[None, :])
+        assert batch.ids.shape == (3, 3)
+        for i, j in np.ndindex(3, 3):
+            single = nmos.batch_operating_point(vgs[i], vds[j])
+            assert batch.ids[i, j] == single.ids
+            assert batch.gm[i, j] == single.gm
+            assert batch.gds[i, j] == single.gds
+
+    def test_operating_point_carries_threshold_shift(self, nmos):
+        op = nmos.batch_operating_point(0.7, 0.9, vth_shift=0.05)
+        assert op.vth == pytest.approx(nmos_28nm().vth0 + 0.05)
+        assert op.vov == pytest.approx(0.7 - op.vth)
+        assert op.ids == nmos.batch_drain_current(0.7, 0.9, vth_shift=0.05)
 
     def test_gm_positive_in_saturation(self, nmos):
-        op = nmos.operating_point(0.7, 0.9)
+        op = nmos.batch_operating_point(0.7, 0.9)
         assert op.gm > 0
         assert op.gds > 0
 
     def test_transconductance_matches_finite_difference(self, nmos):
         delta = 1e-4
         expected = (
-            nmos.drain_current(0.7 + delta, 0.9) - nmos.drain_current(0.7, 0.9)
+            nmos.batch_drain_current(0.7 + delta, 0.9)
+            - nmos.batch_drain_current(0.7, 0.9)
         ) / delta
-        assert nmos.transconductance(0.7, 0.9) == pytest.approx(expected, rel=0.05)
+        gm = nmos.batch_operating_point(0.7, 0.9).gm
+        assert gm == pytest.approx(expected, rel=0.05)
+
+    def test_output_conductance_matches_finite_difference(self, nmos):
+        delta = 1e-4
+        for vds in (0.05, 0.9):  # triode and saturation
+            expected = (
+                nmos.batch_drain_current(0.7, vds + delta)
+                - nmos.batch_drain_current(0.7, vds)
+            ) / delta
+            gds = nmos.batch_operating_point(0.7, vds).gds
+            assert gds == pytest.approx(expected, rel=0.05)
 
 
 class TestCapacitances:

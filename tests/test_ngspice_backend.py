@@ -19,7 +19,7 @@ Covers:
 * measure-log reassembly: ``failed``/missing/garbage measures become NaN
   cells of a full-shape tensor;
 * per-job agreement between ``NgspiceBackend`` (through the fake) and
-  ``BatchedMNABackend`` within the fake's declared tolerance;
+  ``BatchedBackend`` within the fake's declared tolerance;
 * failure handling: timeouts, nonzero exits and missing executables
   degrade to NaN blocks (or raise in strict mode);
 * composition with ``CachingBackend`` and ``ShardedDispatcher``; and
@@ -38,7 +38,7 @@ import fake_ngspice as fake_module
 from repro.circuits import StrongArmLatch
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     CachingBackend,
     NgspiceBackend,
     NgspiceError,
@@ -58,10 +58,12 @@ from repro.spice.deck import (
     DeckParseError,
     compile_job_deck,
     measure_name,
+    netlist_cards,
     parse_deck_job,
     parse_measure_log,
     reference_job,
 )
+from repro.spice.netlist import VCCS, Capacitor, Circuit, Resistor, VoltageSource
 from repro.variation.corners import (
     ProcessCorner,
     PVTCorner,
@@ -116,6 +118,22 @@ class TestDeckCompiler:
         job = sample_conditions_job(fia)
         with pytest.raises(ValueError, match="deck compiler"):
             compile_job_deck(job, strongarm)
+
+    @pytest.mark.parametrize(
+        "element, card",
+        [
+            (Resistor("R1", "a", "0", 1e3), "R1 a 0 1.000000000e+03"),
+            # A name without its type letter gets one: "load" -> "Cload".
+            (Capacitor("load", "a", "0", 2e-15), "Cload a 0 2.000000000e-15"),
+            (VoltageSource("VDD", "vdd", "0", 0.9), "VDD vdd 0 DC 9.000000000e-01"),
+            (VCCS("G1", "a", "0", "in", "0", 1e-3), "G1 a 0 in 0 1.000000000e-03"),
+        ],
+        ids=["resistor", "capacitor", "voltage_source", "vccs"],
+    )
+    def test_netlist_cards_lower_each_element_kind(self, element, card):
+        circuit = Circuit("kinds")
+        circuit.add(element)
+        assert netlist_cards(circuit) == [card]
 
     def test_generic_default_testbench_compiles(self):
         """Circuits without a bespoke testbench still get a valid deck —
@@ -231,6 +249,17 @@ class TestGoldenDecks:
             )
             with open(path, "r", encoding="utf-8") as handle:
                 assert produced == handle.read()
+
+    def test_cli_deck_rejects_unknown_circuit(self, capsys):
+        from repro.__main__ import deck_main
+        from repro.circuits import available_circuits
+
+        with pytest.raises(SystemExit) as exit_info:
+            deck_main(["nosuch"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "unknown circuit 'nosuch'" in error
+        assert str(available_circuits()) in error
 
 
 class TestDeckRoundTrip:
@@ -433,7 +462,7 @@ class TestNgspiceBackendWithFake:
             paper_circuit, rows=4, seeded_mismatch=seeded_mismatch
         )
         fake = NgspiceBackend().evaluate(paper_circuit, job)
-        reference = BatchedMNABackend().evaluate(paper_circuit, job)
+        reference = BatchedBackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
             np.testing.assert_allclose(
                 fake[name], reference[name], rtol=fake_module.TOLERANCE, atol=0
@@ -447,7 +476,7 @@ class TestNgspiceBackendWithFake:
             paper_circuit.name, x, tuple(full_corner_set())[:6], None
         )
         fake = NgspiceBackend().evaluate(paper_circuit, job)
-        reference = BatchedMNABackend().evaluate(paper_circuit, job)
+        reference = BatchedBackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
             np.testing.assert_allclose(
                 fake[name], reference[name], rtol=fake_module.TOLERANCE, atol=0
@@ -461,7 +490,7 @@ class TestNgspiceBackendWithFake:
         )
         job = SimJob.design_batch(paper_circuit.name, designs, typical_corner())
         fake = NgspiceBackend().evaluate(paper_circuit, job)
-        reference = BatchedMNABackend().evaluate(paper_circuit, job)
+        reference = BatchedBackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
             np.testing.assert_allclose(
                 fake[name], reference[name], rtol=fake_module.TOLERANCE, atol=0
@@ -517,7 +546,7 @@ class TestPerRowFallback:
         backend = NgspiceBackend(payload_aware=False)
         metrics = backend.evaluate(strongarm, job)
         assert len(calls) == 3  # one subprocess per batch row
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             np.testing.assert_allclose(
                 metrics[name],
@@ -548,7 +577,7 @@ class TestPerRowFallback:
             paper_circuit, job
         )
         assert len(calls) == 4
-        reference = BatchedMNABackend().evaluate(paper_circuit, job)
+        reference = BatchedBackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
             np.testing.assert_allclose(
                 metrics[name],
@@ -567,7 +596,7 @@ class TestPerRowFallback:
         backend = NgspiceBackend(payload_aware=False)
         with pytest.warns(RuntimeWarning, match="1/3 ngspice row runs"):
             metrics = backend.evaluate(strongarm, job)
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             assert np.isnan(metrics[name][0])  # the failed row only
             np.testing.assert_allclose(
@@ -670,7 +699,7 @@ class TestNgspiceFailureHandling:
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "partial")
         job = sample_conditions_job(strongarm, rows=3)
         metrics = NgspiceBackend().evaluate(strongarm, job)
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         first = strongarm.metric_names[0]
         assert np.isnan(metrics[first][0])  # reported "failed"
         for name in strongarm.metric_names:

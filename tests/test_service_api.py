@@ -7,7 +7,7 @@ Covers the PR-3 redesign surface:
 * the idempotent ``SimulationBudget.charge`` path (double-charge hazard);
 * scalar-vs-batched backend equivalence on all three paper circuits;
 * design-axis sharding through the uniform job dispatcher;
-* the circuit registry redesign (decorator, factories, aliases);
+* the circuit registry (decorator, aliases);
 * :class:`ExperimentConfig` dict/JSON round trip; and
 * a ``python -m repro`` CLI smoke test.
 """
@@ -26,13 +26,12 @@ from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongAr
 from repro.circuits.registry import (
     available_circuits,
     get_circuit,
-    register_circuit_factory,
+    register_circuit,
     registered_class,
-    registered_entry,
 )
 from repro.core.config import GlovaConfig
 from repro.simulation import (
-    BatchedMNABackend,
+    BatchedBackend,
     CachingBackend,
     CircuitSimulator,
     ReferenceScalarBackend,
@@ -218,7 +217,7 @@ class TestBudgetIdempotentCharge:
     def test_cap_raises_before_evaluation(self, strongarm):
         """The legacy contract: ``max_simulations`` aborts before any work."""
 
-        class CountingBackend(BatchedMNABackend):
+        class CountingBackend(BatchedBackend):
             def __init__(self):
                 self.calls = 0
 
@@ -298,7 +297,7 @@ class TestCachingBackend:
         assert service.budget.total == 2
 
     def test_hit_returns_fresh_arrays(self, strongarm):
-        cache = CachingBackend(BatchedMNABackend())
+        cache = CachingBackend(BatchedBackend())
         x = np.full(strongarm.dimension, 0.4)
         job = SimJob.conditions(strongarm.name, x, (typical_corner(),), None)
         first = cache.run(strongarm, job)
@@ -415,18 +414,14 @@ class TestRegistry:
         assert registered_class("strongarm_latch") is StrongArmLatch
         assert registered_class("nonexistent") is None
 
-    def test_ladder_netlist_factory(self):
-        ladder = get_circuit("common_source_ladder", stages=3, filter_nodes=1)
-        assert ladder.name == "cs_ladder_3x1"
-        # Parameterized: a different shape on request.
-        assert get_circuit("cs_ladder", stages=2).name.startswith("cs_ladder_2")
-        entry = registered_entry("common_source_ladder")
-        assert entry.kind == "netlist"
-        assert registered_class("common_source_ladder") is None
-
     def test_duplicate_name_rejected(self):
+        class Impostor(StrongArmLatch):
+            name = "impostor"
+
         with pytest.raises(ValueError, match="already registered"):
-            register_circuit_factory("sal", lambda: None)
+            register_circuit(Impostor, aliases=("sal",))
+        # Validated before inserting: the rejected class left no key behind.
+        assert registered_class("impostor") is None
 
     def test_unknown_circuit_error_lists_options(self):
         with pytest.raises(KeyError, match="strongarm_latch"):
@@ -470,7 +465,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="algorithm"):
             ExperimentConfig(algorithm="gradient_descent")
         with pytest.raises(ValueError, match="sizing circuit"):
-            ExperimentConfig(circuit="common_source_ladder")
+            ExperimentConfig(circuit="no_such_circuit")
         with pytest.raises(ValueError, match="at least one seed"):
             ExperimentConfig(seeds=())
 
@@ -633,12 +628,11 @@ class TestCommandLine:
         result = self.run_cli("--list-circuits")
         assert result.returncode == 0, result.stderr
         assert "strongarm_latch" in result.stdout
-        assert "common_source_ladder" in result.stdout
 
-    def test_netlist_circuit_rejected_for_sizing(self):
-        result = self.run_cli("--circuit", "common_source_ladder", "--dry-run")
-        assert result.returncode != 0
-        assert "netlist factory" in result.stderr
+    def test_unknown_sizing_circuit_rejected(self):
+        result = self.run_cli("--circuit", "nosuch", "--dry-run")
+        assert result.returncode == 2
+        assert "unknown sizing circuit 'nosuch'" in result.stderr
 
     def test_no_cache_flag_overrides_config_file(self, tmp_path):
         config_path = tmp_path / "experiment.json"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.simulation import (
-    BatchedMNABackend,
+    BatchedBackend,
     NgspiceError,
     SimulationBudget,
     SimulationPhase,
@@ -23,7 +23,7 @@ from repro.simulation import (
 from repro.simulation.ngspice import STRICT_ENV
 
 
-class ExplodingBackend(BatchedMNABackend):
+class ExplodingBackend(BatchedBackend):
     """Evaluates normally until armed, then raises mid-evaluation."""
 
     def __init__(self):
@@ -152,7 +152,7 @@ class TestWorkerFailureMidShard:
 
         result = service.run(job)  # retry: all shards succeed
         assert service.budget.total == 10
-        reference = BatchedMNABackend().evaluate(strongarm, job)
+        reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             np.testing.assert_allclose(
                 result.metrics[name], reference[name], rtol=1e-12, atol=0

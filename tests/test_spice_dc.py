@@ -1,6 +1,6 @@
-"""Tests for the netlist, MNA stamping and DC solver (repro.spice)."""
+"""Tests for the netlist model (repro.spice) and, through the test tree's
+reference DC solve (``spice_reference.py``), the device model in a circuit."""
 
-import numpy as np
 import pytest
 
 from repro.spice import (
@@ -15,9 +15,8 @@ from repro.spice import (
     VoltageSource,
     nmos_28nm,
     pmos_28nm,
-    solve_dc,
 )
-from repro.spice.dc import ConvergenceError
+from spice_reference import common_source_amplifier, common_source_ladder, solve_dc
 
 
 class TestNetlistConstruction:
@@ -62,14 +61,6 @@ class TestLinearDC:
         assert solution["out"] == pytest.approx(0.5, rel=1e-6)
         assert solution["in"] == pytest.approx(1.0, rel=1e-6)
 
-    def test_source_current_through_divider(self):
-        circuit = Circuit("divider")
-        circuit.add(VoltageSource("VIN", "in", GROUND, 2.0))
-        circuit.add(Resistor("R1", "in", GROUND, 1e3))
-        solution = solve_dc(circuit)
-        # MNA convention: source current flows from + to - internally.
-        assert abs(solution.source_currents["VIN"]) == pytest.approx(2e-3, rel=1e-6)
-
     def test_current_source_into_resistor(self):
         circuit = Circuit()
         circuit.add(CurrentSource("I1", "a", GROUND, 1e-3))
@@ -100,7 +91,7 @@ class TestLinearDC:
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Resistor("R2", "out", GROUND, 3e3))
         solution = solve_dc(circuit)
-        assert solution.voltage_between("in", "out") == pytest.approx(0.25, rel=1e-6)
+        assert solution["in"] - solution["out"] == pytest.approx(0.25, rel=1e-6)
 
 
 class TestNonlinearDC:
@@ -112,7 +103,7 @@ class TestNonlinearDC:
         circuit.add(
             Mosfet("M1", "drain", "gate", GROUND, MosfetModel(2e-6, 100e-9, nmos_28nm()))
         )
-        solution = solve_dc(circuit, damping=0.5)
+        solution = solve_dc(circuit)
         assert solution["drain"] < 0.3
 
     def test_nmos_off_keeps_output_high(self):
@@ -123,7 +114,7 @@ class TestNonlinearDC:
         circuit.add(
             Mosfet("M1", "drain", "gate", GROUND, MosfetModel(2e-6, 100e-9, nmos_28nm()))
         )
-        solution = solve_dc(circuit, damping=0.5)
+        solution = solve_dc(circuit)
         assert solution["drain"] > 0.85
 
     def test_cmos_inverter_transfer(self):
@@ -138,28 +129,32 @@ class TestNonlinearDC:
                 Mosfet("MP", "out", "in", "vdd", MosfetModel(2e-6, 60e-9, pmos_28nm()))
             )
             circuit.add(Resistor("Rload", "out", GROUND, 10e6))
-            return solve_dc(circuit, damping=0.3, max_iterations=400)["out"]
+            return solve_dc(circuit)["out"]
 
         assert inverter_output(0.0) > 0.7
         assert inverter_output(0.9) < 0.2
 
     def test_vth_mismatch_changes_operating_point(self):
         def drain_voltage(vth_shift: float) -> float:
-            circuit = Circuit()
-            circuit.add(VoltageSource("VDD", "vdd", GROUND, 0.9))
-            circuit.add(VoltageSource("VG", "gate", GROUND, 0.45))
-            circuit.add(Resistor("RD", "vdd", "drain", 50e3))
-            circuit.add(
-                Mosfet(
-                    "M1",
-                    "drain",
-                    "gate",
-                    GROUND,
-                    MosfetModel(2e-6, 100e-9, nmos_28nm()),
-                    vth_shift=vth_shift,
-                )
-            )
-            return solve_dc(circuit, damping=0.5)["drain"]
+            return solve_dc(common_source_amplifier(vth_shift))["drain"]
 
         # A higher threshold means less current, so the drain sits higher.
         assert drain_voltage(+0.05) > drain_voltage(-0.05)
+
+
+class TestLadderNetlist:
+    @pytest.mark.parametrize(
+        "coupling, nodes_per_stage", [("resistive", 6), ("isolated", 5)]
+    )
+    def test_node_and_device_counts(self, coupling, nodes_per_stage):
+        # Per stage: drain + 4 filter taps, plus a gate tap unless isolated;
+        # vdd and bias are shared.
+        ladder = common_source_ladder(3, 4, coupling=coupling)
+        assert len(ladder.node_names()) == nodes_per_stage * 3 + 2
+        assert sum(isinstance(e, Mosfet) for e in ladder.elements) == 3
+
+    def test_rejects_bad_shape_and_coupling(self):
+        with pytest.raises(ValueError, match="stages"):
+            common_source_ladder(0)
+        with pytest.raises(ValueError, match="coupling"):
+            common_source_ladder(2, coupling="capacitive")

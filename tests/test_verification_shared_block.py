@@ -39,7 +39,7 @@ from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     CircuitSimulator,
     FaultInjectingBackend,
     FaultSchedule,
@@ -72,7 +72,7 @@ PAPER_CASES = [
 PROBE_SEEDS = range(24)
 
 
-class PerChunkBackend(BatchedMNABackend):
+class PerChunkBackend(BatchedBackend):
     """``batched`` metrics at one call per chunk.
 
     Not ``vectorized``, so the verifier's chunks are evaluated alone: the
@@ -97,7 +97,7 @@ class Recording:
         return super().evaluate(circuit, job)
 
 
-class RecordingBatched(Recording, BatchedMNABackend):
+class RecordingBatched(Recording, BatchedBackend):
     pass
 
 
@@ -105,7 +105,7 @@ class RecordingPerChunk(Recording, PerChunkBackend):
     pass
 
 
-class WideFailureBackend(BatchedMNABackend):
+class WideFailureBackend(BatchedBackend):
     """``batched`` failing every job wider than ``chunk`` rows.
 
     It raises, or with ``tag=True`` returns the job's first row tagged
@@ -361,7 +361,7 @@ def test_failed_wide_call_falls_back_to_per_chunk(tag):
     assert failed >= aborts  # every seed's full pass tried the wide call
 
 
-class FirstCallFails(BatchedMNABackend):
+class FirstCallFails(BatchedBackend):
     """``batched`` raising the first time it sees each job of ``rows``."""
 
     def __init__(self, rows):
@@ -405,7 +405,7 @@ class FullPassChaos(FaultInjectingBackend):
     it faulted."""
 
     def __init__(self, schedule):
-        super().__init__(BatchedMNABackend(), schedule)
+        super().__init__(BatchedBackend(), schedule)
         self.faulted_rows = []
 
     def _claim_fault(self, job):
@@ -426,7 +426,7 @@ def test_chaos_with_retries_equals_clean_run(mode):
         circuit = FullMCProbeCircuit()
         design = np.full(circuit.dimension, 0.5)
         args = (circuit, design, seed, PAPER_SAMPLES, PAPER_CHUNK)
-        expected, _ = verify_on(BatchedMNABackend(), *args)
+        expected, _ = verify_on(BatchedBackend(), *args)
         chaos = FullPassChaos(
             FaultSchedule(mode=mode, faults=3, probability=0.3, seed=seed)
         )
@@ -451,13 +451,13 @@ def test_per_chunk_cache_dir_replays_on_batched(tmp_path, monkeypatch):
     assert first.runs[0].simulations["verification"] > 0
 
     calls = []
-    original = BatchedMNABackend.evaluate
+    original = BatchedBackend.evaluate
 
     def counting(self, circuit, job):
         calls.append(job)
         return original(self, circuit, job)
 
-    monkeypatch.setattr(BatchedMNABackend, "evaluate", counting)
+    monkeypatch.setattr(BatchedBackend, "evaluate", counting)
     replay = api.run_experiment(
         api.ExperimentConfig(**{**config.to_dict(), "backend": "batched"})
     )

@@ -48,21 +48,30 @@ from repro.analysis.waveform import (
     time_average,
     value_at,
 )
-from repro.simulation import BatchedMNABackend, NgspiceBackend, NgspiceError
+from repro.simulation import BatchedBackend, NgspiceBackend, NgspiceError
 from repro.spice.deck import (
     compile_job_deck,
     failure_nan_mask,
     netlist_cards,
     reference_job,
 )
-from repro.spice.examples import common_source_amplifier, common_source_ladder
 from repro.spice.rawfile import (
     RawfileError,
     parse_rawfile,
     read_rawfile,
     render_rawfile,
 )
+from repro.spice.netlist import (
+    GROUND,
+    VCCS,
+    Capacitor,
+    Circuit,
+    CurrentSource,
+    Resistor,
+    VoltageSource,
+)
 from repro.spice.trim import describe_trim, probe_node_names, trim_circuit
+from spice_reference import common_source_amplifier, common_source_ladder, solve_dc
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -158,6 +167,25 @@ class TestWaveformMetrics:
         assert value_at(self.times, wave, 2.0) == 0.2
         assert value_at(self.times, wave, 0.5) == pytest.approx(0.05)
         assert math.isnan(value_at(self.times, wave, 9.0))
+
+    # A first-order RC step, the edge every RC-loaded node produces:
+    # tau = 1 us sampled every 5 ns.
+    tau = 1e-6
+    rc_times = np.linspace(0.0, 5e-6, 1001)
+    rc_wave = 1.0 - np.exp(-rc_times / tau)
+
+    def test_rc_time_constant(self):
+        crossing = crossing_time(self.rc_times, self.rc_wave, 1.0 - np.exp(-1.0))
+        assert crossing == pytest.approx(self.tau, rel=1e-6)
+
+    def test_rc_slew_is_tau_ln9(self):
+        slew = slew_time(self.rc_times, self.rc_wave, 0.1, 0.9)
+        assert slew == pytest.approx(self.tau * np.log(9.0), rel=1e-5)
+
+    def test_rc_settles_to_one_percent_within_a_step(self):
+        settled = settling_time(self.rc_times, self.rc_wave, 1.0, 0.01)
+        exact = self.tau * np.log(100.0)
+        assert exact <= settled <= exact + self.rc_times[1]
 
     def test_final_value(self):
         assert final_value(np.array([1.0, 2.0, 3.0])) == 3.0
@@ -425,7 +453,7 @@ class TestGoldenRawfiles:
 
     def _golden_blob(self, circuit):
         job = reference_job(circuit, rows=1)
-        metrics = BatchedMNABackend().evaluate(circuit, job)
+        metrics = BatchedBackend().evaluate(circuit, job)
         values = {name: float(metrics[name][0]) for name in circuit.metric_names}
         vdd = float(job.row_corners[0].vdd)
         times, traces = synthesize_canonical(circuit.waveform_specs(), values, vdd)
@@ -482,14 +510,59 @@ class TestTrim:
         assert "92.6% removed" in describe_trim(result)
 
     def test_trim_preserves_probed_dc_solution(self):
-        from repro.spice.dc import solve_dc
-
         ladder = common_source_ladder(8, 2, coupling="isolated")
         result = trim_circuit(ladder, ["v(f7_1)"])
         assert result.trimmed
         full = solve_dc(ladder)
         trimmed = solve_dc(result.circuit)
         assert trimmed["f7_1"] == pytest.approx(full["f7_1"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "stages, filter_nodes, expected",
+        [(8, 2, 0.015071395924214862), (16, 4, 0.014076551098444747)],
+    )
+    def test_reference_solve_is_pinned(self, stages, filter_nodes, expected):
+        """Both sides of the trim oracle run through one solve, so an edit
+        to it could move them together: pin the full ladder's probe voltage
+        to the values a separate implementation of the same solve gave."""
+        ladder = common_source_ladder(stages, filter_nodes, coupling="isolated")
+        probe = f"f{stages - 1}_{filter_nodes - 1}"
+        assert solve_dc(ladder)[probe] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: Capacitor(f"C{n}", n, GROUND, 1e-12),
+            lambda n: CurrentSource(f"I{n}", GROUND, n, 20e-6),
+            lambda n: VCCS(f"G{n}", n, GROUND, "a", GROUND, 20e-6),
+        ],
+        ids=["capacitor", "current_source", "vccs"],
+    )
+    def test_trim_preserves_dc_through_each_element_kind(self, make):
+        """Columns ``a`` and ``b`` hang off the pinned rail, each ending in
+        one element of a kind; ``Gb`` reads ``a`` only through its control
+        pins, a one-way input, so probing ``a`` drops column b every time."""
+        circuit = Circuit("columns")
+        circuit.add(VoltageSource("VDD", "vdd", GROUND, 0.9))
+        for column in "ab":
+            circuit.add(Resistor(f"R{column}", "vdd", column, 10e3))
+            circuit.add(make(column))
+        result = trim_circuit(circuit, ["v(a)"])
+        assert result.dropped == ("Rb", circuit.elements[-1].name)
+        assert solve_dc(result.circuit)["a"] == pytest.approx(
+            solve_dc(circuit)["a"], rel=1e-12
+        )
+
+    def test_trim_leaves_the_full_circuit_untouched(self):
+        # The oracle compares against the full netlist, so trimming must
+        # build a new circuit rather than cut the one it was given.
+        ladder = common_source_ladder(8, 2, coupling="isolated")
+        before, full = ladder.elements, solve_dc(ladder)
+        result = trim_circuit(ladder, ["v(f7_1)"])
+        assert result.circuit is not ladder
+        assert len(ladder.elements) == len(before)
+        assert all(a is b for a, b in zip(ladder.elements, before))
+        assert solve_dc(ladder) == full
 
     def test_resistive_ladder_is_conservatively_untrimmed(self):
         # The divider ladder + drain bridges really do couple every stage to
@@ -576,7 +649,7 @@ class TestWaveformBackend:
         host-side extraction reproduces the analytic engine bit-for-bit."""
         job = conditions_job(paper_circuit, rows=3, seed=7)
         waveform = NgspiceBackend().evaluate(paper_circuit, job)
-        analytic = BatchedMNABackend().evaluate(paper_circuit, job)
+        analytic = BatchedBackend().evaluate(paper_circuit, job)
         for name in paper_circuit.metric_names:
             np.testing.assert_array_equal(waveform[name], analytic[name])
 

@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 from repro.analysis import straggler_idle_fraction
 from repro.simulation import (
     BACKENDS,
-    BatchedMNABackend,
+    BatchedBackend,
     ROW_SECONDS_KEY,
     SimJob,
     ReferenceScalarBackend,
@@ -300,7 +300,7 @@ class TestConcurrentCancel:
         started = threading.Event()
         release = threading.Event()
 
-        class Gated(BatchedMNABackend):
+        class Gated(BatchedBackend):
             def evaluate(self, circuit, job):
                 started.set()
                 assert release.wait(30), "test deadlock: release never set"
@@ -441,7 +441,7 @@ def straggler_job(circuit, rows=STRAGGLER_ROWS, seed=0):
     )
 
 
-class StragglerPacedBackend(BatchedMNABackend):
+class StragglerPacedBackend(BatchedBackend):
     """The batched engine plus a modelled per-row cost with one heavy row.
 
     ``row_parallel = True`` mirrors real external engines (one subprocess
@@ -492,7 +492,7 @@ class TestStragglerScheduling:
         # The sentinel row lies outside the model's physical range, so
         # its metrics are NaN (equal to themselves under assert_array_equal).
         with np.errstate(invalid="ignore"):
-            reference = BatchedMNABackend().evaluate(strongarm, job)
+            reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
             np.testing.assert_array_equal(
                 stealing.metrics[name], reference[name]
