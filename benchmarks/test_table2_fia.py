@@ -24,8 +24,10 @@ def test_table2_floating_inverter_amplifier(benchmark, scale):
         assert glova.successes > 0, f"GLOVA failed on FIA/{scenario}"
         # Success rate ordering: GLOVA is never worse than RobustAnalog.
         assert glova.success_rate >= by_method["robustanalog"].success_rate
-        # Sample-efficiency ordering versus the corner-exhaustive baseline;
-        # the reduced-scale C-MCG-L column is excluded (see EXPERIMENTS.md).
+        # Sample-efficiency ordering versus the corner-exhaustive baseline.
+        # The reduced-scale C-MCG-L column is excluded: it has too few
+        # global-MC samples to be variation-dominated, so the ordering is
+        # only required at paper scale there.
         if scenario != "C-MCG-L" or scale["paper_scale"]:
             assert (
                 glova.mean_simulations <= by_method["pvtsizing"].mean_simulations

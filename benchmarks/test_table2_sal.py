@@ -28,8 +28,8 @@ def test_table2_strongarm_latch(benchmark, scale):
         # Sample efficiency: GLOVA needs no more simulations than the
         # corner-exhaustive PVTSizing baseline.  The reduced-scale C-MCG-L
         # column is excluded: with only a handful of global-MC samples the
-        # scenario is not variation-dominated (see EXPERIMENTS.md), so the
-        # ordering is only required at paper scale there.
+        # scenario is not variation-dominated, so the ordering is only
+        # required at paper scale there.
         if scenario != "C-MCG-L" or scale["paper_scale"]:
             assert (
                 glova.mean_simulations <= by_method["pvtsizing"].mean_simulations

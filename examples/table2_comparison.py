@@ -43,7 +43,9 @@ def main() -> None:
     )
     print(
         "\nNote: reduced Monte-Carlo budgets (20 samples/corner) and a single"
-        "\nseed; see EXPERIMENTS.md for the paper-scale interpretation."
+        "\nseed.  At this scale C-MCG-L (not run here) has too few global-MC"
+        "\nsamples to be variation-dominated, so the method ordering is only"
+        "\nexpected at paper scale there."
     )
 
 

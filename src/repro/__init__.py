@@ -61,9 +61,10 @@ service** (:mod:`repro.simulation.service`)::
         SimulationService.run(job)          (blocking)
         SimulationService.submit(job)       -> SimFuture: work dispatched
                         |                      now, ALL budget accounting
-                        |                      (idempotent charge, failure
-                        |                      refund, cache store) at
-                        |                      future *resolution*;
+                        |                      (one charge per job that
+                        |                      produced metrics, cache
+                        |                      store) at future
+                        |                      *resolution*;
                         |                      cancel() = never charged
          CachingBackend (optional, job-hash memoization, hit = 0 budget;
                         |   cache_dir spills blocks to a version-stamped
@@ -97,7 +98,7 @@ job id and accounting.
 
 A :class:`~repro.simulation.service.SimJob` is a frozen value object —
 design block × corner block × mismatch block + phase tag — with a
-deterministic content hash used for caching and idempotent budget charges.
+deterministic content hash used as the cache key.
 Backends implement ``evaluate(circuit, job) -> {metric: (B,) array}`` and
 are registered by name (``repro.simulation.BACKENDS``), so worker
 processes can rebuild them and configs can select them declaratively.

@@ -11,7 +11,7 @@ failing sample tends to come late).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -50,8 +50,9 @@ class BaselineOptimizer(SizingOptimizer):
         design: np.ndarray,
         corner: PVTCorner,
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> Tuple[float, List[Dict[str, float]]]:
-        """Simulate a design at one corner with N' mismatch samples."""
+    ) -> float:
+        """Simulate a design at one corner with N' mismatch samples; return
+        the worst reward."""
         x_physical = self.circuit.denormalize(design)
         mismatch_set = self.mismatch_sampler.sample(
             x_physical, self.operational.optimization_samples
@@ -59,8 +60,7 @@ class BaselineOptimizer(SizingOptimizer):
         records = self.simulator.simulate_mismatch_set(
             design, corner, mismatch_set, phase=phase
         )
-        worst = self._worst_from_records(corner, records)
-        return worst, [record.metrics for record in records]
+        return self._worst_from_records(corner, records)
 
     def evaluate_all_corners(
         self,

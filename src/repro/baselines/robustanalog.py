@@ -122,7 +122,7 @@ class RobustAnalogOptimizer(BaselineOptimizer):
             else:
                 worst_reward = np.inf
                 for corner in self._dominant_corners:
-                    worst, _ = self.evaluate_at_corner(design, corner)
+                    worst = self.evaluate_at_corner(design, corner)
                     reward_matrix[corner.name].append(worst)
                     worst_reward = min(worst_reward, worst)
 

@@ -183,8 +183,8 @@ class GlovaConfig:
     cache_dir: Optional[str] = None
     # Fault-tolerance retry policy for the simulation service (a
     # RetryPolicy or its dict form; None = fail fast, the legacy mode).
-    # Failed attempts are budget-refunded before each retry, so the
-    # paper's "# Simulation" counts stay identical to a fault-free run.
+    # Only the attempt that succeeds is charged, so the paper's
+    # "# Simulation" counts stay identical to a fault-free run.
     retry: Optional[Any] = None
     # --- risk parameters ----------------------------------------------
     risk_beta1: float = -3.0

@@ -46,27 +46,26 @@ durable stores (spill cache, journal, checkpoints) all write through
 
 Fault tolerance: a :class:`RetryPolicy` on the service re-simulates
 classified-transient failures (worker death, timeouts, engine errors,
-``FAILURE_NAN`` blocks) with budget-safe accounting — every failed
-attempt is refunded before the retry charges, so the eventual success is
-counted exactly once.  The pool self-heals after worker deaths
-(re-dispatching only the lost shards) and arms per-shard watchdog
-deadlines via :class:`~repro.simulation.sharding.ShardWatchdog`.
+``FAILURE_NAN`` blocks) with budget-safe accounting — a job is charged
+only when an attempt returns metrics, so the eventual success is counted
+exactly once.  The pool self-heals after worker deaths (re-dispatching
+only the lost shards) and arms per-shard watchdog deadlines via
+:class:`~repro.simulation.sharding.ShardWatchdog`.
 
 The service runs jobs synchronously (:meth:`SimulationService.run`) or
 asynchronously (:meth:`SimulationService.submit` → :class:`SimFuture`),
-with all budget accounting — idempotent charges, failure refunds, cache
-stores — performed at resolution time, by the same code for both.  So the
-control loop, which always runs on futures (the double-buffered verifier,
-the overlapped seed phase), accounts bit-for-bit like the same loop run
-one job at a time.  Services own their pools: ``close()`` or the
+with all budget accounting — the charge, the cache store — performed at
+resolution time, by the same code for both.  So the control loop, which
+always runs on futures (the double-buffered verifier, the overlapped seed
+phase), accounts bit-for-bit like the same loop run one job at a time.  Services own their pools: ``close()`` or the
 context-manager protocol releases them.
 
 The service
 
 * counts every SPICE-equivalent simulation (the paper's "# Simulation"
   column), split into optimization-phase and verification-phase counts,
-  with an idempotent job-keyed charge path so cache hits and retried
-  shards can never inflate the count, and
+  under one rule: a job counts once, when it produced metrics, so cache
+  hits, failed attempts and retried shards never inflate the count, and
 * models wall-clock cost so normalized-runtime comparisons can be made
   without a real HSPICE testbed.
 

@@ -6,6 +6,12 @@ the simulation count split by phase and converts it into a modelled wall
 clock using a per-simulation cost and a parallelism factor (the paper runs
 3 simulations in parallel during optimization and "maximum available
 resources" during verification).
+
+One rule fills the "# Simulation" column: a job counts once, when it
+produced metrics.  The budget only adds up what it is told;
+:class:`~repro.simulation.service.SimulationService` applies the rule and
+is the one place a job is charged (see
+:meth:`~repro.simulation.service.SimulationService.run`).
 """
 
 from __future__ import annotations
@@ -38,98 +44,24 @@ class SimulationBudget:
     verification_parallelism:
         Concurrency during full verification ("maximum available
         resources"; 30 mirrors one license per corner).
-    max_simulations:
-        Optional hard cap; exceeding it raises :class:`BudgetExhausted`.
     """
 
     cost_per_simulation: float = 1.0
     optimization_parallelism: int = 3
     verification_parallelism: int = 30
-    max_simulations: Optional[int] = None
     counts: Dict[SimulationPhase, int] = field(
         default_factory=lambda: {phase: 0 for phase in SimulationPhase}
     )
-    charged_jobs: Set[str] = field(default_factory=set, repr=False)
 
-    class BudgetExhausted(RuntimeError):
-        """Raised when the configured simulation cap is exceeded."""
-
-    def charge(
-        self,
-        phase: SimulationPhase,
-        count: int = 1,
-        job_id: Optional[str] = None,
-        enforce_cap: bool = True,
-    ) -> bool:
+    def charge(self, phase: SimulationPhase, count: int = 1) -> None:
         """Account for ``count`` simulations issued by ``phase``.
 
-        When ``job_id`` is given the charge is **idempotent**: the first
-        charge for a given id counts, every later one is a no-op.  The
-        simulation service uses this for cache hits and retried shards, so
-        re-submitting the identical job can never inflate the paper's
-        "# Simulation" column.  Returns True when the charge was counted.
-
-        The async service path preserves these semantics by deferring the
-        charge to *future resolution* (:meth:`SimFuture.result`): charges
-        always land in resolution order on the resolving thread, in-flight
-        speculative work is never counted until (unless) it is resolved,
-        and a cancelled future never touches the budget at all.  The
-        budget therefore needs no locking — it is only ever mutated from
-        the control-loop thread.
-
-        ``enforce_cap=False`` records the charge even past the cap — the
-        post-hoc accounting path for work that *already happened* (a
-        tenant ledger charging a completed run): refusing the charge
-        cannot un-simulate anything, it can only make the books lie.  The
-        cap then bites at the next admission decision instead.
+        The service charges on the thread that resolves the job, so the
+        budget needs no lock.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
-        if job_id is not None and job_id in self.charged_jobs:
-            return False
         self.counts[phase] = self.counts.get(phase, 0) + count
-        if (
-            enforce_cap
-            and self.max_simulations is not None
-            and self.total > self.max_simulations
-        ):
-            # An over-cap charge aborts the job before it runs, so it must
-            # leave no trace: the count is rolled back and the idempotency
-            # key is not consumed — a retry charges (and aborts) again
-            # instead of running uncounted, and the cap can never be
-            # silently exceeded by rejected attempts.
-            self.counts[phase] -= count
-            raise SimulationBudget.BudgetExhausted(
-                f"simulation budget of {self.max_simulations} exhausted"
-            )
-        if job_id is not None:
-            self.charged_jobs.add(job_id)
-        return True
-
-    def refund(
-        self,
-        phase: SimulationPhase,
-        count: int,
-        job_id: Optional[str] = None,
-    ) -> None:
-        """Roll back a counted charge whose job failed before producing
-        results (e.g. a worker raising mid-shard).  Releases the idempotency
-        key too, so the retry charges exactly like a first attempt instead
-        of running uncounted."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        current = self.counts.get(phase, 0)
-        if count > current:
-            raise ValueError(
-                f"refund of {count} exceeds the {phase.value} charge"
-            )
-        self.counts[phase] = current - count
-        if job_id is not None:
-            self.charged_jobs.discard(job_id)
-
-    def record(self, phase: SimulationPhase, count: int = 1) -> None:
-        """Backwards-compatible alias for :meth:`charge` without a job id."""
-        self.charge(phase, count)
 
     @property
     def total(self) -> int:
@@ -168,7 +100,6 @@ class SimulationBudget:
     def reset(self) -> None:
         for phase in SimulationPhase:
             self.counts[phase] = 0
-        self.charged_jobs.clear()
 
 
 def _ceil_div(numerator: int, denominator: int) -> int:
@@ -180,12 +111,13 @@ class TenantBudgetLedger:
 
     The rate-limiting primitive of the multi-tenant experiment front end
     (:mod:`repro.simulation.frontend`): every tenant id lazily gets its
-    own :class:`SimulationBudget` with ``max_simulations=quota``, and the
-    front end consults :meth:`admits` before accepting a run.  Charges
-    land *after* a run completes — the daemon knows the real simulation
-    counts then, split by phase exactly like the paper's accounting —
-    with ``enforce_cap=False`` (completed work must be booked even when
-    it overshoots; the overshoot blocks the *next* admission instead).
+    own :class:`SimulationBudget`, and the front end consults
+    :meth:`admits` before accepting a run, which compares the tenant's
+    total against ``quota``.  Charges land *after* a run completes — the
+    daemon knows the real simulation counts then, split by phase exactly
+    like the paper's accounting — and are booked in full even when they
+    overshoot the quota: refusing them cannot un-simulate anything, so
+    the overshoot blocks the *next* admission instead.
 
     Charges are idempotent per ``(tenant, run_id)`` so journal replay
     after a daemon crash can recharge every completed run without double
@@ -212,25 +144,22 @@ class TenantBudgetLedger:
         with self._lock:
             budget = self._budgets.get(tenant)
             if budget is None:
-                budget = SimulationBudget(max_simulations=self.quota)
+                budget = SimulationBudget()
                 self._budgets[tenant] = budget
             return budget
 
     def admits(self, tenant: str) -> bool:
         """Whether the tenant has quota left for another run."""
-        budget = self.budget_for(tenant)
-        with self._lock:
-            if budget.max_simulations is None:
-                return True
-            return budget.total < budget.max_simulations
+        remaining = self.remaining(tenant)
+        return remaining is None or remaining > 0
 
     def remaining(self, tenant: str) -> Optional[int]:
-        """Simulations left before the tenant's cap (``None`` = unlimited)."""
+        """Simulations left before the tenant's quota (``None`` = unlimited)."""
         budget = self.budget_for(tenant)
+        if self.quota is None:
+            return None
         with self._lock:
-            if budget.max_simulations is None:
-                return None
-            return max(0, budget.max_simulations - budget.total)
+            return max(0, self.quota - budget.total)
 
     def charge_run(
         self, tenant: str, run_id: str, simulations: Dict[str, int]
@@ -250,7 +179,7 @@ class TenantBudgetLedger:
             for field_name, phase in self._PHASE_KEYS:
                 count = int(simulations.get(field_name, 0) or 0)
                 if count:
-                    budget.charge(phase, count, enforce_cap=False)
+                    budget.charge(phase, count)
             return True
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:

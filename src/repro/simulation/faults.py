@@ -1,10 +1,11 @@
 """Deterministic chaos injection for the simulation fabric.
 
-The fault-tolerance paths — budget-refunded retries, pool healing, shard
-watchdogs — guard against failures that are inherently hard to reproduce:
-a worker segfaulting mid-shard, an engine hanging past its timeout, a
-flaky license server.  This module makes those failures *scriptable and
-seeded* so CI can exercise every recovery path on demand:
+The fault-tolerance paths — retries that charge only the attempt that
+succeeds, pool healing, shard watchdogs — guard against failures that are
+inherently hard to reproduce: a worker segfaulting mid-shard, an engine
+hanging past its timeout, a flaky license server.  This module makes
+those failures *scriptable and seeded* so CI can exercise every recovery
+path on demand:
 
 ``FaultInjectingBackend`` (registry name ``"chaos"``) wraps any terminal
 backend and injects faults according to a :class:`FaultSchedule`:
@@ -21,7 +22,7 @@ kill      ``os._exit(kill_exit_code)`` **when running inside a pool
           executor).  In the main process this downgrades to ``raise``
           so a mis-configured schedule can never kill the test runner.
 nan       return a full :data:`~repro.spice.deck.FAILURE_NAN` block
-          (the never-produced signature: uncacheable, refunded,
+          (the never-produced signature: uncacheable, uncharged,
           retried)
 ========  =============================================================
 

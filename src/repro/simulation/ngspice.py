@@ -386,9 +386,9 @@ class NgspiceBackend(SimulationBackend):
         if not self.payload_aware:
             # Deployment error, not a simulation error: a circuit with only
             # placeholder measure specs emits no .meas card at all, so a
-            # real engine could never report a metric — every run would
-            # degrade to the all-NaN failure block (uncached, refunded)
-            # and a budget-capped loop would spin forever.
+            # real engine could never report a metric: every run would
+            # degrade to the all-NaN failure block (uncached, never
+            # charged) and make no progress.
             specs = circuit.measure_specs()
             if specs and all(spec.is_placeholder for spec in specs):
                 raise NgspiceError(
@@ -413,7 +413,7 @@ class NgspiceBackend(SimulationBackend):
                 stacklevel=2,
             )
             # FAILURE_NAN, not plain NaN: the engine never ran, so the
-            # service refunds the charge and the cache refuses the block.
+            # service charges nothing and the cache refuses the block.
             return {
                 name: np.full(job.batch, FAILURE_NAN)
                 for name in circuit.metric_names
@@ -477,10 +477,10 @@ class NgspiceBackend(SimulationBackend):
         circuit's :meth:`waveform_specs` recipes.  A failed run, a
         missing/unparseable rawfile, or a missing/short probe trace leaves
         the affected cells at :data:`FAILURE_NAN` ("the engine never
-        produced this") so the service refunds and refuses to cache them —
-        the identical degradation contract as measure mode, which is what
-        keeps caching, sharding, retry and the remote fabric composing
-        unchanged.
+        produced this"): the cache refuses them, and a block of nothing
+        else is never charged — the identical degradation contract as
+        measure mode, which is what keeps caching, sharding, retry and the
+        remote fabric composing unchanged.
         """
         from repro.analysis.waveform import TraceMissingError, extract_metric
         from repro.spice.rawfile import RawfileError, parse_rawfile

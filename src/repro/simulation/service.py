@@ -20,7 +20,7 @@ call:
   engines (the ngspice adapter, the remote client) plug in here without
   touching the control loop.
 * :class:`CachingBackend` — a decorator backend memoizing results by job
-  hash; a hit costs zero budget (configurable on the service).  With a
+  hash; a hit costs zero budget.  With a
   ``spill_dir`` it also persists result blocks to an on-disk store keyed by
   the same hash, so repeated experiment sweeps replay across processes.
 * :class:`ShardedDispatcher` — a decorator backend splitting any job's
@@ -40,11 +40,13 @@ admission-controlled per tenant via
 :class:`~repro.simulation.budget.TenantBudgetLedger` — while every
 simulation it triggers still flows through this service layer.
 
-Budget accounting is charged at the service, not in the backends, so cache
-hits and retried shards can never inflate the paper's "# Simulation"
-column (see :meth:`repro.simulation.budget.SimulationBudget.charge`), and a
-backend failure *refunds* the charge — a job that never produced metrics is
-never counted (see :meth:`SimulationService.run`).
+Budget accounting happens at the service, not in the backends, under one
+rule: a job counts once, when it produced metrics.  The service charges
+``job.cost`` to ``job.phase`` after an attempt returns a block with at
+least one row the engine produced; a cache hit, an attempt that raises,
+is cancelled or is retried, and a full failure block are never charged
+(see :meth:`SimulationService.run`).  So cache hits and retried shards
+can never inflate the paper's "# Simulation" column.
 
 Async execution path
 --------------------
@@ -52,13 +54,12 @@ Async execution path
 job shards across the service's worker pool, its shards are dispatched
 right away and evaluate in the background; otherwise the evaluation is
 deferred into the future itself (lazy thunk) and runs when the caller
-resolves it.  *All* budget accounting — the charge, the idempotency key,
-the failure refund and the cache store — happens at **resolution time**
-(:meth:`SimFuture.result`), in the caller's thread, in resolution order:
+resolves it.  *All* budget accounting — the charge and the cache store —
+happens at **resolution time** (:meth:`SimFuture.result`), in the
+caller's thread, in resolution order:
 
 * resolving futures in submission order reproduces the synchronous
-  schedule's budget trajectory exactly (same totals, same
-  ``max_simulations`` abort point, same idempotency keys);
+  schedule's budget trajectory exactly;
 * a future that is *cancelled* (or simply never resolved) charges nothing
   and stores nothing — which is what makes speculative double-buffered
   submission safe: work the sequential schedule would never have issued is
@@ -104,7 +105,7 @@ Contract, in order of importance:
    :class:`repro.simulation.ngspice.NgspiceBackend` resolves its
    executable).
 4. Raise for deployment errors, degrade (NaN) for simulation errors.
-   Raising aborts the job and refunds its budget charge.
+   Raising aborts the job, and an attempt that raises is never charged.
 5. Declare the cost shape: ``vectorized = True`` when one call costs
    about the same at any row count (its jobs then never shard, and the
    verifier's full-MC chunks of one corner share one call over the
@@ -173,7 +174,13 @@ def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     and is never mistaken for infrastructure failure, so legitimately
     all-NaN results stay charged and cacheable.  Reserved bookkeeping
     keys (``__``-prefixed, e.g. the per-row timing block) are not
-    metrics and never participate in failure detection."""
+    metrics and never participate in failure detection.
+
+    A block whose every row failed is the signature of a whole-job
+    infrastructure failure: the service never charges it, as it never
+    charges an attempt that raises.  The cache is stricter: it refuses
+    any block with a failed row, so a transient per-row flake is
+    re-simulated rather than memoized forever."""
     from repro.spice.deck import failure_nan_mask
 
     blocks = [
@@ -184,19 +191,6 @@ def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     if not blocks:
         return np.zeros(0, dtype=bool)
     return np.logical_and.reduce([failure_nan_mask(block) for block in blocks])
-
-
-def is_failure_block(metrics: Dict[str, np.ndarray]) -> bool:
-    """Whether a metrics block is the degradation signature of a whole-job
-    infrastructure failure: every cell of every metric tagged
-    :data:`~repro.spice.deck.FAILURE_NAN`.  The service refunds the budget
-    charge for such blocks, mirroring the raise path — a job the engine
-    never evaluated is never counted.  The cache is stricter still: it
-    refuses any block containing a failed *row* (:func:`failed_row_mask`),
-    so a transient per-row flake is re-simulated rather than memoized
-    forever."""
-    mask = failed_row_mask(metrics)
-    return mask.size > 0 and bool(mask.all())
 
 
 def _readonly(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -679,10 +673,10 @@ class RetryPolicy:
     stream is consumed; the experiment's seeded sampling streams are
     untouched by retries).
 
-    Budget safety is the service's side of the contract: every failed
-    attempt is refunded (charge + idempotency key) *before* the retry
-    charges again, so a job that eventually succeeds is counted exactly
-    once and a job that exhausts its attempts is counted zero times —
+    Budget safety is the service's side of the contract: it charges a
+    job only when an attempt returns metrics, never for an attempt it
+    retries, so a job that eventually succeeds is counted exactly once
+    and a job that exhausts its attempts is counted zero times —
     bit-identical to the fault-free trajectory.
 
     The optional watchdog fields configure the per-shard deadline
@@ -810,8 +804,8 @@ class CachingBackend(SimulationBackend):
     """Memoizes an inner backend's results by job content hash.
 
     A hit returns copies of the stored metric arrays and marks the result
-    ``cached`` so :class:`SimulationService` can charge zero budget for it
-    (the configurable paper-accounting default).  The in-memory cache is
+    ``cached``; :class:`SimulationService` charges no budget for it.  The
+    in-memory cache is
     unbounded — jobs are a few kilobytes of metrics each — and can be
     dropped with :meth:`clear`.
 
@@ -895,11 +889,9 @@ class CachingBackend(SimulationBackend):
     def lookup(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
         """Copies of the stored metrics for ``job``, or ``None`` on a miss.
 
-        Counts the hit/miss either way; the service probes the cache
-        *before* charging the budget so the legacy charge-before-evaluate
-        order (``max_simulations`` raises before any work happens) is
-        preserved on misses.  A memory miss consults the on-disk store
-        (when configured) and promotes a disk hit into memory.
+        Counts the hit/miss either way.  A memory miss consults the
+        on-disk store (when configured) and promotes a disk hit into
+        memory.
         """
         stored = self._cache.get(job.job_id)
         if stored is None:
@@ -1153,9 +1145,8 @@ class SimFuture:
     abandoned future costs nothing at all).
 
     :meth:`result` performs the *entire* service-side accounting exactly
-    once — cache-hit charge, budget charge with the idempotency key,
-    failure refund, cache store, through the same code as
-    :meth:`SimulationService.run` — and memoizes the outcome, so repeated
+    once — the budget charge and the cache store, through the same code
+    as :meth:`SimulationService.run` — and memoizes the outcome, so repeated
     calls return the same :class:`SimResult` (or re-raise the same error)
     without double-charging.  Resolving futures in submission order
     therefore reproduces the synchronous schedule's budget trajectory
@@ -1174,8 +1165,8 @@ class SimFuture:
     consumer — returns immediately instead of blocking behind the work
     it is trying to abandon.  The resolving thread observes the cancel
     at its accounting checkpoints (before the evaluation starts, and
-    again before the outcome is committed) and aborts with a net-zero
-    budget charge; once the commit checkpoint has passed, :meth:`cancel`
+    again before the outcome is committed) and aborts uncharged; once
+    the commit checkpoint has passed, :meth:`cancel`
     refuses (returns ``False``) — the job's accounting is in flight and
     can no longer be un-issued.
     """
@@ -1237,8 +1228,8 @@ class SimFuture:
         Checked before the (blocking) attempt starts and again before
         its outcome is handed back for accounting: a cancel landing in
         between raises ``CancelledError`` out of the attempt, which the
-        accounting loop refunds like any other failed attempt (net-zero
-        charge) and never retries.  Passing the second checkpoint flips
+        accounting loop, like any raising attempt, never charges (nor
+        retries).  Passing the second checkpoint flips
         :attr:`_committing`, after which :meth:`cancel` refuses.
         """
 
@@ -1265,8 +1256,8 @@ class SimFuture:
     def result(self) -> SimResult:
         """Resolve the job: wait for the work and run the accounting.
 
-        Single-shot and memoized: the first call charges (idempotently),
-        refunds on failure and stores to the cache; every later call —
+        Single-shot and memoized: the first call charges (when the job
+        produced metrics) and stores to the cache; every later call —
         from any thread — replays the same outcome with no further
         accounting.  Concurrent callers block on a condition until the
         resolving thread publishes the outcome; the lock is *not* held
@@ -1287,7 +1278,7 @@ class SimFuture:
             if self._cached_metrics is not None:
                 # Cache-hit resolution is non-blocking bookkeeping; commit
                 # it atomically with the cancel check above so a racing
-                # cancel() can never return True for a charged hit.
+                # cancel() can never return True for a hit that resolves.
                 self._committing = True
         try:
             result = self._service._resolve(
@@ -1363,14 +1354,10 @@ class SimulationService:
 
     The chain is composed outermost-first as ``cache → sharding →
     terminal backend``, so cache hits skip the pool entirely and cache
-    misses still shard.  All budget accounting happens here:
-
-    * a normal run charges ``job.cost`` simulations to ``job.phase``
-      (exactly the paper's per-row counting);
-    * a cache hit charges nothing unless ``charge_cache_hits=True``;
-    * with ``idempotent_charges=True`` the charge is keyed by the job's
-      content hash, so resubmitting the identical job (a retry) can never
-      double-charge (:meth:`SimulationBudget.charge`).
+    misses still shard.  All budget accounting happens here, in
+    :meth:`_evaluate_accounted`: a job that produced metrics charges
+    ``job.cost`` simulations to ``job.phase`` once (exactly the paper's
+    per-row counting), and a cache hit charges nothing.
 
     With ``workers > 1`` and a terminal backend that
     :func:`~repro.simulation.sharding.can_shard` (``scalar``,
@@ -1396,8 +1383,6 @@ class SimulationService:
         backend: Union[str, SimulationBackend] = "batched",
         workers: int = 1,
         cache: bool = False,
-        charge_cache_hits: bool = False,
-        idempotent_charges: bool = False,
         cache_dir: Optional[str] = None,
         retry: Union[None, RetryPolicy, Dict[str, object]] = None,
     ):
@@ -1426,8 +1411,6 @@ class SimulationService:
             if cache or cache_dir is not None
             else None
         )
-        self._charge_cache_hits = bool(charge_cache_hits)
-        self._idempotent_charges = bool(idempotent_charges)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -1504,17 +1487,6 @@ class SimulationService:
         self.close()
 
     # ------------------------------------------------------------------
-    def _charge(self, job: SimJob, count: int) -> Tuple[bool, Optional[str]]:
-        # The idempotency key includes the phase (the content hash alone
-        # would swallow a legitimate re-simulation of the same block in a
-        # different phase), and zero charges never consume a key — only a
-        # counted charge should block its retry.
-        job_id = None
-        if self._idempotent_charges and count > 0:
-            job_id = f"{job.phase.value}:{job.job_id}"
-        counted = self._budget.charge(job.phase, count, job_id=job_id)
-        return counted, job_id
-
     @staticmethod
     def _time_stamped(
         job: SimJob, metrics: Dict[str, np.ndarray], started: float
@@ -1542,26 +1514,27 @@ class SimulationService:
         first_attempt: Callable[[], Dict[str, np.ndarray]],
         guard: Optional[Callable[[Callable], Callable]] = None,
     ) -> Dict[str, np.ndarray]:
-        """Charge → evaluate → refund-on-failure, under the retry policy.
+        """Evaluate under the retry policy; charge the job once it has metrics.
 
         The one accounting loop shared by :meth:`run` and future
-        resolution.  Each attempt charges the budget up front (so a
-        ``max_simulations`` cap aborts before work is spent) and refunds —
-        count *and* idempotency key — whenever the attempt produced no
-        usable metrics: a raising backend, or a block carrying
-        :data:`~repro.spice.deck.FAILURE_NAN` rows.  With no retry policy
-        this is exactly the legacy behaviour (raise propagates, a *full*
-        failure block is refunded-but-returned, a partial one stands);
-        with a policy, classified-transient failures re-evaluate through a
-        **fresh dispatch** (a re-shard on the — possibly healed — pool)
-        after the policy's deterministic backoff, and because every failed
-        attempt was refunded first, the eventual success charges exactly
-        once: the budget trajectory is bit-identical to a fault-free run.
+        resolution, and the one place a job is charged: ``job.cost`` to
+        ``job.phase``, after an attempt returns a block with at least one
+        row the engine produced.  An attempt that raises or is retried is
+        never charged, and neither is a block whose every row is
+        :data:`~repro.spice.deck.FAILURE_NAN`.  With no retry policy a
+        raise propagates and a block with failed rows is returned as it
+        is (charged unless it is a full failure block), so
+        graceful-degradation consumers see the NaN rows.  With a policy,
+        classified-transient failures re-evaluate through a **fresh
+        dispatch** (a re-shard on the — possibly healed — pool) after the
+        policy's deterministic backoff, and only the attempt that
+        succeeds charges: the budget trajectory is bit-identical to a
+        fault-free run.
 
         ``guard`` (future resolution passes
         :meth:`SimFuture._guarded`) wraps every attempt — including
         retries — with cancellation checkpoints; a cancel raising out of
-        an attempt refunds its charge like any failure, classifies as
+        an attempt is never charged, classifies as
         :attr:`FailureKind.OTHER` and therefore propagates un-retried.
         """
         policy = self._retry
@@ -1569,38 +1542,29 @@ class SimulationService:
         wrap = guard if guard is not None else (lambda fn: fn)
         evaluate = wrap(first_attempt)
         while True:
-            counted, job_id = self._charge(job, job.cost)
             started = time.perf_counter()
             try:
                 metrics = evaluate()
             except BaseException as error:
-                if counted:
-                    self._budget.refund(job.phase, job.cost, job_id=job_id)
                 if policy is None or not policy.should_retry(
                     classify_failure(error), attempt
                 ):
                     raise
             else:
-                if not failed_row_mask(metrics).any():
-                    return self._time_stamped(job, metrics, started)
+                failed = failed_row_mask(metrics)
+                if not failed.any():
+                    metrics = self._time_stamped(job, metrics, started)
+                    self._budget.charge(job.phase, job.cost)
+                    return metrics
                 # The block carries rows the engine never produced.
                 if policy is None or not policy.should_retry(
                     FailureKind.FAILURE_NAN, attempt
                 ):
-                    # Terminal: legacy accounting.  A *full* failure block
-                    # is refunded (nothing was simulated) but still
-                    # returned so graceful-degradation consumers see the
-                    # NaN rows; a partial block stands as charged.
-                    if counted and is_failure_block(metrics):
-                        self._budget.refund(
-                            job.phase, job.cost, job_id=job_id
-                        )
+                    if not failed.all():
+                        self._budget.charge(job.phase, job.cost)
                     return metrics
-                # Retrying: the whole attempt is refunded (mirroring the
-                # cache's refusal to admit any failed row) and the job
-                # re-simulates from scratch.
-                if counted:
-                    self._budget.refund(job.phase, job.cost, job_id=job_id)
+                # Retrying: the job re-simulates from scratch, mirroring
+                # the cache's refusal to admit any failed row.
             policy.sleep(job.job_id, attempt)
             attempt += 1
             evaluate = wrap(
@@ -1608,11 +1572,7 @@ class SimulationService:
             )
 
     def _probe(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
-        """Reject a job for another circuit; the cached metrics on a hit.
-
-        Probing happens before any charge, so a miss keeps the
-        charge-before-evaluate order (a ``max_simulations`` cap aborts
-        before work is spent)."""
+        """Reject a job for another circuit; the cached metrics on a hit."""
         if job.circuit_name != self._circuit.name:
             raise ValueError(
                 f"job targets circuit {job.circuit_name!r} but this service "
@@ -1629,16 +1589,10 @@ class SimulationService:
     ) -> SimResult:
         """The accounting :meth:`run` and :meth:`SimFuture.result` share.
 
-        A cache hit charges zero (or ``job.cost`` under
-        ``charge_cache_hits``) with no idempotency key: each hit is a
-        deliberate accounting event, and the key for the job's real run
-        must stay intact.  A miss runs :meth:`_evaluate_accounted`, moves
-        the per-row timing onto the result and stores the admitted
-        metrics to the cache."""
+        A cache hit charges nothing.  A miss runs
+        :meth:`_evaluate_accounted`, moves the per-row timing onto the
+        result and stores the admitted metrics to the cache."""
         if cached_metrics is not None:
-            self._budget.charge(
-                job.phase, job.cost if self._charge_cache_hits else 0
-            )
             return SimResult(
                 job=job,
                 metrics=cached_metrics,
@@ -1658,18 +1612,17 @@ class SimulationService:
         )
 
     def run(self, job: SimJob) -> SimResult:
-        """Evaluate one job, charging the budget before any simulation runs
-        (so a ``max_simulations`` cap aborts without spending work, exactly
-        as the pre-service entry points did).  If the backend then *fails* —
-        a worker raising mid-shard, an external simulator crashing in strict
-        mode — the charge is refunded and the idempotency key released
-        before the exception propagates: a job that produced no metrics is
-        never counted, and its retry charges (once) like a first attempt.
-        The same holds for *non-raising* failures: a backend degrading to
-        the all-NaN failure signature (:func:`is_failure_block`, e.g. a
-        non-strict ngspice timeout) is refunded too, mirroring the cache's
-        refusal to store such blocks — strict and graceful failure modes
-        account identically."""
+        """Evaluate one job and charge it once, after it produced metrics.
+
+        A job counts when an attempt returns a block with at least one
+        row the engine produced.  If the backend *fails* — a worker
+        raising mid-shard, an external simulator crashing in strict mode
+        — the exception propagates uncharged, so a resubmission charges
+        (once) like a first attempt.  The same holds for *non-raising*
+        failures: a backend degrading to a block of nothing but
+        :data:`~repro.spice.deck.FAILURE_NAN` rows (e.g. a non-strict
+        ngspice timeout) is not charged either, mirroring the cache's refusal to store such
+        blocks — strict and graceful failure modes account identically."""
         return self._resolve(
             job,
             self._probe(job),
@@ -1699,11 +1652,7 @@ class SimulationService:
         The accounting contract lives on :meth:`SimFuture.result`:
         resolving futures in submission order reproduces the synchronous
         :meth:`run` schedule's budget trajectory exactly, and a future
-        cancelled before resolution charges nothing.  One deliberate
-        divergence from :meth:`run`: pool shards are dispatched *before*
-        the budget charge (that is the point of the async path), so an
-        over-cap resolution aborts with work already spent — the
-        accounting is still identical, only wasted wall-clock differs.
+        cancelled before resolution charges nothing.
         """
         metrics = self._probe(job)
         if metrics is not None:

@@ -65,8 +65,9 @@ Fault tolerance (the simulation-fabric layer):
   to :data:`~repro.spice.deck.FAILURE_NAN` rows instead of wedging the
   control loop, and the pool is healed (the hung worker terminated) so
   later shards land on live workers.  The FAILURE_NAN rows make the block
-  uncacheable and, under a retry policy, trigger a budget-refunded
-  re-simulation — see :mod:`repro.simulation.service`.
+  uncacheable and, under a retry policy, trigger a re-simulation; only
+  the attempt that succeeds is charged — see
+  :mod:`repro.simulation.service`.
 
 Design constraints (unchanged):
 
@@ -408,8 +409,8 @@ class ShardWatchdog:
     :meth:`ShardHandle.result` gives up on it: ``seconds_per_row × rows``,
     floored at ``floor`` so one-row shards are not starved by scheduling
     noise.  An expired shard degrades to
-    :data:`~repro.spice.deck.FAILURE_NAN` rows (uncacheable; refunded and
-    retried by a service with a :class:`~repro.simulation.service
+    :data:`~repro.spice.deck.FAILURE_NAN` rows (uncacheable; retried
+    uncharged by a service with a :class:`~repro.simulation.service
     .RetryPolicy`) and the pool is healed so the hung worker is reclaimed.
     This sits *above* any per-deck engine timeout — it is the backstop for
     hangs the engine-level timeout cannot see (a stuck worker interpreter,
@@ -671,7 +672,7 @@ class ShardHandle:
       *in-process* so the job still completes deterministically.
     * with a :class:`ShardWatchdog`, a shard that outlives its deadline
       degrades to :data:`~repro.spice.deck.FAILURE_NAN` rows (the
-      never-produced signature: uncacheable, refunded, retried under a
+      never-produced signature: uncacheable, retried uncharged under a
       service retry policy) and the pool is healed to reclaim the hung
       worker.
     """
@@ -774,7 +775,7 @@ class ShardHandle:
                     # Watchdog expiry: degrade to never-produced rows and
                     # reclaim the hung worker.  The FAILURE_NAN signature
                     # keeps the block uncacheable and lets a retrying
-                    # service refund + re-simulate it.
+                    # service re-simulate it uncharged.
                     self.timed_out_shards.append(index)
                     warnings.warn(
                         f"shard {index} ({shard.job.batch} rows) exceeded "

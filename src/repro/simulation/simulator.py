@@ -110,20 +110,17 @@ class CircuitSimulator:
         backend: Union[str, SimulationBackend] = "batched",
         cache: bool = False,
         cache_dir: Optional[str] = None,
-        service: Optional[SimulationService] = None,
         retry=None,
     ):
-        if service is None:
-            service = SimulationService(
-                circuit,
-                budget=budget,
-                backend=backend,
-                workers=workers,
-                cache=cache,
-                cache_dir=cache_dir,
-                retry=retry,
-            )
-        self._service = service
+        self._service = SimulationService(
+            circuit,
+            budget=budget,
+            backend=backend,
+            workers=workers,
+            cache=cache,
+            cache_dir=cache_dir,
+            retry=retry,
+        )
 
     @property
     def service(self) -> SimulationService:

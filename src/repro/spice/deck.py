@@ -300,9 +300,12 @@ def _element_card(element: Element, models: _ModelTable) -> str:
             f"{element.node_minus} DC {card_float(element.voltage)}"
         )
     if isinstance(element, CurrentSource):
+        # SPICE drives an I card's current from its first node, through
+        # the source, into its second; the netlist's source pushes it into
+        # ``node_plus``, so the nodes go in reverse.
         return (
-            f"{_card_name('I', element.name)} {element.node_plus} "
-            f"{element.node_minus} DC {card_float(element.current)}"
+            f"{_card_name('I', element.name)} {element.node_minus} "
+            f"{element.node_plus} DC {card_float(element.current)}"
         )
     if isinstance(element, VCCS):
         return (

@@ -13,7 +13,6 @@ Consolidates the circuit/service setup that used to be duplicated across
 * ``seeded_rng`` — a generator factory (``seeded_rng(seed)``);
 * ``conditions_job`` — a seeded condition-axis :class:`SimJob` factory
   (one design at typical across ``rows`` mismatch rows);
-* ``small_budget`` — a capped :class:`SimulationBudget`;
 * ``pool_submissions`` — records every shard submitted to a
   :class:`WorkerPool`, so pool tests can assert their shards really ran;
 * ``fake_ngspice`` — installs the hermetic fake simulator
@@ -40,7 +39,6 @@ from repro.core.spec import DesignSpec
 from repro.simulation import (
     CircuitSimulator,
     SimJob,
-    SimulationBudget,
     SimulationPhase,
     SimulationService,
     WorkerPool,
@@ -239,12 +237,6 @@ def simulator_factory():
     yield make
     for simulator in simulators:
         simulator.close()
-
-
-@pytest.fixture
-def small_budget():
-    """A tightly capped budget for cap/abort behaviour tests."""
-    return SimulationBudget(max_simulations=64)
 
 
 @pytest.fixture

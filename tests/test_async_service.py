@@ -3,16 +3,15 @@
 The futures-based execution path (``SimulationService.submit`` →
 :class:`SimFuture`) promises that *pipelined* control loops are
 **bit-identical** to their sequential twins — metrics, seeded streams,
-budget totals, idempotency keys, failure refunds — because all accounting
-happens at resolution time, in resolution order.  This suite pins that
+budget totals, uncharged failures — because all accounting happens at
+resolution time, in resolution order.  This suite pins that
 contract down:
 
 * ``submit``/``result`` vs ``run`` equivalence on all three paper
   circuits (and through a real worker pool);
 * resolution-time accounting: memoized single-shot resolution, cancelled
-  futures charge nothing, cache hits at submission, idempotent keys,
-  failure refunds for raising workers and graceful all-failure blocks,
-  ``max_simulations`` aborts at the same point as the sync schedule;
+  futures charge nothing, cache hits at submission, raising workers and
+  graceful all-failure blocks left uncharged;
 * double-buffered verification and the overlapped seed phase replaying
   the sequential schedule bit-for-bit (including on abort paths).  The
   reference is the control loop's own ``iter_resolved`` loop patched to
@@ -62,7 +61,6 @@ from repro.simulation import (
     NgspiceError,
     ReferenceScalarBackend,
     SimJob,
-    SimulationBudget,
     SimulationService,
     WorkerPool,
 )
@@ -196,41 +194,18 @@ class TestResolutionAccounting:
         assert result.cached
         assert service.budget.total == 4  # the hit charged zero
 
-    def test_idempotent_charge_at_resolution(self, strongarm, conditions_job):
-        with SimulationService(strongarm, idempotent_charges=True) as service:
-            job = conditions_job(strongarm, rows=6)
-            service.submit(job).result()
-            service.submit(job).result()  # same content hash: swallowed
-        assert service.budget.total == 6
-
-    def test_budget_cap_aborts_at_resolution(self, strongarm, conditions_job):
-        budget = SimulationBudget(max_simulations=10)
-        with SimulationService(strongarm, budget=budget) as service:
-            first = service.submit(conditions_job(strongarm, rows=8, seed=0))
-            second = service.submit(conditions_job(strongarm, rows=8, seed=1))
-            first.result()
-            with pytest.raises(SimulationBudget.BudgetExhausted):
-                second.result()
-            # The over-cap charge left no trace, exactly like the sync path.
-            assert service.budget.total == 8
-            with pytest.raises(SimulationBudget.BudgetExhausted):
-                second.result()  # memoized error, still no charge
-            assert service.budget.total == 8
-
     def test_raising_backend_refunds_at_resolution(self, strongarm, conditions_job):
         class Exploding(BatchedBackend):
             def evaluate(self, circuit, job):
                 raise RuntimeError("mid-flight explosion")
 
-        with SimulationService(
-            strongarm, backend=Exploding(), idempotent_charges=True
-        ) as service:
+        with SimulationService(strongarm, backend=Exploding()) as service:
             future = service.submit(conditions_job(strongarm, rows=5))
             with pytest.raises(RuntimeError, match="mid-flight"):
                 future.result()
             assert service.budget.total == 0
             with pytest.raises(RuntimeError, match="mid-flight"):
-                future.result()  # memoized, no double refund
+                future.result()  # memoized, still no charge
             assert service.budget.total == 0
 
     def test_worker_raising_mid_flight_refunds_and_retries(
@@ -238,14 +213,14 @@ class TestResolutionAccounting:
     ):
         """The async twin of the sync mid-shard rollback test: one real
         worker process fails its shard of an in-flight future (one-shot
-        marker, strict mode); resolution surfaces the error and refunds,
-        and resubmitting the identical job charges exactly once."""
+        marker, strict mode); resolution surfaces the error uncharged, and
+        resubmitting the identical job charges exactly once."""
         marker = tmp_path / "fail-once"
         marker.write_text("arm")
         monkeypatch.setenv("FAKE_NGSPICE_FAIL_ONCE", str(marker))
         monkeypatch.setenv(STRICT_ENV, "1")
         with SimulationService(
-            strongarm, backend="ngspice", workers=4, idempotent_charges=True
+            strongarm, backend="ngspice", workers=4
         ) as service:
             job = conditions_job(strongarm, rows=8)
             future = service.submit(job)
@@ -267,8 +242,8 @@ class TestResolutionAccounting:
         self, strongarm, fake_ngspice, monkeypatch, conditions_job
     ):
         """A non-raising whole-block failure (engine exits 3, non-strict →
-        FAILURE_NAN degradation) is refunded at resolution like the sync
-        path, and never cached."""
+        FAILURE_NAN degradation) is left uncharged at resolution like the
+        sync path, and never cached."""
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "exit3")
         with SimulationService(strongarm, backend="ngspice", cache=True) as service:
             future = service.submit(conditions_job(strongarm, rows=3))

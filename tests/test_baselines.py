@@ -71,6 +71,20 @@ class TestRobustAnalog:
         assert result.total_simulations > 0
         assert result.method.startswith("robustanalog")
 
+    def test_evaluate_at_corner_returns_the_worst_reward(self):
+        config = GlovaConfig(
+            verification=VerificationMethod.CORNER_LOCAL_MC, seed=0
+        )
+        optimizer = RobustAnalogOptimizer(StrongArmLatch(), config)
+        corner = optimizer.operational.corners[0]
+        design = np.full(optimizer.circuit.dimension, 0.5)
+        worst = optimizer.evaluate_at_corner(design, corner)
+        assert isinstance(worst, float)
+        assert worst == optimizer.last_worst.reward_of(corner)
+        samples = optimizer.operational.optimization_samples
+        assert samples > 1
+        assert optimizer.budget.snapshot()["optimization"] == samples
+
     def test_dominant_corner_subset_is_smaller_than_full_set(self, monkeypatch):
         config = GlovaConfig(
             verification=VerificationMethod.CORNER,

@@ -65,7 +65,6 @@ def test_chaos_soak_stays_equivalent(
         backend="chaos",
         workers=WORKERS,
         retry=retry,
-        idempotent_charges=True,
     )
     if mode == "kill":
         service.pool.max_heals = ROUNDS + 2

@@ -994,6 +994,12 @@ class TestTenantBudgetLedger:
         # Other tenants are unaffected.
         assert ledger.admits("b")
 
+    def test_zero_quota_admits_nobody(self):
+        ledger = TenantBudgetLedger(quota=0)
+        assert not ledger.admits("a")
+        assert ledger.remaining("a") == 0
+        assert ledger.budget_for("a").total == 0
+
     def test_unlimited_ledger_always_admits(self):
         ledger = TenantBudgetLedger()
         ledger.charge_run("a", "run-1", {"initial_sampling": 10**6})

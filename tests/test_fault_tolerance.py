@@ -217,7 +217,6 @@ class TestChaosBackendInProcess:
             strongarm,
             backend="chaos",
             retry=FAST_RETRY,
-            idempotent_charges=True,
         )
         job = conditions_job(strongarm, rows=6)
         result = service.run(job)
@@ -260,7 +259,7 @@ class TestChaosBackendInProcess:
         )
         with pytest.raises(ChaosFault):
             service.run(conditions_job(strongarm, rows=4))
-        assert service.budget.total == 0  # every attempt refunded
+        assert service.budget.total == 0  # no attempt was charged
 
     def test_kill_mode_downgrades_to_raise_in_main_process(
         self, strongarm, monkeypatch, conditions_job
@@ -282,12 +281,11 @@ class TestChaosBackendInProcess:
             strongarm,
             backend="chaos",
             retry=FAST_RETRY,
-            idempotent_charges=True,
         )
         futures = [chaotic.submit(job) for job in jobs]
         chaos_results = [future.result() for future in futures]
 
-        clean = service_factory(strongarm, idempotent_charges=True)
+        clean = service_factory(strongarm)
         for job, chaos_result in zip(jobs, chaos_results):
             assert_metrics_equal(
                 strongarm, chaos_result.metrics, clean.run(job).metrics
@@ -368,7 +366,6 @@ class TestWorkerPoolHealing:
             backend="chaos",
             workers=3,
             retry=FAST_RETRY,
-            idempotent_charges=True,
         )
         job = conditions_job(strongarm, rows=12)
         result = service.run(job)
@@ -425,7 +422,6 @@ class TestShardWatchdog:
             backend="chaos",
             workers=3,
             retry=retry,
-            idempotent_charges=True,
         )
         job = conditions_job(strongarm, rows=12)
         start = time.monotonic()

@@ -63,7 +63,14 @@ from repro.spice.deck import (
     parse_measure_log,
     reference_job,
 )
-from repro.spice.netlist import VCCS, Capacitor, Circuit, Resistor, VoltageSource
+from repro.spice.netlist import (
+    VCCS,
+    Capacitor,
+    Circuit,
+    CurrentSource,
+    Resistor,
+    VoltageSource,
+)
 from repro.variation.corners import (
     ProcessCorner,
     PVTCorner,
@@ -126,9 +133,12 @@ class TestDeckCompiler:
             # A name without its type letter gets one: "load" -> "Cload".
             (Capacitor("load", "a", "0", 2e-15), "Cload a 0 2.000000000e-15"),
             (VoltageSource("VDD", "vdd", "0", 0.9), "VDD vdd 0 DC 9.000000000e-01"),
+            # SPICE drives I from its first node into its second, so a
+            # source pushing current into node "a" lists ground first.
+            (CurrentSource("I1", "a", "0", 1e-6), "I1 0 a DC 1.000000000e-06"),
             (VCCS("G1", "a", "0", "in", "0", 1e-3), "G1 a 0 in 0 1.000000000e-03"),
         ],
-        ids=["resistor", "capacitor", "voltage_source", "vccs"],
+        ids=["resistor", "capacitor", "voltage_source", "current_source", "vccs"],
     )
     def test_netlist_cards_lower_each_element_kind(self, element, card):
         circuit = Circuit("kinds")
@@ -621,8 +631,7 @@ class TestPerRowFallback:
         """A circuit with only placeholder measures emits no .meas card, so
         a real engine could never report a metric: that is a deployment
         error (raised even non-strict), not a per-run NaN degradation —
-        otherwise every run would be refunded and a budget-capped loop
-        would spin forever."""
+        otherwise every run would go uncharged and make no progress."""
         from repro.circuits.base import AnalogCircuit, SizingParameter
         from repro.variation.distributions import DeviceKind, DeviceSpec
 
@@ -763,17 +772,14 @@ class TestNgspiceComposition:
         """Graceful (non-raising) simulator failure accounts like the
         strict/raise path: a run that produced no metrics — the all-NaN
         degradation block the cache already refuses to store — is not
-        counted, and its idempotency key is released so the retry charges
-        exactly once."""
-        service = service_factory(
-            strongarm, backend="ngspice", idempotent_charges=True
-        )
+        counted, so the retry charges exactly once."""
+        service = service_factory(strongarm, backend="ngspice")
         job = sample_conditions_job(strongarm, rows=2)
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "exit3")
         with pytest.warns(RuntimeWarning):
             failed = service.run(job)
         assert np.isnan(failed.metrics[strongarm.metric_names[0]]).all()
-        assert service.budget.total == 0  # the charge was refunded
+        assert service.budget.total == 0  # the failure block was not charged
         monkeypatch.delenv("FAKE_NGSPICE_MODE")
         recovered = service.run(job)  # retry charges like a first attempt
         assert service.budget.total == 2

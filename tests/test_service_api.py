@@ -4,7 +4,7 @@ Covers the PR-3 redesign surface:
 
 * :class:`SimJob` content hashing (stability, equality, shard slicing);
 * :class:`CachingBackend` hit/miss behavior and its budget accounting;
-* the idempotent ``SimulationBudget.charge`` path (double-charge hazard);
+* the one charge rule: a job counts once, when it produced metrics;
 * scalar-vs-batched backend equivalence on all three paper circuits;
 * design-axis sharding through the uniform job dispatcher;
 * the circuit registry (decorator, aliases);
@@ -34,6 +34,7 @@ from repro.simulation import (
     BatchedBackend,
     CachingBackend,
     CircuitSimulator,
+    NgspiceError,
     ReferenceScalarBackend,
     RetryPolicy,
     SimJob,
@@ -42,6 +43,8 @@ from repro.simulation import (
     SimulationService,
     resolve_backend,
 )
+from repro.simulation.service import failed_row_mask
+from repro.spice.deck import FAILURE_NAN
 from repro.variation.corners import (
     ProcessCorner,
     PVTCorner,
@@ -163,97 +166,20 @@ class TestSimJob:
 
 
 # ----------------------------------------------------------------------
-# Budget idempotency + caching
+# Budget charging + caching
 # ----------------------------------------------------------------------
 class TestBudgetIdempotentCharge:
-    def test_same_job_id_charges_once(self):
-        budget = SimulationBudget()
-        assert budget.charge(SimulationPhase.OPTIMIZATION, 5, job_id="job-a")
-        assert not budget.charge(SimulationPhase.OPTIMIZATION, 5, job_id="job-a")
-        assert budget.total == 5
-        assert budget.charge(SimulationPhase.OPTIMIZATION, 2, job_id="job-b")
-        assert budget.total == 7
-
     def test_plain_charges_accumulate(self):
         budget = SimulationBudget()
         budget.charge(SimulationPhase.VERIFICATION, 3)
         budget.charge(SimulationPhase.VERIFICATION, 3)
         assert budget.total == 6
 
-    def test_over_cap_charge_leaves_no_trace(self):
-        """A rejected over-cap charge rolls back and keeps its key free, so
-        a retry aborts again instead of running uncounted."""
-        budget = SimulationBudget(max_simulations=4)
-        budget.charge(SimulationPhase.OPTIMIZATION, 3, job_id="ok")
-        for _ in range(2):  # the retry behaves exactly like the first try
-            with pytest.raises(SimulationBudget.BudgetExhausted):
-                budget.charge(SimulationPhase.OPTIMIZATION, 2, job_id="over")
-        assert budget.total == 3
-        assert "over" not in budget.charged_jobs
-
-    def test_cache_hit_charges_respect_both_flags(self, strongarm):
-        """charge_cache_hits must keep charging even with idempotent_charges
-        on — a hit never consumes the real run's idempotency key."""
-        service = SimulationService(
-            strongarm,
-            cache=True,
-            charge_cache_hits=True,
-            idempotent_charges=True,
-        )
-        x = np.full(strongarm.dimension, 0.5)
-        job = SimJob.conditions(strongarm.name, x, (typical_corner(),), None)
-        service.run(job)
-        service.run(job)
-        service.run(job)
-        assert service.budget.total == 3
-
-    def test_reset_forgets_job_ids(self):
-        budget = SimulationBudget()
-        budget.charge(SimulationPhase.OPTIMIZATION, 1, job_id="job-a")
-        budget.reset()
-        assert budget.charge(SimulationPhase.OPTIMIZATION, 1, job_id="job-a")
-        assert budget.total == 1
-
-    def test_cap_raises_before_evaluation(self, strongarm):
-        """The legacy contract: ``max_simulations`` aborts before any work."""
-
-        class CountingBackend(BatchedBackend):
-            def __init__(self):
-                self.calls = 0
-
-            def evaluate(self, circuit, job):
-                self.calls += 1
-                return super().evaluate(circuit, job)
-
-        backend = CountingBackend()
-        service = SimulationService(
-            strongarm,
-            budget=SimulationBudget(max_simulations=3),
-            backend=backend,
-        )
-        job = SimJob.conditions(
-            strongarm.name,
-            np.full(strongarm.dimension, 0.5),
-            (typical_corner(),),
-            np.zeros((5, strongarm.mismatch_dimension)),
-        )
-        with pytest.raises(SimulationBudget.BudgetExhausted):
-            service.run(job)
-        assert backend.calls == 0
-
-    def test_service_idempotent_charges(self, strongarm):
-        service = SimulationService(strongarm, idempotent_charges=True)
-        x = np.full(strongarm.dimension, 0.5)
-        job = SimJob.conditions(strongarm.name, x, (typical_corner(),), None)
-        service.run(job)
-        service.run(job)  # a retry of the identical request
-        assert service.budget.total == 1
-
     def test_idempotent_charges_are_per_phase(self, strongarm):
         """Re-simulating the same block in another phase is still charged."""
         from dataclasses import replace
 
-        service = SimulationService(strongarm, idempotent_charges=True)
+        service = SimulationService(strongarm)
         x = np.full(strongarm.dimension, 0.5)
         job = SimJob.conditions(
             strongarm.name,
@@ -267,6 +193,101 @@ class TestBudgetIdempotentCharge:
         snapshot = service.budget.snapshot()
         assert snapshot["optimization"] == 1
         assert snapshot["verification"] == 1
+
+
+class ScriptedBackend(BatchedBackend):
+    """The batched engine, failing attempts as scripted.
+
+    ``script`` holds one step per call: ``"raise"`` raises an engine
+    error, an int ``k`` tags the first ``k`` rows of every metric
+    FAILURE_NAN (0, and every call past the script, is clean).  ``seen``
+    records the service's budget total at each call."""
+
+    def __init__(self, script=()):
+        self.script = list(script)
+        self.seen = []
+        self.service = None
+
+    def evaluate(self, circuit, job):
+        self.seen.append(self.service.budget.total)
+        step = self.script.pop(0) if self.script else 0
+        if step == "raise":
+            raise NgspiceError("scripted engine failure")
+        metrics = super().evaluate(circuit, job)
+        for values in metrics.values():
+            values[:step] = FAILURE_NAN
+        return metrics
+
+
+def scripted_service(circuit, script=(), retry=None):
+    backend = ScriptedBackend(script)
+    service = SimulationService(circuit, backend=backend, retry=retry)
+    backend.service = service
+    return service, backend
+
+
+#: The two ways to resolve a job; both share one accounting path.
+RESOLVE = {
+    "run": lambda service, job: service.run(job),
+    "submit": lambda service, job: service.submit(job).result(),
+}
+
+
+class TestChargeOnMetrics:
+    """A job counts once, when an attempt returned metrics."""
+
+    def test_backend_sees_the_pre_job_total(self, strongarm, conditions_job):
+        """The charge lands after the evaluation, on ``run`` and on
+        ``submit(...).result()`` alike."""
+        service, backend = scripted_service(strongarm)
+        with service:
+            service.run(conditions_job(strongarm, rows=4))
+            service.submit(conditions_job(strongarm, rows=3, seed=1)).result()
+        assert backend.seen == [0, 4]
+        assert service.budget.total == 7
+
+    @pytest.mark.parametrize("entry", sorted(RESOLVE))
+    @pytest.mark.parametrize("failed_rows, charged", [(1, 4), (4, 0)])
+    def test_failure_nan_rows_without_a_policy(
+        self, strongarm, conditions_job, failed_rows, charged, entry
+    ):
+        """A block with any engine-produced row is charged in full; a block
+        of nothing but FAILURE_NAN rows is not charged at all."""
+        service, _ = scripted_service(strongarm, script=[failed_rows])
+        with service:
+            result = RESOLVE[entry](service, conditions_job(strongarm, rows=4))
+        assert int(failed_row_mask(result.metrics).sum()) == failed_rows
+        assert service.budget.total == charged
+
+    @pytest.mark.parametrize("failure", ["raise", 1, 4])
+    def test_retried_attempt_is_never_charged(
+        self, strongarm, conditions_job, failure
+    ):
+        service, backend = scripted_service(
+            strongarm,
+            script=[failure],
+            retry=RetryPolicy(max_attempts=2, backoff=0.0),
+        )
+        with service:
+            result = service.run(conditions_job(strongarm, rows=4))
+        assert not failed_row_mask(result.metrics).any()
+        assert backend.seen == [0, 0]  # the failed attempt charged nothing
+        assert service.budget.total == 4
+
+    @pytest.mark.parametrize("failed_rows, charged", [(1, 4), (4, 0)])
+    def test_exhausted_policy_charges_the_last_block_by_the_rule(
+        self, strongarm, conditions_job, failed_rows, charged
+    ):
+        service, backend = scripted_service(
+            strongarm,
+            script=[failed_rows, failed_rows],
+            retry=RetryPolicy(max_attempts=2, backoff=0.0),
+        )
+        with service:
+            result = service.run(conditions_job(strongarm, rows=4))
+        assert int(failed_row_mask(result.metrics).sum()) == failed_rows
+        assert backend.seen == [0, 0]
+        assert service.budget.total == charged
 
 
 class TestCachingBackend:
@@ -287,14 +308,6 @@ class TestCachingBackend:
         assert service.cache.misses == 1
         for name in strongarm.metric_names:
             assert np.array_equal(first.metrics[name], second.metrics[name])
-
-    def test_charge_cache_hits_restores_paper_counting(self, strongarm):
-        service = SimulationService(strongarm, cache=True, charge_cache_hits=True)
-        x = np.full(strongarm.dimension, 0.4)
-        job = SimJob.conditions(strongarm.name, x, (typical_corner(),), None)
-        service.run(job)
-        service.run(job)
-        assert service.budget.total == 2
 
     def test_hit_returns_fresh_arrays(self, strongarm):
         cache = CachingBackend(BatchedBackend())

@@ -1,25 +1,18 @@
-"""Error paths of the sharded dispatcher and the service's budget rollback.
+"""Error paths of the sharded dispatcher and the service's budget charge.
 
-The service charges a job's full cost *before* dispatch (so ``max_simulations``
-aborts without spending work); before this suite a backend failure — a worker
-raising mid-shard, an external simulator crashing in strict mode — left that
-charge in place even though no metrics were ever produced, and with
-``idempotent_charges`` the consumed job key made the eventual successful retry
-run *uncounted*.  :meth:`SimulationService.run` now refunds the charge and
-releases the key on failure; these tests pin that down in-process and through
-a real process pool (one worker failing mid-shard while its siblings
-succeed, injected via the fake simulator's one-shot failure marker).
+The service charges a job once, when an attempt returned metrics.  A
+backend failure — a worker raising mid-shard, an external simulator
+crashing in strict mode — produces none, so it is never charged, and the
+resubmitted job charges exactly once.  These tests pin that down
+in-process and through a real process pool (one worker failing mid-shard
+while its siblings succeed, injected via the fake simulator's one-shot
+failure marker).
 """
 
 import numpy as np
 import pytest
 
-from repro.simulation import (
-    BatchedBackend,
-    NgspiceError,
-    SimulationBudget,
-    SimulationPhase,
-)
+from repro.simulation import BatchedBackend, NgspiceError
 from repro.simulation.ngspice import STRICT_ENV
 
 
@@ -39,34 +32,7 @@ class ExplodingBackend(BatchedBackend):
 
 
 # ----------------------------------------------------------------------
-# Budget.refund primitive
-# ----------------------------------------------------------------------
-class TestBudgetRefund:
-    def test_refund_rolls_back_count_and_key(self):
-        budget = SimulationBudget()
-        budget.charge(SimulationPhase.OPTIMIZATION, 5, job_id="job-a")
-        budget.refund(SimulationPhase.OPTIMIZATION, 5, job_id="job-a")
-        assert budget.total == 0
-        assert "job-a" not in budget.charged_jobs
-        # The retry charges like a first attempt.
-        assert budget.charge(SimulationPhase.OPTIMIZATION, 5, job_id="job-a")
-        assert budget.total == 5
-
-    def test_refund_cannot_go_negative(self):
-        budget = SimulationBudget()
-        budget.charge(SimulationPhase.VERIFICATION, 2)
-        with pytest.raises(ValueError, match="exceeds"):
-            budget.refund(SimulationPhase.VERIFICATION, 3)
-        assert budget.total == 2  # a rejected refund leaves counts intact
-
-    def test_refund_rejects_negative_count(self):
-        budget = SimulationBudget()
-        with pytest.raises(ValueError, match="non-negative"):
-            budget.refund(SimulationPhase.OPTIMIZATION, -1)
-
-
-# ----------------------------------------------------------------------
-# In-process failure: the service refunds the charge
+# In-process failure: the service charges nothing
 # ----------------------------------------------------------------------
 class TestServiceRollback:
     def test_failure_surfaces_and_budget_uncharged(
@@ -86,19 +52,14 @@ class TestServiceRollback:
     ):
         backend = ExplodingBackend()
         backend.fail_next = True
-        service = service_factory(
-            strongarm, backend=backend, idempotent_charges=True
-        )
+        service = service_factory(strongarm, backend=backend)
         job = conditions_job(strongarm, rows=6)
         with pytest.raises(RuntimeError):
             service.run(job)
-        assert service.budget.total == 0  # key released with the refund
+        assert service.budget.total == 0  # the failed attempt was never charged
         result = service.run(job)  # the retry is a first attempt again
         assert service.budget.total == 6
         assert np.isfinite(result.metrics[strongarm.metric_names[0]]).all()
-        # A genuine duplicate after success is still swallowed by the key.
-        service.run(job)
-        assert service.budget.total == 6
 
     def test_failure_never_poisons_the_cache(
         self, strongarm, service_factory, conditions_job
@@ -131,8 +92,8 @@ class TestWorkerFailureMidShard:
         """One of several real worker processes fails its shard (one-shot
         marker consumed by whichever worker gets there first, in strict
         mode); the original NgspiceError surfaces in the parent, the whole
-        job's charge is refunded, and the retry — now clean — succeeds and
-        charges exactly once through the idempotent path."""
+        job is left uncharged, and the retry — now clean — succeeds and
+        charges exactly once."""
         marker = tmp_path / "fail-once"
         marker.write_text("arm")
         monkeypatch.setenv("FAKE_NGSPICE_FAIL_ONCE", str(marker))
@@ -140,9 +101,7 @@ class TestWorkerFailureMidShard:
         # workers=5 forces a pool forked *after* the env above is set
         # (pools are cached per worker count and snapshot the environment);
         # no other test uses a 5-worker pool.
-        service = service_factory(
-            strongarm, backend="ngspice", workers=5, idempotent_charges=True
-        )
+        service = service_factory(strongarm, backend="ngspice", workers=5)
         job = conditions_job(strongarm, rows=10)
 
         with pytest.raises(NgspiceError, match="exit 3"):

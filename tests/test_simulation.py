@@ -11,22 +11,16 @@ from repro.variation.mismatch import MismatchSampler
 class TestSimulationBudget:
     def test_counts_by_phase(self):
         budget = SimulationBudget()
-        budget.record(SimulationPhase.OPTIMIZATION, 5)
-        budget.record(SimulationPhase.VERIFICATION, 7)
-        budget.record(SimulationPhase.INITIAL_SAMPLING, 2)
+        budget.charge(SimulationPhase.OPTIMIZATION, 5)
+        budget.charge(SimulationPhase.VERIFICATION, 7)
+        budget.charge(SimulationPhase.INITIAL_SAMPLING, 2)
         assert budget.total == 14
         assert budget.optimization_simulations == 7
         assert budget.verification_simulations == 7
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            SimulationBudget().record(SimulationPhase.OPTIMIZATION, -1)
-
-    def test_cap_enforced(self):
-        budget = SimulationBudget(max_simulations=10)
-        budget.record(SimulationPhase.OPTIMIZATION, 10)
-        with pytest.raises(SimulationBudget.BudgetExhausted):
-            budget.record(SimulationPhase.OPTIMIZATION, 1)
+            SimulationBudget().charge(SimulationPhase.OPTIMIZATION, -1)
 
     def test_runtime_model_uses_parallelism(self):
         budget = SimulationBudget(
@@ -34,13 +28,13 @@ class TestSimulationBudget:
             optimization_parallelism=3,
             verification_parallelism=10,
         )
-        budget.record(SimulationPhase.OPTIMIZATION, 9)  # 3 batches
-        budget.record(SimulationPhase.VERIFICATION, 25)  # 3 batches
+        budget.charge(SimulationPhase.OPTIMIZATION, 9)  # 3 batches
+        budget.charge(SimulationPhase.VERIFICATION, 25)  # 3 batches
         assert budget.modelled_runtime() == pytest.approx(2.0 * (3 + 3))
 
     def test_snapshot_and_reset(self):
         budget = SimulationBudget()
-        budget.record(SimulationPhase.OPTIMIZATION, 3)
+        budget.charge(SimulationPhase.OPTIMIZATION, 3)
         snapshot = budget.snapshot()
         assert snapshot["optimization"] == 3
         assert snapshot["total"] == 3

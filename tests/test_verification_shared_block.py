@@ -46,7 +46,6 @@ from repro.simulation import (
     RetryPolicy,
     SimJob,
     SimulationPhase,
-    SimulationService,
 )
 from repro.spice.deck import FAILURE_NAN
 from repro.variation.mismatch import MismatchSampler
@@ -151,11 +150,12 @@ def verify_on(
         verification_samples=samples,
         verification_chunk=chunk,
     )
-    with SimulationService(
+    with CircuitSimulator(
         circuit, backend=backend, cache=cache, retry=retry
-    ) as service:
+    ) as simulator:
+        service = simulator.service
         verifier = Verifier(
-            CircuitSimulator(circuit, service=service),
+            simulator,
             DesignSpec.from_circuit(circuit),
             operational,
             use_mu_sigma=False,  # the brute-force screen reaches pass 2

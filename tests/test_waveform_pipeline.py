@@ -659,7 +659,7 @@ class TestWaveformBackend:
     ):
         # partial = the engine exits 0 but writes no rawfile; garbage = the
         # rawfile is unparseable.  Both mean "the engine never produced the
-        # cell", so every cell is FAILURE_NAN (refundable, uncacheable).
+        # cell", so every cell is FAILURE_NAN (uncharged, uncacheable).
         monkeypatch.setenv("FAKE_NGSPICE_MODE", mode)
         job = conditions_job(strongarm, rows=2, seed=7)
         metrics = NgspiceBackend().evaluate(strongarm, job)

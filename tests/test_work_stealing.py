@@ -331,7 +331,7 @@ class TestConcurrentCancel:
             assert not resolver.is_alive()
         assert cancel_seconds < 5.0  # prompt, not serialized behind the work
         assert isinstance(outcome["error"], CancelledError)
-        assert service.budget.total == 0  # charge was refunded: net zero
+        assert service.budget.total == 0  # a cancelled resolve is never charged
         # The cancellation is memoized like any resolution outcome.
         with pytest.raises(CancelledError):
             future.result()
