@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-circuits",
         action="store_true",
-        help="list registered circuits (testbenches and netlists) and exit",
+        help="list the registered testbench circuits and exit",
     )
     parser.add_argument(
         "--config",

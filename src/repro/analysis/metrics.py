@@ -99,12 +99,13 @@ def straggler_idle_fraction(
 ) -> float:
     """Fraction of worker capacity spent idle during a sharded dispatch.
 
-    ``row_seconds`` is the per-row wall clock a sharded run recorded (the
-    ``SimResult.row_seconds`` array); ``wall_seconds`` the dispatch's
+    ``row_seconds`` is the per-row wall clock the pool workers measured
+    for one sharded dispatch (:attr:`~repro.simulation.sharding
+    .ShardHandle.row_seconds`); ``wall_seconds`` the dispatch's
     end-to-end duration.  Perfect load balance gives 0.0; one straggler
     pinning the whole pool while the other ``workers - 1`` drain drives
     this toward ``(workers - 1) / workers``.  Non-finite row entries
-    (failed rows) are ignored.
+    (rows that never ran, e.g. a watchdog-degraded shard's) are ignored.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

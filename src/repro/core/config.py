@@ -221,14 +221,16 @@ class GlovaConfig:
 
     def __post_init__(self) -> None:
         # The agent sizes its networks and batches from these, TuRBO
-        # needs a first sample and the service a worker; a zero would
-        # otherwise surface only after the run has started.
+        # needs a first sample, the loop an iteration and the service a
+        # worker; a zero would otherwise surface only after the run has
+        # started.
         for name in (
             "ensemble_size",
             "batch_size",
             "hidden_size",
             "gradient_steps_per_iteration",
             "initial_samples",
+            "max_iterations",
             "workers",
         ):
             if getattr(self, name) < 1:

@@ -99,13 +99,10 @@ from repro.simulation.service import (
     spill_store_stats,
 )
 from repro.simulation.sharding import (
-    ROW_SECONDS_KEY,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
-    is_reserved_metric,
     plan_chunk_bounds,
-    strip_reserved_metrics,
 )
 from repro.simulation.ngspice import (  # registers the "ngspice" backend
     NgspiceBackend,
@@ -152,9 +149,6 @@ __all__ = [
     "ShardHandle",
     "ShardWatchdog",
     "WorkerPool",
-    "ROW_SECONDS_KEY",
-    "is_reserved_metric",
-    "strip_reserved_metrics",
     "plan_chunk_bounds",
     "CACHE_FORMAT_VERSION",
     "SimulationBackend",

@@ -110,14 +110,16 @@ class TenantBudgetLedger:
     """Per-tenant :class:`SimulationBudget` map for server-side admission.
 
     The rate-limiting primitive of the multi-tenant experiment front end
-    (:mod:`repro.simulation.frontend`): every tenant id lazily gets its
-    own :class:`SimulationBudget`, and the front end consults
-    :meth:`admits` before accepting a run, which compares the tenant's
-    total against ``quota``.  Charges land *after* a run completes — the
-    daemon knows the real simulation counts then, split by phase exactly
-    like the paper's accounting — and are booked in full even when they
-    overshoot the quota: refusing them cannot un-simulate anything, so
-    the overshoot blocks the *next* admission instead.
+    (:mod:`repro.simulation.frontend`): a tenant gets its own
+    :class:`SimulationBudget` at its first charge, and the front end
+    consults :meth:`admits` before accepting a run, which compares the
+    tenant's total (0 before any charge) against ``quota`` and books
+    nothing, so a refused tenant leaves no entry.  Charges land *after*
+    a run completes — the daemon knows the real simulation counts then,
+    split by phase exactly like the paper's accounting — and are booked
+    in full even when they overshoot the quota: refusing them cannot
+    un-simulate anything, so the overshoot blocks the *next* admission
+    instead.
 
     Charges are idempotent per ``(tenant, run_id)`` so journal replay
     after a daemon crash can recharge every completed run without double
@@ -154,12 +156,17 @@ class TenantBudgetLedger:
         return remaining is None or remaining > 0
 
     def remaining(self, tenant: str) -> Optional[int]:
-        """Simulations left before the tenant's quota (``None`` = unlimited)."""
-        budget = self.budget_for(tenant)
+        """Simulations left before the tenant's quota (``None`` = unlimited).
+
+        Reads without booking: a tenant nothing was charged to has the
+        whole quota and gets no entry.
+        """
         if self.quota is None:
             return None
         with self._lock:
-            return max(0, self.quota - budget.total)
+            budget = self._budgets.get(str(tenant))
+            spent = 0 if budget is None else budget.total
+            return max(0, self.quota - spent)
 
     def charge_run(
         self, tenant: str, run_id: str, simulations: Dict[str, int]

@@ -356,14 +356,6 @@ def loads_metrics(payload: bytes, batch: int, metric_names) -> dict:
             f"RESULT payload must be a metrics dict, got "
             f"{type(decoded).__name__}"
         )
-    # Reserved ``__``-prefixed keys (per-row timing, future bookkeeping)
-    # are dropped, not validated: older/newer servers may or may not send
-    # them, and they are never part of the circuit's metric contract.
-    decoded = {
-        name: values
-        for name, values in decoded.items()
-        if not (isinstance(name, str) and name.startswith("__"))
-    }
     expected = set(metric_names)
     if set(decoded) != expected:
         raise ProtocolError(

@@ -72,11 +72,7 @@ from repro.simulation.service import (
     SimulationBackend,
     resolve_backend,
 )
-from repro.simulation.sharding import (
-    WorkerPool,
-    can_shard,
-    strip_reserved_metrics,
-)
+from repro.simulation.sharding import WorkerPool, can_shard
 
 logger = logging.getLogger(__name__)
 
@@ -326,11 +322,7 @@ class SimulationServer(Daemon):
         execution = self._inflight[job_hash]
         try:
             circuit = self._circuit(job.circuit_name)
-            # Reserved bookkeeping keys (per-row timing) stay server-side:
-            # the wire protocol promises exactly the circuit's metric set.
-            execution.metrics = strip_reserved_metrics(
-                self._engine.evaluate(circuit, job)
-            )
+            execution.metrics = self._engine.evaluate(circuit, job)
             self._count("executions")
         except BaseException as error:  # noqa: BLE001 - reported to client
             execution.error = error

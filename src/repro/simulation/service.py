@@ -13,6 +13,7 @@ call:
   caching, retries and process boundaries.
 * :class:`SimResult` — the response: one ``(B,)`` array per metric, plus
   per-row :class:`SimulationRecord` views for consumers that want dicts.
+  A metrics block carries only metrics.
 * :class:`SimulationBackend` — the engine boundary.  Two terminal backends
   ship in this module: :class:`BatchedBackend` (the vectorized engine,
   one ``evaluate_batch`` pass per job) and :class:`ReferenceScalarBackend`
@@ -27,7 +28,10 @@ call:
   batch axis — mismatch rows, corner rows *and* design rows alike — across
   a persistent warm :class:`~repro.simulation.sharding.WorkerPool` it is
   handed (the service owns it), for engines that can shard (never
-  ``batched``).
+  ``batched``).  Pool workers time their rows, and the
+  :class:`~repro.simulation.sharding.ShardHandle` that
+  :meth:`ShardedDispatcher.dispatch` returns reports it; nothing times
+  an in-process evaluation.
 * :class:`SimulationService` — owns the circuit, the budget, the backend
   chain and the worker pool; ``service.run(job)`` is the one synchronous
   call everything routes through, and ``service.submit(job)`` is its
@@ -145,14 +149,11 @@ from repro.circuits.base import AnalogCircuit
 from repro.simulation.atomic import atomic_write
 from repro.simulation.budget import SimulationBudget, SimulationPhase
 from repro.simulation.sharding import (
-    ROW_SECONDS_KEY,
     ShardHandle,
     ShardWatchdog,
     WorkerPool,
     can_shard,
     dispatch_job_sharded,
-    is_reserved_metric,
-    strip_reserved_metrics,
 )
 from repro.variation.corners import CornerBatch, PVTCorner
 
@@ -172,9 +173,7 @@ def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     carries the tag.  Plain NaN — a measure the engine *reported* as
     failed, or an analytic backend's unconverged row — is a genuine result
     and is never mistaken for infrastructure failure, so legitimately
-    all-NaN results stay charged and cacheable.  Reserved bookkeeping
-    keys (``__``-prefixed, e.g. the per-row timing block) are not
-    metrics and never participate in failure detection.
+    all-NaN results stay charged and cacheable.
 
     A block whose every row failed is the signature of a whole-job
     infrastructure failure: the service never charges it, as it never
@@ -183,11 +182,7 @@ def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     re-simulated rather than memoized forever."""
     from repro.spice.deck import failure_nan_mask
 
-    blocks = [
-        np.asarray(block)
-        for name, block in metrics.items()
-        if not is_reserved_metric(name)
-    ]
+    blocks = [np.asarray(block) for block in metrics.values()]
     if not blocks:
         return np.zeros(0, dtype=bool)
     return np.logical_and.reduce([failure_nan_mask(block) for block in blocks])
@@ -384,10 +379,6 @@ class SimResult:
     metrics: Dict[str, np.ndarray]
     cached: bool = False
     backend: str = ""
-    #: Measured wall-clock seconds per row (``(B,)``), or ``None`` when
-    #: the evaluation was not timed (cache hits, remote replies).  NaN
-    #: rows never ran (watchdog-degraded shards).
-    row_seconds: Optional[np.ndarray] = None
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
         """``(B, len(names))`` metric matrix in the requested column order."""
@@ -401,7 +392,6 @@ class SimResult:
         matrix = self.matrix(names)
         corners = self.job.row_corners
         mismatch = self.job.mismatch
-        seconds = self.row_seconds
         return [
             SimulationRecord(
                 metrics=dict(zip(names, row.tolist())),
@@ -409,11 +399,6 @@ class SimResult:
                 mismatch=None if mismatch is None else mismatch[index],
                 vector=row,
                 vector_names=names,
-                seconds=(
-                    None
-                    if seconds is None or not np.isfinite(seconds[index])
-                    else float(seconds[index])
-                ),
             )
             for index, row in enumerate(matrix)
         ]
@@ -435,10 +420,6 @@ class SimulationRecord:
     vector_names: Optional[Tuple[str, ...]] = field(
         default=None, repr=False, compare=False
     )
-    #: Measured wall-clock seconds for this row, when the evaluation was
-    #: timed (``None`` for cache hits and untimed paths).  Excluded from
-    #: equality: two runs of the same row are the same result.
-    seconds: Optional[float] = field(default=None, repr=False, compare=False)
 
     def metric_vector(self, names: Sequence[str]) -> np.ndarray:
         if self.vector is not None and tuple(names) == self.vector_names:
@@ -912,12 +893,9 @@ class CachingBackend(SimulationBackend):
         # transient per-row flake (subprocess timeout, row omitted from the
         # measure log) into a permanent wrong answer for this job; rows
         # with reported-failed measures (plain NaN) are still results and
-        # stay cacheable.  Reserved bookkeeping keys (per-row timing) are
-        # never stored: a replayed hit costs nothing, so the original
-        # run's wall clock would be a lie.
+        # stay cacheable.
         if failed_row_mask(metrics).any():
             return
-        metrics = strip_reserved_metrics(metrics)
         self._cache[job.job_id] = {
             name: values.copy() for name, values in metrics.items()
         }
@@ -1487,27 +1465,6 @@ class SimulationService:
         self.close()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _time_stamped(
-        job: SimJob, metrics: Dict[str, np.ndarray], started: float
-    ) -> Dict[str, np.ndarray]:
-        """Ensure a successful block carries per-row timing.
-
-        Blocks assembled from pool shards already carry the workers'
-        measured :data:`~repro.simulation.sharding.ROW_SECONDS_KEY`; an
-        in-process evaluation is timed here instead — the whole
-        evaluation's wall clock split uniformly over the rows.  It ends
-        up in :attr:`SimResult.row_seconds`.
-        """
-        if ROW_SECONDS_KEY in metrics:
-            return metrics
-        rows = max(job.batch, 1)
-        metrics = dict(metrics)
-        metrics[ROW_SECONDS_KEY] = np.full(
-            rows, (time.perf_counter() - started) / rows
-        )
-        return metrics
-
     def _evaluate_accounted(
         self,
         job: SimJob,
@@ -1542,7 +1499,6 @@ class SimulationService:
         wrap = guard if guard is not None else (lambda fn: fn)
         evaluate = wrap(first_attempt)
         while True:
-            started = time.perf_counter()
             try:
                 metrics = evaluate()
             except BaseException as error:
@@ -1553,7 +1509,6 @@ class SimulationService:
             else:
                 failed = failed_row_mask(metrics)
                 if not failed.any():
-                    metrics = self._time_stamped(job, metrics, started)
                     self._budget.charge(job.phase, job.cost)
                     return metrics
                 # The block carries rows the engine never produced.
@@ -1590,8 +1545,8 @@ class SimulationService:
         """The accounting :meth:`run` and :meth:`SimFuture.result` share.
 
         A cache hit charges nothing.  A miss runs
-        :meth:`_evaluate_accounted`, moves the per-row timing onto the
-        result and stores the admitted metrics to the cache."""
+        :meth:`_evaluate_accounted` and stores the admitted metrics to the
+        cache."""
         if cached_metrics is not None:
             return SimResult(
                 job=job,
@@ -1600,15 +1555,10 @@ class SimulationService:
                 backend=self._cache.name,
             )
         metrics = self._evaluate_accounted(job, first_attempt, guard)
-        row_seconds = metrics.pop(ROW_SECONDS_KEY, None)
         if self._cache is not None:
             self._cache.store(job, metrics)
         return SimResult(
-            job=job,
-            metrics=metrics,
-            cached=False,
-            backend=self._dispatch.name,
-            row_seconds=row_seconds,
+            job=job, metrics=metrics, cached=False, backend=self._dispatch.name
         )
 
     def run(self, job: SimJob) -> SimResult:
@@ -1706,9 +1656,8 @@ class _SharedBlock:
     """One lazy evaluation of a whole job, read chunk by chunk.
 
     The first chunk attempt that needs it evaluates every row of the job
-    in one dispatch call, timed like any in-process evaluation; each later
-    chunk reads its rows of the metrics and of the per-row seconds.  A
-    whole-job call that raises or returns any
+    in one dispatch call; each later chunk reads its rows.  A whole-job
+    call that raises or returns any
     :data:`~repro.spice.deck.FAILURE_NAN` row drops the block, and every
     chunk, the triggering one included, then evaluates alone.  Charging,
     caching and cancelling stay on the chunk futures, so rows no resolved
@@ -1725,14 +1674,13 @@ class _SharedBlock:
 
     def _evaluate(self) -> Optional[Dict[str, np.ndarray]]:
         service = self._service
-        started = time.perf_counter()
         try:
             metrics = service._dispatch.evaluate(service._circuit, self._job)
         except Exception:  # noqa: BLE001 - the chunk alone raises for real
             return None
         if failed_row_mask(metrics).any():
             return None
-        return service._time_stamped(self._job, metrics, started)
+        return metrics
 
     def rows(self, chunk: SimJob, lo: int, hi: int) -> Dict[str, np.ndarray]:
         """The metrics of ``chunk``, which covers rows ``[lo, hi)``."""

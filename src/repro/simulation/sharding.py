@@ -40,9 +40,9 @@ Two things changed with the async service redesign:
   executor's shared queue does the stealing: whichever worker finishes
   its chunk pulls the next, so a heavy-tailed row (an ngspice deck
   blowing its transient budget) idles at most one worker for one chunk
-  instead of stranding the pool behind a fat uniform slice.  Every shard
-  stamps its wall clock into its result block (:data:`ROW_SECONDS_KEY`),
-  which surfaces as :attr:`ShardHandle.row_seconds`.
+  instead of stranding the pool behind a fat uniform slice.  Pool
+  workers time their rows, and :attr:`ShardHandle.row_seconds` reports
+  it; a metrics block carries only metrics.
 
 Fault tolerance (the simulation-fabric layer):
 
@@ -129,36 +129,6 @@ STEAL_CHUNKS_PER_WORKER = 4
 #: IPC.  ``row_parallel`` backends (one external subprocess per row)
 #: chunk down to single rows instead.
 MIN_STEAL_ROWS = 2
-
-#: Prefix marking reserved (non-metric) keys inside a metrics block.
-#: Reserved keys ride inside metrics dicts but are **not metrics**:
-#: failure detection skips them, the cache refuses to store them, and
-#: :class:`~repro.simulation.service.SimResult` pops
-#: :data:`ROW_SECONDS_KEY` into its ``row_seconds`` field before
-#: consumers see the block.
-RESERVED_METRIC_PREFIX = "__"
-
-#: Reserved key carrying per-row wall-clock seconds through a metrics
-#: block: one ``(B,)`` float array, NaN for rows that never ran (e.g.
-#: watchdog-degraded shards).
-ROW_SECONDS_KEY = "__row_seconds__"
-
-
-def is_reserved_metric(name: str) -> bool:
-    """Whether ``name`` is a reserved (non-metric) metrics-block key."""
-    return name.startswith(RESERVED_METRIC_PREFIX)
-
-
-def strip_reserved_metrics(
-    metrics: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """``metrics`` without reserved keys (a new dict; input untouched)."""
-    return {
-        name: values
-        for name, values in metrics.items()
-        if not is_reserved_metric(name)
-    }
-
 
 #: Environment variables pinned to ``1`` inside every pool worker so a
 #: B-axis shard never spawns a BLAS thread team of its own — ``workers``
@@ -380,21 +350,18 @@ def _worker_backend(name: str) -> "SimulationBackend":
 
 def _evaluate_job_shard(
     backend_name: str, job: "SimJob"
-) -> Dict[str, np.ndarray]:
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Worker-side: evaluate one shard job on process-cached objects.
 
-    The returned block carries the evaluation's wall clock under the
-    reserved :data:`ROW_SECONDS_KEY` — exact for one-row shards, a
-    uniform split of the shard's elapsed time otherwise.
+    Returns the metrics block and the per-row wall clock: exact for
+    one-row shards, a uniform split of the shard's elapsed time
+    otherwise.
     """
     circuit = _worker_circuit(job.circuit_name)
     started = time.perf_counter()
-    metrics = dict(_worker_backend(backend_name).evaluate(circuit, job))
+    metrics = _worker_backend(backend_name).evaluate(circuit, job)
     rows = max(job.batch, 1)
-    metrics[ROW_SECONDS_KEY] = np.full(
-        rows, (time.perf_counter() - started) / rows
-    )
-    return metrics
+    return metrics, np.full(rows, (time.perf_counter() - started) / rows)
 
 
 def _noop() -> None:
@@ -619,19 +586,17 @@ class WorkerPool:
         self.shutdown()
 
 
-def _failure_block(job: "SimJob", metric_names: Sequence[str]):
-    """An all-:data:`FAILURE_NAN` metrics block for one shard job.
-
-    Carries NaN row seconds (the rows never ran) so degraded shards
-    assemble uniformly with timed siblings.
-    """
+def _failure_block(
+    job: "SimJob", metric_names: Sequence[str]
+) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """An all-:data:`FAILURE_NAN` metrics block for one shard job, with
+    NaN row seconds (the rows never ran)."""
     from repro.spice.deck import FAILURE_NAN
 
     block = {
         name: np.full(job.batch, FAILURE_NAN) for name in metric_names
     }
-    block[ROW_SECONDS_KEY] = np.full(job.batch, np.nan)
-    return block
+    return block, np.full(job.batch, np.nan)
 
 
 class _Shard:
@@ -659,9 +624,10 @@ class ShardHandle:
     charges budget for a cancelled handle, which is what makes
     speculative double-buffered submission safe.
 
-    Timing: worker blocks carry per-row wall clock under the reserved
-    :data:`ROW_SECONDS_KEY`; assembly stitches it into
-    :attr:`row_seconds` (row order).
+    Timing: each worker returns its shard's per-row wall clock beside
+    the metrics; ``result()`` concatenates it into :attr:`row_seconds`
+    (row order, NaN for watchdog-degraded rows) and returns the metrics
+    alone.
 
     Fault handling inside ``result()``:
 
@@ -695,8 +661,7 @@ class ShardHandle:
         self._metric_names = tuple(metric_names)
         self._watchdog = watchdog
         self._cancelled = False
-        #: Per-row wall-clock seconds in row order, populated by
-        #: ``result()`` when the shard blocks carried timing.
+        #: Per-row wall-clock seconds in row order, set by ``result()``.
         self.row_seconds: Optional[np.ndarray] = None
         #: Shard indices degraded to FAILURE_NAN by the watchdog (observable).
         self.timed_out_shards: List[int] = []
@@ -738,9 +703,8 @@ class ShardHandle:
         shard.future = fallback
 
     def result(self) -> Dict[str, np.ndarray]:
-        blocks: List[Optional[Dict[str, np.ndarray]]] = [None] * len(
-            self._shards
-        )
+        blocks: List[Optional[Tuple[Dict[str, np.ndarray], np.ndarray]]]
+        blocks = [None] * len(self._shards)
         for index, shard in enumerate(self._shards):
             deadline = None
             if self._watchdog is not None:
@@ -788,16 +752,13 @@ class ShardHandle:
                         shard.job, self._metric_names
                     )
                     self._pool.heal(reason="hung shard")
-        results = [block for block in blocks if block is not None]
-        merged = {
+        results = [block for block, _ in blocks]
+        self.row_seconds = np.concatenate([seconds for _, seconds in blocks])
+        return {
             metric: np.concatenate([result[metric] for result in results])
             for metric in results[0]
             if all(metric in result for result in results)
         }
-        row_seconds = merged.get(ROW_SECONDS_KEY)
-        if row_seconds is not None:
-            self.row_seconds = row_seconds
-        return merged
 
 
 def _registered_circuit(circuit: AnalogCircuit) -> bool:

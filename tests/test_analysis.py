@@ -9,6 +9,7 @@ from repro.analysis import (
     format_ablation_table,
     format_comparison_table,
     normalize_runtimes,
+    straggler_idle_fraction,
 )
 from repro.analysis.metrics import sample_efficiency_gain
 from repro.core.result import OptimizationResult
@@ -116,3 +117,25 @@ class TestTableFormatting:
     def test_ablation_table_uses_same_layout(self):
         text = format_ablation_table(self._summaries(), title="Table III")
         assert "Table III" in text
+
+
+class TestStragglerIdleFraction:
+    """Its input is :attr:`ShardHandle.row_seconds`, NaN for rows that
+    never ran."""
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            straggler_idle_fraction([1.0], workers=workers, wall_seconds=1.0)
+
+    @pytest.mark.parametrize("wall", [0.0, -1.0])
+    def test_no_wall_clock_gives_nan(self, wall):
+        assert np.isnan(
+            straggler_idle_fraction([1.0], workers=2, wall_seconds=wall)
+        )
+
+    def test_non_finite_rows_are_ignored(self):
+        # 1 busy second of 2 worker-seconds; the NaN row never ran.
+        assert straggler_idle_fraction(
+            [1.0, np.nan], workers=2, wall_seconds=1.0
+        ) == pytest.approx(0.5)

@@ -106,9 +106,10 @@ class TestGlovaConfig:
         assert config.effective_ensemble_size() == config.ensemble_size
         assert config.effective_beta1() == config.risk_beta1
 
-    def test_rejects_zero_initial_samples(self):
-        with pytest.raises(ValueError, match="initial_samples"):
-            GlovaConfig(initial_samples=0)
+    @pytest.mark.parametrize("field", ["initial_samples", "max_iterations"])
+    def test_rejects_zero_initial_samples(self, field):
+        with pytest.raises(ValueError, match=field):
+            GlovaConfig(**{field: 0})
 
     def test_with_overrides_returns_copy(self):
         config = GlovaConfig()

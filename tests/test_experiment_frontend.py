@@ -1000,6 +1000,17 @@ class TestTenantBudgetLedger:
         assert ledger.remaining("a") == 0
         assert ledger.budget_for("a").total == 0
 
+    def test_admission_books_no_tenant(self):
+        """Asking about a tenant creates no entry; only a charge does."""
+        ledger = TenantBudgetLedger(quota=0)
+        for tenant in ("a", "b", "c"):
+            assert not ledger.admits(tenant)
+        assert ledger.snapshot() == {}
+        ledger.charge_run("b", "run-1", {"optimization": 2})
+        assert not ledger.admits("a")
+        assert set(ledger.snapshot()) == {"b"}
+        assert ledger.snapshot()["b"]["total"] == 2
+
     def test_unlimited_ledger_always_admits(self):
         ledger = TenantBudgetLedger()
         ledger.charge_run("a", "run-1", {"initial_sampling": 10**6})

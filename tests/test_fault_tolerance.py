@@ -49,9 +49,10 @@ from repro.simulation import (
 )
 from repro.simulation.service import (
     CachingBackend,
+    failed_row_mask,
     resolve_retry,
 )
-from repro.simulation.sharding import dispatch_job_sharded
+from repro.simulation.sharding import dispatch_job_sharded, plan_chunk_bounds
 from repro.simulation.ngspice import NgspiceRunner
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -390,19 +391,10 @@ class TestWorkerPoolHealing:
 # Shard watchdog
 # ----------------------------------------------------------------------
 class TestShardWatchdog:
-    def test_deadline_scales_with_rows_and_floors(self):
-        watchdog = ShardWatchdog(seconds_per_row=2.0, floor=5.0)
-        assert watchdog.deadline(1) == 5.0
-        assert watchdog.deadline(100) == 200.0
-
-    def test_hung_shard_degrades_and_retry_recovers(
-        self, strongarm, service_factory, monkeypatch, tmp_path, conditions_job
-    ):
-        """A chaos ``hang`` schedule wedges one shard far past its
-        watchdog deadline.  The shard degrades to FAILURE_NAN instead of
-        wedging the run, the hung worker is reclaimed by a heal, and the
-        retry re-simulates the job — final metrics and budget identical
-        to fault-free."""
+    @staticmethod
+    def hung_service(strongarm, service_factory, monkeypatch, tmp_path):
+        """A 3-worker chaos service over ``scalar`` whose first shard
+        hangs 120 s, far past its 1 s watchdog deadline."""
         schedule = FaultSchedule(
             mode="hang",
             faults=1,
@@ -423,6 +415,24 @@ class TestShardWatchdog:
             workers=3,
             retry=retry,
         )
+        return service, schedule
+
+    def test_deadline_scales_with_rows_and_floors(self):
+        watchdog = ShardWatchdog(seconds_per_row=2.0, floor=5.0)
+        assert watchdog.deadline(1) == 5.0
+        assert watchdog.deadline(100) == 200.0
+
+    def test_hung_shard_degrades_and_retry_recovers(
+        self, strongarm, service_factory, monkeypatch, tmp_path, conditions_job
+    ):
+        """A chaos ``hang`` schedule wedges one shard far past its
+        watchdog deadline.  The shard degrades to FAILURE_NAN instead of
+        wedging the run, the hung worker is reclaimed by a heal, and the
+        retry re-simulates the job — final metrics and budget identical
+        to fault-free."""
+        service, _ = self.hung_service(
+            strongarm, service_factory, monkeypatch, tmp_path
+        )
         job = conditions_job(strongarm, rows=12)
         start = time.monotonic()
         with pytest.warns(RuntimeWarning, match="watchdog"):
@@ -433,6 +443,36 @@ class TestShardWatchdog:
         assert_metrics_equal(strongarm, result.metrics, reference)
         assert service.budget.total == 12
         assert service.pool.heals >= 1
+
+    def test_hung_shard_rows_have_nan_seconds(
+        self, strongarm, service_factory, monkeypatch, tmp_path, conditions_job
+    ):
+        """On the shard handle, the rows of a shard that blew its
+        watchdog deadline never ran: NaN in ``row_seconds`` and
+        FAILURE_NAN in the metrics for exactly those rows, finite
+        seconds and the reference metrics everywhere else."""
+        service, schedule = self.hung_service(
+            strongarm, service_factory, monkeypatch, tmp_path
+        )
+        job = conditions_job(strongarm, rows=12)
+        handle = service.backend.dispatch(strongarm, job)
+        with pytest.warns(RuntimeWarning, match="watchdog"):
+            metrics = handle.result()
+        assert schedule.tickets_left() == 0  # the hang really fired
+        assert handle.timed_out_shards
+        bounds = plan_chunk_bounds(job.batch, workers=3)
+        hung = np.zeros(job.batch, dtype=bool)
+        for index in handle.timed_out_shards:
+            lo, hi = bounds[index]
+            hung[lo:hi] = True
+        np.testing.assert_array_equal(np.isnan(handle.row_seconds), hung)
+        assert (handle.row_seconds[~hung] >= 0).all()
+        np.testing.assert_array_equal(failed_row_mask(metrics), hung)
+        reference = BatchedBackend().evaluate(strongarm, job)
+        for name in strongarm.metric_names:
+            np.testing.assert_array_equal(
+                metrics[name][~hung], reference[name][~hung]
+            )
 
 
 # ----------------------------------------------------------------------

@@ -276,6 +276,16 @@ class TestProtocolFuzz:
         with pytest.raises(ProtocolError, match="metrics dict"):
             loads_metrics(dumps_payload([1, 2, 3]), batch, names)
 
+    def test_result_with_a_timing_key_is_refused(self, strongarm):
+        """A RESULT holds the circuit's metrics and nothing else: a
+        ``__``-prefixed key beside them is a mismatch, not a key to drop."""
+        batch = 4
+        names = strongarm.metric_names
+        block = {name: np.zeros(batch) for name in names}
+        block["__row_seconds__"] = np.full(batch, 0.5)
+        with pytest.raises(ProtocolError, match="do not match"):
+            loads_metrics(dumps_payload(block), batch, names)
+
     def test_empty_stream_is_connection_closed(self):
         with pytest.raises(ConnectionClosed):
             read_frame_from_bytes(b"")

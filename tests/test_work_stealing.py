@@ -7,9 +7,10 @@ Covers this PR's contract from both ends:
   oversubscribes the pool; a plan depends only on rows, workers and
   ``row_parallel``, so a service that has already timed earlier jobs
   still cuts and submits equal chunks in row order.
-* **Timing** — per-row wall clock reaches :attr:`SimResult.row_seconds`
-  but never the metrics or the cache, and a ``cache_dir`` holds only
-  spill records.
+* **Timing** — pool workers time their rows and the
+  :class:`~repro.simulation.sharding.ShardHandle` reports it as
+  ``row_seconds``; metrics blocks, the cache and a ``cache_dir`` hold
+  only metrics.
 * **Bit-identity** — stealing at workers=2 and the workers=1 reference
   produce identical metrics and identical resolve-in-order budget
   trajectories on all three paper circuits: the scheduler may only
@@ -42,17 +43,13 @@ from repro.analysis import straggler_idle_fraction
 from repro.simulation import (
     BACKENDS,
     BatchedBackend,
-    ROW_SECONDS_KEY,
     SimJob,
     ReferenceScalarBackend,
     ShardedDispatcher,
     SimulationService,
-    is_reserved_metric,
     plan_chunk_bounds,
-    strip_reserved_metrics,
 )
-from repro.simulation.sharding import RESERVED_METRIC_PREFIX
-from repro.simulation.service import failed_row_mask, iter_resolved
+from repro.simulation.service import iter_resolved
 from repro.variation.corners import typical_corner
 
 
@@ -129,56 +126,19 @@ class TestPlanChunkBounds:
 
 
 # ----------------------------------------------------------------------
-# Reserved metrics-block keys
-# ----------------------------------------------------------------------
-class TestReservedKeys:
-    def test_reserved_namespace(self):
-        assert is_reserved_metric(ROW_SECONDS_KEY)
-        assert ROW_SECONDS_KEY.startswith(RESERVED_METRIC_PREFIX)
-        assert not is_reserved_metric("gain")
-        block = {"gain": np.ones(3), ROW_SECONDS_KEY: np.ones(3)}
-        assert set(strip_reserved_metrics(block)) == {"gain"}
-        assert set(block) == {"gain", ROW_SECONDS_KEY}  # input untouched
-
-    def test_failure_mask_ignores_timing(self):
-        from repro.spice.deck import FAILURE_NAN
-
-        # Finite timing values must never make a failed row look healthy
-        # (the timing array has real values even for rows whose metrics
-        # the engine never produced).
-        block = {
-            "gain": np.array([1.0, FAILURE_NAN]),
-            ROW_SECONDS_KEY: np.array([0.5, 0.5]),
-        }
-        np.testing.assert_array_equal(
-            failed_row_mask(block), np.array([False, True])
-        )
-
-
-# ----------------------------------------------------------------------
-# Per-row timing through the service
+# Per-row timing on the shard handle
 # ----------------------------------------------------------------------
 class TestRowSecondsPlumbing:
-    def test_result_carries_row_seconds_not_metrics(self, strongarm, conditions_job):
-        with SimulationService(strongarm) as service:
-            result = service.run(conditions_job(strongarm, rows=4))
-        assert result.row_seconds is not None
-        assert result.row_seconds.shape == (4,)
-        assert (result.row_seconds >= 0).all()
-        assert not any(is_reserved_metric(name) for name in result.metrics)
-        records = result.to_records(strongarm.metric_names)
-        assert all(record.seconds is not None for record in records)
-
     def test_cache_never_stores_timing(self, strongarm, tmp_path, conditions_job):
         cache_dir = str(tmp_path / "simcache")
         job = conditions_job(strongarm, rows=4)
         with SimulationService(strongarm, cache_dir=cache_dir) as service:
             first = service.run(job)
-            assert first.row_seconds is not None
             replayed = service.run(job)
-        assert replayed.cached
-        assert replayed.row_seconds is None  # a hit simulated nothing
-        assert not any(is_reserved_metric(name) for name in replayed.metrics)
+        assert not first.cached and replayed.cached
+        # Miss and hit blocks hold exactly the circuit's metrics.
+        assert set(first.metrics) == set(strongarm.metric_names)
+        assert set(replayed.metrics) == set(strongarm.metric_names)
         # The cache_dir holds the one spill record and nothing else.
         assert not os.path.exists(os.path.join(cache_dir, "costs"))
         files = [name for _, _, names in os.walk(cache_dir) for name in names]
@@ -187,15 +147,18 @@ class TestRowSecondsPlumbing:
     def test_sharded_result_carries_row_seconds(
         self, strongarm, pool_submissions, conditions_job
     ):
-        """Pool shards stamp their own wall clock; assembly puts one
-        finite value per row into ``row_seconds``, none into metrics."""
+        """Pool workers time their own rows; the handle puts one finite
+        value per row into ``row_seconds`` and returns the metrics alone."""
         with SimulationService(strongarm, backend="scalar", workers=2) as service:
-            result = service.run(conditions_job(strongarm, rows=12))
+            handle = service.backend.dispatch(
+                strongarm, conditions_job(strongarm, rows=12)
+            )
+            metrics = handle.result()
         assert pool_submissions  # the rows really ran on the pool
-        assert result.row_seconds.shape == (12,)
-        assert np.isfinite(result.row_seconds).all()
-        assert (result.row_seconds >= 0).all()
-        assert not any(is_reserved_metric(name) for name in result.metrics)
+        assert handle.row_seconds.shape == (12,)
+        assert np.isfinite(handle.row_seconds).all()
+        assert (handle.row_seconds >= 0).all()
+        assert set(metrics) == set(strongarm.metric_names)
 
     def test_sharded_cache_dir_holds_only_spill_records(
         self, strongarm, tmp_path, pool_submissions, conditions_job
@@ -487,19 +450,18 @@ class TestStragglerScheduling:
             # Warm-up dispatch: worker spin-up must not count as idle time.
             service.run(conditions_job(strongarm, rows=4, seed=7))
             start = time.perf_counter()
-            stealing = service.run(job)
+            handle = service.backend.dispatch(strongarm, job)
+            stealing = handle.result()
             wall = time.perf_counter() - start
         # The sentinel row lies outside the model's physical range, so
         # its metrics are NaN (equal to themselves under assert_array_equal).
         with np.errstate(invalid="ignore"):
             reference = BatchedBackend().evaluate(strongarm, job)
         for name in strongarm.metric_names:
-            np.testing.assert_array_equal(
-                stealing.metrics[name], reference[name]
-            )
-        assert stealing.row_seconds is not None
+            np.testing.assert_array_equal(stealing[name], reference[name])
+        assert handle.row_seconds is not None
         idle = straggler_idle_fraction(
-            stealing.row_seconds, workers=2, wall_seconds=wall
+            handle.row_seconds, workers=2, wall_seconds=wall
         )
         # Ideal stealing idle here is ~7% (the heavy chunk finishes just
         # after the drained queue); one uniform slice per worker idles
