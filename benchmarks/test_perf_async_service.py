@@ -48,7 +48,6 @@ import pytest
 
 from harness import write_bench_json
 from repro.circuits import StrongArmLatch
-from repro.core import verification
 from repro.core.config import VerificationMethod, operational_config
 from repro.core.replay import LastWorstCaseBuffer
 from repro.core.reward import rewards_from_matrix
@@ -64,6 +63,7 @@ from repro.simulation import (
     SimulationPhase,
     WorkerPool,
 )
+from repro.simulation import service as service_module
 from repro.simulation.service import iter_resolved
 from repro.simulation.sharding import dispatch_job_sharded
 from repro.variation.corners import typical_corner
@@ -201,11 +201,11 @@ def _operational():
 
 @contextlib.contextmanager
 def lookahead_zero():
-    """The sequential verifier: its ``iter_resolved`` chunk stream pinned
-    to ``ahead=0``, so each chunk is submitted only after the previous
-    one resolved."""
+    """The sequential verifier: the ``iter_resolved`` chunk stream of
+    ``SimulationService.scan`` pinned to ``ahead=0``, so each chunk is
+    submitted only after the previous one resolved."""
     sequential = functools.partial(iter_resolved, ahead=0)
-    with mock.patch.object(verification, "iter_resolved", sequential):
+    with mock.patch.object(service_module, "iter_resolved", sequential):
         yield
 
 

@@ -85,16 +85,18 @@ service** (:mod:`repro.simulation.service`)::
                            (row_parallel engines fan per-row decks out
                             across the pool, one row per worker)
 
-The control loop always runs on ``submit``, through ``iter_resolved``:
-full-MC verification **double-buffers** its h-SCORE-ordered chunks (chunk
-*k+1* in flight while chunk *k* is scanned) and the optimizer seed phase
-overlaps its per-seed corner mega-batches.  No option selects a blocking
-schedule; the tested sequential reference is the same loop at lookahead
-0, with metrics, seeded streams and budget accounting bit-identical.  On
-a vectorized engine (``batched``) a corner's chunk futures share one
-evaluation of its whole ranked remainder
-(``SimulationService.chunk_submitter``), while each chunk keeps its own
-job id and accounting.
+The control loop runs on ``submit``, through ``iter_resolved``: the
+optimizer seed phase overlaps its per-seed corner mega-batches, and on
+engines that evaluate full-MC chunks one by one the verifier
+**double-buffers** its h-SCORE-ordered chunks (chunk *k+1* in flight
+while chunk *k* is scanned).  No option selects a blocking schedule; the
+tested sequential reference is the same loop at lookahead 0, with
+metrics, seeded streams and budget accounting bit-identical.  The
+verifier's full pass is one ``SimulationService.scan`` call per corner:
+on a vectorized engine (``batched``) that is one evaluation of the
+corner's whole ranked remainder, scored once, and its chunks are
+accounting units only, each keeping its own job id, charge and cache
+entry.
 
 A :class:`~repro.simulation.service.SimJob` is a frozen value object —
 design block × corner block × mismatch block + phase tag — with a
@@ -151,14 +153,15 @@ wall-clock win (see ``benchmarks/results/BENCH_batched_engine.json``).
 
 The **control loop is batched too**:
 
-* *Chunked verification* — pass 2 of Algorithm 2 submits h-SCORE-ordered
-  chunk jobs (``OperationalConfig.verification_chunk``, default 8) and
-  scans each chunk for the first infeasible reward: same pass/fail
-  outcome, failed corner and failure stage as the sequential schedule,
-  with the budget charging the simulated prefix rounded up to the chunk
-  (at most ``chunk - 1`` over-simulations past the first failure).  The
-  vectorized ``batched`` engine evaluates all of a corner's chunks in one
-  call; rows past an abort are evaluated but never charged or cached.
+* *Chunked verification* — pass 2 of Algorithm 2 scans each corner's
+  h-SCORE-ordered conditions for the first infeasible reward and charges
+  them in chunks (``OperationalConfig.verification_chunk``, default 8):
+  same pass/fail outcome, failed corner and failure stage as the
+  sequential schedule, with the budget charging the simulated prefix
+  rounded up to the chunk (at most ``chunk - 1`` over-simulations past
+  the first failure).  On the vectorized ``batched`` engine a corner is
+  one evaluation, scored once, and chunks are accounting units only;
+  rows past an abort are evaluated but never charged or cached.
 * *Seed-phase mega-batch* — the optimizer's corners × N' seed sweep is one
   ``CircuitSimulator.submit_corner_sweep`` job per seed design.
 * *Design-axis batching* — TuRBO proposal batches and population baselines

@@ -116,6 +116,20 @@ class AnalogCircuit(abc.ABC):
             raise ValueError("circuit declares no sizing parameters")
         if not self._constraints:
             raise ValueError("circuit declares no constraints")
+        # Per-column bounds of SizingParameter.to_physical's two formulas;
+        # linear columns get a zero log span, so exp never sees a bad log.
+        lower = np.array([p.lower for p in self._parameters])
+        upper = np.array([p.upper for p in self._parameters])
+        self._log_scale = np.array([p.log_scale for p in self._parameters])
+        self._lower = lower
+        self._span = upper - lower
+        self._log_lower = np.zeros_like(lower)
+        self._log_span = np.zeros_like(lower)
+        log_lower = np.log(lower[self._log_scale])
+        self._log_lower[self._log_scale] = log_lower
+        self._log_span[self._log_scale] = (
+            np.log(upper[self._log_scale]) - log_lower
+        )
 
     # ------------------------------------------------------------------
     # Subclass contract
@@ -193,16 +207,12 @@ class AnalogCircuit(abc.ABC):
                 f"expected sizing vector of shape ({self.dimension},), "
                 f"got {x_normalized.shape}"
             )
-        return np.array(
-            [p.to_physical(v) for p, v in zip(self._parameters, x_normalized)]
-        )
+        return self._to_physical(x_normalized)
 
     def denormalize_batch(self, x_normalized: np.ndarray) -> np.ndarray:
         """Map an ``(M, p)`` matrix of normalised vectors to physical units.
 
-        Column-wise vectorization of :meth:`denormalize`: the same clip /
-        log-interpolation formulas applied per parameter, so each row is
-        bit-identical to the scalar conversion.
+        Each row is bit-identical to :meth:`denormalize`.
         """
         x_normalized = np.asarray(x_normalized, dtype=float)
         if x_normalized.ndim != 2 or x_normalized.shape[1] != self.dimension:
@@ -210,19 +220,18 @@ class AnalogCircuit(abc.ABC):
                 f"expected design matrix of shape (M, {self.dimension}), "
                 f"got {x_normalized.shape}"
             )
-        physical = np.empty_like(x_normalized)
-        for column, parameter in enumerate(self._parameters):
-            values = np.clip(x_normalized[:, column], 0.0, 1.0)
-            if parameter.log_scale:
-                log_span = np.log(parameter.upper) - np.log(parameter.lower)
-                physical[:, column] = np.exp(
-                    np.log(parameter.lower) + values * log_span
-                )
-            else:
-                physical[:, column] = parameter.lower + values * (
-                    parameter.upper - parameter.lower
-                )
-        return physical
+        return self._to_physical(x_normalized)
+
+    def _to_physical(self, x_normalized: np.ndarray) -> np.ndarray:
+        """:meth:`SizingParameter.to_physical` over the last axis at once:
+        the same clip and the same operations, in the same order, so every
+        coordinate is bit-identical to the per-parameter conversion."""
+        values = np.clip(x_normalized, 0.0, 1.0)
+        return np.where(
+            self._log_scale,
+            np.exp(self._log_lower + values * self._log_span),
+            self._lower + values * self._span,
+        )
 
     def normalize(self, x_physical: np.ndarray) -> np.ndarray:
         """Map a physical sizing vector to [0, 1]^p."""

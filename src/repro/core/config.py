@@ -65,24 +65,26 @@ class OperationalConfig:
         The predefined corner set ``T`` (30 PVT corners, or 6 VT corners for
         the global-local MC scenario where the process axis is statistical).
     verification_chunk:
-        Rows per full-MC job during the verification pass: the charging
-        and job granularity, not the evaluation granularity.  Chunks are
-        scanned in h-SCORE order for the first infeasible reward, so the
-        pass/fail outcome and the failed corner match the one-at-a-time
-        schedule exactly; the budget charges the simulated prefix rounded
-        up to the chunk (at most ``verification_chunk - 1`` extra
-        simulations past the first failure).  ``1`` reproduces the
-        strictly sequential schedule.  A ``vectorized`` engine evaluates
-        a corner's chunks in one call whatever their size; other engines
-        evaluate one call per chunk.
+        Rows per full-MC chunk during the verification pass: the charging
+        and job granularity, not the evaluation granularity.  A corner's
+        ranked conditions are scanned in h-SCORE order for the first
+        infeasible reward, so the pass/fail outcome and the failed corner
+        match the one-at-a-time schedule exactly; the budget charges the
+        simulated prefix rounded up to the chunk (at most
+        ``verification_chunk - 1`` extra simulations past the first
+        failure).  ``1`` reproduces the strictly sequential schedule.  On
+        a ``vectorized`` engine a corner is one evaluation, scored once,
+        whatever the chunk size, and chunks are accounting units only;
+        other engines evaluate one call per chunk.
 
     The simulation service's settings (backend, workers, cache, retry)
     are not part of the row: :class:`GlovaConfig` carries them, and the
     optimizer hands them straight to its
     :class:`~repro.simulation.simulator.CircuitSimulator`.
 
-    The schedule itself is not configurable: the verifier's full pass and
-    the optimizer's seed phase always keep one job in flight through
+    The schedule itself is not configurable: the optimizer's seed phase,
+    and the verifier's full pass on engines that evaluate chunk by chunk,
+    always keep one job in flight through
     :func:`~repro.simulation.service.iter_resolved`, which issues and
     charges the same simulations, in the same order, as a blocking loop.
     """

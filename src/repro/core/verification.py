@@ -13,41 +13,34 @@ Verification proceeds in two passes over the corner set:
    sampled, ranked by h-SCORE, and simulated in that order.  The first
    simulation whose reward is not the feasible 0.2 aborts verification.
 
-   The full pass submits the ranked conditions as **chunk jobs** of
-   ``OperationalConfig.verification_chunk`` (default 8) rows, scanning
-   each chunk's metrics matrix in rank order for the first infeasible
-   reward.  The pass/fail outcome, the failed corner and the failure stage
-   are identical to the one-at-a-time schedule; the only difference is the
-   budget, which charges the simulated prefix *rounded up to the chunk* —
-   at most ``verification_chunk - 1`` simulations past the first failure
+   The full pass scans each corner's ranked conditions with
+   :meth:`~repro.simulation.service.SimulationService.scan`, one call per
+   corner, in **chunks** of ``OperationalConfig.verification_chunk``
+   (default 8) rows.  The pass/fail outcome, the failed corner, the
+   failure stage and the worst reward are identical to the one-at-a-time
+   schedule; the only difference is the budget, which charges the
+   simulated prefix *rounded up to the chunk* — at most
+   ``verification_chunk - 1`` simulations past the first failure
    (``VerificationResult.simulations`` reports exactly what was charged).
    A chunk of 1 reproduces the sequential schedule, budget included.
 
-   A chunk is the job granularity, not the evaluation granularity.  Each
-   chunk is ``job.shard(lo, hi)`` of one job over the corner's whole
-   ranked remainder, submitted through
-   :meth:`~repro.simulation.service.SimulationService.chunk_submitter`.
-   On a ``vectorized`` engine that is not ``row_parallel`` (``batched``)
-   the chunks share one evaluation of that whole job, so a corner costs
-   one engine call; every other engine evaluates each chunk alone.
-   Either way a chunk is charged, keyed, cached and cancelled as its own
-   job, so outcomes, budgets and cache contents do not depend on the
-   engine.
-
-   The chunk schedule is **double-buffered** through the futures-based
-   service path (:func:`~repro.simulation.service.iter_resolved`): while
-   chunk *k* evaluates in flight, the verifier has already submitted
-   chunk *k+1*, so a pool-backed engine never idles between chunks.  The
-   overlap stays *within* one corner (the next corner's mismatch set is
-   sampled only after the current corner fully passes, so the seeded
-   stream is the one-at-a-time stream), resolution happens in rank order
-   (budget accounting lands at resolution, in the same order and with the
-   same chunk rounding as a blocking loop), and an abort cancels the
-   speculative chunk before it is ever charged.  Pass/fail, failed corner,
-   failure stage, worst reward, budget totals and RNG streams are
-   bit-for-bit those of the same loop run at lookahead 0 (one chunk
-   submitted and resolved at a time), which the tests use as the
-   sequential reference.
+   A chunk is an accounting unit: each is charged, keyed and cached as
+   its own job, so outcomes, budgets and cache contents do not depend on
+   the engine.  On a ``vectorized`` engine that is not ``row_parallel``
+   (``batched``) a corner's full pass is one evaluation of its whole
+   ranked remainder, scored once; the chunk-rounded prefix through the
+   first infeasible row is then charged in bulk.  Every other engine
+   resolves chunk by chunk, **double-buffered** through the futures path
+   (:func:`~repro.simulation.service.iter_resolved`): while chunk *k*
+   evaluates in flight, chunk *k+1* is already submitted, so a
+   pool-backed engine never idles between chunks, and an abort cancels
+   the speculative chunk before it is ever charged.  The overlap stays
+   *within* one corner (the next corner's mismatch set is sampled only
+   after the current corner fully passes, so the seeded stream is the
+   one-at-a-time stream).  Pass/fail, failed corner, failure stage, worst
+   reward, budget totals and RNG streams are bit-for-bit those of the
+   same loop run at lookahead 0 (one chunk submitted and resolved at a
+   time), which the tests use as the sequential reference.
 
 If both passes complete, the design is verified for the chosen scenario.
 The worst-corner subset simulated during the optimization phase can be
@@ -76,7 +69,7 @@ from repro.core.replay import LastWorstCaseBuffer
 from repro.core.reward import FEASIBLE_REWARD, rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.simulation.budget import SimulationPhase
-from repro.simulation.service import SimJob, iter_resolved
+from repro.simulation.service import SimJob
 from repro.simulation.simulator import CircuitSimulator, SimulationRecord
 from repro.variation.corners import PVTCorner
 from repro.variation.mismatch import MismatchSampler, MismatchSet
@@ -241,7 +234,28 @@ class Verifier:
             else:
                 ordered = list(screen_results)
 
-            chunk_size = max(1, self.operational.verification_chunk)
+            names = self.spec.metric_names
+
+            def first_infeasible(metrics):
+                """Score one block in rank order; its first infeasible row."""
+                nonlocal worst_reward
+                rewards = rewards_from_matrix(
+                    self.spec,
+                    np.column_stack(
+                        [np.asarray(metrics[name], dtype=float) for name in names]
+                    ),
+                )
+                failing = np.flatnonzero(rewards < FEASIBLE_REWARD)
+                if not failing.size:
+                    worst_reward = min(worst_reward, float(rewards.min()))
+                    return None
+                # Only the prefix up to the aborting sample counts towards
+                # the worst reward, exactly as if the block had been
+                # simulated one condition at a time.
+                first = int(failing[0])
+                worst_reward = min(worst_reward, float(rewards[: first + 1].min()))
+                return first
+
             for screen in ordered:
                 extra_set = sampler.sample(
                     x_physical,
@@ -256,13 +270,10 @@ class Verifier:
                 else:
                     order = np.arange(len(extra_set))
 
-                # h-SCORE-ordered chunks, each its own job, scanned in rank
-                # order for the first infeasible reward, so the abort
-                # decision matches the sequential schedule.  The stream
-                # keeps the next chunk in flight while this one is scanned
-                # (double buffering); aborting out of the loop cancels it
-                # uncharged.  On a vectorized engine the chunks share one
-                # evaluation of the whole ranked remainder.
+                # The h-SCORE-ranked remainder is scanned for its first
+                # infeasible reward, charged in chunks of
+                # ``verification_chunk`` through the aborting one, so the
+                # abort decision matches the sequential schedule.
                 ranked = SimJob.conditions(
                     self.simulator.circuit.name,
                     design,
@@ -270,35 +281,19 @@ class Verifier:
                     extra_set.subset(order).samples,
                     SimulationPhase.VERIFICATION,
                 )
-                bounds = [
-                    (lo, min(lo + chunk_size, ranked.batch))
-                    for lo in range(0, ranked.batch, chunk_size)
-                ]
-                for _, result in iter_resolved(
-                    bounds, self.simulator.service.chunk_submitter(ranked)
-                ):
-                    rewards = rewards_from_matrix(
-                        self.spec, result.matrix(self.spec.metric_names)
+                _, failed = self.simulator.service.scan(
+                    ranked, self.operational.verification_chunk, first_infeasible
+                )
+                if failed is not None:
+                    return VerificationResult(
+                        passed=False,
+                        simulations=self.simulator.budget.total
+                        - simulations_before,
+                        failed_corner=screen.corner.name,
+                        failure_stage="full_mc",
+                        worst_reward=worst_reward,
+                        corner_reports=screen_results,
                     )
-                    failing = np.flatnonzero(rewards < FEASIBLE_REWARD)
-                    if failing.size:
-                        # Only the prefix up to the aborting sample counts
-                        # towards the worst reward, exactly as if the chunk
-                        # had been simulated one condition at a time.
-                        first = int(failing[0])
-                        worst_reward = min(
-                            worst_reward, float(rewards[: first + 1].min())
-                        )
-                        return VerificationResult(
-                            passed=False,
-                            simulations=self.simulator.budget.total
-                            - simulations_before,
-                            failed_corner=screen.corner.name,
-                            failure_stage="full_mc",
-                            worst_reward=worst_reward,
-                            corner_reports=screen_results,
-                        )
-                    worst_reward = min(worst_reward, float(rewards.min()))
 
         return VerificationResult(
             passed=True,

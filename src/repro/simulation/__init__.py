@@ -56,9 +56,12 @@ The service runs jobs synchronously (:meth:`SimulationService.run`) or
 asynchronously (:meth:`SimulationService.submit` → :class:`SimFuture`),
 with all budget accounting — the charge, the cache store — performed at
 resolution time, by the same code for both.  So the control loop, which
-always runs on futures (the double-buffered verifier, the overlapped seed
-phase), accounts bit-for-bit like the same loop run one job at a time.  Services own their pools: ``close()`` or the
-context-manager protocol releases them.
+runs on futures (the overlapped seed phase, and the double-buffered
+verifier on engines that evaluate full-MC chunks one by one), accounts
+bit-for-bit like the same loop run one job at a time.  On a vectorized
+engine the verifier's :meth:`SimulationService.scan` evaluates a corner
+once and accounts its chunks without a future each.  Services own their
+pools: ``close()`` or the context-manager protocol releases them.
 
 The service
 

@@ -33,9 +33,10 @@ call:
   :meth:`ShardedDispatcher.dispatch` returns reports it; nothing times
   an in-process evaluation.
 * :class:`SimulationService` — owns the circuit, the budget, the backend
-  chain and the worker pool; ``service.run(job)`` is the one synchronous
-  call everything routes through, and ``service.submit(job)`` is its
-  futures-based twin (see below).
+  chain and the worker pool; ``service.run(job)`` evaluates one job
+  synchronously, ``service.submit(job)`` is its futures-based twin, and
+  ``service.scan(job, chunk, first_failure)`` resolves a job chunk by
+  chunk up to its first failing row (see below).
 
 Above the job layer sits the experiment front end
 (:mod:`repro.simulation.frontend`): a ``repro serve --mode experiment``
@@ -69,19 +70,19 @@ caller's thread, in resolution order:
   submission safe: work the sequential schedule would never have issued is
   never accounted, and with the lazy thunk it is never even evaluated.
 
-The control loop always runs this way, through :func:`iter_resolved` one
-submission ahead (``core/verification.py`` double-buffers full-MC chunks;
-the optimizer seed phase overlaps its corner mega-batches).  There is no
-blocking variant to switch to: the sequential reference is the same loop
-at lookahead 0, whose results, streams and budgets are bit-identical.
-On the default ``batched`` engine every future is a lazy thunk, so both
-lookaheads evaluate the same jobs in the same order; only a pool-backed
-engine overlaps work.  On a ``vectorized`` engine that is not
-``row_parallel`` (``batched``, ``chaos`` over it) the verifier's chunk
-futures of one corner also share one lazy evaluation of the corner's
-whole ranked remainder (:meth:`SimulationService.chunk_submitter`); every
-other engine, pool-backed ones included, evaluates each chunk alone.
-Either way each chunk is still its own job at resolution.
+The control loop runs this way, through :func:`iter_resolved` one
+submission ahead: the optimizer seed phase overlaps its corner
+mega-batches, and the verifier's full pass (one
+:meth:`SimulationService.scan` per corner) double-buffers its chunks on
+every engine but a ``vectorized`` one.  There is no blocking variant to
+switch to: the sequential reference is the same loop at lookahead 0,
+whose results, streams and budgets are bit-identical.  On the default
+``batched`` engine every future is a lazy thunk, so both lookaheads
+evaluate the same jobs in the same order; only a pool-backed engine
+overlaps work.  On a ``vectorized`` engine that is not ``row_parallel``
+(``batched``, ``chaos`` over it) a corner's full pass is one evaluation
+of its whole ranked remainder, scored once, and its chunks are
+accounting units only, charged, keyed and cached with no future each.
 
 Writing a backend
 -----------------
@@ -112,11 +113,10 @@ Contract, in order of importance:
    Raising aborts the job, and an attempt that raises is never charged.
 5. Declare the cost shape: ``vectorized = True`` when one call costs
    about the same at any row count (its jobs then never shard, and the
-   verifier's full-MC chunks of one corner share one call over the
-   whole ranked remainder, see :meth:`SimulationService.chunk_submitter`),
-   or ``row_parallel = True`` when every row is its own external run (any
-   multi-row job fans out across the pool, and every chunk is evaluated
-   alone).
+   verifier's full pass makes one call per corner over the whole ranked
+   remainder, see :meth:`SimulationService.scan`), or ``row_parallel =
+   True`` when every row is its own external run (any multi-row job fans
+   out across the pool, and every full-pass chunk is evaluated alone).
 
 Registered names are automatically selectable from
 ``ExperimentConfig(backend=...)`` and ``python -m repro --backend ...``,
@@ -1333,9 +1333,10 @@ class SimulationService:
     The chain is composed outermost-first as ``cache → sharding →
     terminal backend``, so cache hits skip the pool entirely and cache
     misses still shard.  All budget accounting happens here, in
-    :meth:`_evaluate_accounted`: a job that produced metrics charges
-    ``job.cost`` simulations to ``job.phase`` once (exactly the paper's
-    per-row counting), and a cache hit charges nothing.
+    :meth:`_evaluate_accounted` and in :meth:`scan`'s one-call path: a
+    job that produced metrics charges ``job.cost`` simulations to
+    ``job.phase`` once (exactly the paper's per-row counting), and a
+    cache hit charges nothing.
 
     With ``workers > 1`` and a terminal backend that
     :func:`~repro.simulation.sharding.can_shard` (``scalar``,
@@ -1474,7 +1475,8 @@ class SimulationService:
         """Evaluate under the retry policy; charge the job once it has metrics.
 
         The one accounting loop shared by :meth:`run` and future
-        resolution, and the one place a job is charged: ``job.cost`` to
+        resolution, and the place a job is charged (:meth:`scan`'s
+        one-call path charges its chunks alike): ``job.cost`` to
         ``job.phase``, after an attempt returns a block with at least one
         row the engine produced.  An attempt that raises or is retried is
         never charged, and neither is a block whose every row is
@@ -1526,13 +1528,17 @@ class SimulationService:
                 lambda: self._dispatch.evaluate(self._circuit, job)
             )
 
-    def _probe(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
-        """Reject a job for another circuit; the cached metrics on a hit."""
+    def _check_circuit(self, job: SimJob) -> None:
+        """Reject a job for another circuit."""
         if job.circuit_name != self._circuit.name:
             raise ValueError(
                 f"job targets circuit {job.circuit_name!r} but this service "
                 f"simulates {self._circuit.name!r}"
             )
+
+    def _probe(self, job: SimJob) -> Optional[Dict[str, np.ndarray]]:
+        """Reject a job for another circuit; the cached metrics on a hit."""
+        self._check_circuit(job)
         return None if self._cache is None else self._cache.lookup(job)
 
     def _resolve(
@@ -1582,11 +1588,7 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Async path
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        job: SimJob,
-        outcome: Optional[Callable[[], Dict[str, np.ndarray]]] = None,
-    ) -> SimFuture:
+    def submit(self, job: SimJob) -> SimFuture:
         """Start one job and return a :class:`SimFuture` immediately.
 
         When the job shards across the service's warm pool, its shards are
@@ -1594,10 +1596,7 @@ class SimulationService:
         in-process evaluation is deferred into the future (lazy thunk) and
         runs when — and only if — the future is resolved.  A cache hit is
         recognised at submission (no work is dispatched) but, like all
-        accounting, charged at resolution.  ``outcome`` replaces the
-        first attempt's evaluation on a cache miss (a shared block's row
-        reader, see :meth:`chunk_submitter`); retries always re-dispatch
-        the job itself.
+        accounting, charged at resolution.
 
         The accounting contract lives on :meth:`SimFuture.result`:
         resolving futures in submission order reproduces the synchronous
@@ -1609,8 +1608,6 @@ class SimulationService:
             return SimFuture(
                 self, job, outcome=lambda: metrics, cached_metrics=metrics
             )
-        if outcome is not None:
-            return SimFuture(self, job, outcome=outcome)
         handle: Optional[ShardHandle] = None
         if isinstance(self._dispatch, ShardedDispatcher):
             handle = self._dispatch.dispatch(self._circuit, job)
@@ -1622,73 +1619,125 @@ class SimulationService:
             outcome=lambda: self._dispatch.evaluate(self._circuit, job),
         )
 
-    def chunk_submitter(
-        self, job: SimJob
-    ) -> Callable[[Tuple[int, int]], SimFuture]:
-        """A ``submit`` for row chunks of ``job``: ``(lo, hi)`` submits
-        ``job.shard(lo, hi)`` through :meth:`submit`.
+    # ------------------------------------------------------------------
+    # Scan path
+    # ------------------------------------------------------------------
+    def scan(
+        self,
+        job: SimJob,
+        chunk: int,
+        first_failure: Callable[[Dict[str, np.ndarray]], Optional[int]],
+    ) -> Tuple[Dict[str, np.ndarray], Optional[int]]:
+        """Resolve ``job`` in ``chunk``-row pieces, in row order, through
+        the piece that holds its first failing row.
 
-        Every chunk is its own job, charged, keyed, cached and cancelled
-        exactly as if it had been built alone.  On a
-        :attr:`~SimulationBackend.vectorized` engine that is not
-        ``row_parallel`` the chunks' futures share one lazy evaluation of
-        the whole job (:class:`_SharedBlock`); a chunk covering the whole
-        job is submitted on its own.
+        ``first_failure(metrics)`` returns the index of the first failing
+        row of a metrics block, or ``None``.  Each piece ``[lo, hi)``
+        through the failing one is accounted as the job
+        ``job.shard(lo, hi)``: a miss charges ``hi - lo`` to ``job.phase``
+        and is cached under its ``job_id``, a hit charges nothing.  No
+        later piece is charged or stored.  Returns the accounted rows'
+        metrics and the failing row's index in ``job`` (``None`` if none).
+
+        On a :attr:`~SimulationBackend.vectorized` engine that is not
+        ``row_parallel``, pieces are accounting units only: leading cache
+        hits are scored from the cache, then one evaluation of every row
+        from the first miss on is scored once.  With one piece left, that
+        piece is evaluated as itself; a wide call that raises or returns a
+        :data:`~repro.spice.deck.FAILURE_NAN` row is dropped.  Every other
+        engine, and the pieces a dropped call leaves, resolve piece by
+        piece as futures through :func:`iter_resolved`, one ahead.
         """
+        self._check_circuit(job)
+        chunk = max(1, int(chunk))
+        bounds = [
+            (lo, min(lo + chunk, job.batch)) for lo in range(0, job.batch, chunk)
+        ]
+        blocks: List[Dict[str, np.ndarray]] = []
+        first = 0
         terminal = self._terminal
-        block = (
-            _SharedBlock(self, job)
-            if terminal.vectorized and not terminal.row_parallel
-            else None
-        )
+        if terminal.vectorized and not terminal.row_parallel:
+            if self._cache is not None:
+                # Leading hits are scored before anything is evaluated,
+                # so a replay whose needed pieces all hit makes no call.
+                while first < len(bounds):
+                    lo, hi = bounds[first]
+                    metrics = self._cache.lookup(job.shard(lo, hi))
+                    if metrics is None:
+                        break
+                    blocks.append(metrics)
+                    first += 1
+                    failed = first_failure(metrics)
+                    if failed is not None:
+                        return _joined(blocks), lo + failed
+            if len(bounds) - first > 1:
+                scanned = self._scan_wide(
+                    job, bounds[first][0], chunk, first_failure
+                )
+                if scanned is not None:
+                    blocks.append(scanned[0])
+                    return _joined(blocks), scanned[1]
+        for (lo, _hi), result in iter_resolved(
+            bounds[first:], lambda piece: self.submit(job.shard(*piece))
+        ):
+            blocks.append(result.metrics)
+            failed = first_failure(result.metrics)
+            if failed is not None:
+                return _joined(blocks), lo + failed
+        return _joined(blocks), None
 
-        def submit(bounds: Tuple[int, int]) -> SimFuture:
-            lo, hi = bounds
-            chunk = job.shard(lo, hi)
-            if block is None or hi - lo == job.batch:
-                return self.submit(chunk)
-            return self.submit(chunk, lambda: block.rows(chunk, lo, hi))
-
-        return submit
-
-
-class _SharedBlock:
-    """One lazy evaluation of a whole job, read chunk by chunk.
-
-    The first chunk attempt that needs it evaluates every row of the job
-    in one dispatch call; each later chunk reads its rows.  A whole-job
-    call that raises or returns any
-    :data:`~repro.spice.deck.FAILURE_NAN` row drops the block, and every
-    chunk, the triggering one included, then evaluates alone.  Charging,
-    caching and cancelling stay on the chunk futures, so rows no resolved
-    chunk reads are never charged or stored.
-    """
-
-    def __init__(self, service: SimulationService, job: SimJob):
-        self._service = service
-        self._job = job
-        self._lock = threading.Lock()
-        self._evaluated = False
-        #: The whole job's metrics; ``None`` once the block is dropped.
-        self._metrics: Optional[Dict[str, np.ndarray]] = None
-
-    def _evaluate(self) -> Optional[Dict[str, np.ndarray]]:
-        service = self._service
+    def _scan_wide(
+        self,
+        job: SimJob,
+        start: int,
+        chunk: int,
+        first_failure: Callable[[Dict[str, np.ndarray]], Optional[int]],
+    ) -> Optional[Tuple[Dict[str, np.ndarray], Optional[int]]]:
+        """:meth:`scan`'s one call over the rows of ``job`` from ``start``
+        (a piece that missed the cache) on, and the accounting of its
+        chunk-rounded prefix; ``None`` when the call raises or returns a
+        FAILURE_NAN row."""
+        rest = job if start == 0 else job.shard(start, job.batch)
         try:
-            metrics = service._dispatch.evaluate(service._circuit, self._job)
-        except Exception:  # noqa: BLE001 - the chunk alone raises for real
+            metrics = self._dispatch.evaluate(self._circuit, rest)
+        except Exception:  # noqa: BLE001 - the pieces alone raise for real
             return None
         if failed_row_mask(metrics).any():
             return None
-        return metrics
+        failed = first_failure(metrics)
+        if failed is not None:
+            failed += start
+        stop = job.batch if failed is None else failed + 1
+        end = min(-(-stop // chunk) * chunk, job.batch)  # rounded up to a chunk
+        if self._cache is None:
+            self._budget.charge(job.phase, end - start)
+        else:
+            for lo in range(start, end, chunk):
+                hi = min(lo + chunk, end)
+                piece = job.shard(lo, hi)
+                if lo > start and self._cache.lookup(piece) is not None:
+                    continue  # a hit is charged nothing
+                self._budget.charge(job.phase, hi - lo)
+                self._cache.store(
+                    piece,
+                    {
+                        name: values[lo - start : hi - start]
+                        for name, values in metrics.items()
+                    },
+                )
+        accounted = {
+            name: values[: end - start] for name, values in metrics.items()
+        }
+        return accounted, failed
 
-    def rows(self, chunk: SimJob, lo: int, hi: int) -> Dict[str, np.ndarray]:
-        """The metrics of ``chunk``, which covers rows ``[lo, hi)``."""
-        with self._lock:
-            if not self._evaluated:
-                self._metrics = self._evaluate()
-                self._evaluated = True
-        service, metrics = self._service, self._metrics
-        if metrics is None:
-            return service._dispatch.evaluate(service._circuit, chunk)
-        return {name: values[lo:hi].copy() for name, values in metrics.items()}
+
+def _joined(blocks: List[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
+    """Row-wise concatenation of consecutive metrics blocks."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return {}
+    return {
+        name: np.concatenate([block[name] for block in blocks])
+        for name in blocks[0]
+    }

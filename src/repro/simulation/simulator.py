@@ -206,9 +206,9 @@ class CircuitSimulator:
         Returns a :class:`RecordsFuture` with the job dispatched (or
         deferred — see :meth:`SimulationService.submit`); resolving it in
         submission order is budget-identical to the blocking call.  No
-        caller is left in the library: the verifier submits its full-MC
-        chunks through :meth:`SimulationService.chunk_submitter`.  It
-        stays because the ``perfbench`` tracer wraps it.
+        caller is left in the library: the verifier scans its full-MC
+        chunks through :meth:`SimulationService.scan`.  It stays because
+        the ``perfbench`` tracer wraps it.
         """
         job = SimJob.conditions(
             self.circuit.name,

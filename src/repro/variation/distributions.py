@@ -173,6 +173,24 @@ class MismatchModel:
                 self._parameters.append(
                     MismatchParameter(device.name, "beta", len(self._parameters))
                 )
+        # The design-independent parts of the Pelgrom sigmas: where each
+        # device's sigmas sit in h, and its multiplicity scale.
+        self._mos = tuple(
+            d for d in self._devices if d.kind is not DeviceKind.CAPACITOR
+        )
+        self._caps = tuple(
+            d for d in self._devices if d.kind is DeviceKind.CAPACITOR
+        )
+        index = {(p.device, p.quantity): p.index for p in self._parameters}
+        self._vth_index = np.array([index[d.name, "vth"] for d in self._mos], int)
+        self._beta_index = np.array([index[d.name, "beta"] for d in self._mos], int)
+        self._cap_index = np.array([index[d.name, "cap"] for d in self._caps], int)
+        self._mos_scale = 1.0 / np.sqrt([float(d.multiplicity) for d in self._mos])
+        self._cap_scale = 1.0 / np.sqrt([float(d.multiplicity) for d in self._caps])
+        self._global_sigmas = np.empty(self.dimension)
+        self._global_sigmas[self._vth_index] = coefficients.global_sigma_vth
+        self._global_sigmas[self._beta_index] = coefficients.global_sigma_beta
+        self._global_sigmas[self._cap_index] = coefficients.global_sigma_cap
 
     @property
     def devices(self) -> Tuple[DeviceSpec, ...]:
@@ -210,40 +228,32 @@ class MismatchModel:
         return np.diag(self.global_sigmas(x_physical) ** 2)
 
     def local_sigmas(self, x_physical: np.ndarray) -> np.ndarray:
-        """Vector of per-parameter local standard deviations."""
+        """Vector of per-parameter local standard deviations.
+
+        One pass over the devices' areas and capacitances, bit-identical
+        to the per-device :class:`PelgromCoefficients` formulas times the
+        multiplicity scale ``1 / sqrt(m)``.
+        """
+        coefficients = self._coefficients
         sigmas = np.empty(self.dimension)
-        cursor = 0
-        for device in self._devices:
-            scale = 1.0 / np.sqrt(device.multiplicity)
-            if device.kind is DeviceKind.CAPACITOR:
-                cap = float(device.cap_of(x_physical))
-                sigmas[cursor] = self._coefficients.local_sigma_cap(cap) * scale
-                cursor += 1
-            else:
-                width = float(device.width_of(x_physical))
-                length = float(device.length_of(x_physical))
-                sigmas[cursor] = (
-                    self._coefficients.local_sigma_vth(width, length) * scale
-                )
-                sigmas[cursor + 1] = (
-                    self._coefficients.local_sigma_beta(width, length) * scale
-                )
-                cursor += 2
+        if self._mos:
+            width = np.array([float(d.width_of(x_physical)) for d in self._mos])
+            length = np.array([float(d.length_of(x_physical)) for d in self._mos])
+            root_area = np.sqrt(np.maximum(width * length, 1e-9))
+            sigmas[self._vth_index] = coefficients.a_vt / root_area * self._mos_scale
+            sigmas[self._beta_index] = (
+                coefficients.a_beta / root_area * self._mos_scale
+            )
+        if self._caps:
+            cap = np.array([float(d.cap_of(x_physical)) for d in self._caps])
+            root_cap = np.sqrt(np.maximum(cap * 1e15, 1e-6))
+            sigmas[self._cap_index] = coefficients.a_cap / root_cap * self._cap_scale
         return sigmas
 
     def global_sigmas(self, x_physical: np.ndarray) -> np.ndarray:
-        """Vector of per-parameter global standard deviations."""
-        sigmas = np.empty(self.dimension)
-        cursor = 0
-        for device in self._devices:
-            if device.kind is DeviceKind.CAPACITOR:
-                sigmas[cursor] = self._coefficients.global_sigma_cap
-                cursor += 1
-            else:
-                sigmas[cursor] = self._coefficients.global_sigma_vth
-                sigmas[cursor + 1] = self._coefficients.global_sigma_beta
-                cursor += 2
-        return sigmas
+        """Vector of per-parameter global standard deviations (the same
+        for every design)."""
+        return self._global_sigmas.copy()
 
     def global_groups(self) -> List[str]:
         """Group label per mismatch parameter for die-level correlation.

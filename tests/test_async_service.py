@@ -46,7 +46,7 @@ from repro.circuits.base import (
     DeviceSpec,
     SizingParameter,
 )
-from repro.core import optimizer, verification
+from repro.core import optimizer
 from repro.core.config import GlovaConfig, VerificationMethod, operational_config
 from repro.core.optimizer import GlovaOptimizer
 from repro.core.replay import LastWorstCaseBuffer
@@ -64,6 +64,7 @@ from repro.simulation import (
     SimulationService,
     WorkerPool,
 )
+from repro.simulation import service as service_module
 from repro.simulation.ngspice import (
     NgspiceBackend,
     PAYLOAD_AWARE_ENV,
@@ -294,11 +295,12 @@ class FullMCProbeCircuit(AnalogCircuit):
 def lookahead_zero():
     """Run the verifier and the seed phase one job at a time.
 
-    Both loops call ``iter_resolved`` at its default lookahead of 1; this
-    patch pins ``ahead=0`` in the two modules, so every job is submitted
+    Both loops call ``iter_resolved`` at its default lookahead of 1 (the
+    verifier's full pass through ``SimulationService.scan``); this patch
+    pins ``ahead=0`` where the two look it up, so every job is submitted
     only after the previous one resolved — the sequential reference."""
     sequential = functools.partial(iter_resolved, ahead=0)
-    with mock.patch.object(verification, "iter_resolved", sequential):
+    with mock.patch.object(service_module, "iter_resolved", sequential):
         with mock.patch.object(optimizer, "iter_resolved", sequential):
             yield
 

@@ -43,9 +43,21 @@ class TestDesignAxisBatching:
         circuit = paper_circuit
         rng = np.random.default_rng(4)
         designs = rng.uniform(0.0, 1.0, size=(5, circuit.dimension))
+        # Out-of-range coordinates: both entry points clip like to_physical.
+        designs = np.vstack(
+            [designs, rng.uniform(-0.2, 1.2, size=(200, circuit.dimension))]
+        )
         batch = circuit.denormalize_batch(designs)
         for index in range(len(designs)):
-            assert np.array_equal(batch[index], circuit.denormalize(designs[index]))
+            reference = np.array(
+                [
+                    parameter.to_physical(value)
+                    for parameter, value in zip(circuit.parameters, designs[index])
+                ]
+            )
+            single = circuit.denormalize(designs[index])
+            assert batch[index].tobytes() == reference.tobytes()
+            assert single.tobytes() == reference.tobytes()
 
     def test_simulate_designs_records_and_budget(
         self, paper_circuit, simulator_factory

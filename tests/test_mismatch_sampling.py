@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import StrongArmLatch
+from repro.variation.distributions import DeviceKind
 from repro.variation.mismatch import MismatchSampler, MismatchSet
 
 
@@ -156,3 +157,37 @@ class TestMismatchSampler:
         sampler.reseed(seed)
         spread_large = sampler.sample(large, 200).samples.std()
         assert spread_large < spread_small
+
+
+def loop_sigmas(model, x_physical):
+    """Local and global sigmas device by device, through the scalar
+    :class:`PelgromCoefficients` formulas: the reference for the model's
+    one-pass vectors."""
+    coefficients = model.coefficients
+    local, global_ = [], []
+    for device in model.devices:
+        scale = 1.0 / np.sqrt(device.multiplicity)
+        if device.kind is DeviceKind.CAPACITOR:
+            cap = float(device.cap_of(x_physical))
+            local.append(coefficients.local_sigma_cap(cap) * scale)
+            global_.append(coefficients.global_sigma_cap)
+        else:
+            width = float(device.width_of(x_physical))
+            length = float(device.length_of(x_physical))
+            local.append(coefficients.local_sigma_vth(width, length) * scale)
+            local.append(coefficients.local_sigma_beta(width, length) * scale)
+            global_ += [coefficients.global_sigma_vth, coefficients.global_sigma_beta]
+    return np.array(local), np.array(global_)
+
+
+def test_sigmas_equal_the_device_loop(paper_circuit):
+    """Bit for bit, on designs that include out-of-range coordinates."""
+    model = paper_circuit.mismatch_model
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        x_physical = paper_circuit.denormalize(
+            rng.uniform(-0.2, 1.2, paper_circuit.dimension)
+        )
+        local, global_ = loop_sigmas(model, x_physical)
+        assert model.local_sigmas(x_physical).tobytes() == local.tobytes()
+        assert model.global_sigmas(x_physical).tobytes() == global_.tobytes()

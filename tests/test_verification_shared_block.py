@@ -18,7 +18,11 @@ pins the shared block's edges:
   back to per-chunk evaluation with the twin's outcome and budget; under a
   chaos schedule with retries the outcome is the clean run's;
 * a remainder that fits in one chunk is evaluated once, as that chunk;
-* a disk cache written by per-chunk jobs keeps hitting.
+* a disk cache written by per-chunk jobs keeps hitting;
+* ``batched`` scores a corner without futures: its full pass submits
+  nothing, while the twin submits each accounted chunk plus at most one
+  speculative chunk; around cache hits, ``scan`` charges and stores
+  exactly the twin's chunks.
 """
 
 from __future__ import annotations
@@ -44,10 +48,13 @@ from repro.simulation import (
     FaultInjectingBackend,
     FaultSchedule,
     RetryPolicy,
+    SimFuture,
     SimJob,
     SimulationPhase,
+    SimulationService,
 )
 from repro.spice.deck import FAILURE_NAN
+from repro.variation.corners import typical_corner
 from repro.variation.mismatch import MismatchSampler
 from test_async_service import FullMCProbeCircuit
 
@@ -465,3 +472,128 @@ def test_per_chunk_cache_dir_replays_on_batched(tmp_path, monkeypatch):
     assert replay.total_simulations == 0
     assert replay.runs[0].success == first.runs[0].success
     assert replay.runs[0].iterations == first.runs[0].iterations
+
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """Jobs passed to ``SimulationService.submit``, and every
+    :class:`SimFuture` built."""
+    jobs, futures = [], []
+    submit = SimulationService.submit
+    init = SimFuture.__init__
+
+    def recording_submit(self, job):
+        jobs.append(job)
+        return submit(self, job)
+
+    def recording_init(self, *args, **kwargs):
+        futures.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationService, "submit", recording_submit)
+    monkeypatch.setattr(SimFuture, "__init__", recording_init)
+    return jobs, futures
+
+
+def test_batched_full_pass_builds_no_future(submissions):
+    """With no cache, ``batched`` scans each corner without a future or a
+    ``submit`` (screening runs through ``run``, so every submission is
+    the full pass's).  The per-chunk twin submits, in rank order, exactly
+    the chunks it evaluated and charged, plus at most one speculative
+    chunk, which an abort cancels unevaluated."""
+    jobs, futures = submissions
+    aborts = speculative = 0
+    for seed in PROBE_SEEDS:
+        circuit = FullMCProbeCircuit()
+        args = (
+            circuit,
+            np.full(circuit.dimension, 0.5),
+            seed,
+            PROBE_SAMPLES,
+            PROBE_CHUNK,
+        )
+        batched = RecordingBatched()
+        expected, outcome = verify_on(batched, *args)
+        # One screening job per corner up to (and including) a failing
+        # screen; every later job is the full pass's.
+        screened = len(outcome.corner_reports) + (
+            outcome.failure_stage == "screen"
+        )
+        full_pass = outcome.failure_stage != "screen"
+        assert (len(batched.jobs) > screened) == full_pass
+        assert (jobs, futures) == ([], [])
+
+        twin = RecordingPerChunk()
+        actual, _ = verify_on(twin, *args)
+        assert actual == expected
+        evaluated = twin.jobs[screened:]
+        assert [job.job_id for job in jobs[: len(evaluated)]] == [
+            job.job_id for job in evaluated
+        ]
+        assert len(jobs) - len(evaluated) in (0, 1)
+        assert len(futures) == len(jobs)
+        assert screened * SCREEN_SAMPLES + sum(
+            job.batch for job in evaluated
+        ) == outcome.simulations
+        aborts += outcome.failure_stage == "full_mc"
+        speculative += len(jobs) - len(evaluated)
+        jobs.clear()
+        futures.clear()
+    assert aborts >= 8
+    assert speculative > 0
+
+
+def test_scan_around_cache_hits_matches_the_twin():
+    """``scan`` with a leading and a later cached chunk: ``batched``
+    scores the leading hit from the cache, evaluates every row from the
+    first miss on in one call, and charges, stores and returns exactly
+    what the per-chunk twin does."""
+    circuit = FullMCProbeCircuit()
+    design = np.full(circuit.dimension, 0.5)
+    samples = np.random.default_rng(0).normal(
+        0.0, 0.06, (40, circuit.mismatch_dimension)
+    )
+    job = SimJob.conditions(
+        circuit.name,
+        design,
+        (typical_corner(),),
+        samples,
+        SimulationPhase.VERIFICATION,
+    )
+    chunk, failing = 4, 21  # ten chunks; row 21 sits in chunk 5
+    target = BatchedBackend().evaluate(circuit, job)["margin"][failing]
+
+    def first_failure(metrics):
+        rows = np.flatnonzero(metrics["margin"] == target)
+        return int(rows[0]) if rows.size else None
+
+    outcomes = []
+    for backend in (RecordingBatched(), RecordingPerChunk()):
+        with SimulationService(circuit, backend=backend, cache=True) as service:
+            for lo in (0, 12):  # chunks 0 and 3
+                service.run(job.shard(lo, lo + chunk))
+            before, calls = service.budget.total, len(backend.jobs)
+            metrics, failed = service.scan(job, chunk, first_failure)
+            stored = [
+                service.cache.lookup(job.shard(lo, lo + chunk)) is not None
+                for lo in range(0, 40, chunk)
+            ]
+            outcomes.append(
+                (
+                    failed,
+                    metrics["margin"].tobytes(),
+                    service.budget.total - before,
+                    stored,
+                )
+            )
+            evaluated = [(j.job_id, j.batch) for j in backend.jobs[calls:]]
+        if isinstance(backend, RecordingBatched):
+            assert evaluated == [(job.shard(chunk, 40).job_id, 36)]
+        else:  # chunks 1, 2, 4 and 5; chunk 6 was cancelled unevaluated
+            assert evaluated == [
+                (job.shard(lo, lo + chunk).job_id, chunk) for lo in (4, 8, 16, 20)
+            ]
+    assert outcomes[0] == outcomes[1]
+    failed, _, charged, stored = outcomes[0]
+    assert (failed, charged) == (failing, 16)  # chunks 0 and 3 are hits
+    assert stored == [True] * 6 + [False] * 4
