@@ -28,7 +28,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro=repro.__main__:main",

@@ -166,6 +166,11 @@ class ExperimentConfig:
             object.__setattr__(self, "retry", policy.to_dict())
         if not self.seeds:
             raise ValueError("an experiment needs at least one seed")
+        # glova_config validates only the first seed; a later negative one
+        # would otherwise fail after the seeds before it have run.
+        negative = [seed for seed in self.seeds if seed < 0]
+        if negative:
+            raise ValueError(f"seeds must be non-negative, got {negative}")
         if self.method not in METHODS:
             raise ValueError(
                 f"unknown verification method {self.method!r}; "

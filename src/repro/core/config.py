@@ -237,6 +237,8 @@ class GlovaConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def operational(self) -> OperationalConfig:
         """The Table-I row implied by this configuration."""

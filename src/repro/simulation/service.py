@@ -129,6 +129,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import threading
 import time
@@ -681,6 +682,11 @@ class RetryPolicy:
             raise ValueError("max_attempts must be at least 1")
         if self.backoff < 0 or self.jitter < 0:
             raise ValueError("backoff and jitter must be non-negative")
+        # An infinite delay makes time.sleep raise on the first retry; a
+        # NaN one is skipped, so backoff would be silently off.
+        for name in ("backoff", "backoff_factor", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         normalized = frozenset(
             FailureKind(kind) if not isinstance(kind, FailureKind) else kind
             for kind in self.retry_on

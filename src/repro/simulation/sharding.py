@@ -93,6 +93,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import sys
 import time
 import warnings
 import weakref
@@ -221,22 +222,23 @@ def _pin_blas_threads() -> None:
 
 
 def _blas_library_candidates() -> List[str]:
-    """Paths of BLAS shared objects bundled with numpy/scipy wheels.
+    """Paths of BLAS shared objects bundled with the loaded numpy/scipy wheels.
 
     Wheels vendor their OpenBLAS under ``<site-packages>/numpy.libs`` /
     ``scipy.libs`` (Linux) or ``numpy/.libs`` (older layouts) and load it
     ``RTLD_LOCAL`` — its symbols are *not* visible through
     ``ctypes.CDLL(None)``, so the fallback must dlopen the file itself
     (dlopen of an already-loaded object returns the same handle, so the
-    thread-count call reaches the live instance).
+    thread-count call reaches the live instance).  ``src/`` needs numpy
+    alone, so scipy's library is a candidate only when something already
+    imported scipy: importing it here would load a BLAS nothing calls.
     """
     import glob
 
     candidates: List[str] = []
     for module_name in ("numpy", "scipy"):
-        try:
-            module = __import__(module_name)
-        except ImportError:  # pragma: no cover - scipy always present here
+        module = sys.modules.get(module_name)
+        if module is None:
             continue
         package_dir = os.path.dirname(os.path.abspath(module.__file__))
         site_dir = os.path.dirname(package_dir)
@@ -254,10 +256,11 @@ def _blas_library_candidates() -> List[str]:
 def _ctypes_pin_blas_threads(count: int) -> List[str]:
     """Best-effort ctypes fallback for :func:`_pin_blas_threads`.
 
-    Probes the process-global symbol namespace and the numpy/scipy
-    vendored BLAS libraries for a ``set_num_threads`` entry point and pins
-    each one found.  Returns the symbols that were actually called (the
-    test suite asserts the vendored OpenBLAS is reached on this image).
+    Probes the process-global symbol namespace and the BLAS libraries
+    vendored by the loaded numpy (and scipy, if imported) for a
+    ``set_num_threads`` entry point and pins each one found.  Returns the
+    symbols that were actually called (the test suite asserts numpy's
+    vendored OpenBLAS is reached, with scipy left unimported).
     Failures are silent by design: a worker that cannot pin is merely
     slower, never wrong.
     """

@@ -16,7 +16,9 @@ contract down:
   the sequential schedule bit-for-bit (including on abort paths).  The
   reference is the control loop's own ``iter_resolved`` loop patched to
   lookahead 0 (:func:`lookahead_zero`), one job submitted and resolved
-  at a time; no config field selects it;
+  at a time; no config field selects it.  Verification is compared on
+  :class:`PerChunkBackend`, whose full-pass chunks are futures (a
+  ``vectorized`` engine scores a corner in one call at any lookahead);
 * the persistent warm :class:`WorkerPool` lifecycle — explicit
   ``close()``, context managers, in-process fallback after close — the
   rule that ``vectorized`` engines never shard (no pool at any worker
@@ -39,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import StrongArmLatch
+from repro.circuits import DramCoreSenseAmp, FloatingInverterAmplifier, StrongArmLatch
 from repro.circuits.base import (
     AnalogCircuit,
     DeviceKind,
@@ -89,6 +91,22 @@ class PerRowBatchedBackend(BatchedBackend):
 
 
 BACKENDS[PerRowBatchedBackend.name] = PerRowBatchedBackend
+
+
+class PerChunkBackend(BatchedBackend):
+    """``batched`` metrics at one call per chunk.
+
+    Not ``vectorized``, so the verifier's full pass resolves each chunk as
+    its own future through ``iter_resolved``: the double-buffered schedule
+    whose lookahead the verification tests compare, and the per-chunk
+    reference ``test_verification_shared_block`` checks the shared block
+    against.  (On ``batched`` a corner is one call at any lookahead.)"""
+
+    name = "per_chunk_batched"
+    vectorized = False
+
+
+BACKENDS[PerChunkBackend.name] = PerChunkBackend
 
 
 # ----------------------------------------------------------------------
@@ -305,13 +323,13 @@ def lookahead_zero():
             yield
 
 
-def _probe_verify(seed, chunk=3):
+def _probe_verify(seed, backend, chunk=3):
     """The probe's verification outcome and the service budget total read
     after ``verify`` returned, i.e. after the chunk stream was closed."""
     circuit = FullMCProbeCircuit()
     from repro.simulation import CircuitSimulator
 
-    with CircuitSimulator(circuit) as simulator:
+    with CircuitSimulator(circuit, backend=backend) as simulator:
         operational = operational_config(
             VerificationMethod.CORNER_LOCAL_MC,
             optimization_samples=3,
@@ -361,15 +379,41 @@ def _verify_once(circuit, design_seed, workers=1, chunk=4, backend="batched"):
         return outcome, simulator.budget.total, stream_probe
 
 
+#: ``_verify_once`` cases.  Design seeds 0-3 and 11 fail screening on
+#: every paper circuit; the others reach the full pass (8 extras per
+#: corner, two 4-row chunks) and pass it or abort in a corner's first
+#: chunk with its second in flight.
+VERIFY_CASES = [
+    (circuit_class, design_seed)
+    for circuit_class in (StrongArmLatch, FloatingInverterAmplifier, DramCoreSenseAmp)
+    for design_seed in (0, 1, 2, 3, 11)
+] + [
+    (StrongArmLatch, 9604),  # passes
+    (FloatingInverterAmplifier, 29),  # passes
+    (FloatingInverterAmplifier, 297),  # aborts in the full pass
+    (DramCoreSenseAmp, 53),  # aborts in the full pass
+    (DramCoreSenseAmp, 173),  # passes
+]
+
+
 class TestDoubleBufferedVerification:
-    @pytest.mark.parametrize("design_seed", [0, 1, 2, 3, 11])
-    def test_bit_identical_to_sequential(self, paper_circuit, design_seed):
+    @pytest.mark.parametrize(
+        "circuit_class, design_seed",
+        VERIFY_CASES,
+        ids=[f"{cls.name}-{seed}" for cls, seed in VERIFY_CASES],
+    )
+    def test_bit_identical_to_sequential(self, circuit_class, design_seed):
         """Pass/fail, failed corner, failure stage, worst reward, charged
         budget and the post-verify RNG stream all match the sequential
-        schedule — across seeds that exercise both pass and abort paths."""
+        schedule — on screening, full-pass and abort paths.  The engine
+        is the per-chunk twin: on ``batched`` a full-pass corner is one
+        call at either lookahead, so nothing would be compared."""
+        circuit = circuit_class()
         with lookahead_zero():
-            sequential = _verify_once(paper_circuit, design_seed)
-        pipelined = _verify_once(paper_circuit, design_seed)
+            sequential = _verify_once(
+                circuit, design_seed, backend=PerChunkBackend.name
+            )
+        pipelined = _verify_once(circuit, design_seed, backend=PerChunkBackend.name)
         for field in ("passed", "failed_corner", "failure_stage"):
             assert getattr(pipelined[0], field) == getattr(
                 sequential[0], field
@@ -403,12 +447,15 @@ class TestDoubleBufferedVerification:
         that resolved the pending chunk instead of cancelling it shows up
         only there.  Uses a synthetic probe whose sample-level failure
         probability makes full-MC aborts common (the paper circuits fail
-        at screening first, cf. ``test_verification_chunked``)."""
+        at screening first, cf. ``test_verification_chunked``), on the
+        per-chunk twin, where chunks are futures."""
         full_mc_aborts = 0
         for seed in range(12):
             with lookahead_zero():
-                sequential, sequential_total = _probe_verify(seed)
-            pipelined, pipelined_total = _probe_verify(seed)
+                sequential, sequential_total = _probe_verify(
+                    seed, PerChunkBackend.name
+                )
+            pipelined, pipelined_total = _probe_verify(seed, PerChunkBackend.name)
             assert pipelined.passed == sequential.passed
             assert pipelined.failed_corner == sequential.failed_corner
             assert pipelined.failure_stage == sequential.failure_stage

@@ -111,6 +111,12 @@ class TestGlovaConfig:
         with pytest.raises(ValueError, match=field):
             GlovaConfig(**{field: 0})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            GlovaConfig(seed=-1)
+        assert GlovaConfig(seed=None).seed is None
+        assert GlovaConfig(seed=0).seed == 0
+
     def test_with_overrides_returns_copy(self):
         config = GlovaConfig()
         other = config.with_overrides(max_iterations=7)

@@ -85,6 +85,14 @@ class TestRetryPolicy:
             RetryPolicy(backoff=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(retry_on=frozenset({"not-a-kind"}))
+        # inf would make the first retry's sleep raise; NaN would make
+        # every delay NaN, which sleep skips.
+        for name in ("backoff", "backoff_factor", "jitter"):
+            for value in (float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    RetryPolicy(**{name: value})
+        with pytest.raises(ValueError, match="backoff must be finite"):
+            RetryPolicy.from_dict({"backoff": float("inf")})
 
     def test_should_retry_respects_attempts_and_kinds(self):
         policy = RetryPolicy(max_attempts=2)

@@ -481,6 +481,13 @@ class TestExperimentConfig:
             ExperimentConfig(circuit="no_such_circuit")
         with pytest.raises(ValueError, match="at least one seed"):
             ExperimentConfig(seeds=())
+        with pytest.raises(ValueError, match=r"non-negative, got \[-1\]"):
+            ExperimentConfig(seeds=(-1,))
+        # Not only the first seed: a later one would fail mid-sweep.
+        with pytest.raises(ValueError, match=r"non-negative, got \[-2, -5\]"):
+            ExperimentConfig(seeds=(0, -2, 3, -5))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ExperimentConfig(overrides={"seed": -1})
 
     @pytest.mark.parametrize(
         "field",
@@ -646,6 +653,19 @@ class TestCommandLine:
         result = self.run_cli("--circuit", "nosuch", "--dry-run")
         assert result.returncode == 2
         assert "unknown sizing circuit 'nosuch'" in result.stderr
+
+    def test_negative_seed_rejected_before_any_run(self):
+        result = self.run_cli("--circuit", "sal", "--seeds", "0,-1", "--dry-run")
+        assert result.returncode == 2
+        assert "seeds must be non-negative, got [-1]" in result.stderr
+
+    def test_infinite_retry_backoff_rejected(self):
+        result = self.run_cli(
+            "--circuit", "sal", "--retries", "2", "--retry-backoff", "inf",
+            "--dry-run",
+        )
+        assert result.returncode == 2
+        assert "backoff must be finite, got inf" in result.stderr
 
     def test_no_cache_flag_overrides_config_file(self, tmp_path):
         config_path = tmp_path / "experiment.json"

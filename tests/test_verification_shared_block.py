@@ -42,7 +42,6 @@ from repro.core.replay import LastWorstCaseBuffer
 from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import (
-    BACKENDS,
     BatchedBackend,
     CircuitSimulator,
     FaultInjectingBackend,
@@ -56,7 +55,7 @@ from repro.simulation import (
 from repro.spice.deck import FAILURE_NAN
 from repro.variation.corners import typical_corner
 from repro.variation.mismatch import MismatchSampler
-from test_async_service import FullMCProbeCircuit
+from test_async_service import FullMCProbeCircuit, PerChunkBackend
 
 #: Paper circuits: 24 - 3 = 21 ranked extras per corner, chunks of 8, 8, 5.
 PAPER_SAMPLES, PAPER_CHUNK = 24, 8
@@ -76,19 +75,6 @@ PAPER_CASES = [
 ]
 
 PROBE_SEEDS = range(24)
-
-
-class PerChunkBackend(BatchedBackend):
-    """``batched`` metrics at one call per chunk.
-
-    Not ``vectorized``, so the verifier's chunks are evaluated alone: the
-    per-chunk schedule the shared block must reproduce."""
-
-    name = "per_chunk_batched"
-    vectorized = False
-
-
-BACKENDS[PerChunkBackend.name] = PerChunkBackend
 
 
 class Recording:
