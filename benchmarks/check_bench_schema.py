@@ -26,7 +26,8 @@ from typing import Iterable, List
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Keys every ``environment`` block must carry (see
-#: ``harness.environment_metadata``).
+#: ``harness.environment_metadata``).  ``scipy`` is ``null`` on a
+#: numpy-only install; the key is still required.
 REQUIRED_ENVIRONMENT_KEYS = (
     "python",
     "numpy",
@@ -112,6 +113,18 @@ def test_bench_records_match_schema():
         if (errors := validate_bench_file(path))
     }
     assert not failures, f"bench schema violations: {failures}"
+
+
+def test_environment_stamp_without_scipy(monkeypatch):
+    """On a numpy-only install the stamp records ``"scipy": null`` and the
+    record still validates."""
+    from harness import environment_metadata
+
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy fails
+    environment = environment_metadata()
+    assert environment["scipy"] is None
+    record = {"description": "numpy-only stamp", "environment": environment}
+    assert validate_bench_payload(json.loads(json.dumps(record))) == []
 
 
 # ----------------------------------------------------------------------

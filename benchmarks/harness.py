@@ -51,15 +51,21 @@ def environment_metadata() -> dict:
 
     Wall-clock numbers are only comparable across PRs when the BLAS/LAPACK
     stack and the host are known; this makes every ``BENCH_*.json``
-    self-describing.
+    self-describing.  ``src/`` needs numpy alone, so ``scipy`` is ``None``
+    on an install without it.
     """
     import numpy
-    import scipy
 
+    try:
+        import scipy
+    except ImportError:
+        scipy_version = None
+    else:
+        scipy_version = scipy.__version__
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version,
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),

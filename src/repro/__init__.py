@@ -188,40 +188,27 @@ simulation-bound workloads plus ~2.7x faster first-job latency from warm
 pools (``benchmarks/results/BENCH_async_service.json``).
 """
 
+from repro._lazy import export_names, lazy_getattr
 from repro.version import __version__
-from repro.core.config import GlovaConfig, VerificationMethod, OperationalConfig
-from repro.core.optimizer import GlovaOptimizer
-from repro.core.result import OptimizationResult
-from repro.core.spec import DesignSpec, Constraint
 
-#: Facade names resolved lazily so ``import repro`` stays light and the
-#: baselines/analysis stack only loads when the facade is actually used.
-_API_EXPORTS = (
-    "ExperimentConfig",
-    "ExperimentReport",
-    "RunReport",
-    "run_sizing",
-    "run_baseline",
-    "run_experiment",
-    "run_comparison",
-)
+#: Every re-export, by the module that defines it.  Nothing here is
+#: imported until first read, so ``import repro`` loads no subpackage.
+_EXPORTS = {
+    "repro.core.config": ("GlovaConfig", "VerificationMethod", "OperationalConfig"),
+    "repro.core.optimizer": ("GlovaOptimizer",),
+    "repro.core.result": ("OptimizationResult",),
+    "repro.core.spec": ("DesignSpec", "Constraint"),
+    "repro.api": (
+        "ExperimentConfig",
+        "ExperimentReport",
+        "RunReport",
+        "run_sizing",
+        "run_baseline",
+        "run_experiment",
+        "run_comparison",
+    ),
+}
 
-__all__ = [
-    "__version__",
-    "GlovaConfig",
-    "VerificationMethod",
-    "OperationalConfig",
-    "GlovaOptimizer",
-    "OptimizationResult",
-    "DesignSpec",
-    "Constraint",
-    *_API_EXPORTS,
-]
+__all__ = ["__version__", *export_names(_EXPORTS)]
 
-
-def __getattr__(name):
-    if name in _API_EXPORTS:
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

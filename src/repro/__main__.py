@@ -57,8 +57,7 @@ import os
 
 from repro import api
 from repro.circuits.registry import available_circuits, get_circuit
-from repro.simulation import available_backends
-from repro.simulation.ngspice import EXECUTABLE_ENV
+from repro.simulation.service import available_backends
 from repro.version import __version__
 
 
@@ -427,6 +426,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.ngspice_executable:
+        from repro.simulation.ngspice import EXECUTABLE_ENV
+
         os.environ[EXECUTABLE_ENV] = args.ngspice_executable
 
     try:

@@ -13,43 +13,32 @@ over the traces of an external simulator's rawfile, plus the
 metric is extracted from traces.
 """
 
-from repro.analysis.metrics import (
-    MethodSummary,
-    aggregate_results,
-    normalize_runtimes,
-    straggler_idle_fraction,
-)
-from repro.analysis.tables import format_comparison_table, format_ablation_table
-from repro.analysis.waveform import (
-    TraceMissingError,
-    WaveformError,
-    WaveformSpec,
-    crossing_time,
-    delay_between,
-    extract_metric,
-    extract_metrics,
-    first_crossing,
-    overshoot,
-    settling_time,
-    slew_time,
-)
+from repro._lazy import export_names, lazy_getattr
 
-__all__ = [
-    "MethodSummary",
-    "aggregate_results",
-    "normalize_runtimes",
-    "straggler_idle_fraction",
-    "format_comparison_table",
-    "format_ablation_table",
-    "TraceMissingError",
-    "WaveformError",
-    "WaveformSpec",
-    "crossing_time",
-    "delay_between",
-    "extract_metric",
-    "extract_metrics",
-    "first_crossing",
-    "overshoot",
-    "settling_time",
-    "slew_time",
-]
+#: Every re-export, by the module that defines it, imported on first read.
+_EXPORTS = {
+    "repro.analysis.metrics": (
+        "MethodSummary",
+        "aggregate_results",
+        "normalize_runtimes",
+        "straggler_idle_fraction",
+    ),
+    "repro.analysis.tables": ("format_comparison_table", "format_ablation_table"),
+    "repro.analysis.waveform": (
+        "TraceMissingError",
+        "WaveformError",
+        "WaveformSpec",
+        "crossing_time",
+        "delay_between",
+        "extract_metric",
+        "extract_metrics",
+        "first_crossing",
+        "overshoot",
+        "settling_time",
+        "slew_time",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

@@ -58,7 +58,6 @@ from repro.circuits.registry import (
 from repro.core.config import GlovaConfig, VerificationMethod
 from repro.core.optimizer import GlovaOptimizer
 from repro.core.result import OptimizationResult
-from repro.simulation.atomic import atomic_write
 from repro.simulation.service import (
     RetryPolicy,
     available_backends,
@@ -475,6 +474,8 @@ def write_checkpoint(
     store: an interrupted writer can never leave a half-written record
     under the final name.
     """
+    from repro.simulation.atomic import atomic_write
+
     assert config.checkpoint_dir is not None
     fingerprint = _config_fingerprint(config)
     path = _checkpoint_path(config.checkpoint_dir, fingerprint, seed)

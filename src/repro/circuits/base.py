@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.waveform import WaveformSpec
-from repro.spice.deck import MeasureSpec
 from repro.variation.corners import CornerBatch, PVTCorner, typical_corner
 from repro.variation.distributions import DeviceKind, DeviceSpec, MismatchModel
+
+if TYPE_CHECKING:  # pragma: no cover - the deck side loads on use
+    from repro.analysis.waveform import WaveformSpec
+    from repro.spice.deck import MeasureSpec
 
 #: Floor on a capacitor's mismatch factor ``1 + delta``.  Real cap mismatch
 #: is a few percent, far above it; an out-of-model draw (say a standard
@@ -377,7 +379,7 @@ class AnalogCircuit(abc.ABC):
     # ------------------------------------------------------------------
     # External-simulator (deck) declarations
     # ------------------------------------------------------------------
-    def measure_specs(self) -> Tuple[MeasureSpec, ...]:
+    def measure_specs(self) -> Tuple["MeasureSpec", ...]:
         """One :class:`~repro.spice.deck.MeasureSpec` per metric.
 
         The deck compiler (:mod:`repro.spice.deck`) emits one ``.measure``
@@ -388,6 +390,8 @@ class AnalogCircuit(abc.ABC):
         numbers — and the paper circuits override with expressions tied to
         their testbench nodes and deck parameters.
         """
+        from repro.spice.deck import MeasureSpec
+
         return tuple(MeasureSpec(metric) for metric in self.metric_names)
 
     def waveform_specs(self) -> Tuple["WaveformSpec", ...]:
@@ -402,6 +406,8 @@ class AnalogCircuit(abc.ABC):
         only payload-aware runners (the analytic fake) can honour — and the
         paper circuits override with recipes on their real probe nodes.
         """
+        from repro.analysis.waveform import WaveformSpec
+
         return tuple(
             WaveformSpec(
                 metric,

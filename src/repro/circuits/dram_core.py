@@ -34,18 +34,18 @@ idx   parameter                      range                scale
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit, SizingParameter
 from repro.circuits.registry import register_circuit
-from repro.analysis.waveform import WaveformSpec
-from repro.spice.deck import MeasureSpec
 from repro.spice.mosfet import BOLTZMANN, MosfetModel, nmos_28nm, pmos_28nm
-from repro.spice.netlist import Capacitor, Circuit, GROUND, Mosfet, VoltageSource
 from repro.variation.corners import PVTCorner
 from repro.variation.distributions import DeviceKind, DeviceSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the netlist loads on use
+    from repro.spice.netlist import Circuit
 
 #: Bitline capacitance of the 2K-wordline open-bitline array (F).
 BITLINE_CAPACITANCE = 85e-15
@@ -143,6 +143,8 @@ class DramCoreSenseAmp(AnalogCircuit):
     # External-simulator declarations (see repro.spice.deck)
     # ------------------------------------------------------------------
     def measure_specs(self):
+        from repro.spice.deck import MeasureSpec
+
         return (
             # Sign-flipped sensing voltages sampled at the capture instant.
             MeasureSpec(
@@ -164,6 +166,8 @@ class DramCoreSenseAmp(AnalogCircuit):
         )
 
     def waveform_specs(self):
+        from repro.analysis.waveform import WaveformSpec
+
         return (
             # Sign-flipped bitline splits sampled at distinct capture
             # instants (d1 samples later so each difference trace is
@@ -197,6 +201,14 @@ class DramCoreSenseAmp(AnalogCircuit):
     def build_testbench(self, x: np.ndarray, corner: PVTCorner) -> Circuit:
         """Structural OCSA + subhole testbench: precharged open bitlines,
         cross-coupled sense pairs and the shared common-source drivers."""
+        from repro.spice.netlist import (
+            Capacitor,
+            Circuit,
+            GROUND,
+            Mosfet,
+            VoltageSource,
+        )
+
         vdd = float(corner.vdd)
         bench = Circuit(self.name)
         bench.add(VoltageSource("VVDD", "vdd", GROUND, vdd))

@@ -23,18 +23,18 @@ idx   parameter                  range                  scale
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit, SizingParameter, cap_mismatch_factor
 from repro.circuits.registry import register_circuit
-from repro.analysis.waveform import WaveformSpec
-from repro.spice.deck import MeasureSpec
 from repro.spice.mosfet import BOLTZMANN, MosfetModel, nmos_28nm, pmos_28nm
-from repro.spice.netlist import Capacitor, Circuit, GROUND, Mosfet, Resistor, VoltageSource
 from repro.variation.corners import PVTCorner
 from repro.variation.distributions import DeviceKind, DeviceSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the netlist loads on use
+    from repro.spice.netlist import Circuit
 
 #: Crest factor applied to the rms error so the metric reflects a
 #: high-confidence equivalent input error (matches the paper's mV-scale
@@ -107,6 +107,8 @@ class FloatingInverterAmplifier(AnalogCircuit):
     # External-simulator declarations (see repro.spice.deck)
     # ------------------------------------------------------------------
     def measure_specs(self):
+        from repro.spice.deck import MeasureSpec
+
         return (
             # Reservoir + switched-load charge drawn from VDD each cycle.
             MeasureSpec(
@@ -124,6 +126,8 @@ class FloatingInverterAmplifier(AnalogCircuit):
         )
 
     def waveform_specs(self):
+        from repro.analysis.waveform import WaveformSpec
+
         # Both FIA metrics are parameter-derived estimates, surfaced as
         # behavioural traces so real engines report them through the
         # rawfile like any probed node.
@@ -149,6 +153,15 @@ class FloatingInverterAmplifier(AnalogCircuit):
     def build_testbench(self, x: np.ndarray, corner: PVTCorner) -> Circuit:
         """Structural FIA testbench: pseudo-differential inverter pair
         floating on the reservoir capacitor, plus output loads."""
+        from repro.spice.netlist import (
+            Capacitor,
+            Circuit,
+            GROUND,
+            Mosfet,
+            Resistor,
+            VoltageSource,
+        )
+
         vdd = float(corner.vdd)
         bench = Circuit(self.name)
         bench.add(VoltageSource("VVDD", "vdd", GROUND, vdd))

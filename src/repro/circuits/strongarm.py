@@ -29,18 +29,18 @@ Performance metrics and targets (Section VI.A):
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit, SizingParameter, cap_mismatch_factor
 from repro.circuits.registry import register_circuit
-from repro.analysis.waveform import WaveformSpec
-from repro.spice.deck import MeasureSpec
 from repro.spice.mosfet import BOLTZMANN, MosfetModel, nmos_28nm, pmos_28nm
-from repro.spice.netlist import Capacitor, Circuit, GROUND, Mosfet, Resistor, VoltageSource
 from repro.variation.corners import PVTCorner
 from repro.variation.distributions import DeviceKind, DeviceSpec
+
+if TYPE_CHECKING:  # pragma: no cover - the netlist loads on use
+    from repro.spice.netlist import Circuit
 
 #: Comparator clock frequency assumed for dynamic power (Hz).
 CLOCK_FREQUENCY = 250e6
@@ -133,6 +133,8 @@ class StrongArmLatch(AnalogCircuit):
     # External-simulator declarations (see repro.spice.deck)
     # ------------------------------------------------------------------
     def measure_specs(self):
+        from repro.spice.deck import MeasureSpec
+
         return (
             MeasureSpec("power", "tran", "avg par('-i(vvdd)*v(vdd)')"),
             MeasureSpec(
@@ -157,6 +159,8 @@ class StrongArmLatch(AnalogCircuit):
         )
 
     def waveform_specs(self):
+        from repro.analysis.waveform import WaveformSpec
+
         return (
             # Supply current x supply voltage, averaged over the record.
             WaveformSpec(
@@ -192,6 +196,15 @@ class StrongArmLatch(AnalogCircuit):
     def build_testbench(self, x: np.ndarray, corner: PVTCorner) -> Circuit:
         """Structural SAL testbench: clocked tail, input pair, cross-coupled
         latch, precharge/reset devices and the offset-storage network."""
+        from repro.spice.netlist import (
+            Capacitor,
+            Circuit,
+            GROUND,
+            Mosfet,
+            Resistor,
+            VoltageSource,
+        )
+
         vdd = float(corner.vdd)
         nmos = lambda w, l: MosfetModel(x[w], x[l], nmos_28nm())
         pmos = lambda w, l: MosfetModel(x[w], x[l], pmos_28nm())

@@ -78,116 +78,71 @@ through :meth:`SimulationService.run`, their ``submit_*`` twins through
 :meth:`SimulationService.submit`.
 """
 
-from repro.simulation.budget import SimulationBudget, SimulationPhase
-from repro.simulation.service import (
-    BACKENDS,
-    CACHE_FORMAT_VERSION,
-    BatchedBackend,
-    CachingBackend,
-    FailureKind,
-    ReferenceScalarBackend,
-    RetryPolicy,
-    ShardedDispatcher,
-    SimFuture,
-    SimJob,
-    SimResult,
-    SimulationBackend,
-    SimulationRecord,
-    SimulationService,
-    available_backends,
-    classify_failure,
-    clear_spill_store,
-    prune_spill_store,
-    resolve_backend,
-    spill_store_stats,
-)
-from repro.simulation.sharding import (
-    ShardHandle,
-    ShardWatchdog,
-    WorkerPool,
-    plan_chunk_bounds,
-)
-from repro.simulation.ngspice import (  # registers the "ngspice" backend
-    NgspiceBackend,
-    NgspiceError,
-    NgspiceRunner,
-)
-from repro.simulation.faults import (  # registers the "chaos" backend
-    ChaosFault,
-    FaultInjectingBackend,
-    FaultSchedule,
-    NetworkFaultSchedule,
-    install_chaos,
-    install_network_chaos,
-)
-from repro.simulation.protocol import ProtocolError, RemoteError
-from repro.simulation.remote import (  # registers the "remote" backend
-    CircuitBreaker,
-    RemoteBackend,
-)
-from repro.simulation.server import SimulationServer
-from repro.simulation.simulator import CircuitSimulator
+from repro._lazy import export_names, lazy_getattr
 
-# The experiment front end (``repro serve --mode experiment``) sits above
-# everything else in this package — imported last, and it only touches
-# :mod:`repro.api` lazily, so no import cycle forms.
-from repro.simulation.budget import TenantBudgetLedger
-from repro.simulation.frontend import (
-    ExperimentClient,
-    ExperimentFrontend,
-    ExperimentJournal,
-    FrontendBusy,
-    FrontendUnavailable,
-    run_key,
-)
+#: Every re-export, by the module that defines it.  Nothing here is
+#: imported until first read: a run on the in-process ``batched`` engine
+#: never loads the pool, the ngspice bridge, chaos, the wire protocol or
+#: either daemon.  The ngspice, chaos and remote backends register in
+#: :data:`BACKENDS` when their module loads, which
+#: :func:`resolve_backend` does on first use of their name.
+_EXPORTS = {
+    "repro.simulation.budget": (
+        "SimulationBudget",
+        "SimulationPhase",
+        "TenantBudgetLedger",
+    ),
+    "repro.simulation.simulator": ("CircuitSimulator",),
+    "repro.simulation.service": (
+        "SimulationRecord",
+        "SimJob",
+        "SimResult",
+        "SimFuture",
+        "CACHE_FORMAT_VERSION",
+        "SimulationBackend",
+        "SimulationService",
+        "BatchedBackend",
+        "ReferenceScalarBackend",
+        "CachingBackend",
+        "ShardedDispatcher",
+        "RetryPolicy",
+        "FailureKind",
+        "classify_failure",
+        "spill_store_stats",
+        "prune_spill_store",
+        "clear_spill_store",
+        "BACKENDS",
+        "available_backends",
+        "resolve_backend",
+    ),
+    "repro.simulation.sharding": (
+        "ShardHandle",
+        "ShardWatchdog",
+        "WorkerPool",
+        "plan_chunk_bounds",
+    ),
+    "repro.simulation.ngspice": ("NgspiceBackend", "NgspiceError", "NgspiceRunner"),
+    "repro.simulation.faults": (
+        "ChaosFault",
+        "FaultInjectingBackend",
+        "FaultSchedule",
+        "NetworkFaultSchedule",
+        "install_chaos",
+        "install_network_chaos",
+    ),
+    "repro.simulation.protocol": ("ProtocolError", "RemoteError"),
+    "repro.simulation.remote": ("CircuitBreaker", "RemoteBackend"),
+    "repro.simulation.server": ("SimulationServer",),
+    "repro.simulation.frontend": (
+        "ExperimentClient",
+        "ExperimentFrontend",
+        "ExperimentJournal",
+        "FrontendBusy",
+        "FrontendUnavailable",
+        "run_key",
+    ),
+}
 
-__all__ = [
-    "SimulationBudget",
-    "SimulationPhase",
-    "CircuitSimulator",
-    "SimulationRecord",
-    "SimJob",
-    "SimResult",
-    "SimFuture",
-    "ShardHandle",
-    "ShardWatchdog",
-    "WorkerPool",
-    "plan_chunk_bounds",
-    "CACHE_FORMAT_VERSION",
-    "SimulationBackend",
-    "SimulationService",
-    "BatchedBackend",
-    "ReferenceScalarBackend",
-    "NgspiceBackend",
-    "NgspiceError",
-    "NgspiceRunner",
-    "ChaosFault",
-    "FaultInjectingBackend",
-    "FaultSchedule",
-    "NetworkFaultSchedule",
-    "install_chaos",
-    "install_network_chaos",
-    "ProtocolError",
-    "RemoteError",
-    "CircuitBreaker",
-    "RemoteBackend",
-    "SimulationServer",
-    "CachingBackend",
-    "ShardedDispatcher",
-    "RetryPolicy",
-    "FailureKind",
-    "classify_failure",
-    "spill_store_stats",
-    "prune_spill_store",
-    "clear_spill_store",
-    "BACKENDS",
-    "available_backends",
-    "resolve_backend",
-    "TenantBudgetLedger",
-    "ExperimentClient",
-    "ExperimentFrontend",
-    "ExperimentJournal",
-    "FrontendBusy",
-    "FrontendUnavailable",
-    "run_key",
-]
+__all__ = export_names(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

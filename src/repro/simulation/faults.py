@@ -21,7 +21,7 @@ kill      ``os._exit(kill_exit_code)`` **when running inside a pool
           worker** — the real worker-death signature (breaks the whole
           executor).  In the main process this downgrades to ``raise``
           so a mis-configured schedule can never kill the test runner.
-nan       return a full :data:`~repro.spice.deck.FAILURE_NAN` block
+nan       return a full :data:`~repro.simulation.service.FAILURE_NAN` block
           (the never-produced signature: uncacheable, uncharged,
           retried)
 ========  =============================================================
@@ -76,6 +76,7 @@ from repro.circuits.base import AnalogCircuit
 from repro.simulation.ngspice import NgspiceError
 from repro.simulation.service import (
     BACKENDS,
+    FAILURE_NAN,
     SimJob,
     SimulationBackend,
     resolve_backend,
@@ -376,8 +377,6 @@ class FaultInjectingBackend(SimulationBackend):
                 # this layer enforced a deadline, the caller still gets
                 # correct metrics — just catastrophically late.
             elif mode == "nan":
-                from repro.spice.deck import FAILURE_NAN
-
                 return {
                     name: np.full(job.batch, FAILURE_NAN)
                     for name in circuit.metric_names

@@ -22,8 +22,9 @@ behind the service boundary:
   violations, so a flaky simulator slows the search instead of crashing
   it.  Set ``strict=True`` (or :data:`STRICT_ENV`) to raise
   :class:`NgspiceError` instead, e.g. in CI.  Deployment errors — a
-  missing executable, or a circuit whose measures could never be reported
-  by the engine — always raise, strict or not.
+  missing executable, a circuit whose measures could never be reported
+  by the engine, or a mismatch row a real engine cannot see (below) —
+  always raise, strict or not.
 
 Batched jobs and real engines
 -----------------------------
@@ -39,6 +40,14 @@ to a NaN row without discarding its siblings).  Pass
 ``payload_aware=True`` (or set :data:`PAYLOAD_AWARE_ENV`) only when the
 executable genuinely understands multi-row decks — the test suite does,
 so batched fake runs stay one subprocess per job.
+
+A real engine also cannot see a row's **mismatch vector**: the deck's
+``.model`` cards carry the row's corner and element-static shifts, not
+its Monte-Carlo sample, so every row would simulate at σ = 0 and a
+C-MCL or C-MCG-L run would verify nothing.  Until per-row mismatch is
+lowered into the cards, a backend that is not payload-aware refuses any
+job with a non-zero mismatch row (:class:`NgspiceError`, before any deck
+is compiled); zero-mismatch jobs — corners, design batches — still run.
 
 Registered in :data:`~repro.simulation.service.BACKENDS` as ``"ngspice"``,
 so ``ExperimentConfig(backend="ngspice")`` / ``--backend ngspice`` select it
@@ -60,13 +69,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
-from repro.simulation.service import BACKENDS, SimJob, SimulationBackend
-from repro.spice.deck import (
-    FAILURE_NAN,
-    Deck,
-    compile_job_deck,
-    parse_measure_log,
-)
+from repro.simulation.service import BACKENDS, FAILURE_NAN, SimJob, SimulationBackend
+from repro.spice.deck import Deck, compile_job_deck, parse_measure_log
 
 #: Environment variable naming the simulator executable (tests point this at
 #: the fake simulator; production deployments at a pinned ngspice build).
@@ -371,6 +375,20 @@ class NgspiceBackend(SimulationBackend):
     def evaluate(
         self, circuit: AnalogCircuit, job: SimJob
     ) -> Dict[str, np.ndarray]:
+        if not self.payload_aware and job.mismatch is not None:
+            # Deployment error: a real engine reads the netlist, whose
+            # .model cards carry the row's corner but not its mismatch
+            # vector, so it would simulate every row at sigma = 0.
+            shifted = np.flatnonzero(np.any(job.mismatch != 0.0, axis=1))
+            if shifted.size:
+                raise NgspiceError(
+                    f"circuit {circuit.name!r}: row {int(shifted[0])} of "
+                    f"{job.batch} has a non-zero mismatch vector, which a "
+                    f"real (non-payload-aware) engine cannot see — its deck "
+                    f"carries corners, not per-row mismatch — so it would "
+                    f"silently simulate sigma = 0; run zero-mismatch jobs "
+                    f"or a payload-aware executable (${PAYLOAD_AWARE_ENV}=1)"
+                )
         if self.measurement == "waveform":
             if not self.payload_aware:
                 specs = circuit.waveform_specs()

@@ -66,10 +66,10 @@ from repro.simulation.protocol import (
     send_frame,
 )
 from repro.simulation.service import (
-    BACKENDS,
     ShardedDispatcher,
     SimJob,
     SimulationBackend,
+    available_backends,
     resolve_backend,
 )
 from repro.simulation.sharding import WorkerPool, can_shard
@@ -424,7 +424,7 @@ def serve_main(argv=None) -> int:
     parser.add_argument(
         "--backend",
         default="batched",
-        choices=sorted(BACKENDS),
+        choices=available_backends(),
         help="terminal backend that executes jobs (default: batched)",
     )
     parser.add_argument("--host", default="127.0.0.1")

@@ -118,6 +118,14 @@ Contract, in order of importance:
    True`` when every row is its own external run (any multi-row job fans
    out across the pool, and every full-pass chunk is evaluated alone).
 
+A custom backend registers by assignment into :data:`BACKENDS`, as
+above, before its name is used.  The built-ins outside this module
+(``ngspice``, ``chaos``, ``remote``) register on first use instead: their
+modules are listed in one table here, :func:`available_backends` names
+them without importing anything, and :func:`resolve_backend` imports a
+module the first time its name is resolved.  So a run on ``batched`` or
+``scalar`` never loads the subprocess, socket or pool machinery.
+
 Registered names are automatically selectable from
 ``ExperimentConfig(backend=...)`` and ``python -m repro --backend ...``,
 and compose with :class:`CachingBackend` / :class:`ShardedDispatcher`
@@ -128,35 +136,26 @@ external-process example.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import io
 import math
 import os
 import threading
 import time
 import warnings
-import zipfile
 from collections import deque
-from concurrent.futures import CancelledError
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from subprocess import TimeoutExpired
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
-from repro.simulation.atomic import atomic_write
 from repro.simulation.budget import SimulationBudget, SimulationPhase
-from repro.simulation.sharding import (
-    ShardHandle,
-    ShardWatchdog,
-    WorkerPool,
-    can_shard,
-    dispatch_job_sharded,
-)
 from repro.variation.corners import CornerBatch, PVTCorner
+
+if TYPE_CHECKING:  # pragma: no cover - the pool loads on use
+    from repro.simulation.sharding import ShardHandle, ShardWatchdog, WorkerPool
 
 
 #: Batch axes a job can fan out over.
@@ -164,14 +163,30 @@ CONDITION_AXIS = "conditions"  # one design × B (corner, mismatch) rows
 DESIGN_AXIS = "designs"  # M designs × one corner at nominal mismatch
 
 
+#: A quiet NaN with a distinguished payload, marking a cell the engine
+#: *never produced* (subprocess crash/timeout, cell absent from the log) as
+#: opposed to a measure the engine reported as ``failed`` — which is a
+#: genuine result whose value happens to be unknown (plain ``np.nan``).
+#: Every consumer sees both as NaN; only the failure accounting
+#: (:func:`failed_row_mask`) inspects the payload bits, which survive array
+#: copies, concatenation and pickling across worker processes.
+_FAILURE_NAN_BITS = np.uint64(0x7FF8_DEAD_BEEF_0000)
+FAILURE_NAN = float(_FAILURE_NAN_BITS.view(np.float64))
+
+
+def failure_nan_mask(values: np.ndarray) -> np.ndarray:
+    """Elementwise mask of :data:`FAILURE_NAN` cells (bit-exact match)."""
+    array = np.ascontiguousarray(values, dtype=np.float64)
+    return array.view(np.uint64) == _FAILURE_NAN_BITS
+
+
 def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     """``(B,)`` mask of rows the engine never produced.
 
-    Failure is marked explicitly by the backend with
-    :data:`repro.spice.deck.FAILURE_NAN` — a payload-tagged NaN written
-    only for cells the engine never evaluated (subprocess crash/timeout,
-    cell absent from the measure log).  A row is failed when *every* metric
-    carries the tag.  Plain NaN — a measure the engine *reported* as
+    Failure is marked explicitly by the backend with :data:`FAILURE_NAN` —
+    a payload-tagged NaN written only for cells the engine never evaluated
+    (subprocess crash/timeout, cell absent from the measure log).  A row is
+    failed when *every* metric carries the tag.  Plain NaN — a measure the engine *reported* as
     failed, or an analytic backend's unconverged row — is a genuine result
     and is never mistaken for infrastructure failure, so legitimately
     all-NaN results stay charged and cacheable.
@@ -181,8 +196,6 @@ def failed_row_mask(metrics: Dict[str, np.ndarray]) -> np.ndarray:
     charges an attempt that raises.  The cache is stricter: it refuses
     any block with a failed row, so a transient per-row flake is
     re-simulated rather than memoized forever."""
-    from repro.spice.deck import failure_nan_mask
-
     blocks = [np.asarray(block) for block in metrics.values()]
     if not blocks:
         return np.zeros(0, dtype=bool)
@@ -555,31 +568,52 @@ BACKENDS: Dict[str, type] = {
     ReferenceScalarBackend.name: ReferenceScalarBackend,
 }
 
-
-# The ngspice adapter lives in its own module (subprocess plumbing the
-# in-process backends never need) and registers itself into BACKENDS when
-# repro/simulation/__init__.py imports it — which Python guarantees has
-# happened before any repro.simulation.* submodule finishes importing, so
-# resolve_backend("ngspice") works everywhere, including inside sharded
-# worker processes.
+#: The module of each built-in backend that lives outside this one.  Each
+#: registers itself in :data:`BACKENDS` when it loads, and
+#: :func:`resolve_backend` loads it on first use of its name, so a run
+#: that never names one never imports it (nor ``subprocess`` or
+#: ``socket``).
+_BUILTIN_BACKEND_MODULES = {
+    "ngspice": "repro.simulation.ngspice",
+    "chaos": "repro.simulation.faults",
+    "remote": "repro.simulation.remote",
+}
 
 
 def available_backends() -> List[str]:
-    """Sorted registry names of every terminal backend."""
-    return sorted(BACKENDS)
+    """Sorted registry names of every terminal backend, loaded or not."""
+    return sorted(BACKENDS.keys() | _BUILTIN_BACKEND_MODULES.keys())
 
 
 def resolve_backend(backend: Union[str, SimulationBackend]) -> SimulationBackend:
     """A backend instance from a registry name (or pass one through)."""
     if isinstance(backend, SimulationBackend):
         return backend
-    try:
-        return BACKENDS[backend]()
-    except KeyError:
+    if backend not in BACKENDS and backend in _BUILTIN_BACKEND_MODULES:
+        importlib.import_module(_BUILTIN_BACKEND_MODULES[backend])
+    backend_class = BACKENDS.get(backend)
+    if backend_class is None:
         raise KeyError(
             f"unknown simulation backend {backend!r}; "
-            f"available: {sorted(BACKENDS)}"
-        ) from None
+            f"available: {available_backends()}"
+        )
+    return backend_class()
+
+
+def can_shard(backend: SimulationBackend) -> bool:
+    """Whether any job on ``backend`` may shard, whatever its size.
+
+    False for a :attr:`~SimulationBackend.vectorized` engine that does not
+    also declare ``row_parallel``: one vectorized pass costs about the
+    same at any row count, so shards only multiply it and add IPC.  Also
+    False for backends a worker cannot rebuild by name.  A service spawns
+    no pool for such a backend, and never imports the pool module.
+    """
+    return (
+        (backend.row_parallel or not backend.vectorized)
+        and backend.name in BACKENDS
+        and backend.worker_reconstructible
+    )
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +640,7 @@ class FailureKind(Enum):
     #: .ChaosFault`).
     ENGINE = "engine"
     #: No exception, but the metrics carry
-    #: :data:`~repro.spice.deck.FAILURE_NAN` rows — the engine never
+    #: :data:`FAILURE_NAN` rows — the engine never
     #: produced those rows (graceful-degradation paths: non-strict
     #: ngspice, watchdog-degraded shards, chaos ``nan``).
     FAILURE_NAN = "failure_nan"
@@ -616,14 +650,18 @@ class FailureKind(Enum):
 
 def classify_failure(error: BaseException) -> FailureKind:
     """Map one raised exception onto a :class:`FailureKind`."""
+    # Imported here, where only a failed attempt arrives: a run that never
+    # fails never loads the pool, subprocess or ngspice modules.
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+    from subprocess import TimeoutExpired
+
+    from repro.simulation.ngspice import NgspiceError
+
     if isinstance(error, BrokenProcessPool):
         return FailureKind.WORKER_DEATH
     if isinstance(error, (FuturesTimeoutError, TimeoutError, TimeoutExpired)):
         return FailureKind.TIMEOUT
-    try:  # lazy: ngspice.py imports this module
-        from repro.simulation.ngspice import NgspiceError
-    except ImportError:  # pragma: no cover - circular-import fallback
-        NgspiceError = ()  # type: ignore[assignment]
     if isinstance(error, NgspiceError):
         return FailureKind.ENGINE
     return FailureKind.OTHER
@@ -719,6 +757,8 @@ class RetryPolicy:
         """The shard watchdog this policy configures (``None`` = off)."""
         if self.watchdog_seconds_per_row is None:
             return None
+        from repro.simulation.sharding import ShardWatchdog
+
         return ShardWatchdog(
             seconds_per_row=float(self.watchdog_seconds_per_row),
             floor=float(self.watchdog_floor),
@@ -803,7 +843,7 @@ class CachingBackend(SimulationBackend):
     stores from older builds keep loading), and a memory miss falls back
     to the disk store before running the inner backend.  Disk loads apply exactly the
     same admission rule as stores: any block carrying a
-    :data:`~repro.spice.deck.FAILURE_NAN`-tagged row — the signature of a
+    :data:`FAILURE_NAN`-tagged row — the signature of a
     run the engine never produced — is refused and re-simulated, so a stale
     or tampered spill can never resurrect an infrastructure failure.
     Repeated experiment sweeps (Table II/III regeneration) with the same
@@ -840,6 +880,8 @@ class CachingBackend(SimulationBackend):
 
     def _spill(self, job_id: str, metrics: Dict[str, np.ndarray]) -> None:
         """Atomically persist one admitted block to the on-disk store."""
+        from repro.simulation.atomic import atomic_write
+
         payload = {
             name: np.asarray(values, dtype=float)
             for name, values in metrics.items()
@@ -854,6 +896,8 @@ class CachingBackend(SimulationBackend):
         corrupt / failure-tagged — all treated as plain misses)."""
         if self.spill_dir is None:
             return None
+        import zipfile
+
         try:
             with np.load(self._spill_path(job.job_id)) as data:
                 if _CACHE_VERSION_KEY not in data.files:
@@ -965,6 +1009,8 @@ def _spill_payload_bytes(records: List[Tuple[str, int, float]]) -> int:
     to open (corrupt, mid-write) contribute nothing — this is a reporting
     aid, not an admission check.
     """
+    import zipfile
+
     total = 0
     for path, _size, _mtime in records:
         try:
@@ -1072,7 +1118,7 @@ class ShardedDispatcher(SimulationBackend):
     The pool belongs to whoever builds the dispatcher — the
     :class:`SimulationService` or the job-mode
     :class:`~repro.simulation.server.SimulationServer`, each of which
-    wraps only engines that :func:`~repro.simulation.sharding.can_shard`
+    wraps only engines that :func:`can_shard`
     and shuts the pool down itself; the dispatcher never creates or
     closes one.
     :meth:`dispatch` is the non-blocking entry point: it returns a
@@ -1103,6 +1149,8 @@ class ShardedDispatcher(SimulationBackend):
     ) -> Optional[ShardHandle]:
         """Submit the job's shards without blocking (``None`` = not
         shardable; the caller evaluates in-process instead)."""
+        from repro.simulation.sharding import dispatch_job_sharded
+
         return dispatch_job_sharded(
             circuit, self.inner, job, self.pool, watchdog=self.watchdog
         )
@@ -1119,6 +1167,14 @@ class ShardedDispatcher(SimulationBackend):
 # ----------------------------------------------------------------------
 # Futures
 # ----------------------------------------------------------------------
+def _cancelled_error(message: str) -> Exception:
+    """A ``concurrent.futures.CancelledError``, whose module (and with it
+    ``logging``) loads only when a future is cancelled."""
+    from concurrent.futures import CancelledError
+
+    return CancelledError(message)
+
+
 class SimFuture:
     """One in-flight :class:`SimJob`; budget accounting at resolution.
 
@@ -1220,7 +1276,7 @@ class SimFuture:
         def checkpointed() -> Dict[str, np.ndarray]:
             with self._lock:
                 if self._cancelled:
-                    raise CancelledError(
+                    raise _cancelled_error(
                         f"SimFuture for job {self.job.job_id[:12]} was "
                         f"cancelled before evaluation"
                     )
@@ -1228,7 +1284,7 @@ class SimFuture:
             metrics = attempt()
             with self._lock:
                 if self._cancelled:
-                    raise CancelledError(
+                    raise _cancelled_error(
                         f"SimFuture for job {self.job.job_id[:12]} was "
                         f"cancelled during evaluation; dropping its result"
                     )
@@ -1255,7 +1311,7 @@ class SimFuture:
                     raise self._error
                 return self._result
             if self._cancelled:
-                raise CancelledError(
+                raise _cancelled_error(
                     f"SimFuture for job {self.job.job_id[:12]} was cancelled"
                 )
             self._resolving = True
@@ -1345,7 +1401,7 @@ class SimulationService:
     cache hit charges nothing.
 
     With ``workers > 1`` and a terminal backend that
-    :func:`~repro.simulation.sharding.can_shard` (``scalar``,
+    :func:`can_shard` (``scalar``,
     ``row_parallel`` engines, an env-configured ``remote`` client), the
     service owns a persistent
     :class:`~repro.simulation.sharding.WorkerPool`, constructed **eagerly
@@ -1379,6 +1435,8 @@ class SimulationService:
         self._dispatch: SimulationBackend = self._terminal
         self._pool: Optional[WorkerPool] = None
         if self._workers > 1 and can_shard(self._terminal):
+            from repro.simulation.sharding import WorkerPool
+
             self._pool = WorkerPool(
                 self._workers,
                 circuit_names=(circuit.name,),
@@ -1486,7 +1544,7 @@ class SimulationService:
         ``job.phase``, after an attempt returns a block with at least one
         row the engine produced.  An attempt that raises or is retried is
         never charged, and neither is a block whose every row is
-        :data:`~repro.spice.deck.FAILURE_NAN`.  With no retry policy a
+        :data:`FAILURE_NAN`.  With no retry policy a
         raise propagates and a block with failed rows is returned as it
         is (charged unless it is a full failure block), so
         graceful-degradation consumers see the NaN rows.  With a policy,
@@ -1582,7 +1640,7 @@ class SimulationService:
         — the exception propagates uncharged, so a resubmission charges
         (once) like a first attempt.  The same holds for *non-raising*
         failures: a backend degrading to a block of nothing but
-        :data:`~repro.spice.deck.FAILURE_NAN` rows (e.g. a non-strict
+        :data:`FAILURE_NAN` rows (e.g. a non-strict
         ngspice timeout) is not charged either, mirroring the cache's refusal to store such
         blocks — strict and graceful failure modes account identically."""
         return self._resolve(
@@ -1650,7 +1708,7 @@ class SimulationService:
         hits are scored from the cache, then one evaluation of every row
         from the first miss on is scored once.  With one piece left, that
         piece is evaluated as itself; a wide call that raises or returns a
-        :data:`~repro.spice.deck.FAILURE_NAN` row is dropped.  Every other
+        :data:`FAILURE_NAN` row is dropped.  Every other
         engine, and the pieces a dropped call leaves, resolve piece by
         piece as futures through :func:`iter_resolved`, one ahead.
         """

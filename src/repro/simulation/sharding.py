@@ -8,7 +8,8 @@ parallelism with real OS-level concurrency.  Because the *job* is what gets
 sliced, every batch axis shards the same way: mismatch rows, corner rows
 and design rows alike.
 
-Every engine shards except a ``vectorized`` one (:func:`can_shard`):
+Every engine shards except a ``vectorized`` one
+(:func:`~repro.simulation.service.can_shard`):
 ``row_parallel`` engines (one external-engine run per row), row loops such
 as the ``scalar`` reference, and an env-configured ``remote`` client
 whose workers fan shards out over the fleet.  A ``vectorized`` engine —
@@ -62,9 +63,9 @@ Fault tolerance (the simulation-fabric layer):
   wall-clock deadline derived from its row count (``seconds_per_row ×
   rows``, floored at :attr:`ShardWatchdog.floor`).  A shard that blows its
   deadline — a hung engine the per-deck timeout never fired on — degrades
-  to :data:`~repro.spice.deck.FAILURE_NAN` rows instead of wedging the
-  control loop, and the pool is healed (the hung worker terminated) so
-  later shards land on live workers.  The FAILURE_NAN rows make the block
+  to :data:`~repro.simulation.service.FAILURE_NAN` rows instead of
+  wedging the control loop, and the pool is healed (the hung worker
+  terminated) so later shards land on live workers.  The FAILURE_NAN rows make the block
   uncacheable and, under a retry policy, trigger a re-simulation; only
   the attempt that succeeds is charged — see
   :mod:`repro.simulation.service`.
@@ -106,8 +107,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.base import AnalogCircuit
+from repro.simulation.service import FAILURE_NAN, can_shard, resolve_backend
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.service import SimJob, SimulationBackend
 
 #: Shard only batches at least this many times the worker count; smaller
@@ -116,7 +118,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: subprocess per row, e.g. the non-payload-aware ngspice path) opt into a
 #: floor of one row per worker instead: any multi-row job fans its rows out
 #: across the pool rather than running them serially in one process.
-#: ``vectorized`` backends never shard (see :func:`can_shard`).
+#: ``vectorized`` backends never shard (see
+#: :func:`~repro.simulation.service.can_shard`).
 MIN_ROWS_PER_WORKER = 2
 
 #: Work-stealing oversubscription: target chunk count per worker.  More
@@ -301,19 +304,17 @@ def _warm_worker(
     backend_names: Tuple[str, ...],
     barrier,
 ) -> None:
-    """Worker initializer: pin BLAS, pre-import, pre-build, then rendezvous.
+    """Worker initializer: pin BLAS, pre-build, then rendezvous.
 
-    Runs exactly once per worker interpreter.  The imports below register
-    every terminal backend (``repro.simulation`` imports the ngspice and
-    chaos modules for the side effect) and the circuit/backend pre-builds
-    populate the process-level caches, so the first real shard pays no
-    construction cost.  The optional barrier forces the executor to
-    actually spawn all of its workers during :class:`WorkerPool`
-    construction instead of lazily on first submit.
+    Runs exactly once per worker interpreter.  The circuit and backend
+    pre-builds populate the process-level caches, so the first real shard
+    pays no construction cost; resolving a built-in backend's name imports
+    (and so registers) its module, and nothing else is imported for it.
+    The optional barrier forces the executor to actually spawn all of its
+    workers during :class:`WorkerPool` construction instead of lazily on
+    first submit.
     """
     _pin_blas_threads()
-    import repro.simulation  # noqa: F401  (registers every terminal backend)
-
     for name in backend_names:
         try:
             _worker_backend(name)
@@ -344,8 +345,6 @@ def _worker_circuit(name: str) -> AnalogCircuit:
 def _worker_backend(name: str) -> "SimulationBackend":
     backend = _WORKER_BACKENDS.get(name)
     if backend is None:
-        from repro.simulation.service import resolve_backend
-
         backend = resolve_backend(name)
         _WORKER_BACKENDS[name] = backend
     return backend
@@ -379,7 +378,7 @@ class ShardWatchdog:
     :meth:`ShardHandle.result` gives up on it: ``seconds_per_row × rows``,
     floored at ``floor`` so one-row shards are not starved by scheduling
     noise.  An expired shard degrades to
-    :data:`~repro.spice.deck.FAILURE_NAN` rows (uncacheable; retried
+    :data:`~repro.simulation.service.FAILURE_NAN` rows (uncacheable; retried
     uncharged by a service with a :class:`~repro.simulation.service
     .RetryPolicy`) and the pool is healed so the hung worker is reclaimed.
     This sits *above* any per-deck engine timeout — it is the backstop for
@@ -594,8 +593,6 @@ def _failure_block(
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """An all-:data:`FAILURE_NAN` metrics block for one shard job, with
     NaN row seconds (the rows never ran)."""
-    from repro.spice.deck import FAILURE_NAN
-
     block = {
         name: np.full(job.batch, FAILURE_NAN) for name in metric_names
     }
@@ -640,7 +637,7 @@ class ShardHandle:
       the pool refuses (poisoned / closed), the lost shard is evaluated
       *in-process* so the job still completes deterministically.
     * with a :class:`ShardWatchdog`, a shard that outlives its deadline
-      degrades to :data:`~repro.spice.deck.FAILURE_NAN` rows (the
+      degrades to :data:`~repro.simulation.service.FAILURE_NAN` rows (the
       never-produced signature: uncacheable, retried uncharged under a
       service retry policy) and the pool is healed to reclaim the hung
       worker.
@@ -771,24 +768,6 @@ def _registered_circuit(circuit: AnalogCircuit) -> bool:
     return registered_class(circuit.name) is type(circuit)
 
 
-def can_shard(backend: "SimulationBackend") -> bool:
-    """Whether any job on ``backend`` may shard, whatever its size.
-
-    False for a :attr:`~repro.simulation.service.SimulationBackend
-    .vectorized` engine that does not also declare ``row_parallel``: one
-    vectorized pass costs about the same at any row count, so shards only
-    multiply it and add IPC.  Also False for backends a worker cannot
-    rebuild by name.  A service spawns no pool for such a backend.
-    """
-    from repro.simulation.service import BACKENDS
-
-    return (
-        (backend.row_parallel or not backend.vectorized)
-        and backend.name in BACKENDS
-        and backend.worker_reconstructible
-    )
-
-
 def shardable(
     circuit: AnalogCircuit,
     backend: "SimulationBackend",
@@ -799,9 +778,9 @@ def shardable(
 
     Backends whose rows are individually expensive (``row_parallel = True``,
     e.g. one external-simulator subprocess per row) shard any multi-row
-    batch; other backends that :func:`can_shard` require
-    :data:`MIN_ROWS_PER_WORKER` rows per worker before the serialization
-    round trip pays off.
+    batch; other backends that :func:`~repro.simulation.service.can_shard`
+    require :data:`MIN_ROWS_PER_WORKER` rows per worker before the
+    serialization round trip pays off.
     """
     if workers <= 1 or not can_shard(backend):
         return False

@@ -17,59 +17,40 @@ holds what those testbenches and the external-engine path share:
   cone of influence of the probed nodes (:mod:`repro.spice.trim`).
 """
 
-from repro.spice.mosfet import MosfetModel, MosfetParameters, nmos_28nm, pmos_28nm
-from repro.spice.netlist import (
-    Circuit,
-    Resistor,
-    Capacitor,
-    VoltageSource,
-    CurrentSource,
-    VCCS,
-    Mosfet,
-    GROUND,
-)
-from repro.spice.deck import (
-    Deck,
-    DeckParseError,
-    MeasureSpec,
-    compile_job_deck,
-    parse_deck_job,
-    parse_measure_log,
-)
-from repro.spice.rawfile import (
-    Rawfile,
-    RawfileError,
-    parse_rawfile,
-    read_rawfile,
-    render_rawfile,
-)
-from repro.spice.trim import TrimResult, describe_trim, trim_circuit
+from repro._lazy import export_names, lazy_getattr
 
-__all__ = [
-    "Deck",
-    "DeckParseError",
-    "MeasureSpec",
-    "compile_job_deck",
-    "parse_deck_job",
-    "parse_measure_log",
-    "Rawfile",
-    "RawfileError",
-    "parse_rawfile",
-    "read_rawfile",
-    "render_rawfile",
-    "TrimResult",
-    "describe_trim",
-    "trim_circuit",
-    "MosfetModel",
-    "MosfetParameters",
-    "nmos_28nm",
-    "pmos_28nm",
-    "Circuit",
-    "Resistor",
-    "Capacitor",
-    "VoltageSource",
-    "CurrentSource",
-    "VCCS",
-    "Mosfet",
-    "GROUND",
-]
+#: Every re-export, by the module that defines it, imported on first
+#: read: the behavioural testbenches load only the device model.
+_EXPORTS = {
+    "repro.spice.deck": (
+        "Deck",
+        "DeckParseError",
+        "MeasureSpec",
+        "compile_job_deck",
+        "parse_deck_job",
+        "parse_measure_log",
+    ),
+    "repro.spice.rawfile": (
+        "Rawfile",
+        "RawfileError",
+        "parse_rawfile",
+        "read_rawfile",
+        "render_rawfile",
+    ),
+    "repro.spice.trim": ("TrimResult", "describe_trim", "trim_circuit"),
+    "repro.spice.mosfet": ("MosfetModel", "MosfetParameters", "nmos_28nm", "pmos_28nm"),
+    "repro.spice.netlist": (
+        "Circuit",
+        "Resistor",
+        "Capacitor",
+        "VoltageSource",
+        "CurrentSource",
+        "VCCS",
+        "Mosfet",
+        "GROUND",
+    ),
+}
+
+__all__ = export_names(_EXPORTS)
+
+__getattr__ = lazy_getattr(__name__, _EXPORTS)

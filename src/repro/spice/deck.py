@@ -59,6 +59,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.simulation.budget import SimulationPhase
+
+# FAILURE_NAN and its mask live beside the failure accounting that reads
+# them on every job; the deck side writes the tag and re-exports both.
+from repro.simulation.service import FAILURE_NAN, SimJob, failure_nan_mask  # noqa: F401
 from repro.spice.netlist import (
     VCCS,
     Capacitor,
@@ -71,11 +76,10 @@ from repro.spice.netlist import (
     VoltageSource,
 )
 from repro.spice.trim import describe_trim, trim_circuit
-from repro.variation.corners import ProcessCorner, PVTCorner
+from repro.variation.corners import ProcessCorner, PVTCorner, typical_corner
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.waveform import WaveformSpec
-    from repro.simulation.service import SimJob
 
 #: Deck layout version, stamped into (and checked from) the payload.
 #: Version 2 added the required corners=/mismatch= block-length counts to
@@ -159,24 +163,6 @@ def measure_name(metric: str, row: int) -> str:
 _MEASURE_LINE = re.compile(
     r"^\s*(m_[a-z0-9_]+_r\d+)\s*=\s*([^\s,;]+)", re.IGNORECASE | re.MULTILINE
 )
-
-#: A quiet NaN with a distinguished payload, marking a cell the engine
-#: *never produced* (subprocess crash/timeout, cell absent from the log) as
-#: opposed to a measure the engine reported as ``failed`` — which is a
-#: genuine result whose value happens to be unknown (plain ``np.nan``).
-#: Every consumer sees both as NaN; only the simulation service's failure
-#: accounting (:func:`repro.simulation.service.failed_row_mask`) inspects
-#: the payload bits, which survive array copies, concatenation and
-#: pickling across worker processes.
-_FAILURE_NAN_BITS = np.uint64(0x7FF8_DEAD_BEEF_0000)
-FAILURE_NAN = float(_FAILURE_NAN_BITS.view(np.float64))
-
-
-def failure_nan_mask(values: np.ndarray) -> np.ndarray:
-    """Elementwise mask of :data:`FAILURE_NAN` cells (bit-exact match)."""
-    array = np.ascontiguousarray(values, dtype=np.float64)
-    return array.view(np.uint64) == _FAILURE_NAN_BITS
-
 
 def parse_measure_log(
     text: str, rows: int, metric_names: Sequence[str]
@@ -573,9 +559,6 @@ def reference_job(circuit, rows: int = 2) -> "SimJob":
     block.  Shared by the golden-deck regression suite and the
     ``repro deck`` CLI so both regenerate byte-identical decks.
     """
-    from repro.simulation.service import SimJob
-    from repro.variation.corners import typical_corner
-
     rows = int(rows)
     if rows < 1:
         raise ValueError("reference_job needs at least one row")
@@ -673,9 +656,6 @@ def parse_deck_job(text: str) -> "SimJob":
     original — same content hash, same phase — because the payload stores
     every float at full precision.
     """
-    from repro.simulation.budget import SimulationPhase
-    from repro.simulation.service import SimJob
-
     meta: Dict[str, str] = {}
     designs: Dict[int, List[float]] = {}
     corners: Dict[int, PVTCorner] = {}

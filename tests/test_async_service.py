@@ -79,7 +79,7 @@ from repro.simulation.service import (
     iter_resolved,
 )
 from repro.spice.deck import FAILURE_NAN
-from repro.variation.corners import typical_corner
+from repro.variation.corners import full_corner_set, typical_corner
 
 
 class PerRowBatchedBackend(BatchedBackend):
@@ -653,13 +653,20 @@ class TestNgspiceRowParallel:
         assert NgspiceBackend().worker_reconstructible
 
     def test_per_row_decks_fan_out_through_pool(
-        self, strongarm, fake_ngspice, monkeypatch, conditions_job
+        self, strongarm, fake_ngspice, monkeypatch
     ):
         """Non-payload-aware engines (one deck per row) run their rows
         concurrently through the warm pool, bit-equal to the analytic
         reference."""
         monkeypatch.delenv("REPRO_NGSPICE_PAYLOAD_AWARE", raising=False)
-        job = conditions_job(strongarm, rows=3)
+        # Zero-mismatch rows that differ by corner: a real engine cannot
+        # see a mismatch vector, so it refuses any other row.
+        job = SimJob.conditions(
+            strongarm.name,
+            np.random.default_rng(0).uniform(0.2, 0.8, strongarm.dimension),
+            tuple(full_corner_set())[:3],
+            np.zeros((3, strongarm.mismatch_dimension)),
+        )
         with SimulationService(strongarm, backend="ngspice", workers=3) as service:
             assert shardable(
                 strongarm, service._terminal, workers=3, batch=job.batch

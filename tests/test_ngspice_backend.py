@@ -49,6 +49,7 @@ from repro.simulation import (
     available_backends,
     resolve_backend,
 )
+from repro.simulation import ngspice as ngspice_module
 from repro.simulation.ngspice import (
     EXECUTABLE_ENV,
     PAYLOAD_AWARE_ENV,
@@ -89,6 +90,16 @@ def sample_conditions_job(circuit, seed=1, rows=4, corners=None, seeded_mismatch
     else:
         mismatch = rng.standard_normal((rows, circuit.mismatch_dimension))
     corners = corners if corners is not None else (typical_corner(),)
+    return SimJob.conditions(circuit.name, x, corners, mismatch)
+
+
+def corner_rows_job(circuit, seed=1, rows=4):
+    """One seeded design across ``rows`` distinct corners at zero
+    mismatch: a job a real (non-payload-aware) engine can run, one deck
+    per row that differs from its siblings."""
+    x = np.random.default_rng(seed).uniform(0.2, 0.8, circuit.dimension)
+    corners = tuple(full_corner_set())[:rows]
+    mismatch = np.zeros((rows, circuit.mismatch_dimension))
     return SimJob.conditions(circuit.name, x, corners, mismatch)
 
 
@@ -532,9 +543,9 @@ class TestPerRowFallback:
         calls = []
         original = NgspiceRunner.run_deck
 
-        def counting(runner, deck_text, tag="job"):
+        def counting(runner, deck_text, tag="job", **kwargs):
             calls.append(tag)
-            return original(runner, deck_text, tag)
+            return original(runner, deck_text, tag, **kwargs)
 
         monkeypatch.setattr(NgspiceRunner, "run_deck", counting)
         return calls
@@ -552,7 +563,7 @@ class TestPerRowFallback:
         self, strongarm, fake_ngspice, monkeypatch
     ):
         calls = self.count_runs(monkeypatch)
-        job = sample_conditions_job(strongarm, rows=3)
+        job = corner_rows_job(strongarm, rows=3)
         backend = NgspiceBackend(payload_aware=False)
         metrics = backend.evaluate(strongarm, job)
         assert len(calls) == 3  # one subprocess per batch row
@@ -602,7 +613,7 @@ class TestPerRowFallback:
         marker = tmp_path / "fail-once"
         marker.write_text("")
         monkeypatch.setenv("FAKE_NGSPICE_FAIL_ONCE", str(marker))
-        job = sample_conditions_job(strongarm, rows=3)
+        job = corner_rows_job(strongarm, rows=3)
         backend = NgspiceBackend(payload_aware=False)
         with pytest.warns(RuntimeWarning, match="1/3 ngspice row runs"):
             metrics = backend.evaluate(strongarm, job)
@@ -620,9 +631,9 @@ class TestPerRowFallback:
         self, strongarm, fake_ngspice, monkeypatch
     ):
         monkeypatch.setenv("FAKE_NGSPICE_MODE", "exit3")
-        job = sample_conditions_job(strongarm, rows=2)
+        job = corner_rows_job(strongarm, rows=2)
         backend = NgspiceBackend(strict=True, payload_aware=False)
-        with pytest.raises(NgspiceError, match="row 0 of 2"):
+        with pytest.raises(NgspiceError, match="ngspice run failed for row 0 of 2"):
             backend.evaluate(strongarm, job)
 
     def test_placeholder_only_circuit_rejected_for_real_engines(
@@ -663,6 +674,44 @@ class TestPerRowFallback:
         )
         with pytest.raises(NgspiceError, match="placeholder"):
             NgspiceBackend(payload_aware=False).evaluate(probe, job)
+
+    @pytest.mark.parametrize("measurement", ["measure", "waveform"])
+    def test_mismatch_row_refused_for_real_engines(
+        self, strongarm, fake_ngspice, monkeypatch, measurement
+    ):
+        """A real engine's deck carries corners but not a row's mismatch
+        vector, so it would simulate sigma = 0: a job with a non-zero
+        mismatch row is a deployment error, raised before any deck is
+        compiled or subprocess started, strict or not.  Its zero-mismatch
+        twin runs and matches the analytic engine."""
+        calls = self.count_runs(monkeypatch)
+        compiled = []
+        original_compile = ngspice_module.compile_job_deck
+
+        def counting_compile(*args, **kwargs):
+            compiled.append(args[0].job_id)
+            return original_compile(*args, **kwargs)
+
+        monkeypatch.setattr(ngspice_module, "compile_job_deck", counting_compile)
+        twin = corner_rows_job(strongarm, rows=2)
+        mismatch = np.array(twin.mismatch)
+        mismatch[1] = 3.0  # row 1 at 3 sigma on every coordinate
+        job = SimJob.conditions(strongarm.name, twin.designs[0], twin.corners, mismatch)
+        backend = NgspiceBackend(
+            strict=False, payload_aware=False, measurement=measurement
+        )
+        with pytest.raises(
+            NgspiceError, match=r"'strongarm_latch': row 1 of 2 has a non-zero mismatch"
+        ):
+            backend.evaluate(strongarm, job)
+        assert calls == [] and compiled == []
+        metrics = backend.evaluate(strongarm, twin)
+        assert len(calls) == 2  # one deck per row
+        reference = BatchedBackend().evaluate(strongarm, twin)
+        for name in strongarm.metric_names:
+            np.testing.assert_allclose(
+                metrics[name], reference[name], rtol=fake_module.TOLERANCE, atol=0
+            )
 
 
 class TestNgspiceFailureHandling:
@@ -727,7 +776,7 @@ class TestNgspiceFailureHandling:
 
     def test_missing_executable_raises(self, strongarm, monkeypatch, tmp_path):
         monkeypatch.setenv(EXECUTABLE_ENV, str(tmp_path / "nope"))
-        job = sample_conditions_job(strongarm, rows=1)
+        job = corner_rows_job(strongarm, rows=1)
         with pytest.raises(NgspiceError, match="not found"):
             NgspiceBackend().evaluate(strongarm, job)
 
