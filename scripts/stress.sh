@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Opt-in stress lane: long-running chaos soaks (daemon kill/restart
-# cycles, multi-tenant churn) marked `stress` and excluded from the
-# default pytest run by pytest.ini's addopts.
+# cycles, pool chaos) marked `stress` and excluded from the default
+# pytest run by pytest.ini's addopts.
 #
 # Usage: scripts/stress.sh [extra pytest args]
 set -euo pipefail

@@ -35,14 +35,6 @@ Examples::
     python -m repro --circuit sal --method C --backend remote \
         --endpoints 127.0.0.1:7741
 
-    # Experiment front end: a journaled daemon owning whole sizing runs
-    # (crash-safe resume, per-tenant admission, BUSY shedding, SIGTERM
-    # drain) ...
-    python -m repro serve --mode experiment --journal-dir ./journal \
-        --port 7742 --max-queue 8 --tenant-quota 50000
-    # ... driven from Python: api.run_experiment(config,
-    # endpoint="127.0.0.1:7742", tenant="alice").
-
 The same binary is installed as the ``repro`` console script (setup.py).
 """
 

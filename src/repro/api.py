@@ -103,10 +103,12 @@ class ExperimentConfig:
     #: ``repro serve`` daemons for ``backend="remote"``: a tuple of
     #: ``"host:port"`` strings (a comma-separated string is accepted and
     #: normalized).  Published to ``REPRO_REMOTE_ENDPOINTS`` for the
-    #: seed's run.  Deliberately **excluded from the checkpoint
-    #: fingerprint**: where jobs execute never changes what they compute
-    #: (the fabric is bit-identical to local evaluation), so pointing a
-    #: resumed sweep at different workers must not invalidate snapshots.
+    #: seed's run; without them that variable must already name the
+    #: fleet, or the config is refused.  Deliberately **excluded from the
+    #: checkpoint fingerprint**: where jobs execute never changes what
+    #: they compute (the fabric is bit-identical to local evaluation), so
+    #: pointing a resumed sweep at different workers must not invalidate
+    #: snapshots.
     endpoints: Optional[Tuple[str, ...]] = None
     workers: int = 1
     cache_simulations: bool = False
@@ -190,8 +192,16 @@ class ExperimentConfig:
                 f"unknown simulation backend {self.backend!r}; "
                 f"available: {available_backends()}"
             )
+        if self.backend == "remote" and self.endpoints is None:
+            from repro.simulation.remote import ENDPOINTS_ENV
+
+            if not os.environ.get(ENDPOINTS_ENV, "").strip():
+                raise ValueError(
+                    f"backend 'remote' needs endpoints: set endpoints "
+                    f"(--endpoints HOST:PORT) or ${ENDPOINTS_ENV}"
+                )
         # Fail on a bad or unknown override, sample count, chunk or worker
-        # count now, not after a run (or a daemon's journal) has started.
+        # count now, not after a run has started.
         self.glova_config(self.seeds[0]).operational()
 
     # ------------------------------------------------------------------
@@ -522,13 +532,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> OptimizationResult:
                 os.environ[ENDPOINTS_ENV] = restore_endpoints
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    *,
-    endpoint: Optional[str] = None,
-    tenant: str = "default",
-    client_options: Optional[Dict[str, Any]] = None,
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run ``config.algorithm`` for every seed and aggregate a report.
 
     With ``checkpoint_dir`` set, every completed seed is snapshotted the
@@ -539,25 +543,7 @@ def run_experiment(
     Seeds are the RNG-safe resume boundary (each owns its seeded streams),
     and the content-hash simulation cache (``cache_dir``) covers in-flight
     work *within* an interrupted seed.
-
-    With ``endpoint`` set (``"host:port"`` of a ``repro serve --mode
-    experiment`` daemon) the run is **submitted instead of executed**: the
-    daemon journals it, drives it through its own warm worker pools, and
-    this call blocks until the report comes back.  The daemon's journal
-    then owns crash recovery — a daemon killed mid-run and restarted
-    resumes the run and still answers this call, bit-identical to the
-    local path.  ``tenant`` names the server-side admission budget the
-    run is accounted against; ``client_options`` passes through to
-    :class:`~repro.simulation.frontend.ExperimentClient` (poll interval,
-    busy/backoff tuning, reconnect budget).
     """
-    if endpoint is not None:
-        from repro.simulation.frontend import ExperimentClient
-
-        client = ExperimentClient(
-            endpoint, tenant=tenant, **(client_options or {})
-        )
-        return client.run(config)
     runs: List[RunReport] = []
     results: List[OptimizationResult] = []
     for seed in config.seeds:

@@ -29,19 +29,9 @@ corner block × mismatch block + phase tag) evaluated by a
   protocol, with per-endpoint circuit breakers, retries with seeded
   backoff, server-side leases/result retention, and graceful degradation
   to a local backend when the fleet is down (:mod:`repro.simulation.remote`
-  / :mod:`repro.simulation.server` / :mod:`repro.simulation.protocol`);
-* the experiment front end — ``repro serve --mode experiment`` daemons
-  (:class:`ExperimentFrontend`) own *whole sizing runs* instead of raw
-  jobs: write-ahead journaled for crash-safe resume, admission-controlled
-  per tenant (:class:`~repro.simulation.budget.TenantBudgetLedger`),
-  load-shedding via BUSY frames when the run queue fills, and draining
-  gracefully on SIGTERM (:mod:`repro.simulation.frontend`).
+  / :mod:`repro.simulation.server` / :mod:`repro.simulation.protocol`).
 
-Both daemons are subclasses of one daemon core,
-:class:`~repro.simulation.daemon.Daemon`, which owns the listener, the
-per-connection frame loop, the counters, drain and signal handling; each
-adds a frame-handler table (REQUEST, or SUBMIT/STATUS/CANCEL).  The
-durable stores (spill cache, journal, checkpoints) all write through
+The durable stores (spill cache, per-seed checkpoints) both write through
 :func:`~repro.simulation.atomic.atomic_write`.
 
 Fault tolerance: a :class:`RetryPolicy` on the service re-simulates
@@ -83,15 +73,11 @@ from repro._lazy import export_names, lazy_getattr
 #: Every re-export, by the module that defines it.  Nothing here is
 #: imported until first read: a run on the in-process ``batched`` engine
 #: never loads the pool, the ngspice bridge, chaos, the wire protocol or
-#: either daemon.  The ngspice, chaos and remote backends register in
+#: the daemon.  The ngspice, chaos and remote backends register in
 #: :data:`BACKENDS` when their module loads, which
 #: :func:`resolve_backend` does on first use of their name.
 _EXPORTS = {
-    "repro.simulation.budget": (
-        "SimulationBudget",
-        "SimulationPhase",
-        "TenantBudgetLedger",
-    ),
+    "repro.simulation.budget": ("SimulationBudget", "SimulationPhase"),
     "repro.simulation.simulator": ("CircuitSimulator",),
     "repro.simulation.service": (
         "SimulationRecord",
@@ -133,14 +119,6 @@ _EXPORTS = {
     "repro.simulation.protocol": ("ProtocolError", "RemoteError"),
     "repro.simulation.remote": ("CircuitBreaker", "RemoteBackend"),
     "repro.simulation.server": ("SimulationServer",),
-    "repro.simulation.frontend": (
-        "ExperimentClient",
-        "ExperimentFrontend",
-        "ExperimentJournal",
-        "FrontendBusy",
-        "FrontendUnavailable",
-        "run_key",
-    ),
 }
 
 __all__ = export_names(_EXPORTS)

@@ -1,9 +1,8 @@
 """Atomic file replacement for every durable store in the package.
 
-The disk cache spill, the experiment journal and the per-seed
-checkpoints all write through :func:`atomic_write`, so a reader only ever
-sees a complete record and an interrupted writer never leaves a partial
-file under the final name.
+The disk cache spill and the per-seed checkpoints both write through
+:func:`atomic_write`, so a reader only ever sees a complete record and
+an interrupted writer never leaves a partial file under the final name.
 """
 
 from __future__ import annotations

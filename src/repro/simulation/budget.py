@@ -17,9 +17,8 @@ is the one place a job is charged (see
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict
 
 
 class SimulationPhase(enum.Enum):
@@ -104,95 +103,3 @@ class SimulationBudget:
 
 def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
-
-
-class TenantBudgetLedger:
-    """Per-tenant :class:`SimulationBudget` map for server-side admission.
-
-    The rate-limiting primitive of the multi-tenant experiment front end
-    (:mod:`repro.simulation.frontend`): a tenant gets its own
-    :class:`SimulationBudget` at its first charge, and the front end
-    consults :meth:`admits` before accepting a run, which compares the
-    tenant's total (0 before any charge) against ``quota`` and books
-    nothing, so a refused tenant leaves no entry.  Charges land *after*
-    a run completes — the daemon knows the real simulation counts then,
-    split by phase exactly like the paper's accounting — and are booked
-    in full even when they overshoot the quota: refusing them cannot
-    un-simulate anything, so the overshoot blocks the *next* admission
-    instead.
-
-    Charges are idempotent per ``(tenant, run_id)`` so journal replay
-    after a daemon crash can recharge every completed run without double
-    counting.  All methods are thread-safe: connection handler threads
-    admit while run-executor threads charge.
-    """
-
-    #: ``RunReport.simulations`` keys mapped onto budget phases.
-    _PHASE_KEYS = (
-        ("initial_sampling", SimulationPhase.INITIAL_SAMPLING),
-        ("optimization", SimulationPhase.OPTIMIZATION),
-        ("verification", SimulationPhase.VERIFICATION),
-    )
-
-    def __init__(self, quota: Optional[int] = None):
-        self.quota = None if quota is None else int(quota)
-        self._lock = threading.Lock()
-        self._budgets: Dict[str, SimulationBudget] = {}
-        self._charged: Set[Tuple[str, str]] = set()
-
-    def budget_for(self, tenant: str) -> SimulationBudget:
-        """The tenant's budget, created on first sight."""
-        tenant = str(tenant)
-        with self._lock:
-            budget = self._budgets.get(tenant)
-            if budget is None:
-                budget = SimulationBudget()
-                self._budgets[tenant] = budget
-            return budget
-
-    def admits(self, tenant: str) -> bool:
-        """Whether the tenant has quota left for another run."""
-        remaining = self.remaining(tenant)
-        return remaining is None or remaining > 0
-
-    def remaining(self, tenant: str) -> Optional[int]:
-        """Simulations left before the tenant's quota (``None`` = unlimited).
-
-        Reads without booking: a tenant nothing was charged to has the
-        whole quota and gets no entry.
-        """
-        if self.quota is None:
-            return None
-        with self._lock:
-            budget = self._budgets.get(str(tenant))
-            spent = 0 if budget is None else budget.total
-            return max(0, self.quota - spent)
-
-    def charge_run(
-        self, tenant: str, run_id: str, simulations: Dict[str, int]
-    ) -> bool:
-        """Book one completed run's phase-split counts against the tenant.
-
-        Idempotent per ``(tenant, run_id)``: the first charge counts,
-        replays are no-ops.  Returns True when the charge was counted.
-        """
-        tenant = str(tenant)
-        budget = self.budget_for(tenant)
-        with self._lock:
-            key = (tenant, str(run_id))
-            if key in self._charged:
-                return False
-            self._charged.add(key)
-            for field_name, phase in self._PHASE_KEYS:
-                count = int(simulations.get(field_name, 0) or 0)
-                if count:
-                    budget.charge(phase, count)
-            return True
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant phase counts (operators and tests read this)."""
-        with self._lock:
-            return {
-                tenant: budget.snapshot()
-                for tenant, budget in sorted(self._budgets.items())
-            }

@@ -2,10 +2,7 @@
 
 One frame format carries every message between a :class:`~repro.simulation
 .remote.RemoteBackend` client and a ``repro serve`` daemon
-(:mod:`repro.simulation.server`), and between an experiment client and the
-``repro serve --mode experiment`` front end
-(:mod:`repro.simulation.frontend`); both daemons run on one core,
-:mod:`repro.simulation.daemon`.  The format is deliberately boring —
+(:mod:`repro.simulation.server`).  The format is deliberately boring —
 length-prefixed binary frames over a plain TCP stream — because boring is
 what survives the failure modes a network transport must stay correct
 under: connections dropping mid-frame, peers vanishing, bytes arriving
@@ -89,27 +86,8 @@ class FrameType(enum.IntEnum):
     PING = 5
     #: server → client: probe response.
     PONG = 6
-    #: client → experiment front end: submit a whole sizing run (pickled
-    #: ``{"config": ExperimentConfig dict, "tenant": str}``).  The request
-    #: id is the deterministic *run key* (config fingerprint + seeds +
-    #: tenant), which makes resubmission after a crash or reconnect
-    #: idempotent — a duplicate SUBMIT attaches to the journaled run.
-    SUBMIT = 7
-    #: both directions on the experiment port: the client polls with an
-    #: empty STATUS frame; the front end replies with a STATUS frame
-    #: carrying ``{"state": ...}`` while the run is queued or executing
-    #: (a finished run answers with RESULT / ERROR instead).
-    STATUS = 8
-    #: client → experiment front end: cancel a queued run.  Runs already
-    #: executing complete (per-seed checkpoints make abandonment cheap for
-    #: the client, and completed work is journaled for everyone else).
-    CANCEL = 9
-    #: experiment front end → client: typed load-shedding reply to a
-    #: SUBMIT the server will not queue (bounded run queue full, or
-    #: draining for shutdown).  Payload: ``{"retry_after": seconds,
-    #: "reason": str}``.  Distinct from ERROR by design — the client backs
-    #: off and retries without counting a fault.
-    BUSY = 10
+    # Older builds used types 7–10 for whole-run submission; a new frame
+    # type must not reuse them, or an old peer would misread it.
 
 
 class ProtocolError(RuntimeError):

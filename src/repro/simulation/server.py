@@ -10,8 +10,7 @@ protocol of :mod:`repro.simulation.protocol` and get *exactly* the metric
 blocks the same backend would produce in-process — the server never
 touches budgets, caches or retries; all accounting stays client-side,
 which is what keeps budget trajectories bit-identical no matter which
-side of the wire a job ran on.  It runs on the shared
-:class:`~repro.simulation.daemon.Daemon` core with a REQUEST handler.
+side of the wire a job ran on.
 
 Robustness model, in the order things go wrong:
 
@@ -30,9 +29,14 @@ completion* and the result is **retained** for ``retention_seconds``
 keyed by job hash.  The reconnecting client's retry of the same job is
 then a cheap dictionary lookup, not a re-simulation.
 
-**Malformed input never kills the daemon.**  A request id that does not
-match the job it carries is a typed ERROR, like every protocol violation
-the daemon core answers; the other connections keep serving.
+**Malformed input never kills the daemon.**  A protocol violation on one
+connection — garbage bytes, an unknown frame type, a request id that does
+not match the job it carries — is answered with a typed ``protocol``
+ERROR frame when the stream still has integrity, or ends that connection
+otherwise; the listener and the other connections keep serving.
+
+**Shutdown drains.**  SIGTERM/SIGINT stop the listener, let leased
+executions finish and deliver (or retain) their results, then exit 0.
 
 The daemon is **trusted-perimeter** infrastructure (payloads are pickled,
 exactly like the process-pool boundary it generalizes): bind it to
@@ -44,7 +48,9 @@ from __future__ import annotations
 import argparse
 import collections
 import logging
+import math
 import select
+import signal
 import socket
 import threading
 import time
@@ -55,11 +61,13 @@ import numpy as np
 
 from repro.circuits.base import AnalogCircuit
 from repro.circuits.registry import get_circuit
-from repro.simulation.daemon import Daemon, serve
 from repro.simulation.ngspice import NgspiceError
 from repro.simulation.protocol import (
+    NULL_REQUEST_ID,
+    ConnectionClosed,
     FrameType,
     ProtocolError,
+    dumps_error,
     dumps_payload,
     loads_payload,
     recv_frame,
@@ -83,6 +91,10 @@ DEFAULT_LEASE_SECONDS = 10.0
 DEFAULT_RETENTION_SECONDS = 60.0
 DEFAULT_HEARTBEAT_INTERVAL = 0.5
 
+#: Seconds ``drain`` gives handler threads, once in-flight work is done,
+#: to flush final frames to clients before the sockets are torn down.
+DRAIN_GRACE_SECONDS = 5.0
+
 
 class _LeaseExpired(Exception):
     """Internal: the client went silent past its lease."""
@@ -97,8 +109,8 @@ class _Execution:
         self.error: Optional[BaseException] = None
 
 
-class SimulationServer(Daemon):
-    """A socket front end executing :class:`SimJob` s on a local backend.
+class SimulationServer:
+    """A socket daemon executing :class:`SimJob` s on a local backend.
 
     Parameters
     ----------
@@ -116,7 +128,10 @@ class SimulationServer(Daemon):
         terminal backend that cannot shard (the vectorized ``batched``
         engine) gets no pool and evaluates in-process.
     lease_seconds / retention_seconds / heartbeat_interval:
-        The liveness model described in the module docstring.
+        The liveness model described in the module docstring.  The lease
+        and the heartbeat must be finite and positive (a zero heartbeat
+        would send HEARTBEAT frames back to back while a job runs, and a
+        NaN lease never expires); retention must be finite and may be 0.
     retention_max_entries:
         Hard count bound on the retention store (LRU by deposit time).
         Time-based expiry alone lets a burst of expired-lease results
@@ -136,30 +151,59 @@ class SimulationServer(Daemon):
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         retention_max_entries: Optional[int] = None,
     ):
-        super().__init__(
-            host,
-            port,
-            counters=(
+        self.lease_seconds = float(lease_seconds)
+        self.retention_seconds = float(retention_seconds)
+        self.heartbeat_interval = float(heartbeat_interval)
+        for name in ("lease_seconds", "heartbeat_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (
+            math.isfinite(self.retention_seconds) and self.retention_seconds >= 0
+        ):
+            raise ValueError(
+                f"retention_seconds must be finite and >= 0, got "
+                f"{self.retention_seconds}"
+            )
+        self.retention_max_entries = (
+            None if retention_max_entries is None else int(retention_max_entries)
+        )
+        if self.retention_max_entries is not None and self.retention_max_entries < 1:
+            raise ValueError("retention_max_entries must be at least 1")
+        #: Seconds a connection may stay silent before its thread is
+        #: reclaimed.
+        self.connection_timeout = max(self.lease_seconds * 2.0, 5.0)
+
+        self.host = host
+        self._requested_port = int(port)
+        self._listener: Optional[socket.socket] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        self._stopping = threading.Event()
+        self._draining = threading.Event()
+        self._drain_requested = threading.Event()
+        #: Live accepted sockets.  stop() must close these too: a handler
+        #: thread blocked in recv keeps an ESTABLISHED socket on our port,
+        #: which blocks a successor daemon's bind (SO_REUSEADDR only
+        #: clears TIME_WAIT) — a restart would fail for up to the idle
+        #: timeout.
+        self._connections: set = set()
+        self._lock = threading.Lock()
+        #: Event counters (tests and operators read these).
+        self.stats: Dict[str, int] = dict.fromkeys(
+            (
                 "executions",
                 "coalesced",
                 "retention_hits",
                 "lease_expiries",
                 "requests",
                 "retention_evictions",
+                "protocol_errors",
             ),
+            0,
         )
+
         self._terminal = resolve_backend(backend)
         self.workers = max(1, int(workers))
-        self.lease_seconds = float(lease_seconds)
-        self.connection_timeout = max(self.lease_seconds * 2.0, 5.0)
-        self.retention_seconds = float(retention_seconds)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.retention_max_entries = (
-            None if retention_max_entries is None else int(retention_max_entries)
-        )
-        if self.retention_max_entries is not None and self.retention_max_entries < 1:
-            raise ValueError("retention_max_entries must be at least 1")
-
         self._pool: Optional[WorkerPool] = None
         self._engine: SimulationBackend = self._terminal
         if self.workers > 1 and can_shard(self._terminal):
@@ -176,16 +220,31 @@ class SimulationServer(Daemon):
         self._retained: "collections.OrderedDict[str, Tuple[Dict[str, np.ndarray], float]]" = (
             collections.OrderedDict()
         )
-        self.handlers = {
-            FrameType.REQUEST: self._handle_request,
-            # A stray heartbeat echo between requests is harmless.
-            FrameType.HEARTBEAT: lambda sock, request_id, payload: True,
-        }
 
     # ------------------------------------------------------------------
-    # Daemon hooks
+    # Lifecycle
     # ------------------------------------------------------------------
-    def _on_start(self) -> None:
+    @property
+    def address(self) -> Tuple[str, int]:
+        """``(host, port)`` actually bound (resolves ``port=0``)."""
+        if self._listener is None:
+            raise RuntimeError("SimulationServer is not started")
+        return self._listener.getsockname()[:2]
+
+    @property
+    def endpoint(self) -> str:
+        host, port = self.address
+        return f"{host}:{port}"
+
+    def start(self) -> "SimulationServer":
+        """Bind, listen, and serve connections on background threads."""
+        if self._listener is not None:
+            return self
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((self.host, self._requested_port))
+        listener.listen(32)
+        self._listener = listener
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-serve-exec",
@@ -196,8 +255,44 @@ class SimulationServer(Daemon):
             self._terminal.name,
             self.workers,
         )
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="repro-serve-accept", daemon=True
+        )
+        self._accept_thread.start()
+        return self
 
-    def _on_stop(self) -> None:
+    def _close_listener(self) -> None:
+        """Stop accepting: close the listening socket, join its thread."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            # shutdown() before close(): a close alone does not wake a
+            # thread blocked in accept() — the in-progress syscall keeps
+            # the kernel file referenced, leaving the port in LISTEN and
+            # failing a successor's bind until the thread dies.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                listener.close()
+            except OSError:  # pragma: no cover
+                pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+            self._accept_thread = None
+
+    def stop(self) -> None:
+        """Idempotent hard shutdown (no drain: use :meth:`drain` for that)."""
+        self._stopping.set()
+        self._close_listener()
+        with self._lock:
+            connections = list(self._connections)
+            self._connections.clear()
+        for conn in connections:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover
+                pass
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -205,8 +300,124 @@ class SimulationServer(Daemon):
             self._pool.shutdown()
             self._pool = None
 
-    def _in_flight(self) -> bool:
-        return bool(self._inflight)
+    def drain(self, timeout: float = 30.0) -> None:
+        """Graceful shutdown: stop accepting, finish in-flight work, stop.
+
+        New connections are refused the moment the listener closes;
+        executions already accepted run to completion (up to ``timeout``
+        seconds) and their clients get a short grace to collect their
+        final frames before the sockets are torn down.
+        """
+        self._draining.set()
+        self._close_listener()
+        deadline = time.monotonic() + float(timeout)
+        while time.monotonic() < deadline:
+            with self._lock:
+                if not self._inflight:
+                    break
+            time.sleep(0.05)
+        grace = min(deadline, time.monotonic() + DRAIN_GRACE_SECONDS)
+        while time.monotonic() < grace:
+            with self._lock:
+                if not self._connections:
+                    break
+            time.sleep(0.05)
+        self.stop()
+
+    def request_drain(self) -> None:
+        """Signal-handler-safe drain trigger (consumed by serve_forever).
+
+        Handlers must not block; the actual drain — joins, sleeps, socket
+        teardown — runs on the main loop's thread.
+        """
+        self._drain_requested.set()
+
+    def serve_forever(self) -> None:
+        """Block until stopped or a requested (or interrupted) drain ends."""
+        self.start()
+        try:
+            while not self._stopping.is_set():
+                if self._drain_requested.is_set():
+                    self.drain()
+                    break
+                time.sleep(0.2)
+        except KeyboardInterrupt:  # pragma: no cover - interactive
+            self.drain()
+        finally:
+            self.stop()
+
+    def __enter__(self) -> "SimulationServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+    # ------------------------------------------------------------------
+    # Accept / connection handling
+    # ------------------------------------------------------------------
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while not self._stopping.is_set() and listener is not None:
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return  # listener closed — shutdown or drain
+            with self._lock:
+                if self._stopping.is_set():
+                    conn.close()
+                    return
+                self._connections.add(conn)
+            thread = threading.Thread(
+                target=self._handle_connection,
+                args=(conn,),
+                name="repro-serve-conn",
+                daemon=True,
+            )
+            thread.start()
+
+    def _handle_connection(self, sock: socket.socket) -> None:
+        """Serve one client connection until it closes or misbehaves."""
+        try:
+            sock.settimeout(self.connection_timeout)
+            while not self._stopping.is_set():
+                try:
+                    kind, request_id, payload = recv_frame(sock)
+                except ConnectionClosed:
+                    return  # clean goodbye
+                except ProtocolError as error:
+                    self._count("protocol_errors")
+                    logger.warning("protocol error from client: %s", error)
+                    self._reply_error(sock, NULL_REQUEST_ID, "protocol", error)
+                    return  # framing lost — the stream is unusable
+                except (TimeoutError, socket.timeout):
+                    return  # idle client gone silent; reclaim the thread
+                if kind == FrameType.PING:
+                    send_frame(sock, FrameType.PONG)
+                elif kind == FrameType.REQUEST:
+                    if not self._handle_request(sock, request_id, payload):
+                        return
+                elif kind != FrameType.HEARTBEAT:
+                    # A stray heartbeat echo between requests is harmless;
+                    # anything else a client sends is a protocol error.
+                    self._count("protocol_errors")
+                    self._reply_error(
+                        sock,
+                        request_id,
+                        "protocol",
+                        f"unexpected {kind.name} frame on a SimulationServer",
+                    )
+                    return
+        except (OSError, ProtocolError):
+            # The client vanished mid-reply (or chaos aborted the socket):
+            # nothing left to say to it; its work finishes regardless.
+            return
+        finally:
+            with self._lock:
+                self._connections.discard(sock)
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover
+                pass
 
     # ------------------------------------------------------------------
     # Requests
@@ -395,30 +606,60 @@ class SimulationServer(Daemon):
                 raise _LeaseExpired()
             send_frame(sock, FrameType.HEARTBEAT, request_id=request_id)
 
+    # ------------------------------------------------------------------
+    # Replies and counters
+    # ------------------------------------------------------------------
+    def _reply(
+        self,
+        sock: socket.socket,
+        kind: FrameType,
+        request_id: bytes,
+        payload: bytes = b"",
+    ) -> bool:
+        """Send one frame; False when the client is gone."""
+        try:
+            send_frame(sock, kind, payload, request_id=request_id)
+            return True
+        except (OSError, ProtocolError):
+            return False
+
+    def _reply_error(
+        self, sock: socket.socket, request_id: bytes, kind: str, error: object
+    ) -> bool:
+        """Send a typed ERROR frame; False when the client is gone."""
+        return self._reply(
+            sock, FrameType.ERROR, request_id, dumps_error(kind, str(error))
+        )
+
+    def _count(self, key: str) -> None:
+        with self._lock:
+            self._count_locked(key)
+
+    def _count_locked(self, key: str) -> None:
+        self.stats[key] = self.stats.get(key, 0) + 1
+
 
 # ----------------------------------------------------------------------
 # CLI entry point: ``python -m repro serve ...``
 # ----------------------------------------------------------------------
 def serve_main(argv=None) -> int:
+    """Run a :class:`SimulationServer` in the foreground; exit 0 on drain.
+
+    Prints ``repro serve listening on HOST:PORT`` once bound: scripts
+    discover an ephemeral port (``--port 0``) from that line.  SIGTERM and
+    SIGINT only set an event (:meth:`SimulationServer.request_drain` is
+    async-signal-safe); ``serve_forever`` notices it and drains on the
+    main thread.  Installing the handlers is best-effort: signals only
+    work on the main thread.
+    """
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description=(
-            "Run a simulation daemon. --mode job (default): clients with "
-            "--backend remote --endpoints HOST:PORT ship raw SimJobs "
-            "here. --mode experiment: clients submit whole "
-            "ExperimentConfigs (run_experiment(endpoint=...)) and the "
-            "daemon drives them against a durable journal. "
-            "Trusted-perimeter only — bind to loopback or a private "
-            "network."
-        ),
-    )
-    parser.add_argument(
-        "--mode",
-        default="job",
-        choices=("job", "experiment"),
-        help=(
-            "job = raw SimJob executor (PR-7 fabric); experiment = "
-            "journaled experiment front end (requires --journal-dir)"
+            "Run a simulation worker daemon: sizing runs started with "
+            "--backend remote --endpoints HOST:PORT ship their SimJobs "
+            "here and get back exactly the metrics the backend would "
+            "produce in-process. Trusted-perimeter only — bind to "
+            "loopback or a private network."
         ),
     )
     parser.add_argument(
@@ -459,71 +700,17 @@ def serve_main(argv=None) -> int:
         type=int,
         default=None,
         help=(
-            "LRU count bound on the job-mode result-retention store "
-            "(default: unbounded; expiry is then purely time-based)"
-        ),
-    )
-    # Experiment-mode flags (rejected under --mode job).
-    parser.add_argument(
-        "--journal-dir",
-        default=None,
-        help=(
-            "durable root for the experiment journal + checkpoints; "
-            "required for --mode experiment (restart on the same "
-            "directory to resume interrupted runs)"
-        ),
-    )
-    parser.add_argument(
-        "--run-workers",
-        type=int,
-        default=None,
-        help="experiment runs executed concurrently (default: 1)",
-    )
-    parser.add_argument(
-        "--max-queue",
-        type=int,
-        default=None,
-        help=(
-            "bound on accepted-but-unstarted experiment runs; "
-            "submissions past it are shed with BUSY (default: 8)"
-        ),
-    )
-    parser.add_argument(
-        "--tenant-quota",
-        type=int,
-        default=None,
-        help=(
-            "per-tenant simulation cap gating experiment admission "
-            "(default: unlimited)"
+            "LRU count bound on the result-retention store (default: "
+            "unbounded; expiry is then purely time-based)"
         ),
     )
     arguments = parser.parse_args(argv)
-    experiment_options = {
-        name: getattr(arguments, name)
-        for name in ("journal_dir", "run_workers", "max_queue", "tenant_quota")
-        if getattr(arguments, name) is not None
-    }
-    if arguments.mode == "job" and experiment_options:
-        flags = ", ".join(
-            "--" + name.replace("_", "-") for name in experiment_options
-        )
-        parser.error(f"{flags}: only valid with --mode experiment")
-    if arguments.mode == "experiment" and arguments.journal_dir is None:
-        parser.error("--mode experiment requires --journal-dir")
 
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s"
     )
-    if arguments.mode == "experiment":
-        from repro.simulation.frontend import ExperimentFrontend
-
-        return serve(
-            ExperimentFrontend(
-                host=arguments.host, port=arguments.port, **experiment_options
-            )
-        )
-    return serve(
-        SimulationServer(
+    try:
+        server = SimulationServer(
             backend=arguments.backend,
             host=arguments.host,
             port=arguments.port,
@@ -533,7 +720,22 @@ def serve_main(argv=None) -> int:
             heartbeat_interval=arguments.heartbeat_interval,
             retention_max_entries=arguments.retention_max_entries,
         )
-    )
+    except ValueError as error:
+        parser.error(str(error))
+
+    def _handle(signum, _frame):  # pragma: no cover - exercised in subprocess
+        logger.info("received signal %d; draining", signum)
+        server.request_drain()
+
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            signal.signal(signum, _handle)
+        except ValueError:  # not the main thread
+            break
+    server.start()
+    print(f"repro serve listening on {server.endpoint}", flush=True)
+    server.serve_forever()
+    return 0
 
 
 __all__ = [

@@ -38,13 +38,6 @@ call:
   ``service.scan(job, chunk, first_failure)`` resolves a job chunk by
   chunk up to its first failing row (see below).
 
-Above the job layer sits the experiment front end
-(:mod:`repro.simulation.frontend`): a ``repro serve --mode experiment``
-daemon that owns *whole sizing runs* — journaled for crash recovery and
-admission-controlled per tenant via
-:class:`~repro.simulation.budget.TenantBudgetLedger` — while every
-simulation it triggers still flows through this service layer.
-
 Budget accounting happens at the service, not in the backends, under one
 rule: a job counts once, when it produced metrics.  The service charges
 ``job.cost`` to ``job.phase`` after an attempt returns a block with at
@@ -1116,7 +1109,7 @@ class ShardedDispatcher(SimulationBackend):
     results are concatenated in row order and are bit-identical either way.
 
     The pool belongs to whoever builds the dispatcher — the
-    :class:`SimulationService` or the job-mode
+    :class:`SimulationService` or the
     :class:`~repro.simulation.server.SimulationServer`, each of which
     wraps only engines that :func:`can_shard`
     and shuts the pool down itself; the dispatcher never creates or

@@ -5,8 +5,9 @@ failure classification), the chaos harness (scripted fault schedules
 through the ``"chaos"`` backend), the self-healing worker pool
 (worker-death-mid-shard through a *real* pool, re-dispatch of only the
 lost shards, heal caps), the shard watchdog (hung shards degrade to
-FAILURE_NAN and re-simulate), checkpoint/resume (interrupted sweeps
-replay completed seeds with zero re-simulation), the spill-store
+FAILURE_NAN and re-simulate), checkpoint/resume (interrupted sweeps,
+a SIGKILLed one included, replay completed seeds with zero
+re-simulation) and the atomic writer behind it, the spill-store
 maintenance utilities, and the process-group kill in the ngspice runner.
 
 The chaos-equivalence tests pin the PR's acceptance criterion: under
@@ -669,6 +670,98 @@ class TestCheckpointResume:
         assert api.RunReport.from_result(run.seed, rehydrated).to_dict() == (
             run.to_dict()
         )
+
+    def test_sigkilled_sweep_resumes_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """SIGKILL a two-seed sweep the moment seed 0's checkpoint lands
+        (seed 1 in flight); re-running the config replays seed 0 from
+        disk, simulates only seed 1, and reports exactly what an
+        uninterrupted run does."""
+        checkpoint_dir = tmp_path / "checkpoints"
+        config = _fast_config(seeds=(0, 1), checkpoint_dir=str(checkpoint_dir))
+        reference = run_experiment(config.with_overrides(checkpoint_dir=None))
+        # The child's seed 1 never finishes, so the kill is always
+        # mid-sweep whatever the host's speed.
+        code = """
+import json, sys, time
+from repro import api
+run_seed = api._run_seed
+def stalled(config, seed):
+    if seed == 1:
+        time.sleep(600)
+    return run_seed(config, seed)
+api._run_seed = stalled
+api.run_experiment(api.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps(config.to_dict())],
+            env=env,
+        )
+        seed0 = api._checkpoint_path(
+            str(checkpoint_dir), api._config_fingerprint(config), 0
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not os.path.exists(seed0) and time.monotonic() < deadline:
+                assert proc.poll() is None, "sweep exited before the kill"
+                time.sleep(0.01)
+            assert os.path.exists(seed0), "seed 0 checkpoint never landed"
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert os.listdir(os.path.dirname(seed0)) == ["seed-0.json"]
+
+        calls = []
+        original = api._run_seed
+
+        def counting(config, seed):
+            calls.append(seed)
+            return original(config, seed)
+
+        monkeypatch.setattr(api, "_run_seed", counting)
+        resumed = run_experiment(config)
+        assert calls == [1]
+        assert _comparable(resumed) == _comparable(reference)
+
+
+class TestAtomicWrite:
+    """The one writer behind checkpoints and the disk cache spill."""
+
+    def test_text_lands_as_utf8_in_a_new_directory(self, tmp_path):
+        from repro.simulation.atomic import atomic_write
+
+        path = tmp_path / "new" / "dir" / "record.json"
+        atomic_write(str(path), '{"circuit": "Ω"}')
+        assert path.read_bytes() == '{"circuit": "Ω"}'.encode("utf-8")
+
+    def test_replacement_leaves_no_temp_files(self, tmp_path):
+        from repro.simulation.atomic import atomic_write
+
+        path = tmp_path / "record.bin"
+        atomic_write(str(path), b"first")
+        atomic_write(str(path), b"second")
+        assert path.read_bytes() == b"second"
+        assert os.listdir(tmp_path) == ["record.bin"]
+
+    def test_failed_replace_keeps_the_old_record(self, tmp_path, monkeypatch):
+        from repro.simulation.atomic import atomic_write
+
+        path = tmp_path / "record.bin"
+        atomic_write(str(path), b"intact")
+
+        def interrupted(source, target):
+            raise OSError("interrupted before the rename")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            atomic_write(str(path), b"partial")
+        assert path.read_bytes() == b"intact"
+        assert os.listdir(tmp_path) == ["record.bin"]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The package inits resolve their re-exports on first access, and the
 ``ngspice``, ``chaos`` and ``remote`` backends load when their name is
 first resolved.  So a run on the default ``batched`` engine never imports
-the process pool, the ngspice bridge, the deck compiler, the daemons or
+the process pool, the ngspice bridge, the deck compiler, the daemon or
 the stdlib machinery behind them.  Each check runs in a new interpreter,
 because this test process has long since imported all of it.
 """
@@ -25,8 +25,6 @@ FABRIC = (
             "remote",
             "protocol",
             "server",
-            "daemon",
-            "frontend",
             "atomic",
         )
     ]

@@ -7,8 +7,12 @@ Covers, roughly client-outward:
   corrupted) dies with a clean typed :class:`ProtocolError`, never a
   hang or a partial result, on both the client and server side;
 * the ``repro serve`` daemon — bit-identical execution, duplicate
-  coalescing, lease expiry with result retention, surviving hostile
-  connections;
+  coalescing, lease expiry with result retention (time- and
+  count-bounded), surviving hostile connections (an older build's
+  whole-run frames included), rebinding its port right after a stop,
+  draining in-flight work, SIGTERM and SIGINT exiting 0, and refusing
+  bad liveness settings and the retired experiment-mode flags before it
+  binds;
 * the ``RemoteBackend`` client — endpoint parsing, circuit breakers
   (open / half-open / recovery), retries under injected network chaos
   (drop / delay / truncate / duplicate frames), and graceful
@@ -45,6 +49,7 @@ from repro.simulation.faults import (
     NetworkFaultSchedule,
     install_network_chaos,
 )
+from repro.simulation.ngspice import NgspiceError
 from repro.simulation.protocol import (
     ConnectionClosed,
     FrameType,
@@ -57,8 +62,11 @@ from repro.simulation.protocol import (
     dumps_payload,
     encode_frame,
     loads_metrics,
+    loads_payload,
     read_frame_from_bytes,
+    recv_frame,
     request_id_bytes,
+    send_frame,
 )
 from repro.simulation.remote import (
     ENDPOINTS_ENV,
@@ -66,7 +74,7 @@ from repro.simulation.remote import (
     RemoteBackend,
     parse_endpoints,
 )
-from repro.simulation.server import SimulationServer
+from repro.simulation.server import SimulationServer, serve_main
 from repro.simulation.service import (
     BACKENDS,
     SimulationBackend,
@@ -111,14 +119,26 @@ class _BoomBackend(SimulationBackend):
         raise RuntimeError("boom: misconfigured server backend")
 
 
+class _EngineFailBackend(SimulationBackend):
+    """Terminal backend whose every evaluation is a simulator failure."""
+
+    name = "enginefailtest"
+
+    def evaluate(self, circuit, job):
+        raise NgspiceError("simulator exited with status 1")
+
+
+_TEST_BACKENDS = (_SleepyBackend, _BoomBackend, _EngineFailBackend)
+
+
 @pytest.fixture()
 def test_backends():
     """Register the test-only terminal backends for the fixture's scope."""
-    BACKENDS[_SleepyBackend.name] = _SleepyBackend
-    BACKENDS[_BoomBackend.name] = _BoomBackend
+    for backend in _TEST_BACKENDS:
+        BACKENDS[backend.name] = backend
     yield
-    BACKENDS.pop(_SleepyBackend.name, None)
-    BACKENDS.pop(_BoomBackend.name, None)
+    for backend in _TEST_BACKENDS:
+        BACKENDS.pop(backend.name, None)
 
 
 @pytest.fixture(autouse=True)
@@ -159,6 +179,30 @@ class TestProtocolRoundTrip:
         kind, rid, body = read_frame_from_bytes(frame)
         assert kind == FrameType.HEARTBEAT
         assert body == b""
+
+    # Clients and daemons of different builds talk to each other as long
+    # as they agree on these six values.
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("REQUEST", 1),
+            ("RESULT", 2),
+            ("ERROR", 3),
+            ("HEARTBEAT", 4),
+            ("PING", 5),
+            ("PONG", 6),
+        ],
+    )
+    def test_job_frame_types_keep_their_wire_values(self, name, value):
+        frame_type = FrameType[name]
+        assert int(frame_type) == value
+        request_id = bytes(range(32))
+        frame = encode_frame(frame_type, b"body", request_id)
+        assert frame[6] == value  # the header's frame-type byte
+        assert read_frame_from_bytes(frame) == (frame_type, request_id, b"body")
+
+    def test_retired_run_frame_types_stay_unassigned(self):
+        assert {7, 8, 9, 10}.isdisjoint(int(kind) for kind in FrameType)
 
     def test_request_id_bytes_round_trip(self, strongarm, conditions_job):
         job = conditions_job(strongarm, rows=8)
@@ -237,9 +281,19 @@ class TestProtocolFuzz:
         with pytest.raises(ProtocolError, match="version"):
             read_frame_from_bytes(header + payload)
 
-    def test_unknown_frame_type(self):
+    # 7-10 were an older build's whole-run submission frames: a frame
+    # from such a client is refused like any other unknown type.
+    @pytest.mark.parametrize("frame_type", [7, 8, 9, 10, 250])
+    def test_unknown_frame_type(self, frame_type):
         header = struct.pack(
-            "!4sHBBII32s", MAGIC, PROTOCOL_VERSION, 250, 0, 0, 0, b"\x00" * 32
+            "!4sHBBII32s",
+            MAGIC,
+            PROTOCOL_VERSION,
+            frame_type,
+            0,
+            0,
+            0,
+            b"\x00" * 32,
         )
         with pytest.raises(ProtocolError, match="frame type"):
             read_frame_from_bytes(header)
@@ -481,12 +535,8 @@ class TestServer:
                     FrameType.REQUEST, dumps_payload(job), b"\x42" * 32
                 )
             )
-            from repro.simulation.protocol import recv_frame
-
             kind, _rid, payload = recv_frame(sock)
             assert kind == FrameType.ERROR
-            from repro.simulation.protocol import loads_payload
-
             detail = loads_payload(payload)
             assert detail["kind"] == "protocol"
             assert "content hash" in detail["message"]
@@ -505,6 +555,368 @@ class TestServer:
                 remote.evaluate(strongarm, conditions_job(strongarm, rows=8))
             assert excinfo.value.kind == "deployment"
             assert remote.fallback_used == 0
+
+    def test_server_engine_error_degrades_client_side(
+        self, strongarm, test_backends, conditions_job
+    ):
+        """A simulator failure on the daemon is an ``engine`` ERROR: unlike
+        a deployment error, the client degrades to its local fallback."""
+        with SimulationServer(
+            backend="enginefailtest", heartbeat_interval=0.1
+        ) as server:
+            remote = remote_for(server, attempts=1)
+            job = conditions_job(strongarm, rows=8)
+            reference = resolve_backend("batched").evaluate(strongarm, job)
+            assert_metrics_equal(
+                strongarm, remote.evaluate(strongarm, job), reference
+            )
+            assert remote.fallback_used == 1
+            assert remote.remote_evaluations == 0
+            assert server.stats["executions"] == 0
+
+    def test_concurrent_distinct_jobs_all_complete(
+        self, strongarm, test_backends, conditions_job
+    ):
+        """Clients with different jobs in flight at once each get their
+        own result: none is coalesced with another, lost or degraded."""
+        with SimulationServer(
+            backend="sleepytest", heartbeat_interval=0.1
+        ) as server:
+            jobs = [
+                conditions_job(strongarm, rows=4, seed=seed)
+                for seed in (1, 2, 3)
+            ]
+            outcomes = {}
+
+            def submit(job):
+                remote = remote_for(server)
+                metrics = remote.evaluate(strongarm, job)
+                outcomes[job.job_id] = (metrics, remote.fallback_used)
+
+            threads = [
+                threading.Thread(target=submit, args=(job,)) for job in jobs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert server.stats["executions"] == 3
+            assert server.stats["coalesced"] == 0
+            for job in jobs:
+                metrics, fallback_used = outcomes[job.job_id]
+                assert fallback_used == 0
+                assert_metrics_equal(
+                    strongarm,
+                    metrics,
+                    resolve_backend("batched").evaluate(strongarm, job),
+                )
+
+    # 7-10 were an older build's whole-run frames: such a client reaching
+    # a job daemon gets a typed answer, not a hang or a dropped socket.
+    @pytest.mark.parametrize("frame_type", [7, 8, 9, 10])
+    def test_retired_run_frame_gets_a_protocol_error(self, server, frame_type):
+        header = struct.pack(
+            "!4sHBBII32s",
+            MAGIC,
+            PROTOCOL_VERSION,
+            frame_type,
+            0,
+            0,
+            0,
+            b"\x00" * 32,
+        )
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(header)
+            kind, _rid, payload = recv_frame(sock)
+        assert kind == FrameType.ERROR
+        detail = loads_payload(payload)
+        assert detail["kind"] == "protocol"
+        assert f"unknown frame type {frame_type}" in detail["message"]
+        assert server.stats["protocol_errors"] == 1
+        assert remote_for(server).ping(server.address)
+
+    @pytest.mark.parametrize(
+        "frame_type", [FrameType.RESULT, FrameType.ERROR, FrameType.PONG]
+    )
+    def test_client_bound_frame_from_a_client_is_refused(
+        self, server, frame_type
+    ):
+        request_id = b"\x09" * 32
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            send_frame(sock, frame_type, request_id=request_id)
+            kind, rid, payload = recv_frame(sock)
+            # The daemon answered, then ended the connection.
+            with pytest.raises(ConnectionClosed):
+                recv_frame(sock)
+        assert kind == FrameType.ERROR
+        assert rid == request_id
+        detail = loads_payload(payload)
+        assert detail["kind"] == "protocol"
+        assert f"unexpected {frame_type.name} frame" in detail["message"]
+        assert server.stats["protocol_errors"] == 1
+
+    def test_stray_heartbeat_between_requests_is_ignored(self, server):
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            for _ in range(2):
+                send_frame(sock, FrameType.HEARTBEAT)
+                send_frame(sock, FrameType.PING)
+                assert recv_frame(sock)[0] == FrameType.PONG
+        assert server.stats["protocol_errors"] == 0
+
+    def test_zero_retention_re_executes_a_repeat(
+        self, strongarm, conditions_job
+    ):
+        with SimulationServer(
+            heartbeat_interval=0.1, retention_seconds=0.0
+        ) as server:
+            job = conditions_job(strongarm, rows=8)
+            remote = remote_for(server)
+            first = remote.evaluate(strongarm, job)
+            assert_metrics_equal(
+                strongarm, remote.evaluate(strongarm, job), first
+            )
+            assert server.stats["executions"] == 2
+            assert server.stats["retention_hits"] == 0
+
+    def test_garbage_is_counted_and_ping_still_answers(self, server):
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\n" + b"X" * 64)
+            kind, _rid, payload = recv_frame(sock)
+        assert kind == FrameType.ERROR
+        assert loads_payload(payload)["kind"] == "protocol"
+        assert server.stats["protocol_errors"] == 1
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            send_frame(sock, FrameType.PING)
+            kind, _rid, _payload = recv_frame(sock)
+        assert kind == FrameType.PONG
+
+    def test_successor_binds_the_port_right_after_stop(self):
+        first = SimulationServer(heartbeat_interval=0.1).start()
+        host, port = first.address
+        # A live client connection across the stop must not hold the port.
+        idle = socket.create_connection((host, port), timeout=5.0)
+        try:
+            send_frame(idle, FrameType.PING)
+            assert recv_frame(idle)[0] == FrameType.PONG
+            first.stop()
+            successor = SimulationServer(
+                port=port, heartbeat_interval=0.1
+            ).start()
+            try:
+                with socket.create_connection((host, port), timeout=5.0) as probe:
+                    send_frame(probe, FrameType.PING)
+                    assert recv_frame(probe)[0] == FrameType.PONG
+            finally:
+                successor.stop()
+        finally:
+            idle.close()
+
+
+class TestRetentionBound:
+    def test_lru_eviction_by_deposit_time(self, strongarm, conditions_job):
+        with SimulationServer(
+            heartbeat_interval=0.1,
+            retention_seconds=600.0,
+            retention_max_entries=2,
+        ) as server:
+            backend = RemoteBackend(endpoints=server.endpoint, attempts=2)
+            jobs = [conditions_job(strongarm, rows=4, seed=seed) for seed in (1, 2, 3)]
+            for job in jobs:
+                backend.evaluate(strongarm, job)
+            assert server.stats["executions"] == 3
+            assert backend.fallback_used == 0
+            with server._lock:
+                retained = list(server._retained)
+            # Oldest deposit evicted, newest two kept, eviction counted.
+            assert retained == [jobs[1].job_id, jobs[2].job_id]
+            assert server.stats["retention_evictions"] == 1
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("retention_max_entries", 0),
+            ("heartbeat_interval", 0.0),
+            ("heartbeat_interval", -0.5),
+            ("heartbeat_interval", float("nan")),
+            ("lease_seconds", 0.0),
+            ("lease_seconds", float("nan")),
+            ("lease_seconds", float("inf")),
+            ("retention_seconds", -1.0),
+            ("retention_seconds", float("nan")),
+            ("retention_seconds", float("inf")),
+        ],
+    )
+    def test_rejects_nonpositive_bound(self, option, value):
+        """Refused by the constructor, and so by ``repro serve`` with a
+        usage error (exit 2) before it binds."""
+        with pytest.raises(ValueError, match=option):
+            SimulationServer(**{option: value})
+        flag = "--" + option.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main([flag, str(value), "--port", "0"])
+        assert exit_info.value.code == 2
+
+    # The smallest and largest settings the tests and the docs use.
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("heartbeat_interval", 0.05),
+            ("heartbeat_interval", 0.5),
+            ("lease_seconds", 0.3),
+            ("retention_seconds", 0.0),
+            ("retention_max_entries", 1),
+        ],
+    )
+    def test_accepts_documented_setting(self, option, value):
+        server = SimulationServer(**{option: value})
+        assert getattr(server, option) == value
+        server.stop()
+
+
+class TestLifecycle:
+    def test_address_needs_a_started_server(self):
+        server = SimulationServer()
+        with pytest.raises(RuntimeError, match="not started"):
+            server.address
+        server.stop()  # stopping a server that never started is a no-op
+
+    def test_start_and_stop_are_idempotent(self):
+        server = SimulationServer(heartbeat_interval=0.1)
+        try:
+            assert server.start() is server
+            address = server.address
+            assert server.start() is server
+            assert server.address == address
+        finally:
+            server.stop()
+            server.stop()
+        with pytest.raises(RuntimeError, match="not started"):
+            server.address
+
+    def test_unknown_backend_fails_before_binding(self, capsys):
+        with pytest.raises(KeyError, match="no-such-engine"):
+            SimulationServer(backend="no-such-engine")
+        with pytest.raises(SystemExit) as exit_info:
+            serve_main(["--backend", "no-such-engine", "--port", "0"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestDrain:
+    def test_drain_completes_inflight_execution(
+        self, strongarm, test_backends, conditions_job
+    ):
+        server = SimulationServer(
+            backend=_SleepyBackend.name, heartbeat_interval=0.1
+        ).start()
+        address = server.address
+        job = conditions_job(strongarm, rows=4, seed=7)
+        reference = resolve_backend("batched").evaluate(strongarm, job)
+        outcome = {}
+
+        def _evaluate():
+            backend = RemoteBackend(endpoints=server.endpoint, attempts=1)
+            try:
+                outcome["metrics"] = backend.evaluate(strongarm, job)
+                outcome["fallback_used"] = backend.fallback_used
+            except BaseException as error:  # noqa: BLE001
+                outcome["error"] = error
+
+        thread = threading.Thread(target=_evaluate)
+        thread.start()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with server._lock:
+                if server._inflight:
+                    break
+            time.sleep(0.01)
+        else:
+            server.stop()
+            pytest.fail("execution never became in-flight")
+        server.drain(timeout=30.0)
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        # The leased execution completed and its result reached the
+        # client despite the drain racing it — over the wire, not via
+        # the client's local fallback.
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["fallback_used"] == 0
+        assert_metrics_equal(strongarm, outcome["metrics"], reference)
+        # And the daemon really stopped accepting.
+        with pytest.raises(OSError):
+            socket.create_connection(address, timeout=0.5)
+
+
+class TestSignals:
+    def test_sigterm_exits_zero(self):
+        proc, _endpoint = _spawn_serve_daemon()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+
+    def test_sigint_exits_zero(self):
+        """Ctrl-C drains like SIGTERM: no KeyboardInterrupt traceback."""
+        proc, _endpoint = _spawn_serve_daemon()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+        assert "Traceback" not in proc.stdout.read()
+
+
+#: The flags of the retired experiment mode, each with a sample value.
+_EXPERIMENT_FLAGS = (
+    ("--mode", "experiment"),
+    ("--journal-dir", "runs"),
+    ("--run-workers", "2"),
+    ("--max-queue", "2"),
+    ("--tenant-quota", "10"),
+)
+
+
+def test_serve_has_one_mode(capsys):
+    """``repro serve`` runs the job daemon alone: its help lists none of
+    the experiment mode's flags."""
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(["--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--heartbeat-interval" in usage
+    assert [flag for flag, _ in _EXPERIMENT_FLAGS if flag in usage] == []
+
+
+@pytest.mark.parametrize("flag, value", _EXPERIMENT_FLAGS)
+def test_experiment_flag_is_a_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main([flag, value, "--port", "0"])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_front_end_api_is_gone():
+    """No alias of the retired whole-run front end is kept."""
+    import importlib
+
+    import repro.simulation as simulation
+    from repro import api
+    from repro.simulation import budget
+
+    for name in (
+        "ExperimentFrontend",
+        "ExperimentClient",
+        "ExperimentJournal",
+        "FrontendBusy",
+        "FrontendUnavailable",
+        "TenantBudgetLedger",
+        "run_key",
+    ):
+        assert not hasattr(simulation, name), name
+    assert not hasattr(budget, "TenantBudgetLedger")
+    for module in ("frontend", "daemon"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.simulation.{module}")
+    with pytest.raises(TypeError, match="endpoint"):
+        api.run_experiment(api.ExperimentConfig(), endpoint="127.0.0.1:9")
+    assert {"SUBMIT", "STATUS", "CANCEL", "BUSY"}.isdisjoint(
+        FrameType.__members__
+    )
 
 
 # ----------------------------------------------------------------------
@@ -739,6 +1151,45 @@ class TestEndpointPublication:
         with pytest.raises(RuntimeError, match="warm-up timed out"):
             run_experiment(config)
         assert os.environ.get(ENDPOINTS_ENV) == previous
+
+    def test_remote_config_without_endpoints_is_refused(self, monkeypatch):
+        """A ``remote`` config naming no fleet fails when it is built, so
+        the CLI exits with a usage error instead of a mid-run traceback."""
+        from repro.api import ExperimentConfig
+
+        monkeypatch.delenv(ENDPOINTS_ENV, raising=False)
+        with pytest.raises(ValueError, match=ENDPOINTS_ENV):
+            ExperimentConfig(backend="remote")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--circuit", "sal", "--method",
+             "C", "--backend", "remote", "--dry-run"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert "needs endpoints" in completed.stderr
+        monkeypatch.setenv(ENDPOINTS_ENV, "127.0.0.1:9")
+        assert ExperimentConfig(backend="remote").endpoints is None
+
+    def test_remote_config_naming_its_endpoints_needs_no_variable(
+        self, monkeypatch
+    ):
+        from repro.api import ExperimentConfig
+
+        monkeypatch.delenv(ENDPOINTS_ENV, raising=False)
+        config = ExperimentConfig(backend="remote", endpoints="127.0.0.1:9")
+        assert config.endpoints == ("127.0.0.1:9",)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        # A blank variable names no fleet either.
+        monkeypatch.setenv(ENDPOINTS_ENV, "  ")
+        with pytest.raises(ValueError, match="needs endpoints"):
+            ExperimentConfig(backend="remote")
+        with pytest.raises(ValueError, match="needs endpoints"):
+            ExperimentConfig.from_dict({"backend": "remote"})
 
 
 # ----------------------------------------------------------------------
