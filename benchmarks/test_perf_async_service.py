@@ -276,10 +276,10 @@ class _WorkflowDriver:
         corners = list(operational.corners)
         buffer = LastWorstCaseBuffer(operational.corners)
 
-        def rewards_of(records):
+        def rewards_of(block):
             return rewards_from_matrix(
                 self.spec,
-                simulator.metrics_matrix(records, self.spec.metric_names),
+                simulator.metrics_matrix(block, self.spec.metric_names),
             )
 
         # --- phase 1: TuRBO-shaped design batches at typical ------------
@@ -304,8 +304,8 @@ class _WorkflowDriver:
             ]
 
         def process(grouped):
-            for corner, records in zip(corners, grouped):
-                worst = float(rewards_of(records).min())
+            for corner, block in zip(corners, grouped):
+                worst = float(rewards_of(block).min())
                 buffer.update(corner, worst)
                 trace.append(worst)
 
@@ -342,10 +342,10 @@ class _WorkflowDriver:
                 circuit.denormalize(self.design),
                 operational.optimization_samples,
             )
-            records = simulator.simulate_mismatch_set(
+            block = simulator.simulate_mismatch_set(
                 self.design, worst, mismatch_set
             )
-            reward = float(rewards_of(records).min())
+            reward = float(rewards_of(block).min())
             buffer.update(worst, reward)
             trace.append(reward)
 

@@ -146,10 +146,23 @@ class _WorkflowDriver:
         corners = list(operational.corners)
         buffer = LastWorstCaseBuffer(operational.corners)
 
-        def rewards_of(records):
+        def rewards_of(block):
             return rewards_from_matrix(
                 self.spec,
-                simulator.metrics_matrix(records, self.spec.metric_names),
+                simulator.metrics_matrix(block, self.spec.metric_names),
+            )
+
+        def per_call_rewards(
+            corner, mismatch_set, phase=SimulationPhase.OPTIMIZATION
+        ):
+            # The legacy schedule: one call per mismatch condition.
+            return np.concatenate(
+                [
+                    rewards_of(
+                        simulator.simulate(self.design, corner, condition, phase=phase)
+                    )
+                    for condition in mismatch_set
+                ]
             )
 
         # --- phase 1: TuRBO initial sampling at typical ----------------
@@ -161,7 +174,7 @@ class _WorkflowDriver:
             # The legacy schedule: one typical-corner call per design.
             return np.array(
                 [
-                    rewards_of([simulator.simulate_typical(design)])[0]
+                    rewards_of(simulator.simulate_typical(design))[0]
                     for design in designs
                 ]
             )
@@ -189,21 +202,16 @@ class _WorkflowDriver:
                     mismatch_sets,
                     phase=SimulationPhase.INITIAL_SAMPLING,
                 )
+                rewards = [rewards_of(block) for block in grouped]
             else:
-                grouped = [
-                    [
-                        simulator.simulate(
-                            self.design,
-                            corner,
-                            condition,
-                            phase=SimulationPhase.INITIAL_SAMPLING,
-                        )
-                        for condition in mismatch_set
-                    ]
+                rewards = [
+                    per_call_rewards(
+                        corner, mismatch_set, SimulationPhase.INITIAL_SAMPLING
+                    )
                     for corner, mismatch_set in zip(corners, mismatch_sets)
                 ]
-            for corner, records in zip(corners, grouped):
-                buffer.update(corner, float(rewards_of(records).min()))
+            for corner, corner_rewards in zip(corners, rewards):
+                buffer.update(corner, float(corner_rewards.min()))
 
         # --- phase 3: optimization iterations at the worst corner ------
         for _ in range(OPTIMIZATION_ITERATIONS):
@@ -213,15 +221,12 @@ class _WorkflowDriver:
                 operational.optimization_samples,
             )
             if self.batched:
-                records = simulator.simulate_mismatch_set(
-                    self.design, worst, mismatch_set
+                rewards = rewards_of(
+                    simulator.simulate_mismatch_set(self.design, worst, mismatch_set)
                 )
             else:
-                records = [
-                    simulator.simulate(self.design, worst, condition)
-                    for condition in mismatch_set
-                ]
-            buffer.update(worst, float(rewards_of(records).min()))
+                rewards = per_call_rewards(worst, mismatch_set)
+            buffer.update(worst, float(rewards.min()))
 
         # --- phase 4: full hierarchical verification --------------------
         verifier = Verifier(

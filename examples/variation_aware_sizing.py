@@ -55,9 +55,9 @@ def nominal_only_design(circuit, seed=0, budget=120):
     sampler = TurboSampler(circuit.dimension, rng=np.random.default_rng(seed))
 
     def typical_rewards(designs):
-        records = simulator.simulate_designs(designs)
+        block = simulator.simulate_designs(designs)
         return rewards_from_matrix(
-            spec, simulator.metrics_matrix(records, spec.metric_names)
+            spec, simulator.metrics_matrix(block, spec.metric_names)
         )
 
     result = sampler.run(typical_rewards, max_evaluations=budget, feasible_target=1)

@@ -54,10 +54,12 @@ Every consumer reaches the simulator through **one request/response
 service** (:mod:`repro.simulation.service`)::
 
     optimizer / verifier / baselines / examples / CLI
-                        |
+                        |                   (read (B, m) metric matrices:
+                        |                    metrics_matrix(block, names))
                  CircuitSimulator           (compat shim: 5 entry points
                         |                    compile to SimJob, each with a
-                        |                    submit_* futures twin)
+                        |                    submit_* futures twin; each
+                        |                    returns the metrics block)
         SimulationService.run(job)          (blocking)
         SimulationService.submit(job)       -> SimFuture: work dispatched
                         |                      now, ALL budget accounting
@@ -114,6 +116,11 @@ Migration table (legacy entry point → job compilation):
 ``simulate_corner_sweep(x, T, [H_i])``         ``SimJob.conditions(name, x, repeat(T), vstack(H_i))``
 ``simulate_designs(X, t)``                     ``SimJob.design_batch(name, X, t)``
 =============================================  =================================
+
+Each entry point returns the job's metrics block, ``{metric: (B,)
+array}`` (a list of per-corner blocks for a corner sweep), never per-row
+records; ``CircuitSimulator.metrics_matrix(block, names)`` is the one
+block-to-matrix conversion.
 
 Circuits are looked up by name or alias through
 :mod:`repro.circuits.registry` (``@register_circuit``).

@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "base exponential backoff between retry attempts "
-            "(default: 0.05; deterministic seeded jitter is added)"
+            "(default: 0.05; deterministic seeded jitter is added); "
+            "needs --retries N or a retry policy in --config"
         ),
     )
     parser.add_argument(
@@ -349,17 +350,22 @@ def _resolve_config(args: argparse.Namespace) -> api.ExperimentConfig:
     if args.seeds is not None:
         overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s != ""]
     if args.retries is not None or args.retry_backoff is not None:
-        retry = dict(payload.get("retry") or {})
+        retry = payload.get("retry")
         if args.retries is not None:
-            if args.retries == 0:
-                retry = None  # explicit --retries 0 disables a config file's policy
-            else:
-                retry["max_attempts"] = args.retries + 1
-        if retry is not None and args.retry_backoff is not None:
-            retry["backoff"] = args.retry_backoff
-        overrides["retry"] = retry
-        if retry is None:
-            payload["retry"] = None
+            # An explicit --retries 0 disables a config file's policy.
+            retry = (
+                None
+                if args.retries == 0
+                else {**(retry or {}), "max_attempts": args.retries + 1}
+            )
+        if args.retry_backoff is not None:
+            if retry is None:
+                raise ValueError(
+                    "--retry-backoff needs retries on: pass --retries N "
+                    "(N >= 1) or a retry policy in --config"
+                )
+            retry = {**retry, "backoff": args.retry_backoff}
+        payload["retry"] = retry
     payload.update({k: v for k, v in overrides.items() if v is not None})
     return api.ExperimentConfig.from_dict(payload)
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -138,7 +139,19 @@ class ExperimentConfig:
     overrides: Dict[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        # A string would be iterated digit by digit, and int() would
+        # truncate a float or turn a bool into seed 0 or 1.
+        if isinstance(self.seeds, str):
+            raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
+        seeds = tuple(self.seeds)
+        not_integers = [
+            seed
+            for seed in seeds
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+        ]
+        if not_integers:
+            raise ValueError(f"seeds must be integers, got {not_integers}")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         object.__setattr__(self, "overrides", dict(self.overrides))
         if self.endpoints is not None:
             spec = self.endpoints
@@ -192,10 +205,13 @@ class ExperimentConfig:
                 f"unknown simulation backend {self.backend!r}; "
                 f"available: {available_backends()}"
             )
-        if self.backend == "remote" and self.endpoints is None:
-            from repro.simulation.remote import ENDPOINTS_ENV
+        if self.backend == "remote":
+            from repro.simulation.remote import ENDPOINTS_ENV, liveness_settings
 
-            if not os.environ.get(ENDPOINTS_ENV, "").strip():
+            # The client reads its timeouts and breaker reset from the
+            # environment: refuse bad ones now, not at the first job.
+            liveness_settings()
+            if self.endpoints is None and not os.environ.get(ENDPOINTS_ENV, "").strip():
                 raise ValueError(
                     f"backend 'remote' needs endpoints: set endpoints "
                     f"(--endpoints HOST:PORT) or ${ENDPOINTS_ENV}"

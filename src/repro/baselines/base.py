@@ -35,11 +35,11 @@ class BaselineOptimizer(SizingOptimizer):
     }
 
     # ------------------------------------------------------------------
-    def _worst_from_records(self, corner: PVTCorner, records) -> float:
-        """Worst reward of one corner's records; updates the worst-case buffer."""
+    def _worst_of_block(self, corner: PVTCorner, block) -> float:
+        """Worst reward of one corner's metrics block; updates the
+        worst-case buffer."""
         rewards = rewards_from_matrix(
-            self.spec,
-            self.simulator.metrics_matrix(records, self.spec.metric_names),
+            self.spec, self.simulator.metrics_matrix(block, self.spec.metric_names)
         )
         worst = float(rewards.min())
         self.last_worst.update(corner, worst)
@@ -57,10 +57,10 @@ class BaselineOptimizer(SizingOptimizer):
         mismatch_set = self.mismatch_sampler.sample(
             x_physical, self.operational.optimization_samples
         )
-        records = self.simulator.simulate_mismatch_set(
+        block = self.simulator.simulate_mismatch_set(
             design, corner, mismatch_set, phase=phase
         )
-        return self._worst_from_records(corner, records)
+        return self._worst_of_block(corner, block)
 
     def evaluate_all_corners(
         self,
@@ -86,8 +86,8 @@ class BaselineOptimizer(SizingOptimizer):
             design, corners, mismatch_sets, phase=phase
         )
         return {
-            corner.name: self._worst_from_records(corner, records)
-            for corner, records in zip(corners, per_corner)
+            corner.name: self._worst_of_block(corner, block)
+            for corner, block in zip(corners, per_corner)
         }
 
     def brute_force_verify(self, design: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ estimate of every metric still meets its target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -60,19 +60,18 @@ class MuSigmaEvaluator:
         self.spec = spec
         self.beta2 = float(beta2)
 
-    def evaluate(self, metric_samples: Sequence[Dict[str, float]]) -> MuSigmaResult:
-        """Screen a set of sampled metric dictionaries for one corner.
+    def evaluate(self, metric_matrix: np.ndarray) -> MuSigmaResult:
+        """Screen one corner's ``(N', m)`` matrix of sampled metrics, its
+        columns ordered like the spec's constraints.
 
         With a single sample the standard deviation is zero and the screen
         degenerates to a plain constraint check, which is exactly what the
         corner-only (``C``) configuration needs.
         """
-        if not metric_samples:
+        matrix = np.asarray(metric_matrix, dtype=float)
+        if not len(matrix):
             raise ValueError("mu-sigma evaluation needs at least one sample")
         names = self.spec.metric_names
-        matrix = np.array(
-            [[sample[name] for name in names] for sample in metric_samples]
-        )
         means = matrix.mean(axis=0)
         stds = matrix.std(axis=0, ddof=0)
         estimates = means + self.beta2 * stds

@@ -130,10 +130,9 @@ class SizingOptimizer(abc.ABC):
     def typical_rewards(self, designs: np.ndarray) -> np.ndarray:
         """Rewards of an ``(M, p)`` design batch at the typical condition,
         in one design-axis job."""
-        records = self.simulator.simulate_designs(designs)
+        block = self.simulator.simulate_designs(designs)
         return rewards_from_matrix(
-            self.spec,
-            self.simulator.metrics_matrix(records, self.spec.metric_names),
+            self.spec, self.simulator.metrics_matrix(block, self.spec.metric_names)
         )
 
     def turbo_seed(self) -> np.ndarray:
@@ -218,6 +217,7 @@ class GlovaOptimizer(SizingOptimizer):
         it is charged.
         """
         corners = list(self.operational.corners)
+        names = self.spec.metric_names
         use_mc = self.operational.include_local or self.operational.include_global
 
         def submit_sweep(design: np.ndarray):
@@ -249,20 +249,20 @@ class GlovaOptimizer(SizingOptimizer):
         for design, resolved in iter_resolved(designs, submit_sweep):
             if resolved is None:
                 per_corner = []
-            else:
-                per_corner = resolved if use_mc else [[r] for r in resolved]
+            elif use_mc:
+                per_corner = [
+                    self.simulator.metrics_matrix(block, names) for block in resolved
+                ]
+            else:  # one row per corner
+                matrix = self.simulator.metrics_matrix(resolved, names)
+                per_corner = [matrix[row : row + 1] for row in range(len(matrix))]
             worst_reward = FEASIBLE_REWARD
-            for corner, records in zip(corners, per_corner):
-                metric_dicts = [r.metrics for r in records]
-                corner_rewards = rewards_from_matrix(
-                    self.spec,
-                    self.simulator.metrics_matrix(records, self.spec.metric_names),
-                )
-                corner_worst = float(corner_rewards.min())
+            for corner, matrix in zip(corners, per_corner):
+                corner_worst = float(rewards_from_matrix(self.spec, matrix).min())
                 self.last_worst.update(corner, corner_worst)
                 worst_reward = min(worst_reward, corner_worst)
-                if self.config.risk_adjusted_reward and len(records) >= 2:
-                    screen = self.verifier.evaluator.evaluate(metric_dicts)
+                if self.config.risk_adjusted_reward and len(matrix) >= 2:
+                    screen = self.verifier.evaluator.evaluate(matrix)
                     estimate_reward = reward_from_metrics(
                         self.spec, screen.estimates
                     )
@@ -302,19 +302,16 @@ class GlovaOptimizer(SizingOptimizer):
                 self.operational.optimization_samples,
                 independent_globals=True,
             )
-            records = self.simulator.simulate_mismatch_set(
+            block = self.simulator.simulate_mismatch_set(
                 design, worst_corner, mismatch_set, phase=SimulationPhase.OPTIMIZATION
             )
-            metric_dicts = [r.metrics for r in records]
-            rewards = rewards_from_matrix(
-                self.spec,
-                self.simulator.metrics_matrix(records, self.spec.metric_names),
-            )
+            matrix = self.simulator.metrics_matrix(block, self.spec.metric_names)
+            rewards = rewards_from_matrix(self.spec, matrix)
             worst_reward = float(rewards.min())
             self.last_worst.update(worst_corner, worst_reward)
 
             # --- step 4: mu-sigma decision on whether to verify ----------
-            screen = self.verifier.evaluator.evaluate(metric_dicts)
+            screen = self.verifier.evaluator.evaluate(matrix)
             if self.config.use_mu_sigma:
                 should_verify = screen.passed
             else:
@@ -325,7 +322,7 @@ class GlovaOptimizer(SizingOptimizer):
             # even if no individual sample failed outright (Eq. 1 applied at
             # the sample level; disabled by the `risk_adjusted_reward` flag).
             stored_reward = worst_reward
-            if self.config.risk_adjusted_reward and len(records) >= 2:
+            if self.config.risk_adjusted_reward and len(matrix) >= 2:
                 estimate_reward = reward_from_metrics(self.spec, screen.estimates)
                 stored_reward = min(worst_reward, estimate_reward)
 
@@ -335,8 +332,7 @@ class GlovaOptimizer(SizingOptimizer):
                 outcome = self.verifier.verify(
                     design,
                     self.last_worst,
-                    reusable_records={worst_corner.name: records},
-                    reusable_mismatch={worst_corner.name: mismatch_set},
+                    reusable={worst_corner.name: (matrix, mismatch_set)},
                 )
                 verification_passed = outcome.passed
                 worst_reward = min(worst_reward, outcome.worst_reward)

@@ -58,7 +58,7 @@ The two Table-III ablation switches live here as well:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,20 +70,21 @@ from repro.core.reward import FEASIBLE_REWARD, rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.simulation.budget import SimulationPhase
 from repro.simulation.service import SimJob
-from repro.simulation.simulator import CircuitSimulator, SimulationRecord
+from repro.simulation.simulator import CircuitSimulator
 from repro.variation.corners import PVTCorner
 from repro.variation.mismatch import MismatchSampler, MismatchSet
 
 
 @dataclass
 class CornerScreenResult:
-    """Per-corner outcome of the screening pass."""
+    """Per-corner outcome of the screening pass; ``metrics`` is the
+    corner's ``(N', m)`` metric matrix, columns in spec order."""
 
     corner: PVTCorner
     mu_sigma: MuSigmaResult
     t_score: float
     correlation: np.ndarray
-    records: List[SimulationRecord]
+    metrics: np.ndarray
     mismatch_set: MismatchSet
 
 
@@ -134,8 +135,7 @@ class Verifier:
         self,
         design: np.ndarray,
         last_worst: LastWorstCaseBuffer,
-        reusable_records: Optional[Dict[str, List[SimulationRecord]]] = None,
-        reusable_mismatch: Optional[Dict[str, MismatchSet]] = None,
+        reusable: Optional[Dict[str, Tuple[np.ndarray, MismatchSet]]] = None,
     ) -> VerificationResult:
         """Run Algorithm 2 for ``design``.
 
@@ -145,13 +145,15 @@ class Verifier:
             Normalised sizing vector to verify.
         last_worst:
             The last-worst-case corner buffer (supplies the initial order).
-        reusable_records / reusable_mismatch:
-            Optimization-phase simulations for specific corners (keyed by
-            corner name), typically the worst corner's ``N'`` subset, which
-            Algorithm 2 reuses instead of re-simulating.
+        reusable:
+            Optimization-phase simulations for specific corners, keyed by
+            corner name: the ``(N', m)`` metric matrix (spec column order)
+            and the mismatch set it was simulated under, typically the
+            worst corner's ``N'`` subset, which Algorithm 2 reuses instead
+            of re-simulating.
         """
-        reusable_records = reusable_records or {}
-        reusable_mismatch = reusable_mismatch or {}
+        reusable = reusable or {}
+        names = self.spec.metric_names
         sampler = self._sampler()
         x_physical = self.simulator.circuit.denormalize(design)
         simulations_before = self.simulator.budget.total
@@ -162,38 +164,22 @@ class Verifier:
         worst_reward = FEASIBLE_REWARD
 
         for corner in screen_order:
-            if corner.name in reusable_records:
-                records = reusable_records[corner.name]
-                mismatch_set = reusable_mismatch.get(
-                    corner.name,
-                    MismatchSet(
-                        np.stack(
-                            [
-                                r.mismatch
-                                if r.mismatch is not None
-                                else sampler.model.zero()
-                                for r in records
-                            ]
-                        ),
-                        sampler.model.zero(),
-                    ),
-                )
+            if corner.name in reusable:
+                metric_matrix, mismatch_set = reusable[corner.name]
             else:
                 mismatch_set = sampler.sample(
                     x_physical, self.operational.optimization_samples
                 )
-                records = self.simulator.simulate_mismatch_set(
+                block = self.simulator.simulate_mismatch_set(
                     design, corner, mismatch_set, phase=SimulationPhase.VERIFICATION
                 )
+                metric_matrix = self.simulator.metrics_matrix(block, names)
 
-            # One matrix pass covers rewards and the Pearson performance
-            # sums — no per-record Python loops on the MC hot path.
-            metric_matrix = self.simulator.metrics_matrix(
-                records, self.spec.metric_names
-            )
+            # One matrix pass covers rewards, the mu-sigma screen and the
+            # Pearson performance sums.
             rewards = rewards_from_matrix(self.spec, metric_matrix)
             worst_reward = min(worst_reward, float(rewards.min()))
-            mu_sigma = self.evaluator.evaluate([r.metrics for r in records])
+            mu_sigma = self.evaluator.evaluate(metric_matrix)
 
             screen_failed = (
                 not mu_sigma.passed
@@ -218,7 +204,7 @@ class Verifier:
                     mu_sigma=mu_sigma,
                     t_score=t_score(self.spec, mu_sigma),
                     correlation=correlation,
-                    records=records,
+                    metrics=metric_matrix,
                     mismatch_set=mismatch_set,
                 )
             )
@@ -234,16 +220,11 @@ class Verifier:
             else:
                 ordered = list(screen_results)
 
-            names = self.spec.metric_names
-
             def first_infeasible(metrics):
                 """Score one block in rank order; its first infeasible row."""
                 nonlocal worst_reward
                 rewards = rewards_from_matrix(
-                    self.spec,
-                    np.column_stack(
-                        [np.asarray(metrics[name], dtype=float) for name in names]
-                    ),
+                    self.spec, self.simulator.metrics_matrix(metrics, names)
                 )
                 failing = np.flatnonzero(rewards < FEASIBLE_REWARD)
                 if not failing.size:

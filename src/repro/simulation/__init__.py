@@ -65,7 +65,10 @@ The service
 :class:`CircuitSimulator` remains as a thin compatibility shim whose
 entry points all compile to jobs: the blocking ``simulate*`` calls route
 through :meth:`SimulationService.run`, their ``submit_*`` twins through
-:meth:`SimulationService.submit`.
+:meth:`SimulationService.submit`.  Each returns the job's metrics block
+(``{metric: (B,) array}``, one block per corner for a corner sweep), and
+:meth:`CircuitSimulator.metrics_matrix` turns a block into the
+``(B, m)`` matrix the reward and the mu-sigma screen read.
 """
 
 from repro._lazy import export_names, lazy_getattr
@@ -80,7 +83,6 @@ _EXPORTS = {
     "repro.simulation.budget": ("SimulationBudget", "SimulationPhase"),
     "repro.simulation.simulator": ("CircuitSimulator",),
     "repro.simulation.service": (
-        "SimulationRecord",
         "SimJob",
         "SimResult",
         "SimFuture",

@@ -49,6 +49,7 @@ makes the zero-argument constructor — and therefore
 from __future__ import annotations
 
 import logging
+import math
 import os
 import socket
 import time
@@ -91,6 +92,38 @@ DEFAULT_ACTIVITY_TIMEOUT = 10.0
 DEFAULT_ATTEMPTS = 3
 DEFAULT_BREAKER_THRESHOLD = 3
 DEFAULT_BREAKER_RESET = 5.0
+
+
+def liveness_settings(
+    connect_timeout: Optional[float] = None,
+    activity_timeout: Optional[float] = None,
+    breaker_reset_seconds: Optional[float] = None,
+) -> Tuple[float, float, float]:
+    """The connect and activity timeouts and the breaker reset period,
+    each from its argument, else its variable, else its default.
+
+    A timeout must be finite and > 0: ``socket`` refuses a negative or
+    NaN one and overflows on inf, and at 0 every connect fails.  A reset
+    must be finite and >= 0: a NaN one never half-opens a breaker.  A bad
+    value is refused here, naming its variable, not mid-run.
+    """
+    settings = []
+    for name, value, variable, default, zero_ok in (
+        ("connect_timeout", connect_timeout, CONNECT_TIMEOUT_ENV,
+         DEFAULT_CONNECT_TIMEOUT, False),
+        ("activity_timeout", activity_timeout, ACTIVITY_TIMEOUT_ENV,
+         DEFAULT_ACTIVITY_TIMEOUT, False),
+        ("breaker_reset_seconds", breaker_reset_seconds, BREAKER_RESET_ENV,
+         DEFAULT_BREAKER_RESET, True),
+    ):
+        seconds = float(os.environ.get(variable, default) if value is None else value)
+        if not math.isfinite(seconds) or seconds < 0 or (seconds == 0 and not zero_ok):
+            raise ValueError(
+                f"{name} (${variable}) must be finite and "
+                f"{'>= 0' if zero_ok else '> 0'} seconds, got {seconds}"
+            )
+        settings.append(seconds)
+    return tuple(settings)
 
 
 def parse_endpoints(spec: Union[str, Sequence[str]]) -> Tuple[Tuple[str, int], ...]:
@@ -226,17 +259,8 @@ class RemoteBackend(SimulationBackend):
         self._fallback: Optional[SimulationBackend] = (
             None if isinstance(fallback, str) else fallback
         )
-        self.connect_timeout = (
-            float(os.environ.get(CONNECT_TIMEOUT_ENV, DEFAULT_CONNECT_TIMEOUT))
-            if connect_timeout is None
-            else float(connect_timeout)
-        )
-        self.activity_timeout = (
-            float(
-                os.environ.get(ACTIVITY_TIMEOUT_ENV, DEFAULT_ACTIVITY_TIMEOUT)
-            )
-            if activity_timeout is None
-            else float(activity_timeout)
+        self.connect_timeout, self.activity_timeout, reset_seconds = (
+            liveness_settings(connect_timeout, activity_timeout, breaker_reset_seconds)
         )
         attempts = (
             int(os.environ.get(ATTEMPTS_ENV, DEFAULT_ATTEMPTS))
@@ -251,11 +275,6 @@ class RemoteBackend(SimulationBackend):
             )
             if breaker_threshold is None
             else int(breaker_threshold)
-        )
-        reset_seconds = (
-            float(os.environ.get(BREAKER_RESET_ENV, DEFAULT_BREAKER_RESET))
-            if breaker_reset_seconds is None
-            else float(breaker_reset_seconds)
         )
         #: Seeded deterministic backoff between fleet-wide attempts; the
         #: retry classification itself (what counts as transient) is

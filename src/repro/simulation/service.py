@@ -11,9 +11,8 @@ call:
   mismatch block plus a phase tag.  Jobs carry a deterministic content hash
   (:attr:`SimJob.job_id`) so identical requests can be recognised across
   caching, retries and process boundaries.
-* :class:`SimResult` — the response: one ``(B,)`` array per metric, plus
-  per-row :class:`SimulationRecord` views for consumers that want dicts.
-  A metrics block carries only metrics.
+* :class:`SimResult` — the response: the job's metrics block, one
+  ``(B,)`` array per metric and nothing else.
 * :class:`SimulationBackend` — the engine boundary.  Two terminal backends
   ship in this module: :class:`BatchedBackend` (the vectorized engine,
   one ``evaluate_batch`` pass per job) and :class:`ReferenceScalarBackend`
@@ -132,12 +131,13 @@ import hashlib
 import importlib
 import io
 import math
+import numbers
 import os
 import threading
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -380,60 +380,14 @@ class SimJob:
 
 @dataclass
 class SimResult:
-    """Metrics tensor plus per-row record views for one :class:`SimJob`."""
+    """The metrics block one :class:`SimJob` produced, and where it came
+    from: ``metrics`` maps each metric name to a ``(B,)`` array whose rows
+    follow the job's batch axis."""
 
     job: SimJob
     metrics: Dict[str, np.ndarray]
     cached: bool = False
     backend: str = ""
-
-    def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """``(B, len(names))`` metric matrix in the requested column order."""
-        return np.column_stack(
-            [np.asarray(self.metrics[name], dtype=float) for name in names]
-        )
-
-    def to_records(self, names: Sequence[str]) -> List["SimulationRecord"]:
-        """Per-row :class:`SimulationRecord` views (cached metric vectors)."""
-        names = tuple(names)
-        matrix = self.matrix(names)
-        corners = self.job.row_corners
-        mismatch = self.job.mismatch
-        return [
-            SimulationRecord(
-                metrics=dict(zip(names, row.tolist())),
-                corner=corners[index],
-                mismatch=None if mismatch is None else mismatch[index],
-                vector=row,
-                vector_names=names,
-            )
-            for index, row in enumerate(matrix)
-        ]
-
-
-@dataclass(frozen=True)
-class SimulationRecord:
-    """One simulation outcome: the metrics for ``(x, corner, h)``.
-
-    Records produced by a batched sweep carry a precomputed metric vector
-    (one row of the batch matrix), so stacking many records back into a
-    matrix needs no per-record dict traffic.
-    """
-
-    metrics: Dict[str, float]
-    corner: PVTCorner
-    mismatch: Optional[np.ndarray]
-    vector: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    vector_names: Optional[Tuple[str, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def metric_vector(self, names: Sequence[str]) -> np.ndarray:
-        if self.vector is not None and tuple(names) == self.vector_names:
-            # Copy so callers can mutate the result without corrupting the
-            # record (scalar records always return a fresh array).
-            return self.vector.copy()
-        return np.array([self.metrics[name] for name in names])
 
 
 # ----------------------------------------------------------------------
@@ -709,15 +663,32 @@ class RetryPolicy:
     watchdog_floor: float = 5.0
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        if (
+            isinstance(self.max_attempts, bool)
+            or not isinstance(self.max_attempts, numbers.Integral)
+            or self.max_attempts < 1
+        ):
+            raise ValueError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
+            )
         if self.backoff < 0 or self.jitter < 0:
             raise ValueError("backoff and jitter must be non-negative")
         # An infinite delay makes time.sleep raise on the first retry; a
-        # NaN one is skipped, so backoff would be silently off.
-        for name in ("backoff", "backoff_factor", "jitter"):
+        # NaN one is skipped, so backoff would be silently off.  A NaN
+        # watchdog floor times every shard out at once.
+        for name in ("backoff", "backoff_factor", "jitter", "watchdog_floor"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.watchdog_floor < 0:
+            raise ValueError(
+                f"watchdog_floor must be >= 0, got {self.watchdog_floor}"
+            )
+        per_row = self.watchdog_seconds_per_row
+        if per_row is not None and not (math.isfinite(per_row) and per_row > 0):
+            raise ValueError(
+                "watchdog_seconds_per_row must be None or finite and > 0, "
+                f"got {per_row}"
+            )
         normalized = frozenset(
             FailureKind(kind) if not isinstance(kind, FailureKind) else kind
             for kind in self.retry_on

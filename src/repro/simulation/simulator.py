@@ -21,10 +21,13 @@ Since the service redesign every one of these **compiles to a**
 :class:`RecordsFuture`.  Batching, backend selection, caching, sharding
 and budget accounting all live in the service layer, and the entry points
 here only express the request shape (grouping corner sweeps, tiling a
-shared mismatch vector) and unpack the result into
-:class:`SimulationRecord` lists.  Metrics, seeded streams and
-budget charges are bit-identical to the pre-service behavior: a batch of B
-conditions still charges B simulations, exactly as the paper counts them.
+shared mismatch vector).  Each returns the job's metrics block,
+``{metric: (B,) array}`` with rows in batch order (a corner sweep returns
+one block per corner), and :meth:`CircuitSimulator.metrics_matrix` is the
+one conversion from a block to the ``(B, m)`` matrix the reward and the
+mu-sigma screen read.  Metrics, seeded streams and budget charges are
+bit-identical to the pre-service behavior: a batch of B conditions still
+charges B simulations, exactly as the paper counts them.
 
 New code should prefer the service API directly::
 
@@ -36,7 +39,7 @@ New code should prefer the service API directly::
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,61 +49,64 @@ from repro.simulation.service import (
     SimFuture,
     SimJob,
     SimulationBackend,
-    SimulationRecord,
     SimulationService,
 )
 from repro.variation.corners import CornerSet, PVTCorner, typical_corner
 from repro.variation.mismatch import MismatchSet
 
-__all__ = ["CircuitSimulator", "RecordsFuture", "SimulationRecord"]
+__all__ = ["CircuitSimulator", "RecordsFuture"]
+
+#: One job's metrics: ``{metric: (B,) array}``, rows in batch order.
+MetricsBlock = Dict[str, np.ndarray]
+
+
+def _per_corner(block: MetricsBlock, counts: Sequence[int]) -> List[MetricsBlock]:
+    """``block``'s rows cut into consecutive blocks of ``counts`` rows."""
+    grouped: List[MetricsBlock] = []
+    offset = 0
+    for count in counts:
+        grouped.append(
+            {name: values[offset : offset + count] for name, values in block.items()}
+        )
+        offset += count
+    return grouped
 
 
 class RecordsFuture:
-    """A :class:`SimFuture` resolved into simulation-record lists.
+    """A :class:`SimFuture` resolved into its job's metrics block.
 
-    The async twin of the record-list entry points below: ``result()``
+    The async twin of the blocking entry points below: ``result()``
     resolves the underlying future (all budget accounting happens there,
-    see :meth:`SimFuture.result`) and unpacks the metrics tensor into
-    :class:`SimulationRecord` views — grouped per corner when the future
-    came from :meth:`CircuitSimulator.submit_corner_sweep`.  ``cancel()``
-    abandons the job without charging, which is how the control loop
-    discards speculative work after an abort.
+    see :meth:`SimFuture.result`) and returns the metrics block — one
+    block per corner when the future came from
+    :meth:`CircuitSimulator.submit_corner_sweep`.  ``cancel()`` abandons
+    the job without charging, which is how the control loop discards
+    speculative work after an abort.
     """
 
     def __init__(
-        self,
-        future: SimFuture,
-        names: Sequence[str],
-        group_counts: Optional[Sequence[int]] = None,
+        self, future: SimFuture, group_counts: Optional[Sequence[int]] = None
     ):
         self._future = future
-        self._names = tuple(names)
-        self._group_counts = (
-            None if group_counts is None else list(group_counts)
-        )
-
-    @property
-    def future(self) -> SimFuture:
-        """The underlying service future (for budget/cache introspection)."""
-        return self._future
+        self._group_counts = group_counts
 
     def cancel(self) -> bool:
         return self._future.cancel()
 
     def result(self):
-        records = self._future.result().to_records(self._names)
+        block = self._future.result().metrics
         if self._group_counts is None:
-            return records
-        grouped: List[List[SimulationRecord]] = []
-        offset = 0
-        for count in self._group_counts:
-            grouped.append(records[offset : offset + count])
-            offset += count
-        return grouped
+            return block
+        return _per_corner(block, self._group_counts)
 
 
 class CircuitSimulator:
-    """Evaluates a circuit under PVT corners and mismatch with cost tracking."""
+    """Evaluates a circuit under PVT corners and mismatch with cost tracking.
+
+    Every entry point returns its job's metrics block,
+    ``{metric: (B,) array}``; :meth:`metrics_matrix` stacks one into a
+    ``(B, m)`` matrix.
+    """
 
     def __init__(
         self,
@@ -151,9 +157,8 @@ class CircuitSimulator:
         return self._service.workers
 
     # ------------------------------------------------------------------
-    def _run(self, job: SimJob) -> List[SimulationRecord]:
-        result = self._service.run(job)
-        return result.to_records(self.circuit.metric_names)
+    def _run(self, job: SimJob) -> MetricsBlock:
+        return self._service.run(job).metrics
 
     # ------------------------------------------------------------------
     def simulate(
@@ -162,8 +167,8 @@ class CircuitSimulator:
         corner: Optional[PVTCorner] = None,
         mismatch: Optional[np.ndarray] = None,
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> SimulationRecord:
-        """Run a single SPICE-equivalent simulation (a batch of one)."""
+    ) -> MetricsBlock:
+        """Run a single SPICE-equivalent simulation (a one-row block)."""
         corner = corner if corner is not None else typical_corner()
         h_block = None
         if mismatch is not None:
@@ -171,7 +176,7 @@ class CircuitSimulator:
         job = SimJob.conditions(
             self.circuit.name, x_normalized, (corner,), h_block, phase
         )
-        return self._run(job)[0]
+        return self._run(job)
 
     def simulate_mismatch_set(
         self,
@@ -179,7 +184,7 @@ class CircuitSimulator:
         corner: PVTCorner,
         mismatch_set: MismatchSet,
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> List[SimulationRecord]:
+    ) -> MetricsBlock:
         """Evaluate one design at one corner across every mismatch condition.
 
         The whole N' block is one condition-axis job; the budget is still
@@ -217,9 +222,7 @@ class CircuitSimulator:
             mismatch_set.samples,
             phase,
         )
-        return RecordsFuture(
-            self._service.submit(job), self.circuit.metric_names
-        )
+        return RecordsFuture(self._service.submit(job))
 
     def simulate_corners(
         self,
@@ -227,24 +230,14 @@ class CircuitSimulator:
         corners: CornerSet,
         mismatch: Optional[np.ndarray] = None,
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> List[SimulationRecord]:
+    ) -> MetricsBlock:
         """Evaluate one design across a corner set at a fixed mismatch.
 
-        The corner axis is the batch axis; a shared mismatch vector is
-        tiled across the rows.
+        The corner axis is the batch axis (an empty set is refused, like
+        any job without a corner); a shared mismatch vector is tiled
+        across the rows.
         """
-        corner_list = tuple(corners)
-        if not corner_list:
-            return []
-        h_matrix = None
-        if mismatch is not None:
-            h_matrix = np.tile(
-                np.asarray(mismatch, dtype=float), (len(corner_list), 1)
-            )
-        job = SimJob.conditions(
-            self.circuit.name, x_normalized, corner_list, h_matrix, phase
-        )
-        return self._run(job)
+        return self._run(self._corners_job(x_normalized, corners, mismatch, phase))
 
     def submit_corners(
         self,
@@ -252,22 +245,27 @@ class CircuitSimulator:
         corners: CornerSet,
         mismatch: Optional[np.ndarray] = None,
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> Optional[RecordsFuture]:
-        """Non-blocking twin of :meth:`simulate_corners` (``None`` for an
-        empty corner set)."""
+    ) -> RecordsFuture:
+        """Non-blocking twin of :meth:`simulate_corners`."""
+        job = self._corners_job(x_normalized, corners, mismatch, phase)
+        return RecordsFuture(self._service.submit(job))
+
+    def _corners_job(
+        self,
+        x_normalized: np.ndarray,
+        corners: CornerSet,
+        mismatch: Optional[np.ndarray],
+        phase: SimulationPhase,
+    ) -> SimJob:
+        """The corner-axis job for :meth:`simulate_corners`."""
         corner_list = tuple(corners)
-        if not corner_list:
-            return None
         h_matrix = None
         if mismatch is not None:
             h_matrix = np.tile(
                 np.asarray(mismatch, dtype=float), (len(corner_list), 1)
             )
-        job = SimJob.conditions(
+        return SimJob.conditions(
             self.circuit.name, x_normalized, corner_list, h_matrix, phase
-        )
-        return RecordsFuture(
-            self._service.submit(job), self.circuit.metric_names
         )
 
     def simulate_corner_sweep(
@@ -276,14 +274,14 @@ class CircuitSimulator:
         corners: Sequence[PVTCorner],
         mismatch_sets: Sequence[MismatchSet],
         phase: SimulationPhase = SimulationPhase.OPTIMIZATION,
-    ) -> List[List[SimulationRecord]]:
+    ) -> List[MetricsBlock]:
         """Evaluate one design across *corners × mismatch sets* in one pass.
 
         The optimizer seed phase and the baselines' corner-exhaustive
         evaluation both fan one design out over every predefined corner with
         ``N'`` mismatch conditions each; this entry point stacks the whole
         sweep into a single ``(sum_i N_i,)`` mega-batch (corner axis carried
-        by a repeated corner block) and returns the records grouped per
+        by a repeated corner block) and returns one metrics block per
         corner, in the caller's corner order.  The budget is charged in one
         step for the entire sweep.
         """
@@ -292,13 +290,7 @@ class CircuitSimulator:
         )
         if job is None:
             return []
-        flat_records = self._run(job)
-        grouped: List[List[SimulationRecord]] = []
-        offset = 0
-        for count in counts:
-            grouped.append(flat_records[offset : offset + count])
-            offset += count
-        return grouped
+        return _per_corner(self._run(job), counts)
 
     def submit_corner_sweep(
         self,
@@ -310,7 +302,7 @@ class CircuitSimulator:
         """Non-blocking twin of :meth:`simulate_corner_sweep`.
 
         The optimizer's seed phase submits seed *i+1*'s sweep while seed
-        *i* is still in flight; resolution (grouped per corner, caller's
+        *i* is still in flight; resolution (one block per corner, caller's
         corner order) is budget-identical to the blocking call.
         """
         job, counts = self._corner_sweep_job(
@@ -318,11 +310,7 @@ class CircuitSimulator:
         )
         if job is None:
             raise ValueError("a corner sweep needs at least one corner")
-        return RecordsFuture(
-            self._service.submit(job),
-            self.circuit.metric_names,
-            group_counts=counts,
-        )
+        return RecordsFuture(self._service.submit(job), group_counts=counts)
 
     def _corner_sweep_job(
         self,
@@ -356,7 +344,7 @@ class CircuitSimulator:
         designs: np.ndarray,
         corner: Optional[PVTCorner] = None,
         phase: SimulationPhase = SimulationPhase.INITIAL_SAMPLING,
-    ) -> List[SimulationRecord]:
+    ) -> MetricsBlock:
         """Evaluate many *designs* at one corner and nominal mismatch.
 
         The design axis is the batch axis here — one job covers a whole
@@ -373,27 +361,23 @@ class CircuitSimulator:
         self,
         x_normalized: np.ndarray,
         phase: SimulationPhase = SimulationPhase.INITIAL_SAMPLING,
-    ) -> SimulationRecord:
+    ) -> MetricsBlock:
         """Evaluate at the typical TT / nominal-VT condition (initial sampling)."""
         return self.simulate(x_normalized, typical_corner(), None, phase)
 
     # ------------------------------------------------------------------
     def metrics_matrix(
-        self,
-        records: Sequence[SimulationRecord],
-        names: Optional[Sequence[str]] = None,
+        self, block: MetricsBlock, names: Optional[Sequence[str]] = None
     ) -> np.ndarray:
-        """Stack record metrics into an ``(n_records, n_metrics)`` array.
+        """Stack a metrics block into a ``(B, len(names))`` float matrix.
 
         Columns follow ``names`` (default: the circuit's metric order).
         Callers that feed the matrix to order-sensitive consumers (e.g.
         ``DesignSpec.normalized_matrix``) should pass that consumer's
-        ordering explicitly.  Records from a batched sweep contribute their
-        cached vectors when the ordering matches, so the common case is a
-        plain ``np.stack`` with no per-record dict lookups.
+        ordering explicitly.
         """
         if names is None:
             names = self.circuit.metric_names
-        if not records:
-            return np.empty((0, len(names)))
-        return np.stack([record.metric_vector(names) for record in records])
+        return np.column_stack(
+            [np.asarray(block[name], dtype=float) for name in names]
+        )

@@ -97,40 +97,29 @@ class TestSimulatorFastPaths:
         mismatch_set = seeded_mismatch(strongarm, x)
 
         fast = CircuitSimulator(strongarm)
-        records = fast.simulate_mismatch_set(x, corner, mismatch_set)
+        block = fast.simulate_mismatch_set(x, corner, mismatch_set)
         assert fast.budget.total == len(mismatch_set)
 
         slow = CircuitSimulator(strongarm)
-        for index, record in enumerate(records):
+        for index in range(len(mismatch_set)):
             reference = slow.simulate(x, corner, mismatch_set[index])
             for name in strongarm.metric_names:
-                assert record.metrics[name] == pytest.approx(
-                    reference.metrics[name], abs=TOLERANCE
+                assert block[name][index] == pytest.approx(
+                    reference[name][0], abs=TOLERANCE
                 )
 
     def test_simulate_corners_matches_scalar_calls(self, fia):
         x = np.full(fia.dimension, 0.5)
         corners = full_corner_set()
         fast = CircuitSimulator(fia)
-        records = fast.simulate_corners(x, corners)
+        block = fast.simulate_corners(x, corners)
         assert fast.budget.total == len(corners)
-        for record, corner in zip(records, corners):
+        for index, corner in enumerate(corners):
             scalar = fia.evaluate(x, corner)
-            assert record.corner == corner
             for name in fia.metric_names:
-                assert record.metrics[name] == pytest.approx(
+                assert block[name][index] == pytest.approx(
                     scalar[name], abs=TOLERANCE
                 )
-
-    def test_batched_records_carry_metric_vectors(self, dram):
-        x = np.full(dram.dimension, 0.5)
-        simulator = CircuitSimulator(dram)
-        mismatch_set = seeded_mismatch(dram, x, count=4)
-        records = simulator.simulate_mismatch_set(x, typical_corner(), mismatch_set)
-        matrix = simulator.metrics_matrix(records)
-        assert matrix.shape == (4, len(dram.metric_names))
-        for row, record in zip(matrix, records):
-            assert np.allclose(row, [record.metrics[n] for n in dram.metric_names])
 
     def test_phase_charged_in_one_batch(self, strongarm):
         simulator = CircuitSimulator(strongarm)

@@ -95,6 +95,55 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="backoff must be finite"):
             RetryPolicy.from_dict({"backoff": float("inf")})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("watchdog_floor", float("nan")),
+            ("watchdog_floor", float("inf")),
+            ("watchdog_floor", -1.0),
+            ("watchdog_seconds_per_row", float("nan")),
+            ("watchdog_seconds_per_row", float("inf")),
+            ("watchdog_seconds_per_row", -0.5),
+            ("watchdog_seconds_per_row", 0.0),
+            ("max_attempts", 2.5),
+            ("max_attempts", True),
+            ("max_attempts", 0),
+        ],
+    )
+    def test_refuses_bad_watchdog_and_attempt_values(
+        self, field, value, tmp_path, capsys
+    ):
+        """A NaN floor would time every shard out at once, a NaN or
+        negative per-row grace would silently become the floor, and a
+        fractional attempt count is no count."""
+        from repro.__main__ import main
+
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy.from_dict({field: value})
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps({"circuit": "sal", "retry": {field: value}})
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(config_path), "--dry-run"])
+        assert exit_info.value.code == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"watchdog_seconds_per_row": 0.2, "watchdog_floor": 1.0},
+            {"watchdog_seconds_per_row": 2.0, "watchdog_floor": 5.0},
+            {"watchdog_seconds_per_row": None, "watchdog_floor": 0.0},
+            {"max_attempts": 1},
+            {"max_attempts": np.int64(4)},
+        ],
+    )
+    def test_accepts_the_values_in_use(self, fields):
+        RetryPolicy(**fields)
+
     def test_should_retry_respects_attempts_and_kinds(self):
         policy = RetryPolicy(max_attempts=2)
         assert policy.should_retry(FailureKind.WORKER_DEATH, 1)

@@ -66,12 +66,12 @@ class TestDesignAxisBatching:
         simulator = simulator_factory(circuit)
         rng = np.random.default_rng(5)
         designs = rng.uniform(0.2, 0.8, size=(6, circuit.dimension))
-        records = simulator.simulate_designs(designs)
+        block = simulator.simulate_designs(designs)
         assert simulator.budget.snapshot()["initial_sampling"] == 6
-        for index, record in enumerate(records):
+        for index in range(len(designs)):
             scalar = circuit.evaluate(designs[index], typical_corner())
             for name in circuit.metric_names:
-                assert record.metrics[name] == pytest.approx(
+                assert block[name][index] == pytest.approx(
                     scalar[name], abs=TOLERANCE
                 )
 
@@ -92,17 +92,16 @@ class TestCornerSweepMegaBatch:
         assert mega.budget.snapshot()["initial_sampling"] == 3 * len(corners)
 
         sequential = CircuitSimulator(strongarm)
-        for corner, mismatch_set, records in zip(corners, sets, grouped):
+        assert len(grouped) == len(corners)
+        for corner, mismatch_set, block in zip(corners, sets, grouped):
             reference = sequential.simulate_mismatch_set(
                 x, corner, mismatch_set, phase=SimulationPhase.INITIAL_SAMPLING
             )
-            assert len(records) == len(reference) == 3
-            for fast, slow in zip(records, reference):
-                assert fast.corner == corner
-                for name in strongarm.metric_names:
-                    assert fast.metrics[name] == pytest.approx(
-                        slow.metrics[name], abs=TOLERANCE
-                    )
+            for name in strongarm.metric_names:
+                assert block[name].shape == reference[name].shape == (3,)
+                np.testing.assert_allclose(
+                    block[name], reference[name], rtol=0, atol=TOLERANCE
+                )
 
     def test_rejects_mismatched_lengths(self, strongarm):
         simulator = CircuitSimulator(strongarm)
@@ -213,12 +212,11 @@ class TestWorkerSharding:
         single = simulator_factory(strongarm, workers=1)
         sharded = simulator_factory(strongarm, backend="scalar", workers=2)
         reference = single.simulate_mismatch_set(x, typical_corner(), mismatch_set)
-        records = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
+        block = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
         assert pool_submissions  # the shards really ran on the pool
         assert sharded.budget.total == 8
-        for fast, slow in zip(records, reference):
-            for name in strongarm.metric_names:
-                assert fast.metrics[name] == slow.metrics[name]
+        for name in strongarm.metric_names:
+            assert np.array_equal(block[name], reference[name])
 
     def test_sharded_corner_sweep_identical(
         self, fia, mismatch_sampler, simulator_factory, pool_submissions
@@ -236,10 +234,10 @@ class TestWorkerSharding:
             fia, backend="scalar", workers=2
         ).simulate_corner_sweep(x, corners, sets)
         assert pool_submissions  # the shards really ran on the pool
-        for group_single, group_sharded in zip(single, sharded):
-            for fast, slow in zip(group_sharded, group_single):
-                for name in fia.metric_names:
-                    assert fast.metrics[name] == slow.metrics[name]
+        assert len(sharded) == len(single) == len(corners)
+        for block_single, block_sharded in zip(single, sharded):
+            for name in fia.metric_names:
+                assert np.array_equal(block_sharded[name], block_single[name])
 
     def test_small_batches_stay_in_process(
         self, strongarm, mismatch_sampler, simulator_factory, pool_submissions
@@ -249,6 +247,6 @@ class TestWorkerSharding:
         x = np.full(strongarm.dimension, 0.5)
         mismatch_set = mismatch_sampler(strongarm).sample(strongarm.denormalize(x), 2)
         sharded = simulator_factory(strongarm, backend="scalar", workers=4)
-        records = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
-        assert len(records) == 2
+        block = sharded.simulate_mismatch_set(x, typical_corner(), mismatch_set)
+        assert {values.shape for values in block.values()} == {(2,)}
         assert pool_submissions == []

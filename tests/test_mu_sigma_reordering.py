@@ -32,29 +32,29 @@ class TestMuSigmaEvaluator:
 
     def test_empty_samples_rejected(self, evaluator):
         with pytest.raises(ValueError):
-            evaluator.evaluate([])
+            evaluator.evaluate(np.empty((0, 2)))
 
     def test_comfortable_margin_passes(self, evaluator):
-        samples = [{"power": 5.0, "delay": 2.0}, {"power": 5.2, "delay": 2.1}]
+        samples = np.array([[5.0, 2.0], [5.2, 2.1]])
         result = evaluator.evaluate(samples)
         assert result.passed
         assert result.worst_margin > 0
 
     def test_mean_violation_fails(self, evaluator):
-        samples = [{"power": 12.0, "delay": 2.0}, {"power": 11.0, "delay": 2.1}]
+        samples = np.array([[12.0, 2.0], [11.0, 2.1]])
         assert not evaluator.evaluate(samples).passed
 
     def test_high_variance_fails_even_with_good_mean(self, evaluator):
         # Mean power 8 < 10 but sigma 2.5 -> mean + 4*sigma = 18 > 10.
-        samples = [{"power": 5.5, "delay": 2.0}, {"power": 10.5, "delay": 2.0}]
+        samples = np.array([[5.5, 2.0], [10.5, 2.0]])
         assert not evaluator.evaluate(samples).passed
 
     def test_single_sample_degenerates_to_plain_check(self, evaluator):
-        assert evaluator.evaluate([{"power": 9.9, "delay": 4.9}]).passed
-        assert not evaluator.evaluate([{"power": 10.1, "delay": 4.9}]).passed
+        assert evaluator.evaluate(np.array([[9.9, 4.9]])).passed
+        assert not evaluator.evaluate(np.array([[10.1, 4.9]])).passed
 
     def test_estimates_vector_order(self, spec, evaluator):
-        samples = [{"power": 4.0, "delay": 2.0}]
+        samples = np.array([[4.0, 2.0]])
         result = evaluator.evaluate(samples)
         vector = evaluator.estimates_vector(result)
         assert vector[0] == pytest.approx(4.0)
@@ -62,17 +62,30 @@ class TestMuSigmaEvaluator:
 
     def test_estimate_equals_mean_plus_beta2_sigma(self, spec):
         evaluator = MuSigmaEvaluator(spec, beta2=2.0)
-        samples = [{"power": 4.0, "delay": 1.0}, {"power": 6.0, "delay": 3.0}]
+        samples = np.array([[4.0, 1.0], [6.0, 3.0]])
         result = evaluator.evaluate(samples)
         assert result.means["power"] == pytest.approx(5.0)
         assert result.stds["power"] == pytest.approx(1.0)
         assert result.estimates["power"] == pytest.approx(7.0)
 
+    def test_matrix_matches_the_per_sample_dict_screen(self, spec, evaluator, rng):
+        """A block's column-stacked matrix screens bit for bit like the
+        matrix rebuilt from per-sample metric dicts."""
+        block = {"delay": rng.normal(2.0, 0.3, 7), "power": rng.normal(6.0, 1.0, 7)}
+        matrix = np.column_stack([block[name] for name in spec.metric_names])
+        samples = [
+            dict(zip(spec.metric_names, row.tolist())) for row in matrix
+        ]
+        rebuilt = np.array(
+            [[sample[name] for name in spec.metric_names] for sample in samples]
+        )
+        assert evaluator.evaluate(matrix) == evaluator.evaluate(rebuilt)
+
 
 class TestTScore:
     def test_worse_corner_scores_higher(self, spec, evaluator):
-        mild = evaluator.evaluate([{"power": 3.0, "delay": 1.0}])
-        severe = evaluator.evaluate([{"power": 9.0, "delay": 4.5}])
+        mild = evaluator.evaluate(np.array([[3.0, 1.0]]))
+        severe = evaluator.evaluate(np.array([[9.0, 4.5]]))
         assert t_score(spec, severe) > t_score(spec, mild)
 
 

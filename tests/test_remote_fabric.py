@@ -69,6 +69,9 @@ from repro.simulation.protocol import (
     send_frame,
 )
 from repro.simulation.remote import (
+    ACTIVITY_TIMEOUT_ENV,
+    BREAKER_RESET_ENV,
+    CONNECT_TIMEOUT_ENV,
     ENDPOINTS_ENV,
     CircuitBreaker,
     RemoteBackend,
@@ -1190,6 +1193,71 @@ class TestEndpointPublication:
             ExperimentConfig(backend="remote")
         with pytest.raises(ValueError, match="needs endpoints"):
             ExperimentConfig.from_dict({"backend": "remote"})
+
+
+class TestLivenessSettings:
+    """Bad client timeouts and breaker resets fail when the backend or a
+    ``remote`` config is built, naming their variable: at -1, NaN or inf
+    ``socket`` raises mid-run, at 0 every connect fails and the run
+    silently degrades to local, and a NaN reset never half-opens."""
+
+    BAD = [
+        (CONNECT_TIMEOUT_ENV, "connect_timeout", value)
+        for value in ("-1", "nan", "inf", "0")
+    ] + [
+        (ACTIVITY_TIMEOUT_ENV, "activity_timeout", value)
+        for value in ("-1", "nan", "inf", "0")
+    ] + [
+        (BREAKER_RESET_ENV, "breaker_reset_seconds", value)
+        for value in ("-1", "nan", "inf")
+    ]
+
+    @pytest.mark.parametrize(
+        "variable, keyword, value", BAD, ids=[f"{v}={x}" for v, _, x in BAD]
+    )
+    def test_bad_value_is_refused_at_construction(
+        self, monkeypatch, capsys, variable, keyword, value
+    ):
+        from repro.__main__ import main
+        from repro.api import ExperimentConfig
+
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            RemoteBackend(endpoints="127.0.0.1:9", **{keyword: float(value)})
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            RemoteBackend(endpoints="127.0.0.1:9")
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            ExperimentConfig(backend="remote", endpoints="127.0.0.1:9")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--circuit", "sal", "--method", "C", "--backend", "remote",
+                  "--endpoints", "127.0.0.1:9", "--dry-run"])
+        assert exit_info.value.code == 2
+        assert variable in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            (CONNECT_TIMEOUT_ENV, "0.25"),
+            (CONNECT_TIMEOUT_ENV, "3.0"),
+            (ACTIVITY_TIMEOUT_ENV, "0.25"),
+            (ACTIVITY_TIMEOUT_ENV, "3.0"),
+            (BREAKER_RESET_ENV, "0"),
+            (BREAKER_RESET_ENV, "0.2"),
+            (BREAKER_RESET_ENV, "600"),
+        ],
+    )
+    def test_values_in_use_stay_valid(self, monkeypatch, variable, value):
+        from repro.api import ExperimentConfig
+
+        monkeypatch.setenv(variable, value)
+        backend = RemoteBackend(endpoints="127.0.0.1:9")
+        settings = {
+            CONNECT_TIMEOUT_ENV: backend.connect_timeout,
+            ACTIVITY_TIMEOUT_ENV: backend.activity_timeout,
+            BREAKER_RESET_ENV: backend.breakers[("127.0.0.1", 9)].reset_seconds,
+        }
+        assert settings[variable] == float(value)
+        ExperimentConfig(backend="remote", endpoints="127.0.0.1:9")
 
 
 # ----------------------------------------------------------------------

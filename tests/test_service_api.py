@@ -357,11 +357,9 @@ class TestScalarVsBatchedBackend:
         fast = batched.simulate_mismatch_set(x, typical_corner(), mismatch)
         slow = scalar.simulate_mismatch_set(x, typical_corner(), mismatch)
         assert batched.budget.total == scalar.budget.total == 8
-        for one, two in zip(fast, slow):
-            for name in circuit.metric_names:
-                assert one.metrics[name] == pytest.approx(
-                    two.metrics[name], rel=0, abs=1e-12
-                )
+        for name in circuit.metric_names:
+            assert fast[name].shape == slow[name].shape == (8,)
+            np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=1e-12)
 
     def test_corner_sweep_equivalent(self, paper_circuit):
         circuit = paper_circuit
@@ -370,12 +368,9 @@ class TestScalarVsBatchedBackend:
         corners = full_corner_set()
         fast = batched.simulate_corners(x, corners)
         slow = scalar.simulate_corners(x, corners)
-        for one, two in zip(fast, slow):
-            assert one.corner == two.corner
-            for name in circuit.metric_names:
-                assert one.metrics[name] == pytest.approx(
-                    two.metrics[name], rel=0, abs=1e-12
-                )
+        for name in circuit.metric_names:
+            assert fast[name].shape == slow[name].shape == (len(corners),)
+            np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=1e-12)
 
     def test_design_batch_equivalent(self, paper_circuit):
         circuit = paper_circuit
@@ -385,11 +380,9 @@ class TestScalarVsBatchedBackend:
         )
         fast = batched.simulate_designs(designs)
         slow = scalar.simulate_designs(designs)
-        for one, two in zip(fast, slow):
-            for name in circuit.metric_names:
-                assert one.metrics[name] == pytest.approx(
-                    two.metrics[name], rel=0, abs=1e-12
-                )
+        for name in circuit.metric_names:
+            assert fast[name].shape == slow[name].shape == (5,)
+            np.testing.assert_allclose(fast[name], slow[name], rtol=0, atol=1e-12)
 
 
 class TestDesignAxisSharding:
@@ -403,9 +396,8 @@ class TestDesignAxisSharding:
             sharded = sharded_sim.simulate_designs(designs)
             assert pool_submissions  # the shards really ran on the pool
             assert sharded_sim.budget.total == 8
-        for fast, slow in zip(sharded, single):
-            for name in strongarm.metric_names:
-                assert fast.metrics[name] == slow.metrics[name]
+        for name in strongarm.metric_names:
+            assert np.array_equal(sharded[name], single[name])
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(KeyError, match="unknown simulation backend"):
@@ -488,6 +480,31 @@ class TestExperimentConfig:
             ExperimentConfig(seeds=(0, -2, 3, -5))
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ExperimentConfig(overrides={"seed": -1})
+
+    @pytest.mark.parametrize(
+        "seeds", ["12", [1.5], [True]], ids=["string", "float", "bool"]
+    )
+    def test_rejects_seeds_that_are_not_integers(self, seeds, tmp_path, capsys):
+        """A string is not iterated into digit seeds, and a float or a
+        bool is not silently turned into seed 1."""
+        from repro.__main__ import main
+        from repro.api import ExperimentConfig
+
+        with pytest.raises(ValueError, match="seeds must be"):
+            ExperimentConfig.from_dict({"circuit": "sal", "seeds": seeds})
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(json.dumps({"circuit": "sal", "seeds": seeds}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", str(config_path), "--dry-run"])
+        assert exit_info.value.code == 2
+        assert "seeds must be" in capsys.readouterr().err
+
+    def test_numpy_integer_seeds_are_accepted(self):
+        from repro.api import ExperimentConfig
+
+        config = ExperimentConfig(seeds=(np.int64(3), np.uint8(1), 0))
+        assert config.seeds == (3, 1, 0)
+        assert all(type(seed) is int for seed in config.seeds)
 
     @pytest.mark.parametrize(
         "field",
@@ -666,6 +683,45 @@ class TestCommandLine:
         )
         assert result.returncode == 2
         assert "backoff must be finite, got inf" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--retry-backoff", "0.2"], ["--retries", "0", "--retry-backoff", "0.2"]],
+        ids=["alone", "retries-0"],
+    )
+    def test_retry_backoff_alone_is_a_usage_error(self, argv, capsys):
+        """``--retry-backoff`` does not turn retries on by itself."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--circuit", "sal", "--method", "C", *argv, "--dry-run"])
+        assert exit_info.value.code == 2
+        assert "--retry-backoff needs retries on" in capsys.readouterr().err
+
+    def test_retry_backoff_sets_the_backoff_of_retries(self, capsys):
+        from repro.__main__ import main
+
+        argv = ["--circuit", "sal", "--method", "C", "--retries", "2",
+                "--retry-backoff", "0.2", "--dry-run"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Retry policy:         up to 3 attempts/job" in out
+        assert '"backoff": 0.2,' in out
+
+    def test_retry_backoff_sets_the_backoff_of_a_config_policy(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(
+            json.dumps({"circuit": "sal", "retry": {"max_attempts": 5}})
+        )
+        argv = ["--config", str(config_path), "--retry-backoff", "0.2", "--dry-run"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "Retry policy:         up to 5 attempts/job" in out
+        assert '"backoff": 0.2,' in out
 
     def test_no_cache_flag_overrides_config_file(self, tmp_path):
         config_path = tmp_path / "experiment.json"

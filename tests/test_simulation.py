@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.simulation import CircuitSimulator, SimulationBudget, SimulationPhase
+import repro.simulation
+from repro.simulation import (
+    CircuitSimulator,
+    SimResult,
+    SimulationBudget,
+    SimulationPhase,
+)
+from repro.simulation import service as service_module
 from repro.variation.corners import full_corner_set, typical_corner
 from repro.variation.mismatch import MismatchSampler
 
@@ -45,10 +52,15 @@ class TestSimulationBudget:
 class TestCircuitSimulator:
     def test_simulate_counts_one(self, strongarm, rng):
         simulator = CircuitSimulator(strongarm)
-        record = simulator.simulate(strongarm.random_sizing(rng))
+        x = strongarm.random_sizing(rng)
+        block = simulator.simulate(x)
         assert simulator.budget.total == 1
-        assert set(record.metrics) == set(strongarm.metric_names)
-        assert record.corner == typical_corner()
+        assert set(block) == set(strongarm.metric_names)
+        # A one-row block at the typical corner by default.
+        reference = strongarm.evaluate(x, typical_corner())
+        for name in strongarm.metric_names:
+            assert block[name].shape == (1,)
+            assert block[name][0] == reference[name]
 
     def test_simulate_mismatch_set_counts_all(self, strongarm, rng):
         simulator = CircuitSimulator(strongarm)
@@ -57,17 +69,26 @@ class TestCircuitSimulator:
             strongarm.mismatch_model, include_global=False, include_local=True, rng=rng
         )
         mismatch_set = sampler.sample(strongarm.denormalize(x), 5)
-        records = simulator.simulate_mismatch_set(x, typical_corner(), mismatch_set)
-        assert len(records) == 5
+        block = simulator.simulate_mismatch_set(x, typical_corner(), mismatch_set)
+        assert {values.shape for values in block.values()} == {(5,)}
         assert simulator.budget.total == 5
 
     def test_simulate_corners_counts_all(self, strongarm, rng):
         simulator = CircuitSimulator(strongarm)
-        records = simulator.simulate_corners(
+        block = simulator.simulate_corners(
             strongarm.random_sizing(rng), full_corner_set()
         )
-        assert len(records) == 30
+        assert {values.shape for values in block.values()} == {(30,)}
         assert simulator.budget.total == 30
+
+    def test_simulate_corners_refuses_an_empty_corner_set(self, strongarm, rng):
+        simulator = CircuitSimulator(strongarm)
+        x = strongarm.random_sizing(rng)
+        with pytest.raises(ValueError, match="at least one corner"):
+            simulator.simulate_corners(x, [])
+        with pytest.raises(ValueError, match="at least one corner"):
+            simulator.submit_corners(x, [])
+        assert simulator.budget.total == 0
 
     def test_phase_attribution(self, strongarm, rng):
         simulator = CircuitSimulator(strongarm)
@@ -81,14 +102,21 @@ class TestCircuitSimulator:
 
     def test_metrics_matrix_shape(self, strongarm, rng):
         simulator = CircuitSimulator(strongarm)
-        records = [
-            simulator.simulate(strongarm.random_sizing(rng)) for _ in range(4)
-        ]
-        matrix = simulator.metrics_matrix(records)
+        designs = np.stack([strongarm.random_sizing(rng) for _ in range(4)])
+        block = simulator.simulate_designs(designs)
+        matrix = simulator.metrics_matrix(block)
         assert matrix.shape == (4, len(strongarm.metric_names))
+        # Columns follow the requested names, values bit for bit.
+        names = strongarm.metric_names[::-1]
+        reordered = simulator.metrics_matrix(block, names)
+        for column, name in enumerate(names):
+            assert np.array_equal(reordered[:, column], block[name])
 
-    def test_record_metric_vector(self, strongarm, rng):
-        simulator = CircuitSimulator(strongarm)
-        record = simulator.simulate(strongarm.random_sizing(rng))
-        vector = record.metric_vector(strongarm.metric_names)
-        assert vector.shape == (len(strongarm.metric_names),)
+    def test_simulation_records_are_gone(self):
+        """Blocks are the one format: no per-row record type, no alias."""
+        assert "SimulationRecord" not in repro.simulation.__all__
+        with pytest.raises(AttributeError):
+            repro.simulation.SimulationRecord
+        assert not hasattr(service_module, "SimulationRecord")
+        assert not hasattr(SimResult, "to_records")
+        assert not hasattr(SimResult, "matrix")

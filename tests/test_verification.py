@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import VerificationMethod, operational_config
 from repro.core.replay import LastWorstCaseBuffer
+from repro.core.reward import rewards_from_matrix
 from repro.core.spec import DesignSpec
 from repro.core.verification import Verifier
 from repro.simulation import CircuitSimulator
@@ -82,7 +83,7 @@ class TestMonteCarloVerification:
             assert outcome.simulations == 30 * 4
             assert outcome.worst_reward == pytest.approx(0.2)
 
-    def test_reusable_records_are_not_resimulated(self, feasible_strongarm_design):
+    def test_reusable_matrix_is_not_resimulated(self, feasible_strongarm_design):
         circuit, simulator, verifier, buffer = make_verifier(verification_samples=4)
         design = np.clip(feasible_strongarm_design + 0.15, 0.0, 1.0)
         worst_corner = buffer.worst_corner()
@@ -97,19 +98,38 @@ class TestMonteCarloVerification:
             rng=np.random.default_rng(3),
         )
         mismatch_set = sampler.sample(circuit.denormalize(design), 3)
-        records = simulator.simulate_mismatch_set(
+        block = simulator.simulate_mismatch_set(
             design, worst_corner, mismatch_set, phase=SimulationPhase.OPTIMIZATION
         )
+        matrix = simulator.metrics_matrix(block, verifier.spec.metric_names)
         before = simulator.budget.verification_simulations
-        verifier.verify(
-            design,
-            buffer,
-            reusable_records={worst_corner.name: records},
-            reusable_mismatch={worst_corner.name: mismatch_set},
+        outcome = verifier.verify(
+            design, buffer, reusable={worst_corner.name: (matrix, mismatch_set)}
         )
         used = simulator.budget.verification_simulations - before
         # The reused corner's N' screening simulations were not re-run.
         assert used <= 30 * 4 - 3
+        # It was screened first, on exactly the matrix it was handed: the
+        # verdict and rewards re-simulating its mismatch set would give.
+        resimulated = simulator.metrics_matrix(
+            simulator.simulate_mismatch_set(design, worst_corner, mismatch_set),
+            verifier.spec.metric_names,
+        )
+        assert resimulated.tobytes() == matrix.tobytes()
+        screen = verifier.evaluator.evaluate(resimulated)
+        if screen.passed:
+            report = outcome.corner_reports[0]
+            assert report.corner == worst_corner
+            assert report.metrics is matrix
+            assert report.mismatch_set is mismatch_set
+            assert report.mu_sigma == screen
+        else:
+            assert used == 0
+            assert outcome.failed_corner == worst_corner.name
+            assert outcome.failure_stage == "mu_sigma"
+            assert outcome.worst_reward == float(
+                rewards_from_matrix(verifier.spec, resimulated).min()
+            )
 
     def test_failure_reports_corner_and_stage(self):
         circuit, simulator, verifier, buffer = make_verifier(verification_samples=5)
