@@ -208,8 +208,8 @@ class ExperimentConfig:
         if self.backend == "remote":
             from repro.simulation.remote import ENDPOINTS_ENV, liveness_settings
 
-            # The client reads its timeouts and breaker reset from the
-            # environment: refuse bad ones now, not at the first job.
+            # The client reads its timeouts, attempts and breaker settings
+            # from the environment: refuse bad ones now, not at the first job.
             liveness_settings()
             if self.endpoints is None and not os.environ.get(ENDPOINTS_ENV, "").strip():
                 raise ValueError(

@@ -26,33 +26,34 @@ class PVTSizingOptimizer(BaselineOptimizer):
 
     # ------------------------------------------------------------------
     def run(self) -> OptimizationResult:
-        best_design = self.turbo_seed()
-        self.agent.actor.pretrain_towards(
-            self.agent.buffer.all_designs(), best_design
-        )
-        self.agent.update()
-
-        verification_attempts = 0
-        last_design = best_design
-
-        for iteration in range(1, self.config.max_iterations + 1):
-            design = self.agent.propose(last_design)
-
-            # Corner-exhaustive evaluation: every corner, every iteration.
-            worst_by_corner = self.evaluate_all_corners(design)
-            worst_reward = min(worst_by_corner.values())
-
-            if worst_reward >= FEASIBLE_REWARD:
-                verification_attempts += 1
-                if self.brute_force_verify(design):
-                    return self.build_result(
-                        iteration, design, verification_attempts
-                    )
-
-            self.agent.observe(design, worst_reward)
+        with self.agent.pipelined():
+            best_design = self.turbo_seed()
+            self.agent.actor.pretrain_towards(
+                self.agent.buffer.all_designs(), best_design
+            )
             self.agent.update()
-            last_design = design
 
-        return self.build_result(
-            self.config.max_iterations, None, verification_attempts
-        )
+            verification_attempts = 0
+            last_design = best_design
+
+            for iteration in range(1, self.config.max_iterations + 1):
+                design = self.agent.propose(last_design)
+
+                # Corner-exhaustive evaluation: every corner, every iteration.
+                worst_by_corner = self.evaluate_all_corners(design)
+                worst_reward = min(worst_by_corner.values())
+
+                if worst_reward >= FEASIBLE_REWARD:
+                    verification_attempts += 1
+                    if self.brute_force_verify(design):
+                        return self.build_result(
+                            iteration, design, verification_attempts
+                        )
+
+                self.agent.observe(design, worst_reward)
+                self.agent.update()
+                last_design = design
+
+            return self.build_result(
+                self.config.max_iterations, None, verification_attempts
+            )

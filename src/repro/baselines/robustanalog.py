@@ -97,46 +97,47 @@ class RobustAnalogOptimizer(BaselineOptimizer):
 
     # ------------------------------------------------------------------
     def run(self) -> OptimizationResult:
-        best_design = self._random_initial_sampling()
-        self.agent.actor.pretrain_towards(
-            self.agent.buffer.all_designs(), best_design
-        )
-        self.agent.update()
-
-        reward_matrix: Dict[str, List[float]] = {
-            corner.name: [] for corner in self.operational.corners
-        }
-        verification_attempts = 0
-        last_design = best_design
-
-        for iteration in range(1, self.config.max_iterations + 1):
-            design = self.agent.propose(last_design)
-
-            # Periodically refresh the clustering with a full-corner sweep.
-            if iteration == 1 or iteration % self.RECLUSTER_EVERY == 0:
-                worst_by_corner = self.evaluate_all_corners(design)
-                for name, worst in worst_by_corner.items():
-                    reward_matrix[name].append(worst)
-                self._recluster(reward_matrix)
-                worst_reward = min(worst_by_corner.values())
-            else:
-                worst_reward = np.inf
-                for corner in self._dominant_corners:
-                    worst = self.evaluate_at_corner(design, corner)
-                    reward_matrix[corner.name].append(worst)
-                    worst_reward = min(worst_reward, worst)
-
-            if worst_reward >= FEASIBLE_REWARD:
-                verification_attempts += 1
-                if self.brute_force_verify(design):
-                    return self.build_result(
-                        iteration, design, verification_attempts
-                    )
-
-            self.agent.observe(design, float(worst_reward))
+        with self.agent.pipelined():
+            best_design = self._random_initial_sampling()
+            self.agent.actor.pretrain_towards(
+                self.agent.buffer.all_designs(), best_design
+            )
             self.agent.update()
-            last_design = design
 
-        return self.build_result(
-            self.config.max_iterations, None, verification_attempts
-        )
+            reward_matrix: Dict[str, List[float]] = {
+                corner.name: [] for corner in self.operational.corners
+            }
+            verification_attempts = 0
+            last_design = best_design
+
+            for iteration in range(1, self.config.max_iterations + 1):
+                design = self.agent.propose(last_design)
+
+                # Periodically refresh the clustering with a full-corner sweep.
+                if iteration == 1 or iteration % self.RECLUSTER_EVERY == 0:
+                    worst_by_corner = self.evaluate_all_corners(design)
+                    for name, worst in worst_by_corner.items():
+                        reward_matrix[name].append(worst)
+                    self._recluster(reward_matrix)
+                    worst_reward = min(worst_by_corner.values())
+                else:
+                    worst_reward = np.inf
+                    for corner in self._dominant_corners:
+                        worst = self.evaluate_at_corner(design, corner)
+                        reward_matrix[corner.name].append(worst)
+                        worst_reward = min(worst_reward, worst)
+
+                if worst_reward >= FEASIBLE_REWARD:
+                    verification_attempts += 1
+                    if self.brute_force_verify(design):
+                        return self.build_result(
+                            iteration, design, verification_attempts
+                        )
+
+                self.agent.observe(design, float(worst_reward))
+                self.agent.update()
+                last_design = design
+
+            return self.build_result(
+                self.config.max_iterations, None, verification_attempts
+            )

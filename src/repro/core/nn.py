@@ -7,9 +7,14 @@ the critic uses K = ensemble size and the actor K = 1:
 
 * layer ``l`` keeps ``(K, in, out)`` weights and ``(K, 1, out)`` biases,
   so a layer is one batched ``matmul`` over all K members;
-* parameters, gradients and both Adam moments each live in one flat
-  buffer with per-layer views, and the Adam step is a few in-place
-  ufuncs over the whole buffer;
+* parameters, gradients and both Adam moments are rows of one flat
+  state array (with the Adam step count after them) and have per-layer
+  views, and the Adam step is a few in-place ufuncs over whole rows;
+* :meth:`StackedMLP.place` moves that state into caller-given memory,
+  so a forked process can train the network in place in shared memory,
+  and :meth:`StackedMLP.view` makes a forward-only network over a
+  parameter snapshot (the two learner paths of :mod:`repro.core.agent`
+  use both);
 * backpropagation gives parameter gradients and, separately, gradients
   with respect to the input (to push actor outputs through the critic).
   It reads each activation's slope from the cached forward (a ReLU mask,
@@ -35,6 +40,10 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+#: Rows of the flat state: parameters, gradients and both Adam moments.
+#: One more float64 after them counts Adam steps (exact below 2**53).
+_STATE_ROWS = 4
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -106,18 +115,10 @@ class StackedMLP:
         self.members = members
         self.learning_rate = learning_rate
 
-        shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        shapes = self._shapes = list(zip(layer_sizes[:-1], layer_sizes[1:]))
         total = members * sum(fan_out * (fan_in + 1) for fan_in, fan_out in shapes)
-        self.parameters = np.zeros(total)
-        self.gradients = np.zeros(total)
-        self._first_moment = np.zeros(total)
-        self._second_moment = np.zeros(total)
+        self._bind(np.zeros(_STATE_ROWS * total + 1))
         self._temporaries = (np.empty(total), np.empty(total))
-        self.weights, self.biases = _layer_views(self.parameters, members, shapes)
-        self.grad_weights, self.grad_biases = _layer_views(
-            self.gradients, members, shapes
-        )
-        self._transposed_weights = [np.swapaxes(w, -1, -2) for w in self.weights]
         self._activations = [_ACTIVATIONS["relu"]] * (len(shapes) - 1)
         self._activations.append(_ACTIVATIONS[output_activation])
         # Member-major, layer-minor: the draws K separate networks make.
@@ -129,7 +130,55 @@ class StackedMLP:
         # (layer l maps values[l] to values[l + 1]), and the pre-activations.
         self._values: Optional[List[np.ndarray]] = None
         self._preactivations: Optional[List[np.ndarray]] = None
-        self._step_count = 0
+
+    def _bind_parameters(self, parameters: np.ndarray) -> None:
+        self.parameters = parameters
+        self.weights, self.biases = _layer_views(parameters, self.members, self._shapes)
+        self._transposed_weights = [np.swapaxes(w, -1, -2) for w in self.weights]
+
+    def _bind(self, state: np.ndarray) -> None:
+        """Point the flat state at ``state``: the rows, then the step count."""
+        self._state = state
+        rows = state[:-1].reshape(_STATE_ROWS, -1)
+        self._bind_parameters(rows[0])
+        self.gradients, self._first_moment, self._second_moment = rows[1:]
+        self.grad_weights, self.grad_biases = _layer_views(
+            self.gradients, self.members, self._shapes
+        )
+        self._step_count = state[-1:]
+
+    @property
+    def state_nbytes(self) -> int:
+        """Bytes of the flat state :meth:`place` moves."""
+        return self._state.nbytes
+
+    def place(self, memory) -> None:
+        """Move the flat state (parameters, gradients, both Adam moments
+        and the step count) into ``memory``, a writable buffer of
+        :attr:`state_nbytes` bytes.
+
+        In an anonymous shared ``mmap``, a forked process can train the
+        network in place and this process reads the result.
+        """
+        state = np.frombuffer(memory, count=self._state.size)
+        state[:] = self._state
+        self._bind(state)
+
+    def view(self, parameters: np.ndarray) -> "StackedMLP":
+        """A forward-only network of this shape over ``parameters``.
+
+        ``parameters`` is laid out like :attr:`parameters` (a snapshot of
+        it, say) and is not copied.  The view runs :meth:`forward` and
+        :meth:`input_gradient` operation for operation as this network
+        would with those parameters; it has no gradients and no Adam
+        state, so it cannot train.
+        """
+        view = object.__new__(StackedMLP)
+        view.members, view.learning_rate = self.members, self.learning_rate
+        view._shapes, view._activations = self._shapes, self._activations
+        view._bind_parameters(parameters)
+        view._values = view._preactivations = None
+        return view
 
     def forward(self, inputs: np.ndarray, cache: bool = True) -> np.ndarray:
         """``(K, batch, out)`` outputs for ``(K, batch, in)`` or ``(batch, in)``.
@@ -188,7 +237,8 @@ class StackedMLP:
         In place, in the textbook order: ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + (1-b2)*g**2``, ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``.
         """
-        self._step_count += 1
+        self._step_count += 1.0
+        count = int(self._step_count[0])
         m, v, grad = self._first_moment, self._second_moment, self.gradients
         update, denominator = self._temporaries
         m *= ADAM_BETA1
@@ -198,9 +248,9 @@ class StackedMLP:
         np.multiply(grad, grad, out=update)
         update *= 1.0 - ADAM_BETA2
         v += update
-        np.divide(m, 1.0 - ADAM_BETA1**self._step_count, out=update)
+        np.divide(m, 1.0 - ADAM_BETA1**count, out=update)
         update *= self.learning_rate
-        np.divide(v, 1.0 - ADAM_BETA2**self._step_count, out=denominator)
+        np.divide(v, 1.0 - ADAM_BETA2**count, out=denominator)
         np.sqrt(denominator, out=denominator)
         denominator += ADAM_EPSILON
         update /= denominator

@@ -274,106 +274,110 @@ class GlovaOptimizer(SizingOptimizer):
     # ------------------------------------------------------------------
     def run(self) -> OptimizationResult:
         """Execute the full workflow and return the run's result."""
-        best_design = self.turbo_seed()
-        seeds = [best_design]
-        if self.config.seed_designs > 1:
-            designs = self.agent.buffer.all_designs()
-            rewards = self.agent.buffer.all_rewards()
-            order = np.argsort(-rewards)
-            for index in order[1 : self.config.seed_designs]:
-                seeds.append(designs[index])
-        self._seed_buffers(seeds)
-        self.agent.actor.pretrain_towards(
-            self.agent.buffer.all_designs(), best_design
-        )
-        self.agent.update()
-
-        history: List[IterationRecord] = []
-        verification_attempts = 0
-        last_design = best_design
-
-        for iteration in range(1, self.config.max_iterations + 1):
-            design = self.agent.propose(last_design)
-            worst_corner = self.last_worst.worst_corner()
-            x_physical = self.circuit.denormalize(design)
-
-            mismatch_set = self.mismatch_sampler.sample(
-                x_physical,
-                self.operational.optimization_samples,
-                independent_globals=True,
+        with self.agent.pipelined():
+            best_design = self.turbo_seed()
+            seeds = [best_design]
+            if self.config.seed_designs > 1:
+                designs = self.agent.buffer.all_designs()
+                rewards = self.agent.buffer.all_rewards()
+                order = np.argsort(-rewards)
+                for index in order[1 : self.config.seed_designs]:
+                    seeds.append(designs[index])
+            self._seed_buffers(seeds)
+            self.agent.actor.pretrain_towards(
+                self.agent.buffer.all_designs(), best_design
             )
-            block = self.simulator.simulate_mismatch_set(
-                design, worst_corner, mismatch_set, phase=SimulationPhase.OPTIMIZATION
-            )
-            matrix = self.simulator.metrics_matrix(block, self.spec.metric_names)
-            rewards = rewards_from_matrix(self.spec, matrix)
-            worst_reward = float(rewards.min())
-            self.last_worst.update(worst_corner, worst_reward)
+            self.agent.update()
 
-            # --- step 4: mu-sigma decision on whether to verify ----------
-            screen = self.verifier.evaluator.evaluate(matrix)
-            if self.config.use_mu_sigma:
-                should_verify = screen.passed
-            else:
-                should_verify = bool(np.all(rewards >= FEASIBLE_REWARD))
+            history: List[IterationRecord] = []
+            verification_attempts = 0
+            last_design = best_design
 
-            # Risk-adjusted stored reward: penalise designs whose sampled
-            # metric distribution leaves less than beta2-sigma of headroom,
-            # even if no individual sample failed outright (Eq. 1 applied at
-            # the sample level; disabled by the `risk_adjusted_reward` flag).
-            stored_reward = worst_reward
-            if self.config.risk_adjusted_reward and len(matrix) >= 2:
-                estimate_reward = reward_from_metrics(self.spec, screen.estimates)
-                stored_reward = min(worst_reward, estimate_reward)
+            for iteration in range(1, self.config.max_iterations + 1):
+                design = self.agent.propose(last_design)
+                worst_corner = self.last_worst.worst_corner()
+                x_physical = self.circuit.denormalize(design)
 
-            verification_passed = False
-            if should_verify:
-                verification_attempts += 1
-                outcome = self.verifier.verify(
+                mismatch_set = self.mismatch_sampler.sample(
+                    x_physical,
+                    self.operational.optimization_samples,
+                    independent_globals=True,
+                )
+                block = self.simulator.simulate_mismatch_set(
                     design,
-                    self.last_worst,
-                    reusable={worst_corner.name: (matrix, mismatch_set)},
+                    worst_corner,
+                    mismatch_set,
+                    phase=SimulationPhase.OPTIMIZATION,
                 )
-                verification_passed = outcome.passed
-                worst_reward = min(worst_reward, outcome.worst_reward)
-                stored_reward = min(stored_reward, outcome.worst_reward)
-                if outcome.failed_corner is not None:
-                    failed_corner = next(
-                        corner
-                        for corner in self.operational.corners
-                        if corner.name == outcome.failed_corner
+                matrix = self.simulator.metrics_matrix(block, self.spec.metric_names)
+                rewards = rewards_from_matrix(self.spec, matrix)
+                worst_reward = float(rewards.min())
+                self.last_worst.update(worst_corner, worst_reward)
+
+                # --- step 4: mu-sigma decision on whether to verify ----------
+                screen = self.verifier.evaluator.evaluate(matrix)
+                if self.config.use_mu_sigma:
+                    should_verify = screen.passed
+                else:
+                    should_verify = bool(np.all(rewards >= FEASIBLE_REWARD))
+
+                # Risk-adjusted stored reward: penalise designs whose sampled
+                # metric distribution leaves less than beta2-sigma of headroom,
+                # even if no individual sample failed outright (Eq. 1 applied at
+                # the sample level; disabled by the `risk_adjusted_reward` flag).
+                stored_reward = worst_reward
+                if self.config.risk_adjusted_reward and len(matrix) >= 2:
+                    estimate_reward = reward_from_metrics(self.spec, screen.estimates)
+                    stored_reward = min(worst_reward, estimate_reward)
+
+                verification_passed = False
+                if should_verify:
+                    verification_attempts += 1
+                    outcome = self.verifier.verify(
+                        design,
+                        self.last_worst,
+                        reusable={worst_corner.name: (matrix, mismatch_set)},
                     )
-                    self.last_worst.update(failed_corner, outcome.worst_reward)
+                    verification_passed = outcome.passed
+                    worst_reward = min(worst_reward, outcome.worst_reward)
+                    stored_reward = min(stored_reward, outcome.worst_reward)
+                    if outcome.failed_corner is not None:
+                        failed_corner = next(
+                            corner
+                            for corner in self.operational.corners
+                            if corner.name == outcome.failed_corner
+                        )
+                        self.last_worst.update(failed_corner, outcome.worst_reward)
 
-            predicted_mean, predicted_std = self.agent.critic.predict_components(
-                design.reshape(1, -1)
-            )
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    design=design.copy(),
-                    worst_reward=worst_reward,
-                    predicted_bound=self.agent.predicted_bound(design),
-                    predicted_mean=float(predicted_mean[0]),
-                    predicted_std=float(predicted_std[0]),
-                    corner_name=worst_corner.name,
-                    attempted_verification=should_verify,
-                    verification_passed=verification_passed,
+                predicted_mean, predicted_std = self.agent.critic.predict_components(
+                    design.reshape(1, -1)
                 )
-            )
-
-            if verification_passed:
-                return self.build_result(
-                    iteration, design, verification_attempts, history
+                history.append(
+                    IterationRecord(
+                        iteration=iteration,
+                        design=design.copy(),
+                        worst_reward=worst_reward,
+                        predicted_bound=self.agent.predicted_bound(design),
+                        predicted_mean=float(predicted_mean[0]),
+                        predicted_std=float(predicted_std[0]),
+                        corner_name=worst_corner.name,
+                        attempted_verification=should_verify,
+                        verification_passed=verification_passed,
+                    )
                 )
 
-            # --- step 6: store the worst reward and update the agent -----
-            self.agent.observe(design, stored_reward)
-            summary = self.agent.update()
-            history[-1].critic_loss = summary.critic_loss
-            history[-1].actor_loss = summary.actor_loss
-            last_design = design
+                if verification_passed:
+                    return self.build_result(
+                        iteration, design, verification_attempts, history
+                    )
 
-        return self.build_result(
-            self.config.max_iterations, None, verification_attempts, history
-        )
+                # --- step 6: store the worst reward and update the agent -----
+                self.agent.observe(design, stored_reward)
+                summary = self.agent.update()
+                history[-1].critic_loss = summary.critic_loss
+                history[-1].actor_loss = summary.actor_loss
+                last_design = design
+
+            return self.build_result(
+                self.config.max_iterations, None, verification_attempts, history
+            )

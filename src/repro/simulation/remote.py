@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import socket
 import time
@@ -98,14 +99,19 @@ def liveness_settings(
     connect_timeout: Optional[float] = None,
     activity_timeout: Optional[float] = None,
     breaker_reset_seconds: Optional[float] = None,
-) -> Tuple[float, float, float]:
-    """The connect and activity timeouts and the breaker reset period,
-    each from its argument, else its variable, else its default.
+    attempts: Optional[int] = None,
+    breaker_threshold: Optional[int] = None,
+) -> Tuple[float, float, float, int, int]:
+    """The connect and activity timeouts, the breaker reset period, the
+    fleet-wide attempts and the breaker threshold, each from its
+    argument, else its variable, else its default.
 
     A timeout must be finite and > 0: ``socket`` refuses a negative or
     NaN one and overflows on inf, and at 0 every connect fails.  A reset
-    must be finite and >= 0: a NaN one never half-opens a breaker.  A bad
-    value is refused here, naming its variable, not mid-run.
+    must be finite and >= 0: a NaN one never half-opens a breaker.  The
+    attempts and the threshold must be integers >= 1 (a decimal string
+    in a variable).  A bad value is refused here, naming its variable,
+    not mid-run.
     """
     settings = []
     for name, value, variable, default, zero_ok in (
@@ -123,6 +129,26 @@ def liveness_settings(
                 f"{'>= 0' if zero_ok else '> 0'} seconds, got {seconds}"
             )
         settings.append(seconds)
+    for name, value, variable, default in (
+        ("attempts", attempts, ATTEMPTS_ENV, DEFAULT_ATTEMPTS),
+        ("breaker_threshold", breaker_threshold, BREAKER_THRESHOLD_ENV,
+         DEFAULT_BREAKER_THRESHOLD),
+    ):
+        raw = count = os.environ.get(variable, default) if value is None else value
+        if isinstance(raw, str):
+            try:
+                count = int(raw)
+            except ValueError:
+                pass
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, numbers.Integral)
+            or count < 1
+        ):
+            raise ValueError(
+                f"{name} (${variable}) must be an integer >= 1, got {raw!r}"
+            )
+        settings.append(int(count))
     return tuple(settings)
 
 
@@ -166,7 +192,7 @@ class CircuitBreaker:
         reset_seconds: float = DEFAULT_BREAKER_RESET,
         clock: Callable[[], float] = time.monotonic,
     ):
-        self.failure_threshold = max(1, int(failure_threshold))
+        self.failure_threshold = failure_threshold
         self.reset_seconds = float(reset_seconds)
         self._clock = clock
         self._consecutive_failures = 0
@@ -259,28 +285,24 @@ class RemoteBackend(SimulationBackend):
         self._fallback: Optional[SimulationBackend] = (
             None if isinstance(fallback, str) else fallback
         )
-        self.connect_timeout, self.activity_timeout, reset_seconds = (
-            liveness_settings(connect_timeout, activity_timeout, breaker_reset_seconds)
-        )
-        attempts = (
-            int(os.environ.get(ATTEMPTS_ENV, DEFAULT_ATTEMPTS))
-            if attempts is None
-            else int(attempts)
-        )
-        threshold = (
-            int(
-                os.environ.get(
-                    BREAKER_THRESHOLD_ENV, DEFAULT_BREAKER_THRESHOLD
-                )
-            )
-            if breaker_threshold is None
-            else int(breaker_threshold)
+        (
+            self.connect_timeout,
+            self.activity_timeout,
+            reset_seconds,
+            attempts,
+            threshold,
+        ) = liveness_settings(
+            connect_timeout,
+            activity_timeout,
+            breaker_reset_seconds,
+            attempts,
+            breaker_threshold,
         )
         #: Seeded deterministic backoff between fleet-wide attempts; the
         #: retry classification itself (what counts as transient) is
         #: handled here, not by the service policy.
         self.policy = RetryPolicy(
-            max_attempts=max(1, attempts), backoff=0.05, jitter=0.1
+            max_attempts=attempts, backoff=0.05, jitter=0.1
         )
         self.breakers: Dict[Tuple[str, int], CircuitBreaker] = {
             endpoint: CircuitBreaker(threshold, reset_seconds)

@@ -15,6 +15,8 @@ Consolidates the circuit/service setup that used to be duplicated across
   (one design at typical across ``rows`` mismatch rows);
 * ``pool_submissions`` — records every shard submitted to a
   :class:`WorkerPool`, so pool tests can assert their shards really ran;
+* ``forked`` — records the pid of every process ``os.fork`` makes, so
+  learner tests can assert a critic helper really ran, or never did;
 * ``fake_ngspice`` — installs the hermetic fake simulator
   (``tests/fake_ngspice.py``) as an executable and points
   ``$REPRO_NGSPICE`` at it, so ``NgspiceBackend`` runs end-to-end with no
@@ -255,6 +257,25 @@ def pool_submissions(monkeypatch):
 
     monkeypatch.setattr(WorkerPool, "submit", recording)
     return submitted
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the processes ``os.fork`` makes during the test.
+
+    Recorded on the parent's side; the child runs on unchanged.
+    """
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import agent as agent_module
 from repro.core.actor_critic import EnsembleCritic
 from repro.core.agent import RiskSensitiveAgent
 from repro.core.config import GlovaConfig
@@ -298,16 +299,23 @@ class LoopAgent:
         return float(np.mean(critic_losses)), float(np.mean(actor_losses))
 
 
+@pytest.mark.parametrize("pipelined", [False, True], ids=["sequential", "pipelined"])
 @pytest.mark.parametrize("use_ensemble_critic", [True, False])
-def test_agent_update_matches_loop_reference_bit_for_bit(use_ensemble_critic):
+def test_agent_update_matches_loop_reference_bit_for_bit(
+    monkeypatch, use_ensemble_critic, pipelined
+):
     """One draw per update and the stacked learner give exactly the
-    per-batch textbook update: weights, losses and the RNG stream."""
+    per-batch textbook update: weights, losses and the RNG stream, on both
+    learner paths (``repro.core.agent``), with more gradient steps than
+    snapshot slots and a first update on fewer rows than a batch."""
+    monkeypatch.setattr(agent_module, "pipeline_available", lambda: pipelined)
     config = GlovaConfig(
         seed=0,
         hidden_size=16,
         gradient_steps_per_iteration=6,
         use_ensemble_critic=use_ensemble_critic,
     )
+    assert config.gradient_steps_per_iteration > agent_module.SNAPSHOT_SLOTS
     assert (config.effective_ensemble_size(), config.effective_beta1()) == (
         (5, -3.0) if use_ensemble_critic else (1, 0.0)
     )
@@ -316,14 +324,26 @@ def test_agent_update_matches_loop_reference_bit_for_bit(use_ensemble_critic):
     # A small ring, so it wraps: both sides read the same buffer.
     buffer = agent.buffer = WorstCaseReplayBuffer(capacity=24)
     data = np.random.default_rng(8)
-    for _ in range(20):
-        buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
-
     for _ in range(6):
-        for _ in range(3):
-            buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
+        buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
+    assert len(buffer) < config.batch_size
+
+    with agent.pipelined():
         summary = agent.update()
         assert (summary.critic_loss, summary.actor_loss) == reference.update(buffer)
+        assert (agent._helper is not None) == pipelined
+        for _ in range(6):
+            for _ in range(4):
+                buffer.add(data.uniform(size=4), float(data.uniform(-0.8, 0.2)))
+            summary = agent.update()
+            assert (summary.critic_loss, summary.actor_loss) == reference.update(
+                buffer
+            )
+    assert agent._helper is None
+    # The helper has gone; a bare update steps the critic in this process
+    # from the state (moments and step count included) the helper left.
+    summary = agent.update()
+    assert (summary.critic_loss, summary.actor_loss) == reference.update(buffer)
     assert len(buffer) == buffer.capacity
 
     networks = [(agent.actor.network, [reference.actor])]

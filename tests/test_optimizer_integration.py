@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import GlovaConfig, GlovaOptimizer, VerificationMethod
+from repro.api import RunReport
+from repro.baselines import PVTSizingOptimizer
 from repro.circuits import FloatingInverterAmplifier, StrongArmLatch
+from repro.core import agent as agent_module
 from repro.core.result import OptimizationResult
 
 
@@ -120,3 +123,37 @@ class TestAblationWiring:
         assert optimizer.agent.critic.ensemble_size == GlovaConfig().ensemble_size
         assert optimizer.verifier.use_mu_sigma
         assert optimizer.verifier.use_reordering
+
+
+class TestLearnerPaths:
+    """A whole run is bit-identical on both learner paths
+    (``repro.core.agent``): the same report and the same final networks."""
+
+    @pytest.mark.parametrize(
+        "optimizer_class, circuit_class, verification",
+        [
+            (GlovaOptimizer, StrongArmLatch, VerificationMethod.CORNER_LOCAL_MC),
+            (PVTSizingOptimizer, FloatingInverterAmplifier, VerificationMethod.CORNER),
+        ],
+        ids=["glova-C-MCL", "pvtsizing-C"],
+    )
+    def test_run_is_identical_on_both_paths(
+        self, monkeypatch, forked, optimizer_class, circuit_class, verification
+    ):
+        outcomes = []
+        for pipelined in (False, True):
+            monkeypatch.setattr(agent_module, "pipeline_available", lambda: pipelined)
+            optimizer = optimizer_class(
+                circuit_class(), GlovaConfig(verification=verification, seed=0)
+            )
+            result = optimizer.run()
+            agent = optimizer.agent
+            outcomes.append(
+                (
+                    RunReport.from_result(0, result).to_dict(),
+                    agent.critic.network.parameters.tobytes(),
+                    agent.actor.network.parameters.tobytes(),
+                )
+            )
+            assert len(forked) == int(pipelined)
+        assert outcomes[0] == outcomes[1]

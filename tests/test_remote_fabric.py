@@ -70,7 +70,9 @@ from repro.simulation.protocol import (
 )
 from repro.simulation.remote import (
     ACTIVITY_TIMEOUT_ENV,
+    ATTEMPTS_ENV,
     BREAKER_RESET_ENV,
+    BREAKER_THRESHOLD_ENV,
     CONNECT_TIMEOUT_ENV,
     ENDPOINTS_ENV,
     CircuitBreaker,
@@ -1196,10 +1198,12 @@ class TestEndpointPublication:
 
 
 class TestLivenessSettings:
-    """Bad client timeouts and breaker resets fail when the backend or a
-    ``remote`` config is built, naming their variable: at -1, NaN or inf
-    ``socket`` raises mid-run, at 0 every connect fails and the run
-    silently degrades to local, and a NaN reset never half-opens."""
+    """Bad client timeouts, breaker resets, attempts and breaker
+    thresholds fail when the backend or a ``remote`` config is built,
+    naming their variable: at -1, NaN or inf ``socket`` raises mid-run, at
+    0 every connect fails and the run silently degrades to local, a NaN
+    reset never half-opens, and a count below 1 or not an integer would
+    otherwise be clamped to 1 or truncated without a word."""
 
     BAD = [
         (CONNECT_TIMEOUT_ENV, "connect_timeout", value)
@@ -1234,9 +1238,45 @@ class TestLivenessSettings:
         assert exit_info.value.code == 2
         assert variable in capsys.readouterr().err
 
+    COUNTS = [
+        (variable, keyword, value)
+        for variable, keyword in (
+            (ATTEMPTS_ENV, "attempts"),
+            (BREAKER_THRESHOLD_ENV, "breaker_threshold"),
+        )
+        for value in ("0", "-3", "2.5", "abc")
+    ]
+
+    @pytest.mark.parametrize(
+        "variable, keyword, value", COUNTS, ids=[f"{v}={x}" for v, _, x in COUNTS]
+    )
+    def test_bad_count_is_refused_at_construction(
+        self, monkeypatch, capsys, variable, keyword, value
+    ):
+        from repro.__main__ import main
+        from repro.api import ExperimentConfig
+
+        argument = {"0": 0, "-3": -3, "2.5": 2.5, "abc": "abc"}[value]
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            RemoteBackend(endpoints="127.0.0.1:9", **{keyword: argument})
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            RemoteBackend(endpoints="127.0.0.1:9")
+        with pytest.raises(ValueError, match=re.escape(variable)):
+            ExperimentConfig(backend="remote", endpoints="127.0.0.1:9")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--circuit", "sal", "--method", "C", "--backend", "remote",
+                  "--endpoints", "127.0.0.1:9", "--dry-run"])
+        assert exit_info.value.code == 2
+        assert variable in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "variable, value",
         [
+            (ATTEMPTS_ENV, "1"),
+            (ATTEMPTS_ENV, "5"),
+            (BREAKER_THRESHOLD_ENV, "1"),
+            (BREAKER_THRESHOLD_ENV, "5"),
             (CONNECT_TIMEOUT_ENV, "0.25"),
             (CONNECT_TIMEOUT_ENV, "3.0"),
             (ACTIVITY_TIMEOUT_ENV, "0.25"),
@@ -1251,10 +1291,13 @@ class TestLivenessSettings:
 
         monkeypatch.setenv(variable, value)
         backend = RemoteBackend(endpoints="127.0.0.1:9")
+        breaker = backend.breakers[("127.0.0.1", 9)]
         settings = {
+            ATTEMPTS_ENV: backend.policy.max_attempts,
+            BREAKER_THRESHOLD_ENV: breaker.failure_threshold,
             CONNECT_TIMEOUT_ENV: backend.connect_timeout,
             ACTIVITY_TIMEOUT_ENV: backend.activity_timeout,
-            BREAKER_RESET_ENV: backend.breakers[("127.0.0.1", 9)].reset_seconds,
+            BREAKER_RESET_ENV: breaker.reset_seconds,
         }
         assert settings[variable] == float(value)
         ExperimentConfig(backend="remote", endpoints="127.0.0.1:9")
